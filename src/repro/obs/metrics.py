@@ -166,6 +166,8 @@ class MetricFamily:
         self.help = help
         self._buckets = tuple(buckets) if buckets is not None else DEFAULT_LATENCY_BUCKETS
         self._children: Dict[LabelSet, object] = {}
+        #: labels() call signatures already resolved -> their child
+        self._seen: Dict[tuple, object] = {}
 
     def _make(self):
         if self.kind == "counter":
@@ -175,15 +177,31 @@ class MetricFamily:
         return Histogram(self._buckets)
 
     def labels(self, **labels: object):
-        """The child instrument for this label set (created on first use)."""
+        """The child instrument for this label set (created on first use).
+
+        A label set is validated, sorted and stringified the first time
+        it is seen; later calls with the same keyword arguments (same
+        order, same value types) are one dict lookup.  Hot paths should
+        still keep the child they get back rather than ask again.
+        """
+        # value types are part of the key: 1, 1.0 and True are equal as
+        # dict keys but render as three different label values
+        seen = (*labels.items(), *map(type, labels.values()))
+        try:
+            return self._seen[seen]
+        except KeyError:
+            pass
+        except TypeError:  # unhashable label value: resolve uncached
+            seen = None
         for key in labels:
             if not _LABEL_RE.match(key):
                 raise ValueError(f"invalid label name {key!r}")
         key = tuple(sorted((k, str(v)) for k, v in labels.items()))
         child = self._children.get(key)
-        if child is None:
-            child = self._make()
-            self._children[key] = child
+        if child is None:  # setdefault: two first callers must share one child
+            child = self._children.setdefault(key, self._make())
+        if seen is not None:
+            self._seen[seen] = child
         return child
 
     # -- zero-label convenience delegates -------------------------------

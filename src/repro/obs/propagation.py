@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "TRACEPARENT_VERSION",
@@ -62,7 +61,6 @@ def stable_span_id(seed: str) -> str:
     return hashlib.sha256(("span:" + seed).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
 class TraceContext:
     """The identity of one span, plus enough lineage to nest under it.
 
@@ -70,19 +68,68 @@ class TraceContext:
     own id, ``parent_id`` its parent's (None at a trace root).  Deriving
     a child is :meth:`child`; crossing a process boundary is
     :meth:`traceparent` / :meth:`from_traceparent`.
+
+    Ids that derive from a seed (:func:`task_context`, :meth:`child`,
+    :meth:`exec_child`) are hashed on first *read*: minting a context on
+    the task path is a handful of attribute writes, and the SHA-256
+    runs when something looks at the id — an export, ``/trace``,
+    ``explain``, :meth:`traceparent`.  The values are the same either
+    way.
     """
 
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str] = None
+    __slots__ = ("_trace_id", "_span_id", "_parent", "_seed")
+
+    def __init__(
+        self,
+        trace_id: Optional[str],
+        span_id: Optional[str],
+        parent_id: Optional[str] = None,
+    ) -> None:
+        # a None id is derived on first read: the trace id from the
+        # parent (or, at a root, the seed), the span id from the seed
+        self._trace_id = trace_id
+        self._span_id = span_id
+        self._parent: Any = parent_id  # a span id, or the parent context
+        self._seed: Any = None
+
+    @property
+    def trace_id(self) -> str:
+        trace_id = self._trace_id
+        if trace_id is None:
+            parent = self._parent
+            trace_id = self._trace_id = (
+                stable_trace_id(self._seed) if parent is None else parent.trace_id
+            )
+        return trace_id
+
+    @property
+    def span_id(self) -> str:
+        span_id = self._span_id
+        if span_id is None:
+            seed = self._seed
+            if not isinstance(seed, str):  # exec_child: seed is the worker id
+                seed = f"exec:{seed}:{self._parent.span_id}"
+            span_id = self._span_id = stable_span_id(seed)
+        return span_id
+
+    @property
+    def parent_id(self) -> Optional[str]:
+        parent = self._parent
+        return parent.span_id if isinstance(parent, TraceContext) else parent
 
     def child(self, seed: str) -> "TraceContext":
         """The context of a child span whose id hashes ``seed``."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=stable_span_id(seed),
-            parent_id=self.span_id,
-        )
+        return _derived(seed, self)
+
+    def exec_child(self, worker_id: int) -> "TraceContext":
+        """The context of the execution span ``worker_id`` ran under this
+        dispatch attempt: id seed ``exec:<worker>:<this span id>``.
+
+        This span's id is unique per dispatch attempt, so the derived id
+        is too — replays never collide.  The seed embeds that id, so it
+        is only formatted when the child's id is first read.
+        """
+        return _derived(worker_id, self)
 
     def traceparent(self) -> str:
         """This context as a W3C-style ``traceparent`` string."""
@@ -104,6 +151,29 @@ class TraceContext:
             return None
         return cls(trace_id=m.group("trace_id"), span_id=m.group("span_id"))
 
+    def _ids(self) -> Tuple[str, str, Optional[str]]:
+        return (self.trace_id, self.span_id, self.parent_id)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceContext):
+            return NotImplemented
+        return self._ids() == other._ids()
+
+    def __hash__(self) -> int:
+        return hash(self._ids())
+
+    def __repr__(self) -> str:
+        return "TraceContext(trace_id={!r}, span_id={!r}, parent_id={!r})".format(
+            *self._ids()
+        )
+
+
+def _derived(seed: Any, parent: Optional[TraceContext]) -> TraceContext:
+    """A context whose ids are still to be derived from ``seed``/``parent``."""
+    ctx = TraceContext(None, None, parent)
+    ctx._seed = seed
+    return ctx
+
 
 def task_context(farm_name: str, task_id: int) -> TraceContext:
     """The root context of one task's trace: stable across replays.
@@ -111,10 +181,7 @@ def task_context(farm_name: str, task_id: int) -> TraceContext:
     Every dispatch attempt, worker execution and result delivery of a
     task hangs off this one root, whichever backend carries it.
     """
-    seed = f"{farm_name}/task/{task_id}"
-    return TraceContext(
-        trace_id=stable_trace_id(seed), span_id=stable_span_id(seed)
-    )
+    return _derived(f"{farm_name}/task/{task_id}", None)
 
 
 # ----------------------------------------------------------------------

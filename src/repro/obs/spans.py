@@ -42,39 +42,83 @@ class SpanEvent:
     attributes: Dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
-class Span:
-    """One named interval, with lineage, attributes and point events."""
+class Span(TraceContext):
+    """One named interval, with lineage, attributes and point events.
 
-    span_id: str
-    parent_id: Optional[str]
-    name: str
-    actor: str
-    start: float
-    end: Optional[float] = None
-    attributes: Dict[str, Any] = field(default_factory=dict)
-    events: List[SpanEvent] = field(default_factory=list)
-    #: instrumentation-side cost in monotonic seconds (perf clock); in a
-    #: simulation this is the real CPU time one zero-sim-time tick took
-    perf_elapsed: Optional[float] = None
-    #: the causal tree this span belongs to (32 hex chars)
-    trace_id: str = ""
+    A span *is* the trace context that names it — its three ids are the
+    inherited (lazily hashed) ones, and :attr:`context` is the span
+    itself — so a traced task costs one small object per span.
+    ``attributes`` and ``events`` are allocated on first use.  Equality
+    is by value, which is what lets an exported trace be compared with
+    its re-import.
+    """
+
+    __slots__ = (
+        "name", "actor", "start", "end", "_attributes", "_events", "perf_elapsed",
+    )
+
+    def __init__(
+        self,
+        span_id: str = "",
+        parent_id: Optional[str] = None,
+        name: str = "",
+        actor: str = "",
+        start: float = 0.0,
+        end: Optional[float] = None,
+        attributes: Optional[Dict[str, Any]] = None,
+        events: Optional[List[SpanEvent]] = None,
+        perf_elapsed: Optional[float] = None,
+        trace_id: str = "",
+        *,
+        context: Optional[TraceContext] = None,
+    ) -> None:
+        if context is None:
+            self._trace_id = trace_id
+            self._span_id = span_id
+            self._parent = parent_id
+            self._seed = None
+        else:
+            # take over the context's identity as it stands — ids still
+            # unhashed stay so — and the three id arguments are unused
+            self._trace_id = context._trace_id
+            self._span_id = context._span_id
+            self._parent = context._parent
+            self._seed = context._seed
+        self.name = name
+        self.actor = actor
+        self.start = start
+        self.end = end
+        self._attributes = attributes or None
+        self._events = events or None
+        #: instrumentation-side cost in monotonic seconds (perf clock); in a
+        #: simulation this is the real CPU time one zero-sim-time tick took
+        self.perf_elapsed = perf_elapsed
 
     @property
     def context(self) -> TraceContext:
-        """This span's identity as a propagatable trace context."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-        )
+        """This span's identity as a propagatable trace context: itself."""
+        return self
+
+    @property
+    def attributes(self) -> Dict[str, Any]:
+        attributes = self._attributes
+        if attributes is None:
+            attributes = self._attributes = {}
+        return attributes
+
+    @property
+    def events(self) -> List[SpanEvent]:
+        events = self._events
+        if events is None:
+            events = self._events = []
+        return events
 
     def set_attribute(self, key: str, value: Any) -> "Span":
         self.attributes[key] = value
         return self
 
     def add_event(self, name: str, time: float, **attributes: Any) -> SpanEvent:
-        ev = SpanEvent(time, name, dict(attributes))
+        ev = SpanEvent(time, name, attributes)
         self.events.append(ev)
         return ev
 
@@ -86,6 +130,17 @@ class Span:
     def duration(self) -> Optional[float]:
         """Elapsed clock time (sim or wall); None while still open."""
         return None if self.end is None else self.end - self.start
+
+    def _value(self) -> tuple:
+        return (
+            self._ids(), self.name, self.actor, self.start, self.end,
+            self._attributes or {}, self._events or [], self.perf_elapsed,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return self._value() == other._value()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self.end is None else f"{self.duration:.6f}s"
@@ -148,37 +203,26 @@ class SpanRecorder:
         the ids are minted deterministically from the task, not from
         whichever thread happens to open the span.
         """
-        if context is not None:
-            span = Span(
-                span_id=context.span_id,
-                parent_id=context.parent_id,
-                name=name,
-                actor=actor,
-                start=start,
-                attributes=dict(attributes),
-                trace_id=context.trace_id,
-            )
-            self.spans.append(span)
-            if attach:
-                self._stack().append(span)
-            return span
-        if parent is None:
-            parent = self.current
-        seq = self._next_id
-        self._next_id += 1
+        stack = span_id = parent_id = None
+        trace_id = ""
+        if context is None:
+            if parent is None:
+                stack = self._stack()
+                parent = stack[-1] if stack else None
+            span_id = f"{self._next_id:016x}"
+            self._next_id += 1
+            if parent is None:  # a root starts its own trace (32 hex chars)
+                trace_id = "0000000000000000" + span_id
+            else:  # a child joins its parent's
+                trace_id, parent_id = parent.trace_id, parent.span_id
+        # positional because every span of every task comes through here
         span = Span(
-            span_id=f"{seq:016x}",
-            parent_id=None if parent is None else parent.span_id,
-            name=name,
-            actor=actor,
-            start=start,
-            attributes=dict(attributes),
-            # a root starts its own trace; a child joins its parent's
-            trace_id=f"{seq:032x}" if parent is None else parent.trace_id,
+            span_id, parent_id, name, actor, start, None, attributes, None, None,
+            trace_id, context=context,
         )
         self.spans.append(span)
         if attach:
-            self._stack().append(span)
+            (self._stack() if stack is None else stack).append(span)
         return span
 
     def import_span(self, record: Mapping[str, Any]) -> Span:
@@ -217,17 +261,17 @@ class SpanRecorder:
         :meth:`flush` sweeping past) still unwinds this thread's stack,
         so the opener's later spans do not nest under a dead parent.
         """
-        already_closed = span.end is not None
-        if not already_closed:
+        if span.end is None:
             span.end = end
         stack = self._stack()
-        if span in stack:
-            while stack and stack[-1] is not span:
-                leaked = stack.pop()  # leaked child: close with the parent
-                if leaked.end is None:
-                    leaked.end = end
-            if stack:
-                stack.pop()
+        # identity, not ``in``: equal-valued spans are distinct intervals
+        for depth in reversed(range(len(stack))):
+            if stack[depth] is span:
+                for leaked in stack[depth + 1 :]:  # close with the parent
+                    if leaked.end is None:
+                        leaked.end = end
+                del stack[depth:]
+                break
         return span
 
     # -- queries --------------------------------------------------------

@@ -133,7 +133,8 @@ class Telemetry:
         """Close a span from :meth:`start_span` (None-safe)."""
         if span is None:
             return
-        span.attributes.update(attributes)
+        if attributes:
+            span.attributes.update(attributes)
         self.spans.close(span, self.clock.now())
 
     def import_span(self, record: Optional[Mapping[str, Any]]) -> Optional[Span]:

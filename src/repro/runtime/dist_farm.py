@@ -61,7 +61,7 @@ from ..obs.propagation import TraceContext, task_context
 from ..obs.spans import Span
 from ..obs.telemetry import NOOP, Telemetry
 from ..sim.metrics import WindowRateEstimator, queue_length_stats
-from .backend import RuntimeFarmSnapshot
+from .backend import DispatchCounters, RuntimeFarmSnapshot, TaskRecord, drain_queue
 from .dist_proto import (
     COMPAT_PROTOCOLS,
     PROTOCOL_VERSION,
@@ -125,24 +125,6 @@ class _ResultBus(queue.Queue):
 
 
 @dataclass
-class _TaskRecord:
-    """Coordinator-side bookkeeping for one not-yet-acknowledged task."""
-
-    task_id: int
-    payload: Any
-    submitted_at: float
-    attempts: int = 0
-    worker_id: Optional[int] = None  # None: awaiting (re)dispatch
-    next_retry_at: float = 0.0
-    # trace context: the task's root span and the current (or most
-    # recent) dispatch-attempt span; each new attempt parents under the
-    # previous one, so a replayed task reads as one causal chain
-    root: Optional[Span] = None
-    dispatch: Optional[Span] = None
-    dispatch_seq: int = 0
-
-
-@dataclass
 class DistWorkerHandle:
     """Coordinator-side view of one worker (spawned or attached)."""
 
@@ -169,8 +151,12 @@ class DistWorkerHandle:
     codec: str = "json"
     reported_completed: int = 0
     dispatched: int = 0
-    outstanding: Set[int] = field(default_factory=set)
+    #: un-acked task id -> the dispatch-attempt span it went out under
+    #: (None untraced): a result is matched to *this worker's* attempt,
+    #: however late it arrives and whatever the task has done since
+    outstanding: Dict[int, Optional[Span]] = field(default_factory=dict)
     span: Any = None  # detached dist.worker telemetry span
+    completed_gauge: Any = None  # this worker's bound completed-tasks gauge
     #: in-flight secure handshake state (challenge sent, waiter to wake)
     secure_challenge: Optional[str] = None
     secure_waiter: Optional[threading.Event] = None
@@ -293,6 +279,17 @@ class DistFarm:
         self.supervise_period = supervise_period
         self.max_inflight = max_inflight
         self.telemetry = telemetry if telemetry is not None else NOOP
+        # data-path instruments, bound once (a disabled telemetry hands
+        # back inert ones, so the dispatch path counts without asking)
+        metrics = self.telemetry.metrics
+        self._dispatches = DispatchCounters(self.telemetry, name)
+        self._batched_tasks_total = metrics.counter(
+            "repro_dist_batched_tasks_total",
+            "tasks dispatched inside multi-task batch frames",
+        ).labels(farm=name)
+        frames = metrics.counter("repro_dist_frames_total", "protocol frames exchanged")
+        self._frames_tx = frames.labels(farm=name, direction="tx")
+        self._frames_rx = frames.labels(farm=name, direction="rx")
         self._host = host
         self.epoch = epoch
         self.worker_reconnect_attempts = worker_reconnect_attempts
@@ -310,7 +307,7 @@ class DistFarm:
         self.rate_window = rate_window
         self._latencies: "deque" = deque()  # (completion_time, latency)
 
-        self._tasks: Dict[int, _TaskRecord] = {}
+        self._tasks: Dict[int, TaskRecord] = {}
         self._ready: "deque[int]" = deque()
         self._ready_set: Set[int] = set()
         self._retry_heap: List[Tuple[float, int]] = []  # (due, task_id)
@@ -519,7 +516,7 @@ class DistFarm:
         if retiring or self._shutdown.is_set():
             # retired (or farm torn down) before it finished connecting
             writer.write(self._encode_control(handle, {"type": "poison"}))
-        self._count_frame("tx", 0)
+        self._frames_tx.inc()
         # after negotiation the connection may only carry json (control
         # frames) and the session codec; anything else is a violation
         allowed = ("json", handle.codec)
@@ -534,7 +531,7 @@ class DistFarm:
                 break
             if frame[0] is None:
                 break
-            self._count_frame("rx", len(frame[0]))
+            self._frames_rx.inc()
             self._handle_message(handle, frame[0])
         writer.close()
         self._on_disconnect(handle)
@@ -613,12 +610,12 @@ class DistFarm:
         *inside* one replayed batch: exactly-once outward either way.
         """
         task_id = int(entry["task_id"])
-        handle.outstanding.discard(task_id)
+        dispatch = handle.outstanding.pop(task_id, None)
         if self.telemetry.enabled:
-            # import the worker-side exec span even for a duplicate
+            # record the worker-side exec span even for a duplicate
             # result: both executions of an at-least-once replay
             # belong in the task's one trace tree
-            self.telemetry.import_span(entry.get("span"))
+            self._record_exec(handle, dispatch, entry)
         if task_id in self._completed_ids:
             self.duplicates += 1
             if self.telemetry.enabled:
@@ -642,6 +639,39 @@ class DistFarm:
             self.telemetry.end_span(record.dispatch, outcome=outcome)
             self.telemetry.end_span(record.root, outcome=outcome)
         return True, result
+
+    def _record_exec(
+        self, handle: DistWorkerHandle, dispatch: Optional[Span], entry: dict
+    ) -> None:
+        """Land one execution's ``task.exec`` span in the store (lock held).
+
+        A traced v4 worker only stamps ``t = (start, end, pid)`` on its
+        result entry; the span is built here, under the dispatch-attempt
+        span this worker was sent the task with.  A peer that ships a
+        full ``span`` record instead (v3 sessions) has it imported as
+        is.  Either field comes off the wire: one that does not parse is
+        dropped — the result still counts — never raised in the loop.
+        """
+        try:
+            timing = entry.get("t")
+            if timing is None:
+                self.telemetry.import_span(entry.get("span"))
+            elif dispatch is not None and isinstance(timing, (list, tuple)):
+                start, end, pid = timing
+                worker_id = handle.worker_id
+                span = self.telemetry.spans.open(
+                    "task.exec",
+                    float(start),
+                    actor=f"dworker-{worker_id}",
+                    attach=False,
+                    context=dispatch.context.exec_child(worker_id),
+                    worker=worker_id,
+                    pid=int(pid),
+                    outcome="error" if "error" in entry else "ok",
+                )
+                span.end = float(end)
+        except (TypeError, ValueError, KeyError, AttributeError):
+            pass
 
     def _handle_secured(self, handle: DistWorkerHandle, frame: dict) -> None:
         """A worker answered a ``secure`` challenge (loop thread)."""
@@ -690,7 +720,7 @@ class DistFarm:
 
     def _refuse_one(self, handle: DistWorkerHandle, task_id: int) -> None:
         """Account one bounced dispatch (lock held): replay or dead-letter."""
-        handle.outstanding.discard(task_id)
+        handle.outstanding.pop(task_id, None)
         record = self._tasks.get(task_id)
         if record is None or task_id in self._completed_ids:
             return
@@ -715,20 +745,7 @@ class DistFarm:
 
     def _note_worker_counter(self, handle: DistWorkerHandle, completed: int) -> None:
         handle.reported_completed = max(handle.reported_completed, completed)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(
-                "repro_dist_worker_completed_tasks",
-                "cumulative tasks completed, as reported by each worker",
-            ).labels(farm=self.name, worker=handle.worker_id).set(
-                handle.reported_completed
-            )
-
-    def _count_frame(self, direction: str, size: int) -> None:
-        if not self.telemetry.enabled:
-            return
-        self.telemetry.metrics.counter(
-            "repro_dist_frames_total", "protocol frames exchanged"
-        ).labels(farm=self.name, direction=direction).inc()
+        handle.completed_gauge.set(handle.reported_completed)
 
     # ------------------------------------------------------------------
     # time base
@@ -759,7 +776,7 @@ class DistFarm:
             self.submitted += 1
             task_id = self._task_seq
             self._task_seq += 1
-            record = _TaskRecord(task_id=task_id, payload=payload, submitted_at=now)
+            record = TaskRecord(task_id, payload, now)
             if self.telemetry.enabled:
                 parent = (
                     TraceContext.from_traceparent(traceparent) if traceparent else None
@@ -856,7 +873,7 @@ class DistFarm:
                 budget = min(
                     self.max_inflight - len(worker.outstanding), self.batch_size
                 )
-                entries: List[Tuple[_TaskRecord, Optional[str]]] = []
+                entries: List[TaskRecord] = []
                 while self._ready and len(entries) < budget:
                     task_id = self._ready.popleft()
                     self._ready_set.discard(task_id)
@@ -865,8 +882,10 @@ class DistFarm:
                         continue  # completed or already dispatched meanwhile
                     record.attempts += 1
                     record.worker_id = worker.worker_id
-                    worker.outstanding.add(task_id)
-                    entries.append((record, self._trace_dispatch(record, worker)))
+                    if record.root is not None:
+                        self._trace_dispatch(record, worker)
+                    worker.outstanding[task_id] = record.dispatch
+                    entries.append(record)
                 if not entries:
                     continue
                 frames = self._encode_dispatch(worker, entries)
@@ -874,83 +893,75 @@ class DistFarm:
                     for data in frames:
                         worker.writer.write(data)
                 except Exception:  # noqa: BLE001 - transport died under us
-                    for record, _ in entries:
-                        worker.outstanding.discard(record.task_id)
+                    for record in entries:
+                        worker.outstanding.pop(record.task_id, None)
                         record.worker_id = None
                         self.telemetry.end_span(
                             record.dispatch, outcome="write-failed"
                         )
                         self._enqueue_ready(record.task_id)
                     return
-                for data in frames:
-                    self._count_frame("tx", len(data))
-                for _ in entries:
-                    self._count_dispatch(worker)
-                if len(entries) > 1 and self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "repro_dist_batched_tasks_total",
-                        "tasks dispatched inside multi-task batch frames",
-                    ).labels(farm=self.name).inc(len(entries))
+                self._frames_tx.inc(len(frames))
+                self._dispatches.count(worker, len(entries))
+                if len(entries) > 1:
+                    self._batched_tasks_total.inc(len(entries))
 
     def _encode_dispatch(
-        self,
-        worker: DistWorkerHandle,
-        entries: List[Tuple[_TaskRecord, Optional[str]]],
+        self, worker: DistWorkerHandle, entries: List[TaskRecord]
     ) -> List[bytes]:
         """Encode one dispatch window on ``worker``'s dialect (lock held).
 
         v3 sessions: one legacy ``task`` frame per entry, per-payload
-        encryption.  v4 singletons keep the legacy ``task`` shape (same
-        keys, binary framing); a window of two or more rides one
-        ``task_batch``, encrypted whole-frame when the channel is
-        secured, with each entry's traceparent riding beside it.
+        encryption, the dispatch span's ``traceparent`` beside it.  v4
+        singletons keep the legacy ``task`` shape (same keys, binary
+        framing); a window of two or more rides one ``task_batch``,
+        encrypted whole-frame when the channel is secured.  A traced v4
+        frame carries one ``traced`` flag, not a context per entry: the
+        worker answers with exec timings and the coordinator, which
+        holds the dispatch spans, builds the exec spans from them.
         """
         if worker.wire != 4:
             frames = []
-            for record, traceparent in entries:
+            for record in entries:
                 message = {
                     "type": "task",
                     "task_id": record.task_id,
                     "payload": encode_payload(record.payload, secured=worker.secured),
                     "enc": worker.secured,
                 }
-                if traceparent is not None:
-                    message["traceparent"] = traceparent
+                if record.dispatch is not None:
+                    message["traceparent"] = record.dispatch.context.traceparent()
                 frames.append(encode_frame(message))
             return frames
         if len(entries) == 1:
-            record, traceparent = entries[0]
+            record = entries[0]
             message = {
                 "type": "task",
                 "task_id": record.task_id,
                 "payload": record.payload,
             }
-            if traceparent is not None:
-                message["traceparent"] = traceparent
         else:
-            batch = []
-            for record, traceparent in entries:
-                entry = {"task_id": record.task_id, "payload": record.payload}
-                if traceparent is not None:
-                    entry["tp"] = traceparent
-                batch.append(entry)
-            message = {"type": "task_batch", "tasks": batch}
+            message = {
+                "type": "task_batch",
+                "tasks": [
+                    {"task_id": record.task_id, "payload": record.payload}
+                    for record in entries
+                ],
+            }
+        if entries[0].dispatch is not None:
+            message["traced"] = True
         return [
             encode_frame_v4(message, codec=worker.codec, secured=worker.secured)
         ]
 
-    def _trace_dispatch(
-        self, record: _TaskRecord, worker: DistWorkerHandle
-    ) -> Optional[str]:
-        """Chain one dispatch-attempt span; returns its traceparent.
+    def _trace_dispatch(self, record: TaskRecord, worker: DistWorkerHandle) -> None:
+        """Chain one dispatch-attempt span onto a traced task.
 
         The first attempt parents under the task root; every later one
         (crash replay, refused bounce) parents under the attempt it
         supersedes — the replayed execution lands *inside* the failed
         dispatch's subtree, which is what makes the fault story legible.
         """
-        if record.root is None:
-            return None
         prev = record.dispatch
         record.dispatch_seq += 1
         parent = prev.context if prev is not None else record.root.context
@@ -963,36 +974,10 @@ class DistFarm:
             attempt=record.attempts,
             secured=worker.secured,
         )
-        return record.dispatch.context.traceparent()
-
-    def _count_dispatch(self, worker: DistWorkerHandle) -> None:
-        """Account one task frame written to ``worker`` (lock held)."""
-        worker.dispatched += 1
-        if not self.telemetry.enabled:
-            return
-        metrics = self.telemetry.metrics
-        metrics.counter(
-            "repro_mc_dispatch_total", "tasks handed to a worker queue"
-        ).labels(farm=self.name).inc()
-        if not worker.secured:
-            metrics.counter(
-                "repro_mc_insecure_dispatch_total",
-                "tasks handed to a worker over an unsecured channel",
-            ).labels(farm=self.name).inc()
 
     def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
         """Collect ``count`` results (order of completion, deduplicated)."""
-        out: List[Any] = []
-        deadline = time.monotonic() + timeout
-        for _ in range(count):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"collected {len(out)}/{count} results")
-            try:
-                out.append(self.results.get(timeout=remaining))
-            except queue.Empty:
-                raise TimeoutError(f"collected {len(out)}/{count} results") from None
-        return out
+        return drain_queue(self.results, count, timeout)
 
     # ------------------------------------------------------------------
     # supervision: liveness + replay of due retries
@@ -1066,6 +1051,7 @@ class DistFarm:
                 "repro_dist_worker_crashes_total",
                 "workers declared dead by the supervisor",
             ).labels(farm=self.name).inc()
+        replayed = 0
         for task_id in sorted(w.outstanding):
             record = self._tasks.get(task_id)
             if record is None:
@@ -1096,12 +1082,13 @@ class DistFarm:
             record.worker_id = None
             record.next_retry_at = now + delay
             heapq.heappush(self._retry_heap, (record.next_retry_at, record.task_id))
-            self.replays += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "repro_dist_tasks_replayed_total",
-                    "task dispatches replayed after a worker death",
-                ).labels(farm=self.name).inc()
+            replayed += 1
+        self.replays += replayed
+        if replayed and self.telemetry.enabled:
+            self.telemetry.metrics.counter(
+                "repro_dist_tasks_replayed_total",
+                "task dispatches replayed after a worker death",
+            ).labels(farm=self.name).inc(replayed)
         w.outstanding.clear()
 
     def _dispatch_due_retries(self, now: float) -> None:
@@ -1177,25 +1164,35 @@ class DistFarm:
         process: Optional[subprocess.Popen],
         secured: bool = False,
         quarantined: bool = False,
+        adopt_id: Optional[int] = None,
     ) -> DistWorkerHandle:
-        """Create and track one worker handle (lock held by caller)."""
+        """Create and track one worker handle (lock held by caller).
+
+        ``adopt_id`` registers a worker that already carries an id (a
+        standby adopting its predecessor's) instead of allocating one.
+        """
         handle = DistWorkerHandle(
-            worker_id=self._next_id,
+            worker_id=self._next_id if adopt_id is None else adopt_id,
             process=process,
             secured=secured,
             quarantined=quarantined,
             spawned_at=self.now(),
             last_seen=self.now(),
         )
-        self._next_id += 1
+        self._next_id = max(self._next_id, handle.worker_id + 1)
         self.workers.append(handle)
         self._gauge_quarantined()
+        handle.completed_gauge = self.telemetry.metrics.gauge(
+            "repro_dist_worker_completed_tasks",
+            "cumulative tasks completed, as reported by each worker",
+        ).labels(farm=self.name, worker=handle.worker_id)
         if self.telemetry.enabled:
             handle.span = self.telemetry.start_span(
                 "dist.worker",
                 actor=self.name,
                 worker=handle.worker_id,
                 local=process is not None,
+                **({} if adopt_id is None else {"adopted": True}),
             )
         return handle
 
@@ -1280,25 +1277,9 @@ class DistFarm:
                 raise ValueError(f"worker id {worker_id} already registered")
             if sum(1 for w in self.workers if w.active) >= self.max_workers:
                 raise RuntimeError(f"worker limit {self.max_workers} reached")
-            handle = DistWorkerHandle(
-                worker_id=worker_id,
-                process=process,
-                quarantined=quarantined,
-                spawned_at=self.now(),
-                last_seen=self.now(),
+            return self._register_worker(
+                process=process, quarantined=quarantined, adopt_id=worker_id
             )
-            self._next_id = max(self._next_id, worker_id + 1)
-            self.workers.append(handle)
-            self._gauge_quarantined()
-            if self.telemetry.enabled:
-                handle.span = self.telemetry.start_span(
-                    "dist.worker",
-                    actor=self.name,
-                    worker=handle.worker_id,
-                    local=process is not None,
-                    adopted=True,
-                )
-            return handle
 
     def secure_worker(self, worker_id: int, timeout: float = 10.0) -> bool:
         """Secure one worker's channel via the wire-level handshake.
@@ -1367,7 +1348,7 @@ class DistFarm:
                 self._loop.call_soon_threadsafe(writer.write, frame)
             except RuntimeError:  # loop already closed
                 return False
-            self._count_frame("tx", len(frame))
+            self._frames_tx.inc()
         if not waiter.wait(max(0.0, deadline - time.monotonic())):
             with self._lock:
                 # only the handshake owner tears the state down, and only

@@ -82,8 +82,10 @@ worker → coordinator
                      and carries the cumulative ``completed`` counter
     ``hb``           heartbeat, with the cumulative completed counter
     ``result``       one task outcome (``value`` or ``error`` text, the
-                     cumulative ``completed`` counter and optionally
-                     ``span``, the worker-side execution span record)
+                     cumulative ``completed`` counter and, for a traced
+                     task, its execution: on v4 the timing ``t =
+                     [start, end, pid]``, on v3 the whole ``span``
+                     record — the coordinator accepts either)
     ``result_batch`` v4: ``results`` — a non-empty list of result
                      entries (each shaped like a ``result`` body) plus
                      one ``completed`` counter for the whole batch; one
@@ -106,16 +108,22 @@ coordinator → worker
                      session's ``task`` *and* ``task_batch`` frames
     ``error``        terminal refusal with human-readable ``error`` text
                      (protocol-version mismatch, unknown codecs)
-    ``task``         one task: ``task_id``, ``payload`` and optionally
-                     ``traceparent``.  On the v3 dialect the payload of
-                     a secured channel is individually encrypted and
+    ``task``         one task: ``task_id``, ``payload``.  On the v3
+                     dialect a traced task also carries its dispatch
+                     span as ``traceparent``, and the payload of a
+                     secured channel is individually encrypted and
                      flagged ``enc``; on v4 the whole frame body is
-                     encrypted instead (:data:`FLAG_ENC`)
+                     encrypted instead (:data:`FLAG_ENC`) and a traced
+                     frame carries ``traced: true`` (see ``task_batch``)
     ``task_batch``   v4: ``tasks`` — a non-empty list of entries
-                     (``task_id``, ``payload``, optional ``tp``
-                     traceparent), one frame dispatching a whole window;
-                     traceparents ride inside the batch so every entry
-                     still chains under its own dispatch span
+                     (``task_id``, ``payload``), one frame dispatching a
+                     whole window.  When the coordinator traces, the
+                     frame carries one ``traced: true`` — not a context
+                     per entry — and the worker stamps each result entry
+                     ``t = [start, end, pid]`` (epoch seconds); the
+                     coordinator holds every entry's dispatch span and
+                     builds the ``task.exec`` span under it.  A peer
+                     that ignores the flag just ships no timing
     ``secure``       secure-channel handshake challenge
     ``poison``       finish already-received tasks, send ``bye``, exit
 

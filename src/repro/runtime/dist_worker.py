@@ -223,8 +223,9 @@ async def run_worker(
         stale = max_epoch >= 0 and epoch < max_epoch
         max_epoch = max(max_epoch, epoch)
 
-        # queue items: (wire, [task entries]) batches, or None (poison)
-        tasks: "asyncio.Queue[Optional[Tuple[int, List[dict]]]]" = asyncio.Queue()
+        # queue items: (wire, [task entries], traced) batches, or None (poison)
+        tasks: "asyncio.Queue[Optional[Tuple[int, List[dict], bool]]]" = asyncio.Queue()
+        pid = os.getpid()
         secured = False
         out_buf: List[dict] = []
 
@@ -279,8 +280,9 @@ async def run_worker(
                         "error": f"{type(exc).__name__}: {exc}",
                         "completed": completed,
                     }
-                    if "span" in entry:
-                        fallback["span"] = entry["span"]
+                    for key in ("t", "span"):  # the exec timing / v3 span record
+                        if key in entry:
+                            fallback[key] = entry[key]
                     data = encode_out(fallback)
                 try:
                     writer.write(data)
@@ -337,7 +339,7 @@ async def run_worker(
                         # handshake is done
                         refuse(items, "security handshake required")
                         continue
-                    await tasks.put((wire, items))
+                    await tasks.put((wire, items, bool(frame.get("traced"))))
                 elif kind == "secure":
                     send(
                         {
@@ -350,20 +352,18 @@ async def run_worker(
                     await tasks.put(None)
                     return "poison"
 
-        def run_entry(wire: int, task_frame: dict) -> dict:
+        def run_entry(wire: int, task_frame: dict, traced: bool) -> dict:
             """Execute one task entry (on the pool thread); the result.
 
-            The coordinator's dispatch span rides in as a traceparent
-            (``tp`` inside batch entries); this execution is recorded
-            as a child span and shipped back on the result entry, where
-            it is re-parented into the coordinator's trace store
-            (timestamps: epoch seconds, the same base the coordinator's
-            WallClock uses).
+            On a ``traced`` v4 frame the execution is stamped
+            ``t = (start, end, pid)`` on its result entry and the
+            coordinator builds the ``task.exec`` span from that, under
+            the dispatch span it already holds.  A v3 ``task`` frame
+            carries that span as a ``traceparent`` instead, and gets the
+            whole child span record back (timestamps either way: epoch
+            seconds, the base the coordinator's WallClock uses).
             """
             task_id = task_frame.get("task_id")
-            parent_ctx = TraceContext.from_traceparent(
-                task_frame.get("traceparent") or task_frame.get("tp")
-            )
             started = time.time()
             try:
                 if wire == 3:
@@ -378,27 +378,27 @@ async def run_worker(
                 entry = {"task_id": task_id, "value": fn(payload)}
             except Exception as exc:  # noqa: BLE001 - surfaced as an error result
                 entry = {"task_id": task_id, "error": f"{type(exc).__name__}: {exc}"}
-            if parent_ctx is not None:
-                # the parent span id is unique per dispatch attempt,
-                # so the derived exec span id is too — replays never
-                # collide
-                ctx = parent_ctx.child(f"exec:{worker_id}:{parent_ctx.span_id}")
-                entry["span"] = make_span_record(
-                    ctx,
-                    "task.exec",
-                    actor=f"dworker-{worker_id}",
-                    start=started,
-                    end=time.time(),
-                    attributes={
-                        "worker": worker_id,
-                        "pid": os.getpid(),
-                        "outcome": "error" if "error" in entry else "ok",
-                    },
-                )
+            if traced:
+                entry["t"] = (started, time.time(), pid)
+            elif wire == 3:
+                parent_ctx = TraceContext.from_traceparent(task_frame.get("traceparent"))
+                if parent_ctx is not None:
+                    entry["span"] = make_span_record(
+                        parent_ctx.exec_child(worker_id),
+                        "task.exec",
+                        actor=f"dworker-{worker_id}",
+                        start=started,
+                        end=time.time(),
+                        attributes={
+                            "worker": worker_id,
+                            "pid": pid,
+                            "outcome": "error" if "error" in entry else "ok",
+                        },
+                    )
             return entry
 
-        def run_entries(wire: int, items: List[dict]) -> List[dict]:
-            return [run_entry(wire, task_frame) for task_frame in items]
+        def run_entries(wire: int, items: List[dict], traced: bool) -> List[dict]:
+            return [run_entry(wire, task_frame, traced) for task_frame in items]
 
         async def executor_loop() -> None:
             nonlocal completed
@@ -409,12 +409,14 @@ async def run_worker(
                     send({"type": "bye", "completed": completed})
                     await writer.drain()
                     return
-                wire, items = item
+                wire, items, traced = item
                 # one executor hop for the whole batch: the per-task
                 # submit/wakeup round trip through the pool was the
                 # dominant worker-side cost for cheap tasks, and the
                 # event loop stays free for heartbeats either way
-                entries = await loop.run_in_executor(pool, run_entries, wire, items)
+                entries = await loop.run_in_executor(
+                    pool, run_entries, wire, items, traced
+                )
                 completed += len(entries)
                 out_buf.extend(entries)
                 if len(out_buf) >= RESULT_FLUSH or tasks.empty():

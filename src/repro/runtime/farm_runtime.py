@@ -30,7 +30,7 @@ from ..obs.spans import Span
 from ..obs.telemetry import NOOP, Telemetry
 from ..security.crypto import decrypt, encrypt
 from ..sim.metrics import WindowRateEstimator, queue_length_stats
-from .backend import RuntimeFarmSnapshot
+from .backend import DispatchCounters, RuntimeFarmSnapshot, drain_queue
 
 __all__ = ["ThreadFarm", "ThreadWorker", "RuntimeFarmSnapshot"]
 
@@ -134,6 +134,7 @@ class ThreadFarm:
         self.name = name
         self.max_workers = max_workers
         self.telemetry = telemetry if telemetry is not None else NOOP
+        self._dispatches = DispatchCounters(self.telemetry, name)
         self.results: "queue.Queue[Any]" = queue.Queue()
         self._lock = threading.Lock()
         self.workers: List[ThreadWorker] = []
@@ -197,7 +198,7 @@ class ThreadFarm:
                 )
             else:
                 worker.queue.put((payload, False, now, trace))
-            self._count_dispatch(worker)
+            self._dispatches.count(worker)
 
     # -- trace context -------------------------------------------------
     def _trace_submit(
@@ -261,11 +262,10 @@ class ThreadFarm:
         """Open the worker-side execution span (worker thread)."""
         if trace is None or trace.dispatch is None:
             return None
-        dctx = trace.dispatch.context
         return self.telemetry.start_span(
             "task.exec",
             actor=f"{self.name}-w{worker_id}",
-            context=dctx.child(f"exec:{worker_id}:{dctx.span_id}"),
+            context=trace.dispatch.context.exec_child(worker_id),
             worker=worker_id,
         )
 
@@ -275,21 +275,6 @@ class ThreadFarm:
         outcome = "error" if error else "ok"
         self.telemetry.end_span(trace.dispatch, outcome=outcome)
         self.telemetry.end_span(trace.root, outcome=outcome)
-
-    def _count_dispatch(self, worker: ThreadWorker) -> None:
-        """Account one task entering ``worker``'s queue (lock held)."""
-        worker.dispatched += 1
-        if not self.telemetry.enabled:
-            return
-        metrics = self.telemetry.metrics
-        metrics.counter(
-            "repro_mc_dispatch_total", "tasks handed to a worker queue"
-        ).labels(farm=self.name).inc()
-        if not worker.secured:
-            metrics.counter(
-                "repro_mc_insecure_dispatch_total",
-                "tasks handed to a worker over an unsecured channel",
-            ).labels(farm=self.name).inc()
 
     def _deliver(
         self,
@@ -309,17 +294,7 @@ class ThreadFarm:
 
     def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
         """Collect ``count`` results (order of completion)."""
-        out = []
-        deadline = time.monotonic() + timeout
-        for _ in range(count):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"collected {len(out)}/{count} results")
-            try:
-                out.append(self.results.get(timeout=remaining))
-            except queue.Empty:
-                raise TimeoutError(f"collected {len(out)}/{count} results") from None
-        return out
+        return drain_queue(self.results, count, timeout)
 
     # ------------------------------------------------------------------
     # monitoring
@@ -432,7 +407,7 @@ class ThreadFarm:
                 target = survivors[i % len(survivors)]
                 self._trace_dispatch(item[3], target, outcome="redispatched")
                 target.queue.put(item)
-                self._count_dispatch(target)
+                self._dispatches.count(target)
         return victim
 
     def balance_load(self) -> int:
@@ -461,7 +436,7 @@ class ThreadFarm:
                     break
                 self._trace_dispatch(item[3], shortest, outcome="rebalanced")
                 shortest.queue.put(item)
-                self._count_dispatch(shortest)
+                self._dispatches.count(shortest)
                 moved += 1
         return moved
 

@@ -47,6 +47,7 @@ from ...core.contracts import (
     split_rate_contract_weighted,
 )
 from ...obs.telemetry import NOOP, Telemetry
+from ..backend import drain_queue
 from .shard import FarmShard, ShardReport
 from .tenants import Admission, FairShareScheduler, TenantRegistry
 from .wire import ShardAgent, ShardLink, connect_shard
@@ -288,26 +289,13 @@ class ShardedFarm:
     def _dispatch_tenant(self, tenant_name: str, payload: Any) -> None:
         self._dispatch(payload, tenant=tenant_name)
         assert self.registry is not None
-        self.registry.get(tenant_name).dispatched += 1
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_tenant_dispatched_total",
-                "tasks dispatched into the shard tree per tenant",
-            ).labels(tenant=tenant_name).inc()
+        tenant = self.registry.get(tenant_name)
+        tenant.dispatched += 1
+        tenant.dispatched_total.inc()
 
     def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
         """Collect ``count`` results from all shards (completion order)."""
-        out: List[Any] = []
-        deadline = time.monotonic() + timeout
-        for _ in range(count):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"collected {len(out)}/{count} results")
-            try:
-                out.append(self._results.get(timeout=remaining))
-            except queue.Empty:
-                raise TimeoutError(f"collected {len(out)}/{count} results") from None
-        return out
+        return drain_queue(self._results, count, timeout)
 
     def _collect_loop(self, shard: FarmShard) -> None:
         """Funnel one shard's results into the central queue."""

@@ -77,6 +77,8 @@ class Tenant:
         self.queued = 0
         self.rejected = 0
         self.dispatched = 0
+        # the tenant's repro_tenant_* instruments are bound onto it by
+        # TenantRegistry.register (see _bind_instruments)
 
     def refill(self, now: float) -> None:
         """Accrue tokens at the contracted rate since the last refill."""
@@ -120,8 +122,41 @@ class TenantRegistry:
                 burst=burst,
                 max_backlog=max_backlog,
             )
+            self._bind_instruments(tenant)
             self._tenants[name] = tenant
             return tenant
+
+    def _bind_instruments(self, tenant: Tenant) -> None:
+        """Bind the tenant's ``repro_tenant_*`` children once, here — the
+        admission path then counts with attribute reads, and every
+        series exists (at zero) from registration on."""
+        m = self.telemetry.metrics
+        label = {"tenant": tenant.name}
+        tenant.submitted_total = m.counter(
+            "repro_tenant_submitted_total", "tasks offered by each tenant"
+        ).labels(**label)
+        tenant.verdict_totals = {
+            Admission.ACCEPT: m.counter(
+                "repro_tenant_admitted_total", "tasks admitted within quota"
+            ).labels(**label),
+            Admission.QUEUE: m.counter(
+                "repro_tenant_queued_total", "tasks queued over quota (bounded backlog)"
+            ).labels(**label),
+            Admission.REJECT: m.counter(
+                "repro_tenant_rejected_total", "tasks rejected over quota and backlog"
+            ).labels(**label),
+        }
+        tenant.dispatched_total = m.counter(
+            "repro_tenant_dispatched_total",
+            "tasks dispatched into the shard tree per tenant",
+        ).labels(**label)
+        tenant.backlog_gauge = m.gauge(
+            "repro_tenant_backlog", "tasks waiting in a tenant's backlog"
+        ).labels(**label)
+        tenant.tokens_gauge = m.gauge(
+            "repro_tenant_tokens", "admission tokens currently available"
+        ).labels(**label)
+        tenant.tokens_gauge.set(tenant.tokens)
 
     def get(self, name: str) -> Tenant:
         with self._lock:
@@ -141,25 +176,6 @@ class TenantRegistry:
         return name in self._tenants
 
     # ------------------------------------------------------------------
-    def _count(self, tenant: Tenant, verdict: str) -> None:
-        if not self.telemetry.enabled:
-            return
-        m = self.telemetry.metrics
-        m.counter(
-            "repro_tenant_submitted_total", "tasks offered by each tenant"
-        ).labels(tenant=tenant.name).inc()
-        name = {
-            Admission.ACCEPT: "repro_tenant_admitted_total",
-            Admission.QUEUE: "repro_tenant_queued_total",
-            Admission.REJECT: "repro_tenant_rejected_total",
-        }[verdict]
-        help_text = {
-            Admission.ACCEPT: "tasks admitted within quota",
-            Admission.QUEUE: "tasks queued over quota (bounded backlog)",
-            Admission.REJECT: "tasks rejected over quota and backlog",
-        }[verdict]
-        m.counter(name, help_text).labels(tenant=tenant.name).inc()
-
     def admit(self, name: str, payload: Any, now: float) -> str:
         """Judge one submission against the tenant's quota.
 
@@ -183,26 +199,16 @@ class TenantRegistry:
             else:
                 tenant.rejected += 1
                 verdict = Admission.REJECT
-        self._count(tenant, verdict)
+        tenant.submitted_total.inc()
+        tenant.verdict_totals[verdict].inc()
         return verdict
 
     def observe_gauges(self) -> None:
         """Refresh per-tenant gauges (called from the parent MAPE tick)."""
-        if not self.telemetry.enabled:
-            return
-        m = self.telemetry.metrics
         with self._lock:
             for tenant in self._tenants.values():
-                m.gauge(
-                    "repro_tenant_backlog", "tasks waiting in a tenant's backlog"
-                ).labels(tenant=tenant.name).set(len(tenant.backlog))
-                m.gauge(
-                    "repro_tenant_tokens", "admission tokens currently available"
-                ).labels(tenant=tenant.name).set(tenant.tokens)
-                m.counter(
-                    "repro_tenant_dispatched_total",
-                    "tasks dispatched into the shard tree per tenant",
-                ).labels(tenant=tenant.name).inc(0.0)
+                tenant.backlog_gauge.set(len(tenant.backlog))
+                tenant.tokens_gauge.set(tenant.tokens)
 
 
 class FairShareScheduler:

@@ -46,11 +46,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.propagation import TraceContext, make_span_record, task_context
-from ..obs.spans import Span
 from ..obs.telemetry import NOOP, Telemetry
 from ..security.crypto import decrypt, encrypt
 from ..sim.metrics import WindowRateEstimator, queue_length_stats
-from .backend import RuntimeFarmSnapshot
+from .backend import DispatchCounters, RuntimeFarmSnapshot, TaskRecord, drain_queue
 
 __all__ = ["ProcessFarm", "ProcessWorkerHandle", "DeadLetter", "default_start_method"]
 
@@ -123,11 +122,8 @@ def _worker_main(
         span_rec = None
         parent_ctx = TraceContext.from_traceparent(traceparent)
         if parent_ctx is not None:
-            # the parent span id is unique per dispatch attempt, so the
-            # derived exec span id is too — replays never collide
-            ctx = parent_ctx.child(f"exec:{worker_id}:{parent_ctx.span_id}")
             span_rec = make_span_record(
-                ctx,
+                parent_ctx.exec_child(worker_id),
                 "task.exec",
                 actor=f"{farm_name}-w{worker_id}",
                 start=started,
@@ -140,24 +136,6 @@ def _worker_main(
             )
         completed += 1
         result_q.put(("done", worker_id, task_id, result, completed, span_rec))
-
-
-@dataclass
-class _TaskRecord:
-    """Parent-side bookkeeping for one not-yet-acknowledged task."""
-
-    task_id: int
-    payload: Any
-    submitted_at: float
-    attempts: int = 0
-    worker_id: Optional[int] = None  # None: awaiting (re)dispatch
-    next_retry_at: float = 0.0
-    # trace context: the task's root span and the current (or most
-    # recent) dispatch-attempt span; each new attempt parents under the
-    # previous one, so a replayed task reads as one causal chain
-    root: Optional[Span] = None
-    dispatch: Optional[Span] = None
-    dispatch_seq: int = 0
 
 
 @dataclass(frozen=True)
@@ -185,6 +163,7 @@ class ProcessWorkerHandle:
     reported_completed: int = 0
     dispatched: int = 0
     outstanding: set = field(default_factory=set)  # task ids awaiting ack
+    completed_gauge: Any = None  # this worker's bound completed-tasks gauge
 
     @property
     def pid(self) -> Optional[int]:
@@ -242,6 +221,7 @@ class ProcessFarm:
         self.max_attempts = max_attempts
         self.supervise_period = supervise_period
         self.telemetry = telemetry if telemetry is not None else NOOP
+        self._dispatches = DispatchCounters(self.telemetry, name)
         self._ctx = multiprocessing.get_context(start_method or default_start_method())
         self._clock = clock
         self._t0 = clock()
@@ -258,7 +238,7 @@ class ProcessFarm:
         self.rate_window = rate_window
         self._latencies: "deque" = deque()  # (completion_time, latency)
 
-        self._tasks: Dict[int, _TaskRecord] = {}
+        self._tasks: Dict[int, TaskRecord] = {}
         self._completed_ids: set = set()
         self._task_seq = 0
         self.submitted = 0
@@ -309,7 +289,7 @@ class ProcessFarm:
             self.submitted += 1
             task_id = self._task_seq
             self._task_seq += 1
-            record = _TaskRecord(task_id=task_id, payload=payload, submitted_at=now)
+            record = TaskRecord(task_id, payload, now)
             if self.telemetry.enabled:
                 parent = (
                     TraceContext.from_traceparent(traceparent) if traceparent else None
@@ -333,7 +313,7 @@ class ProcessFarm:
             self._tasks[task_id] = record
             self._dispatch(record)
 
-    def _dispatch(self, record: _TaskRecord) -> None:
+    def _dispatch(self, record: TaskRecord) -> None:
         """Send one tracked task to a live worker (lock held).
 
         With no live worker (e.g. every process just crashed) the record
@@ -363,11 +343,11 @@ class ProcessFarm:
         else:
             item = (record.task_id, record.payload, False, traceparent)
         worker.task_queue.put(item)
-        self._count_dispatch(worker)
+        self._dispatches.count(worker)
 
     def _trace_dispatch(
         self,
-        record: _TaskRecord,
+        record: TaskRecord,
         worker: ProcessWorkerHandle,
         outcome: Optional[str] = None,
     ) -> Optional[str]:
@@ -396,34 +376,9 @@ class ProcessFarm:
         )
         return record.dispatch.context.traceparent()
 
-    def _count_dispatch(self, worker: ProcessWorkerHandle) -> None:
-        """Account one task entering ``worker``'s queue (lock held)."""
-        worker.dispatched += 1
-        if not self.telemetry.enabled:
-            return
-        metrics = self.telemetry.metrics
-        metrics.counter(
-            "repro_mc_dispatch_total", "tasks handed to a worker queue"
-        ).labels(farm=self.name).inc()
-        if not worker.secured:
-            metrics.counter(
-                "repro_mc_insecure_dispatch_total",
-                "tasks handed to a worker over an unsecured channel",
-            ).labels(farm=self.name).inc()
-
     def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
         """Collect ``count`` results (order of completion, deduplicated)."""
-        out = []
-        deadline = time.monotonic() + timeout
-        for _ in range(count):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"collected {len(out)}/{count} results")
-            try:
-                out.append(self.results.get(timeout=remaining))
-            except queue.Empty:
-                raise TimeoutError(f"collected {len(out)}/{count} results") from None
-        return out
+        return drain_queue(self.results, count, timeout)
 
     # ------------------------------------------------------------------
     # result pump: the single reader of the result pipe (and the single
@@ -490,13 +445,7 @@ class ProcessFarm:
         if handle is None:
             return
         handle.reported_completed = max(handle.reported_completed, completed)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(
-                "repro_process_worker_completed_tasks",
-                "cumulative tasks completed, as reported by each worker",
-            ).labels(farm=self.name, worker=handle.worker_id).set(
-                handle.reported_completed
-            )
+        handle.completed_gauge.set(handle.reported_completed)
 
     # ------------------------------------------------------------------
     # supervision: heartbeat liveness + replay of due retries
@@ -548,6 +497,7 @@ class ProcessFarm:
                 "repro_process_worker_crashes_total",
                 "workers declared dead by the supervisor",
             ).labels(farm=self.name).inc()
+        replayed = 0
         for task_id in sorted(w.outstanding):
             record = self._tasks.get(task_id)
             if record is None:
@@ -575,12 +525,13 @@ class ProcessFarm:
             delay = min(self.backoff_base * (2 ** (record.attempts - 1)), self.backoff_cap)
             record.worker_id = None
             record.next_retry_at = now + delay
-            self.replays += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "repro_process_tasks_replayed_total",
-                    "task dispatches replayed after a worker death",
-                ).labels(farm=self.name).inc()
+            replayed += 1
+        self.replays += replayed
+        if replayed and self.telemetry.enabled:
+            self.telemetry.metrics.counter(
+                "repro_process_tasks_replayed_total",
+                "task dispatches replayed after a worker death",
+            ).labels(farm=self.name).inc(replayed)
         w.outstanding.clear()
 
     def _dispatch_due_retries(self, now: float) -> None:
@@ -675,6 +626,10 @@ class ProcessFarm:
                 secured=secured,
                 quarantined=quarantined,
                 last_seen=self.now(),
+                completed_gauge=self.telemetry.metrics.gauge(
+                    "repro_process_worker_completed_tasks",
+                    "cumulative tasks completed, as reported by each worker",
+                ).labels(farm=self.name, worker=worker_id),
             )
             proc.start()
             self.workers.append(handle)
@@ -775,7 +730,7 @@ class ProcessFarm:
                         )
                         item = (item[0], item[1], item[2], tp)
                 shortest.task_queue.put(item)
-                self._count_dispatch(shortest)
+                self._dispatches.count(shortest)
                 moved += 1
         return moved
 

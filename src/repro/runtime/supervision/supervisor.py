@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from ...obs.propagation import task_context
 from ...obs.spans import Span
 from ...obs.telemetry import NOOP, Telemetry
-from ..backend import RuntimeFarmSnapshot
+from ..backend import RuntimeFarmSnapshot, drain_queue
 from ..controller import FarmController
 from ..dist_farm import DistFarm, fn_spec
 from ..farm_runtime import ThreadFarm
@@ -318,22 +318,16 @@ class SupervisedFarm:
         an incarnation created after the span-owning process restarted.
         """
         envelope = tagged_envelope(sid, self.fn_spec, payload)
-        traceparent = task_context(self.name, sid).traceparent()
+        traceparent = (
+            task_context(self.name, sid).traceparent()
+            if self.telemetry.enabled
+            else None  # nobody downstream would parse it
+        )
         self.farm.submit(envelope, tenant=tenant, traceparent=traceparent)
 
     def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
         """Collect ``count`` results (completion order, exactly-once)."""
-        out: List[Any] = []
-        deadline = time.monotonic() + timeout
-        for _ in range(count):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"collected {len(out)}/{count} results")
-            try:
-                out.append(self.results.get(timeout=remaining))
-            except queue.Empty:
-                raise TimeoutError(f"collected {len(out)}/{count} results") from None
-        return out
+        return drain_queue(self.results, count, timeout)
 
     # ------------------------------------------------------------------
     # result pump: drains the incarnation, journals, dedups, delivers
