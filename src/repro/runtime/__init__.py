@@ -18,10 +18,11 @@ from .active_object import ActiveObject, ActiveObjectError, FutureResult
 from .backend import FarmBackend, RuntimeFarmSnapshot
 from .controller import FarmController, ThreadFarmController
 from .dist_farm import DistFarm, DistWorkerHandle
+from .farm_core import DeadLetter
 from .farm_runtime import ThreadFarm, ThreadWorker
 from .multiconcern import LiveGeneralManager, WorkerPlacement
 from .pipeline_runtime import ThreadPipeline, ThreadStage
-from .process_farm import DeadLetter, ProcessFarm, ProcessWorkerHandle
+from .process_farm import ProcessFarm, ProcessWorkerHandle
 
 __all__ = [
     "ActiveObject",

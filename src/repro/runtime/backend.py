@@ -4,17 +4,15 @@ The paper's behavioural skeletons separate *mechanism* (the pattern
 implementation with its monitoring and actuator interfaces) from
 *policy* (the rule set the autonomic manager evaluates).  This module
 pins down the mechanism side for wall-clock substrates: anything that
-implements :class:`FarmBackend` — today the thread farm
-(:class:`~repro.runtime.farm_runtime.ThreadFarm`) and the process farm
-(:class:`~repro.runtime.process_farm.ProcessFarm`) — can be driven by
+implements :class:`FarmBackend` — the thread, process and distributed
+farms built on :class:`~repro.runtime.farm_core.FarmCore`, and the
+supervised and sharded farms that wrap them — can be driven by
 :class:`~repro.runtime.controller.FarmController` with the *unmodified*
 Figure 5 rules, exactly as the simulated
 :class:`~repro.sim.farm.SimFarm` is driven by the simulated managers.
 
 The protocol is structural (:class:`typing.Protocol`): backends do not
-inherit from it, they just provide the surface.  ``ThreadFarm`` predates
-the protocol and conforms unchanged — the protocol was extracted from
-it, not the other way round.
+inherit from it, they just provide the surface.
 """
 
 from __future__ import annotations
@@ -24,73 +22,16 @@ import time
 from dataclasses import dataclass
 from typing import Any, List, Optional, Protocol, runtime_checkable
 
-__all__ = [
-    "FarmBackend",
-    "RuntimeFarmSnapshot",
-    "TaskRecord",
-    "DispatchCounters",
-    "drain_queue",
-]
-
-
-class TaskRecord:
-    """A replaying backend's bookkeeping for one not-yet-acknowledged task."""
-
-    __slots__ = (
-        "task_id", "payload", "submitted_at", "attempts", "worker_id",
-        "next_retry_at", "root", "dispatch", "dispatch_seq",
-    )
-
-    def __init__(self, task_id: int, payload: Any, submitted_at: float) -> None:
-        self.task_id = task_id
-        self.payload = payload
-        self.submitted_at = submitted_at
-        self.attempts = 0
-        self.worker_id: Optional[int] = None  # None: awaiting (re)dispatch
-        self.next_retry_at = 0.0
-        # trace context: the task's root span and the current (or most
-        # recent) dispatch-attempt span; each new attempt parents under
-        # the previous one, so a replayed task reads as one causal chain
-        self.root: Any = None
-        self.dispatch: Any = None
-        self.dispatch_seq = 0
-
-
-class DispatchCounters:
-    """One farm's dispatch accounting, bound once and shared by every backend.
-
-    ``repro_mc_dispatch_total`` counts every task handed to a worker,
-    ``repro_mc_insecure_dispatch_total`` those that left over a channel
-    the security concern had not secured — the leak window the
-    multi-concern tests read.  A disabled telemetry binds inert
-    instruments, so call sites never ask whether it is on.
-    """
-
-    __slots__ = ("total", "insecure")
-
-    def __init__(self, telemetry: Any, farm: str) -> None:
-        self.total = telemetry.metrics.counter(
-            "repro_mc_dispatch_total", "tasks handed to a worker queue"
-        ).labels(farm=farm)
-        self.insecure = telemetry.metrics.counter(
-            "repro_mc_insecure_dispatch_total",
-            "tasks handed to a worker over an unsecured channel",
-        ).labels(farm=farm)
-
-    def count(self, worker: Any, tasks: int = 1) -> None:
-        """Account ``tasks`` dispatches to ``worker`` (farm lock held)."""
-        worker.dispatched += tasks
-        self.total.inc(tasks)
-        if not worker.secured:
-            self.insecure.inc(tasks)
+__all__ = ["FarmBackend", "RuntimeFarmSnapshot", "drain_queue"]
 
 
 def drain_queue(results: "queue.Queue[Any]", count: int, timeout: float) -> List[Any]:
     """Collect ``count`` items from a results queue, all or nothing.
 
-    Every backend's ``drain_results`` is this.  On timeout the items
-    already collected go back to the *head* of the queue, in order, so
-    a caller that retries (or drains fewer) loses nothing.
+    Every backend's ``drain_results`` is this — the wrappers' as well as
+    the core's, which is why it lives beside the protocol.  On timeout
+    the items already collected go back to the *head* of the queue, in
+    order, so a caller that retries (or drains fewer) loses nothing.
     """
     out: List[Any] = []
     deadline = time.monotonic() + timeout

@@ -14,9 +14,8 @@ processes it spawns locally through
 just a CLI, extra workers can be attached by hand from any host that
 can reach ``host:port``.
 
-Fault tolerance mirrors :class:`~repro.runtime.process_farm.ProcessFarm`
-semantics exactly, because the conformance suite holds every backend to
-the same bar:
+Fault tolerance is :class:`~repro.runtime.farm_core.FarmCore`'s, shared
+with the process farm; this module decides only *when* a worker is lost:
 
 * every dispatched task is tracked until its result frame returns;
 * workers are declared dead on connection EOF, on heartbeat silence
@@ -46,7 +45,6 @@ lock, held only for short, non-blocking sections.
 from __future__ import annotations
 
 import asyncio
-import heapq
 import os
 import subprocess
 import sys
@@ -57,11 +55,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..obs.propagation import TraceContext, task_context
 from ..obs.spans import Span
-from ..obs.telemetry import NOOP, Telemetry
-from ..sim.metrics import WindowRateEstimator, queue_length_stats
-from .backend import DispatchCounters, RuntimeFarmSnapshot, TaskRecord, drain_queue
+from ..obs.telemetry import Telemetry
 from .dist_proto import (
     COMPAT_PROTOCOLS,
     PROTOCOL_VERSION,
@@ -75,7 +70,7 @@ from .dist_proto import (
     read_frame_ex,
     verify_proof,
 )
-from .process_farm import DeadLetter
+from .farm_core import FarmCore, TaskRecord
 
 __all__ = ["DistFarm", "DistWorkerHandle", "fn_spec"]
 
@@ -166,11 +161,14 @@ class DistWorkerHandle:
         return self.process.pid if self.process is not None else None
 
 
-class DistFarm:
+class DistFarm(FarmCore):
     """A live task farm whose executors sit across a TCP boundary.
 
-    Satisfies the :class:`~repro.runtime.backend.FarmBackend` surface,
-    so :class:`~repro.runtime.controller.FarmController` drives it with
+    The transport is the v4 wire: a central ready queue feeding bounded
+    per-worker windows (``_fill``), result batches and heartbeats read
+    off each connection.  Satisfies the
+    :class:`~repro.runtime.backend.FarmBackend` surface, so
+    :class:`~repro.runtime.controller.FarmController` drives it with
     the unmodified Figure 5 rules.  Extra knobs:
 
     ``host``
@@ -221,6 +219,9 @@ class DistFarm:
     #: (coordinators without the capability simply rely on quarantine)
     SUPPORTS_REQUIRE_SECURE = True
 
+    _METRICS = "repro_dist"
+    _ACKS = "result frames"
+
     def __init__(
         self,
         fn: Any,
@@ -252,12 +253,20 @@ class DistFarm:
             # 0 is legal: a promoted standby starts empty and adopts the
             # dead coordinator's surviving workers instead of spawning
             raise ValueError("initial_workers must be non-negative")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        super().__init__(
+            name,
+            rate_window=rate_window,
+            max_workers=max_workers,
+            clock=clock,
+            telemetry=telemetry,
+            backoff_base=backoff_base,
+            backoff_cap=backoff_cap,
+            max_attempts=max_attempts,
+        )
         self.fn_spec = fn_spec(fn)
         if codec == "auto":
             # REPRO_DIST_CODEC pins every session without touching call
@@ -268,21 +277,13 @@ class DistFarm:
         self.batch_size = batch_size
         self.max_buffered_bytes = max_buffered_bytes
         self._fill_scheduled = False
-        self.name = name
-        self.max_workers = max_workers
         self.heartbeat_period = heartbeat_period
         self.heartbeat_timeout = heartbeat_timeout
         self.connect_grace = connect_grace
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.max_attempts = max_attempts
         self.supervise_period = supervise_period
         self.max_inflight = max_inflight
-        self.telemetry = telemetry if telemetry is not None else NOOP
-        # data-path instruments, bound once (a disabled telemetry hands
-        # back inert ones, so the dispatch path counts without asking)
+        # data-path instruments, bound once like the core's dispatch pair
         metrics = self.telemetry.metrics
-        self._dispatches = DispatchCounters(self.telemetry, name)
         self._batched_tasks_total = metrics.counter(
             "repro_dist_batched_tasks_total",
             "tasks dispatched inside multi-task batch frames",
@@ -294,31 +295,10 @@ class DistFarm:
         self.epoch = epoch
         self.worker_reconnect_attempts = worker_reconnect_attempts
         self._requested_port = port
-        self._clock = clock
-        self._t0 = clock()
 
         self.results: "_ResultBus" = _ResultBus()
-        self._lock = threading.RLock()
-        self.workers: List[DistWorkerHandle] = []
-        self._next_id = 0
-
-        self.arrival_est = WindowRateEstimator(rate_window, start_time=0.0)
-        self.departure_est = WindowRateEstimator(rate_window, start_time=0.0)
-        self.rate_window = rate_window
-        self._latencies: "deque" = deque()  # (completion_time, latency)
-
-        self._tasks: Dict[int, TaskRecord] = {}
         self._ready: "deque[int]" = deque()
         self._ready_set: Set[int] = set()
-        self._retry_heap: List[Tuple[float, int]] = []  # (due, task_id)
-        self._completed_ids: Set[int] = set()
-        self._task_seq = 0
-        self.submitted = 0
-        self.completed = 0
-        self.dead_letters: List[DeadLetter] = []
-        self.crashes: List[Tuple[float, int]] = []  # (time, worker_id)
-        self.replays = 0
-        self.duplicates = 0
 
         self._shutdown = threading.Event()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -470,19 +450,19 @@ class DistFarm:
                 handle.reported_completed = max(
                     handle.reported_completed, int(hello.get("completed", 0))
                 )
+                now = self.now()
                 for task_id in sorted(handle.outstanding):
                     record = self._tasks.get(task_id)
-                    if record is not None and task_id not in self._completed_ids:
-                        record.worker_id = None
-                        self.telemetry.end_span(
-                            record.dispatch, outcome="redispatched"
+                    if record is not None:
+                        self._attempt_failed(
+                            record, handle.worker_id, "redispatched", now
                         )
-                        self.replays += 1
-                        self._enqueue_ready(task_id)
                 handle.outstanding.clear()
             elif handle is None or handle.connected or not handle.active:
                 # remotely attached (or stale-id) worker: register fresh
-                if sum(1 for w in self.workers if w.active) >= self.max_workers:
+                try:
+                    self._require_slot()
+                except RuntimeError:
                     writer.close()
                     return
                 handle = self._register_worker(process=None)
@@ -506,11 +486,9 @@ class DistFarm:
             reply["codec"] = codec
         writer.write(self._encode_control(handle, reply))
         if reattaching:
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "repro_dist_reattach_total",
-                    "workers reattached after a coordinator failover",
-                ).labels(farm=self.name).inc()
+            self._count(
+                "reattach_total", "workers reattached after a coordinator failover"
+            )
             # ready tasks may have been waiting for this worker to appear
             self._request_fill()
         if retiring or self._shutdown.is_set():
@@ -523,11 +501,14 @@ class DistFarm:
         while True:
             try:
                 frame = await read_frame_ex(reader, allowed=allowed)
-            except ProtocolError as exc:
+            except ProtocolError:
                 # torn batch, oversized length, codec smuggling: the
                 # peer is faulty — disconnect, declare dead, replay its
                 # window elsewhere.  Never wait it out.
-                self._count_protocol_error(exc)
+                self._count(
+                    "protocol_errors_total",
+                    "connections dropped for wire-protocol violations",
+                )
                 break
             if frame[0] is None:
                 break
@@ -544,13 +525,6 @@ class DistFarm:
         """Encode one control frame on ``handle``'s dialect (json, clear)."""
         return self._encode_wire(message, handle.wire)
 
-    def _count_protocol_error(self, exc: ProtocolError) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_dist_protocol_errors_total",
-                "connections dropped for wire-protocol violations",
-            ).labels(farm=self.name).inc()
-
     def _on_disconnect(self, handle: DistWorkerHandle) -> None:
         with self._lock:
             handle.connected = False
@@ -561,7 +535,7 @@ class DistFarm:
                 handle.active = False  # clean retirement, nothing to replay
                 self._end_worker_span(handle, outcome="retired")
             else:
-                self._declare_dead(handle, self.now())
+                self._worker_lost(handle, self.now())
         self._request_fill()
 
     # ------------------------------------------------------------------
@@ -616,29 +590,10 @@ class DistFarm:
             # result: both executions of an at-least-once replay
             # belong in the task's one trace tree
             self._record_exec(handle, dispatch, entry)
-        if task_id in self._completed_ids:
-            self.duplicates += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "repro_dist_duplicate_results_total",
-                    "result frames dropped because the task already completed",
-                ).labels(farm=self.name).inc()
+        failed = "error" in entry
+        if not self._complete(task_id, now, failed):
             return False, None
-        self._completed_ids.add(task_id)
-        record = self._tasks.pop(task_id, None)
-        if "error" in entry:
-            result: Any = RuntimeError(entry["error"])
-        else:
-            result = entry.get("value")
-        mark = max(now, self.departure_est._last_mark or 0.0)
-        self.departure_est.mark(mark)
-        self.completed += 1
-        if record is not None:
-            self._latencies.append((mark, mark - record.submitted_at))
-            outcome = "error" if isinstance(result, Exception) else "ok"
-            self.telemetry.end_span(record.dispatch, outcome=outcome)
-            self.telemetry.end_span(record.root, outcome=outcome)
-        return True, result
+        return True, RuntimeError(entry["error"]) if failed else entry.get("value")
 
     def _record_exec(
         self, handle: DistWorkerHandle, dispatch: Optional[Span], entry: dict
@@ -708,50 +663,17 @@ class DistFarm:
             else [int(frame.get("task_id", -1))]
         )
         with self._lock:
-            handle.last_seen = self.now()
+            now = handle.last_seen = self.now()
             for task_id in task_ids:
-                self._refuse_one(handle, task_id)
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_dist_refused_frames_total",
-                "task frames bounced by workers awaiting the handshake",
-            ).labels(farm=self.name).inc()
+                handle.outstanding.pop(task_id, None)
+                record = self._tasks.get(task_id)
+                if record is not None:
+                    self._attempt_failed(record, handle.worker_id, "refused", now)
+        self._count(
+            "refused_frames_total",
+            "task frames bounced by workers awaiting the handshake",
+        )
         self._fill()
-
-    def _refuse_one(self, handle: DistWorkerHandle, task_id: int) -> None:
-        """Account one bounced dispatch (lock held): replay or dead-letter."""
-        handle.outstanding.pop(task_id, None)
-        record = self._tasks.get(task_id)
-        if record is None or task_id in self._completed_ids:
-            return
-        record.worker_id = None
-        # the bounced attempt stays referenced by the record so the
-        # replay parents under it
-        self.telemetry.end_span(record.dispatch, outcome="refused")
-        if record.attempts >= self.max_attempts:
-            del self._tasks[task_id]
-            self.telemetry.end_span(record.root, outcome="dead-letter")
-            self.dead_letters.append(
-                DeadLetter(
-                    task_id=task_id,
-                    payload=record.payload,
-                    attempts=record.attempts,
-                    last_worker_id=handle.worker_id,
-                )
-            )
-        else:
-            self.replays += 1
-            self._enqueue_ready(task_id)
-
-    def _note_worker_counter(self, handle: DistWorkerHandle, completed: int) -> None:
-        handle.reported_completed = max(handle.reported_completed, completed)
-        handle.completed_gauge.set(handle.reported_completed)
-
-    # ------------------------------------------------------------------
-    # time base
-    # ------------------------------------------------------------------
-    def now(self) -> float:
-        return self._clock() - self._t0
 
     # ------------------------------------------------------------------
     # stream
@@ -765,44 +687,17 @@ class DistFarm:
     ) -> None:
         """Track one task and queue it for dispatch.
 
-        With ``traceparent`` (a supervisor resubmitting across a
-        coordinator crash) this farm's span is a ``task.attempt`` child
-        of the caller's root instead of a fresh root, so every
-        incarnation's attempt chains into one tree.
+        ``tenant`` and ``traceparent`` shape the task's root span; see
+        :meth:`FarmCore._track <repro.runtime.farm_core.FarmCore._track>`.
         """
         with self._lock:
-            now = self.now()
-            self.arrival_est.mark(now)
-            self.submitted += 1
-            task_id = self._task_seq
-            self._task_seq += 1
-            record = TaskRecord(task_id, payload, now)
-            if self.telemetry.enabled:
-                parent = (
-                    TraceContext.from_traceparent(traceparent) if traceparent else None
-                )
-                if parent is not None:
-                    record.root = self.telemetry.start_span(
-                        "task.attempt",
-                        actor=self.name,
-                        context=parent.child(f"{self.name}/task/{task_id}"),
-                        task_id=task_id,
-                        **({"tenant": tenant} if tenant is not None else {}),
-                    )
-                else:
-                    record.root = self.telemetry.start_span(
-                        "task",
-                        actor=self.name,
-                        context=task_context(self.name, task_id),
-                        task_id=task_id,
-                        **({"tenant": tenant} if tenant is not None else {}),
-                    )
-            self._tasks[task_id] = record
-            self._enqueue_ready(task_id)
+            self._dispatch(self._track(payload, tenant, traceparent))
         self._request_fill()
 
-    def _enqueue_ready(self, task_id: int) -> None:
-        """Append to the ready queue exactly once (lock held)."""
+    def _dispatch(self, record: TaskRecord) -> None:
+        """Append to the ready queue exactly once (lock held); the next
+        ``_fill`` pass puts it on a wire."""
+        task_id = record.task_id
         if task_id not in self._ready_set:
             self._ready.append(task_id)
             self._ready_set.add(task_id)
@@ -856,11 +751,8 @@ class DistFarm:
             while self._ready:
                 candidates = [
                     w
-                    for w in self.workers
-                    if w.active
-                    and w.connected
-                    and not w.retiring
-                    and not w.quarantined
+                    for w in self._serving()
+                    if w.connected
                     and w.writer is not None
                     and len(w.outstanding) < self.max_inflight
                     and self._writable(w)
@@ -880,10 +772,7 @@ class DistFarm:
                     record = self._tasks.get(task_id)
                     if record is None or record.worker_id is not None:
                         continue  # completed or already dispatched meanwhile
-                    record.attempts += 1
-                    record.worker_id = worker.worker_id
-                    if record.root is not None:
-                        self._trace_dispatch(record, worker)
+                    self._begin_attempt(record, worker)
                     worker.outstanding[task_id] = record.dispatch
                     entries.append(record)
                 if not entries:
@@ -893,16 +782,15 @@ class DistFarm:
                     for data in frames:
                         worker.writer.write(data)
                 except Exception:  # noqa: BLE001 - transport died under us
+                    now = self.now()
                     for record in entries:
                         worker.outstanding.pop(record.task_id, None)
-                        record.worker_id = None
-                        self.telemetry.end_span(
-                            record.dispatch, outcome="write-failed"
+                        self._attempt_failed(
+                            record, worker.worker_id, "write-failed", now
                         )
-                        self._enqueue_ready(record.task_id)
                     return
                 self._frames_tx.inc(len(frames))
-                self._dispatches.count(worker, len(entries))
+                self._count_dispatch(worker, len(entries))
                 if len(entries) > 1:
                     self._batched_tasks_total.inc(len(entries))
 
@@ -954,31 +842,6 @@ class DistFarm:
             encode_frame_v4(message, codec=worker.codec, secured=worker.secured)
         ]
 
-    def _trace_dispatch(self, record: TaskRecord, worker: DistWorkerHandle) -> None:
-        """Chain one dispatch-attempt span onto a traced task.
-
-        The first attempt parents under the task root; every later one
-        (crash replay, refused bounce) parents under the attempt it
-        supersedes — the replayed execution lands *inside* the failed
-        dispatch's subtree, which is what makes the fault story legible.
-        """
-        prev = record.dispatch
-        record.dispatch_seq += 1
-        parent = prev.context if prev is not None else record.root.context
-        seed = f"{self.name}/task/{record.task_id}/dispatch/{record.dispatch_seq}"
-        record.dispatch = self.telemetry.start_span(
-            "task.dispatch",
-            actor=self.name,
-            context=parent.child(seed),
-            worker=worker.worker_id,
-            attempt=record.attempts,
-            secured=worker.secured,
-        )
-
-    def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
-        """Collect ``count`` results (order of completion, deduplicated)."""
-        return drain_queue(self.results, count, timeout)
-
     # ------------------------------------------------------------------
     # supervision: liveness + replay of due retries
     # ------------------------------------------------------------------
@@ -995,43 +858,27 @@ class DistFarm:
 
         Returns the ids of workers declared dead in this pass.
         """
-        dead: List[int] = []
-        with self._lock:
-            now = self.now()
-            for w in list(self.workers):
-                if not w.active:
-                    continue
-                proc_exited = w.process is not None and w.process.poll() is not None
-                if w.connected:
-                    if now - w.last_seen <= self.heartbeat_timeout and not proc_exited:
-                        continue
-                else:
-                    if w.retiring and w.got_bye and not w.outstanding:
-                        w.active = False  # clean retirement observed late
-                        self._end_worker_span(w, outcome="retired")
-                        continue
-                    grace = self.connect_grace if not w.ever_connected else 0.0
-                    if not proc_exited and now - w.last_seen <= max(
-                        grace, self.heartbeat_timeout
-                    ):
-                        continue
-                self._declare_dead(w, now)
-                dead.append(w.worker_id)
-            self._dispatch_due_retries(now)
+        dead = self._supervise_pass()
         self._request_fill()
         return dead
 
-    def _declare_dead(self, w: DistWorkerHandle, now: float) -> None:
-        """Crash handling: replay every un-acked task of ``w`` (lock held)."""
-        w.active = False
+    def _is_lost(self, w: DistWorkerHandle, now: float) -> bool:
+        """Dead: the local process has exited, a connected worker has
+        been silent for ``heartbeat_timeout``, or a spawned one never
+        connected within ``connect_grace`` (lock held)."""
+        proc_exited = w.process is not None and w.process.poll() is not None
+        if w.connected:
+            return proc_exited or now - w.last_seen > self.heartbeat_timeout
+        if w.retiring and w.got_bye and not w.outstanding:
+            w.active = False  # clean retirement observed late
+            self._end_worker_span(w, outcome="retired")
+            return False
+        grace = self.connect_grace if not w.ever_connected else 0.0
+        return proc_exited or now - w.last_seen > max(grace, self.heartbeat_timeout)
+
+    def _sever(self, w: DistWorkerHandle) -> None:
         w.connected = False
-        self._gauge_quarantined()
-        if w.secure_waiter is not None:
-            # a secure_worker() caller is blocked on this handshake;
-            # wake it so it reports failure instead of timing out
-            w.secure_challenge = None
-            w.secure_waiter.set()
-            w.secure_waiter = None
+        self._wake_secure_waiter(w)
         if w.process is not None and w.process.poll() is None:
             try:
                 w.process.kill()  # wedged or partitioned: make it official
@@ -1044,116 +891,15 @@ class DistFarm:
                 self._loop.call_soon_threadsafe(writer.transport.abort)
             except RuntimeError:
                 pass
-        self.crashes.append((now, w.worker_id))
         self._end_worker_span(w, outcome="crashed")
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_dist_worker_crashes_total",
-                "workers declared dead by the supervisor",
-            ).labels(farm=self.name).inc()
-        replayed = 0
-        for task_id in sorted(w.outstanding):
-            record = self._tasks.get(task_id)
-            if record is None:
-                continue
-            # the attempt in flight died with the worker; its span stays
-            # referenced by the record so the replay parents under it
-            self.telemetry.end_span(record.dispatch, outcome="crashed")
-            if record.attempts >= self.max_attempts:
-                del self._tasks[task_id]
-                self.telemetry.end_span(record.root, outcome="dead-letter")
-                self.dead_letters.append(
-                    DeadLetter(
-                        task_id=task_id,
-                        payload=record.payload,
-                        attempts=record.attempts,
-                        last_worker_id=w.worker_id,
-                    )
-                )
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "repro_dist_dead_letter_total",
-                        "tasks abandoned after exhausting the replay budget",
-                    ).labels(farm=self.name).inc()
-                continue
-            delay = min(
-                self.backoff_base * (2 ** (record.attempts - 1)), self.backoff_cap
-            )
-            record.worker_id = None
-            record.next_retry_at = now + delay
-            heapq.heappush(self._retry_heap, (record.next_retry_at, record.task_id))
-            replayed += 1
-        self.replays += replayed
-        if replayed and self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_dist_tasks_replayed_total",
-                "task dispatches replayed after a worker death",
-            ).labels(farm=self.name).inc(replayed)
-        w.outstanding.clear()
 
-    def _dispatch_due_retries(self, now: float) -> None:
-        """Queue replayed tasks whose backoff has elapsed (lock held).
-
-        Only tasks parked by a replay live on the heap, so the steady
-        state costs nothing per tick no matter how deep the live task
-        table is — scanning ``_tasks`` here was the supervision loop's
-        single biggest cost at 100k-task volumes.
-        """
-        while self._retry_heap and self._retry_heap[0][0] <= now:
-            _, task_id = heapq.heappop(self._retry_heap)
-            record = self._tasks.get(task_id)
-            if (
-                record is not None
-                and record.worker_id is None
-                and record.next_retry_at <= now
-            ):
-                self._enqueue_ready(task_id)
-
-    # ------------------------------------------------------------------
-    # monitoring
-    # ------------------------------------------------------------------
-    def snapshot(self) -> RuntimeFarmSnapshot:
-        with self._lock:
-            now = self.now()
-            live = [w for w in self.workers if w.active and not w.quarantined]
-            quarantined = sum(1 for w in self.workers if w.active and w.quarantined)
-            lengths = tuple(len(w.outstanding) for w in live)
-            _, var, _, _ = queue_length_stats(lengths)
-            cutoff = now - self.rate_window
-            while self._latencies and self._latencies[0][0] <= cutoff:
-                self._latencies.popleft()
-            mean_lat = (
-                sum(lat for _, lat in self._latencies) / len(self._latencies)
-                if self._latencies
-                else 0.0
-            )
-            return RuntimeFarmSnapshot(
-                time=now,
-                arrival_rate=self.arrival_est.rate(now),
-                departure_rate=self.departure_est.rate(now),
-                num_workers=len(live),
-                queue_lengths=lengths,
-                queue_variance=var,
-                completed=self.completed,
-                pending=len(self._tasks),
-                mean_latency=mean_lat,
-                quarantined=quarantined,
-            )
-
-    @property
-    def num_workers(self) -> int:
-        """Serving capacity: live workers past the admission gate."""
-        return sum(1 for w in self.workers if w.active and not w.quarantined)
-
-    @property
-    def quarantined_workers(self) -> int:
-        return sum(1 for w in self.workers if w.active and w.quarantined)
-
-    def _find_worker(self, worker_id: int) -> Optional[DistWorkerHandle]:
-        for w in self.workers:
-            if w.worker_id == worker_id:
-                return w
-        return None
+    def _wake_secure_waiter(self, w: DistWorkerHandle) -> None:
+        """A ``secure_worker()`` caller may be blocked on this worker's
+        handshake; wake it so it reports failure instead of timing out."""
+        if w.secure_waiter is not None:
+            w.secure_challenge = None
+            w.secure_waiter.set()
+            w.secure_waiter = None
 
     # ------------------------------------------------------------------
     # actuators
@@ -1179,13 +925,8 @@ class DistFarm:
             spawned_at=self.now(),
             last_seen=self.now(),
         )
-        self._next_id = max(self._next_id, handle.worker_id + 1)
-        self.workers.append(handle)
-        self._gauge_quarantined()
-        handle.completed_gauge = self.telemetry.metrics.gauge(
-            "repro_dist_worker_completed_tasks",
-            "cumulative tasks completed, as reported by each worker",
-        ).labels(farm=self.name, worker=handle.worker_id)
+        self._enroll(handle)
+        handle.completed_gauge = self._completed_gauge(handle.worker_id)
         if self.telemetry.enabled:
             handle.span = self.telemetry.start_span(
                 "dist.worker",
@@ -1219,10 +960,7 @@ class DistFarm:
         rolled client) that beats the handshake.
         """
         with self._lock:
-            # quarantined workers count against the limit: they hold a
-            # real executor slot even while held out of dispatch
-            if sum(1 for w in self.workers if w.active) >= self.max_workers:
-                raise RuntimeError(f"worker limit {self.max_workers} reached")
+            self._require_slot()
             worker_id = self._next_id  # reserved by _register_worker below
             cmd = [
                 sys.executable,
@@ -1275,8 +1013,7 @@ class DistFarm:
         with self._lock:
             if self._find_worker(worker_id) is not None:
                 raise ValueError(f"worker id {worker_id} already registered")
-            if sum(1 for w in self.workers if w.active) >= self.max_workers:
-                raise RuntimeError(f"worker limit {self.max_workers} reached")
+            self._require_slot()
             return self._register_worker(
                 process=process, quarantined=quarantined, adopt_id=worker_id
             )
@@ -1364,22 +1101,10 @@ class DistFarm:
 
     def admit_worker(self, worker_id: int) -> bool:
         """Lift the admission gate: the worker joins the dispatch set."""
-        with self._lock:
-            w = self._find_worker(worker_id)
-            if w is None or not w.active:
-                return False
-            w.quarantined = False
-            self._gauge_quarantined()
-        self._request_fill()
-        return True
-
-    def _gauge_quarantined(self) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(
-                "repro_mc_quarantined_workers", "workers held at the admission gate"
-            ).labels(farm=self.name).set(
-                sum(1 for w in self.workers if w.active and w.quarantined)
-            )
+        admitted = super().admit_worker(worker_id)
+        if admitted:
+            self._request_fill()
+        return admitted
 
     def _wait_for_connections(self, count: int, timeout: float) -> None:
         deadline = time.monotonic() + timeout
@@ -1410,12 +1135,9 @@ class DistFarm:
         replays anything still un-acked if it dies instead.
         """
         with self._lock:
-            live = [
-                w for w in self.workers if w.active and not w.retiring and not w.quarantined
-            ]
-            if len(live) <= 1:
+            victim = self._pick_retiree()
+            if victim is None:
                 return None
-            victim = live[-1]
             victim.retiring = True
             writer = victim.writer
             poison = self._encode_control(victim, {"type": "poison"})
@@ -1436,12 +1158,6 @@ class DistFarm:
         correct here cannot arise.  Returns 0.
         """
         return 0
-
-    def secure_all(self) -> None:
-        """Encrypt every future task payload on the wire."""
-        with self._lock:
-            for w in self.workers:
-                w.secured = True
 
     # ------------------------------------------------------------------
     # fault injection
@@ -1479,14 +1195,7 @@ class DistFarm:
             if worker_id is None:
                 # the newest worker may not have connected yet; a fault
                 # on a connection that does not exist is a no-op
-                live = [
-                    w
-                    for w in self.workers
-                    if w.active
-                    and not w.retiring
-                    and not w.quarantined
-                    and w.writer is not None
-                ]
+                live = [w for w in self._serving() if w.writer is not None]
                 victim = live[-1] if live else None
             else:
                 victim = self._pick_victim(worker_id)
@@ -1498,23 +1207,6 @@ class DistFarm:
         except RuntimeError:
             return None
         return victim.worker_id
-
-    def _pick_victim(self, worker_id: Optional[int]) -> Optional[DistWorkerHandle]:
-        """Choose a live, serving worker (lock held by caller).
-
-        Default victims are never quarantined: fault tests target
-        workers that actually carry load.  An explicit id may name any
-        live worker, quarantined or not.
-        """
-        if worker_id is None:
-            live = [
-                w for w in self.workers if w.active and not w.retiring and not w.quarantined
-            ]
-            return live[-1] if live else None
-        victim = self._find_worker(worker_id)
-        if victim is None or not victim.active:
-            return None
-        return victim
 
     # ------------------------------------------------------------------
     # shutdown
@@ -1538,10 +1230,7 @@ class DistFarm:
         self._shutdown.set()
         with self._lock:
             survivors: List[DistWorkerHandle] = []
-            for record in self._tasks.values():
-                self.telemetry.end_span(record.dispatch, outcome="coordinator-crashed")
-                self.telemetry.end_span(record.root, outcome="coordinator-crashed")
-            self._tasks.clear()
+            self._abandon_all("coordinator-crashed")
             self._ready.clear()
             self._ready_set.clear()
             for w in self.workers:
@@ -1550,10 +1239,7 @@ class DistFarm:
                 w.active = False
                 w.connected = False
                 self._end_worker_span(w, outcome="coordinator-crashed")
-                if w.secure_waiter is not None:
-                    w.secure_challenge = None
-                    w.secure_waiter.set()
-                    w.secure_waiter = None
+                self._wake_secure_waiter(w)
         if not self._loop.is_closed():
             try:
                 # _finalize (post-stop) closes the server and aborts

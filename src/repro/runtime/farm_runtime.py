@@ -22,15 +22,13 @@ import pickle
 import queue
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
-from ..obs.propagation import TraceContext, task_context
 from ..obs.spans import Span
-from ..obs.telemetry import NOOP, Telemetry
+from ..obs.telemetry import Telemetry
 from ..security.crypto import decrypt, encrypt
-from ..sim.metrics import WindowRateEstimator, queue_length_stats
-from .backend import DispatchCounters, RuntimeFarmSnapshot, drain_queue
+from .backend import RuntimeFarmSnapshot
+from .farm_core import FarmCore, TaskRecord
 
 __all__ = ["ThreadFarm", "ThreadWorker", "RuntimeFarmSnapshot"]
 
@@ -41,26 +39,12 @@ class _Poison:
     """Queue sentinel stopping one worker."""
 
 
-class _TaskTrace:
-    """Trace-context bookkeeping riding one task envelope in-process.
-
-    Holds the task's root span and the *current* dispatch-attempt span;
-    every re-dispatch (worker removal, rebalance) chains a new attempt
-    span under the previous one, so the whole itinerary of a task is one
-    tree however many queues it visited.
-    """
-
-    __slots__ = ("task_id", "root", "dispatch", "attempt")
-
-    def __init__(self, task_id: int, root: Span) -> None:
-        self.task_id = task_id
-        self.root = root
-        self.dispatch: Optional[Span] = None
-        self.attempt = 0
-
-
 class ThreadWorker:
     """One worker thread with a private task queue."""
+
+    #: a removed thread worker stops at once (its backlog is re-queued),
+    #: so there is no retiring state to pass through
+    retiring = False
 
     def __init__(
         self,
@@ -95,10 +79,10 @@ class ThreadWorker:
             item = self.queue.get()
             if isinstance(item, _Poison):
                 return
-            payload, enc, submitted_at, trace = item
+            payload, enc, _, record = item
             if enc:
                 payload = pickle.loads(decrypt(_SECRET, payload))
-            exec_span = self.farm._trace_exec(trace, self.worker_id)
+            exec_span = self.farm._trace_exec(record, self.worker_id)
             try:
                 result = self.farm.fn(payload)
             except Exception as exc:  # noqa: BLE001 - surfaced via results
@@ -109,13 +93,19 @@ class ThreadWorker:
                     outcome="error" if isinstance(result, Exception) else "ok",
                 )
             self.completed += 1
-            self.farm._deliver(
-                result, secured=self.secured, submitted_at=submitted_at, trace=trace
-            )
+            self.farm._deliver(record, result)
 
 
-class ThreadFarm:
-    """A live task farm executing ``fn`` over submitted tasks."""
+class ThreadFarm(FarmCore):
+    """A live task farm executing ``fn`` over submitted tasks.
+
+    The transport is an in-process queue per worker.  An envelope is
+    ``(payload, encrypted?, submit time, record)``; the record is the
+    task's :class:`~repro.runtime.farm_core.TaskRecord`, or ``None`` on
+    an envelope somebody put on a queue by hand, which is executed and
+    delivered but was never tracked.  A thread worker cannot be lost, so
+    the core's replay machinery never runs here.
+    """
 
     def __init__(
         self,
@@ -130,33 +120,18 @@ class ThreadFarm:
     ) -> None:
         if initial_workers < 1:
             raise ValueError("need at least one worker")
+        super().__init__(
+            name,
+            rate_window=rate_window,
+            max_workers=max_workers,
+            clock=clock,
+            telemetry=telemetry,
+        )
         self.fn = fn
-        self.name = name
-        self.max_workers = max_workers
-        self.telemetry = telemetry if telemetry is not None else NOOP
-        self._dispatches = DispatchCounters(self.telemetry, name)
-        self.results: "queue.Queue[Any]" = queue.Queue()
-        self._lock = threading.Lock()
-        self.workers: List[ThreadWorker] = []
-        self._next_id = 0
         self._rr = 0
-        self._clock = clock
-        self._t0 = clock()
-        self.arrival_est = WindowRateEstimator(rate_window, start_time=0.0)
-        self.departure_est = WindowRateEstimator(rate_window, start_time=0.0)
-        self.rate_window = rate_window
-        self._latencies: "deque" = deque()  # (completion_time, latency)
-        self.submitted = 0
-        self.completed = 0
         self.end_of_stream = False
         for _ in range(initial_workers):
             self.add_worker()
-
-    # ------------------------------------------------------------------
-    # time base
-    # ------------------------------------------------------------------
-    def now(self) -> float:
-        return self._clock() - self._t0
 
     # ------------------------------------------------------------------
     # stream
@@ -170,245 +145,85 @@ class ThreadFarm:
     ) -> None:
         """Dispatch one task to an admitted worker (round robin).
 
-        ``tenant`` (optional) names the submitting tenant; it is stamped
-        on the task's root span so ``repro.obs.explain --tenant`` can
-        reconstruct a single tenant's story from an export.
-
-        ``traceparent`` (optional) parents this farm's span under a
-        caller-owned root: the span becomes a ``task.attempt`` child
-        instead of a fresh root, which is how a supervisor chains the
-        attempts of successive coordinator incarnations into one tree.
+        ``tenant`` and ``traceparent`` shape the task's root span; see
+        :meth:`FarmCore._track <repro.runtime.farm_core.FarmCore._track>`.
         """
         with self._lock:
-            self.arrival_est.mark(self.now())
-            task_id = self.submitted
-            self.submitted += 1
-            live = [w for w in self.workers if w.active and not w.quarantined]
-            if not live:
+            serving = self._serving()
+            if not serving:
                 raise RuntimeError("farm has no admitted workers")
-            self._rr = (self._rr + 1) % len(live)
-            worker = live[self._rr]
-            now = self.now()
-            trace = self._trace_submit(
-                task_id, worker, tenant=tenant, traceparent=traceparent
-            )
+            self._rr = (self._rr + 1) % len(serving)
+            worker = serving[self._rr]
+            record = self._track(payload, tenant, traceparent)
             if worker.secured:
-                worker.queue.put(
-                    (encrypt(_SECRET, pickle.dumps(payload)), True, now, trace)
-                )
-            else:
-                worker.queue.put((payload, False, now, trace))
-            self._dispatches.count(worker)
+                payload = encrypt(_SECRET, pickle.dumps(payload))
+            self._put((payload, worker.secured, record.submitted_at, record), worker)
 
-    # -- trace context -------------------------------------------------
-    def _trace_submit(
-        self,
-        task_id: int,
-        worker: ThreadWorker,
-        tenant: Optional[str] = None,
-        traceparent: Optional[str] = None,
-    ) -> Optional[_TaskTrace]:
-        """Open the task's root span + first dispatch attempt (lock held)."""
-        if not self.telemetry.enabled:
-            return None
-        parent = TraceContext.from_traceparent(traceparent) if traceparent else None
-        if parent is not None:
-            root = self.telemetry.start_span(
-                "task.attempt",
-                actor=self.name,
-                context=parent.child(f"{self.name}/task/{task_id}"),
-                task_id=task_id,
-                **({"tenant": tenant} if tenant is not None else {}),
-            )
-        else:
-            root = self.telemetry.start_span(
-                "task",
-                actor=self.name,
-                context=task_context(self.name, task_id),
-                task_id=task_id,
-                **({"tenant": tenant} if tenant is not None else {}),
-            )
-        trace = _TaskTrace(task_id, root)
-        self._trace_dispatch(trace, worker)
-        return trace
+    def _put(self, item: tuple, worker: ThreadWorker, outcome: Optional[str] = None) -> None:
+        """Queue one envelope on ``worker`` (lock held); ``outcome`` says
+        why it left the queue it was on before."""
+        record = item[3]
+        if record is not None:
+            self._begin_attempt(record, worker, outcome)
+        worker.queue.put(item)
+        self._count_dispatch(worker)
 
-    def _trace_dispatch(
-        self, trace: Optional[_TaskTrace], worker: ThreadWorker, outcome: Optional[str] = None
-    ) -> None:
-        """Chain one dispatch-attempt span onto a task's trace.
-
-        The first attempt parents under the task root; every later
-        attempt parents under the attempt it supersedes, which is what
-        makes a replayed task read as one causal chain.
-        """
-        if trace is None:
-            return
-        prev = trace.dispatch
-        if prev is not None and outcome is not None:
-            self.telemetry.end_span(prev, outcome=outcome)
-        trace.attempt += 1
-        parent = prev.context if prev is not None else trace.root.context
-        seed = f"{self.name}/task/{trace.task_id}/dispatch/{trace.attempt}"
-        trace.dispatch = self.telemetry.start_span(
-            "task.dispatch",
-            actor=self.name,
-            context=parent.child(seed),
-            worker=worker.worker_id,
-            attempt=trace.attempt,
-            secured=worker.secured,
-        )
-
-    def _trace_exec(self, trace: Optional[_TaskTrace], worker_id: int) -> Optional[Span]:
+    def _trace_exec(self, record: Optional[TaskRecord], worker_id: int) -> Optional[Span]:
         """Open the worker-side execution span (worker thread)."""
-        if trace is None or trace.dispatch is None:
+        if record is None or record.dispatch is None:
             return None
         return self.telemetry.start_span(
             "task.exec",
             actor=f"{self.name}-w{worker_id}",
-            context=trace.dispatch.context.exec_child(worker_id),
+            context=record.dispatch.context.exec_child(worker_id),
             worker=worker_id,
         )
 
-    def _trace_done(self, trace: Optional[_TaskTrace], *, error: bool) -> None:
-        if trace is None:
-            return
-        outcome = "error" if error else "ok"
-        self.telemetry.end_span(trace.dispatch, outcome=outcome)
-        self.telemetry.end_span(trace.root, outcome=outcome)
-
-    def _deliver(
-        self,
-        result: Any,
-        *,
-        secured: bool,
-        submitted_at: float = 0.0,
-        trace: Optional[_TaskTrace] = None,
-    ) -> None:
-        self._trace_done(trace, error=isinstance(result, Exception))
-        with self._lock:
-            now = max(self.now(), self.departure_est._last_mark or 0.0)
-            self.departure_est.mark(now)
-            self.completed += 1
-            self._latencies.append((now, now - submitted_at))
+    def _deliver(self, record: Optional[TaskRecord], result: Any) -> None:
+        if record is not None:
+            with self._lock:
+                self._complete(record.task_id, self.now(), isinstance(result, Exception))
         self.results.put(result)
 
-    def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
-        """Collect ``count`` results (order of completion)."""
-        return drain_queue(self.results, count, timeout)
-
-    # ------------------------------------------------------------------
-    # monitoring
-    # ------------------------------------------------------------------
-    def snapshot(self) -> RuntimeFarmSnapshot:
-        with self._lock:
-            now = self.now()
-            live = [w for w in self.workers if w.active and not w.quarantined]
-            quarantined = sum(1 for w in self.workers if w.active and w.quarantined)
-            lengths = tuple(w.queue.qsize() for w in live)
-            _, var, _, _ = queue_length_stats(lengths)
-            cutoff = now - self.rate_window
-            while self._latencies and self._latencies[0][0] <= cutoff:
-                self._latencies.popleft()
-            mean_lat = (
-                sum(l for _, l in self._latencies) / len(self._latencies)
-                if self._latencies
-                else 0.0
-            )
-            return RuntimeFarmSnapshot(
-                time=now,
-                arrival_rate=self.arrival_est.rate(now),
-                departure_rate=self.departure_est.rate(now),
-                num_workers=len(live),
-                queue_lengths=lengths,
-                queue_variance=var,
-                completed=self.completed,
-                pending=self.submitted - self.completed,
-                mean_latency=mean_lat,
-                quarantined=quarantined,
-            )
-
-    @property
-    def num_workers(self) -> int:
-        """Serving capacity: live workers past the admission gate."""
-        return sum(1 for w in self.workers if w.active and not w.quarantined)
-
-    @property
-    def quarantined_workers(self) -> int:
-        return sum(1 for w in self.workers if w.active and w.quarantined)
+    def _backlog(self, worker: ThreadWorker) -> int:
+        return worker.queue.qsize()
 
     # ------------------------------------------------------------------
     # actuators
     # ------------------------------------------------------------------
     def add_worker(self, *, secured: bool = False, quarantined: bool = False) -> ThreadWorker:
         with self._lock:
-            # quarantined workers count against the limit: they hold a
-            # real executor slot even while held out of dispatch
-            if sum(1 for w in self.workers if w.active) >= self.max_workers:
-                raise RuntimeError(f"worker limit {self.max_workers} reached")
-            w = ThreadWorker(self, self._next_id, secured=secured, quarantined=quarantined)
-            self._next_id += 1
-            self.workers.append(w)
-            self._gauge_quarantined()
-            return w
-
-    def secure_worker(self, worker_id: int) -> bool:
-        """Switch one worker's channel to encrypted payloads.
-
-        In-process queues have no wire to handshake over; securing a
-        thread worker is flipping the emitter-side cipher on, exactly
-        what :meth:`secure_all` does farm-wide.
-        """
-        with self._lock:
-            for w in self.workers:
-                if w.worker_id == worker_id and w.active:
-                    w.secured = True
-                    return True
-        return False
-
-    def admit_worker(self, worker_id: int) -> bool:
-        """Lift the admission gate: the worker joins the dispatch set."""
-        with self._lock:
-            for w in self.workers:
-                if w.worker_id == worker_id and w.active:
-                    w.quarantined = False
-                    self._gauge_quarantined()
-                    return True
-        return False
-
-    def _gauge_quarantined(self) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(
-                "repro_mc_quarantined_workers", "workers held at the admission gate"
-            ).labels(farm=self.name).set(
-                sum(1 for w in self.workers if w.active and w.quarantined)
+            self._require_slot()
+            return self._enroll(
+                ThreadWorker(self, self._next_id, secured=secured, quarantined=quarantined)
             )
 
     def remove_worker(self) -> Optional[ThreadWorker]:
         """Retire the newest admitted worker; its queued tasks are re-dispatched."""
         with self._lock:
-            live = [w for w in self.workers if w.active and not w.quarantined]
-            if len(live) <= 1:
+            victim = self._pick_retiree()
+            if victim is None:
                 return None
-            victim = live[-1]
             victim.active = False
-        # drain outside the lock: submit() re-acquires it
+            leftovers = self._drain(victim)
+            survivors = self._serving()
+            for i, item in enumerate(leftovers):
+                self._put(item, survivors[i % len(survivors)], outcome="redispatched")
+        return victim
+
+    def _drain(self, worker: ThreadWorker) -> list:
+        """Empty a stopping worker's queue and poison it; returns the
+        envelopes that were still waiting."""
         leftovers = []
         while True:
             try:
-                item = victim.queue.get_nowait()
+                item = worker.queue.get_nowait()
             except queue.Empty:
                 break
             if not isinstance(item, _Poison):
                 leftovers.append(item)
-        victim.queue.put(_Poison())
-        with self._lock:
-            survivors = [w for w in self.workers if w.active and not w.quarantined]
-            for i, item in enumerate(leftovers):
-                target = survivors[i % len(survivors)]
-                self._trace_dispatch(item[3], target, outcome="redispatched")
-                target.queue.put(item)
-                self._dispatches.count(target)
-        return victim
+        worker.queue.put(_Poison())
+        return leftovers
 
     def balance_load(self) -> int:
         """Crude rebalance: move tasks from longest to shortest queues.
@@ -419,13 +234,13 @@ class ThreadFarm:
         """
         moved = 0
         with self._lock:
-            live = [w for w in self.workers if w.active and not w.quarantined]
+            live = self._serving()
             if len(live) < 2:
                 return 0
             for _ in range(1000):
-                live.sort(key=lambda w: w.queue.qsize())
+                live.sort(key=self._backlog)
                 shortest, longest = live[0], live[-1]
-                if longest.queue.qsize() - shortest.queue.qsize() <= 1:
+                if self._backlog(longest) - self._backlog(shortest) <= 1:
                     break
                 try:
                     item = longest.queue.get_nowait()
@@ -434,16 +249,9 @@ class ThreadFarm:
                 if isinstance(item, _Poison):
                     longest.queue.put(item)
                     break
-                self._trace_dispatch(item[3], shortest, outcome="rebalanced")
-                shortest.queue.put(item)
-                self._dispatches.count(shortest)
+                self._put(item, shortest, outcome="rebalanced")
                 moved += 1
         return moved
-
-    def secure_all(self) -> None:
-        with self._lock:
-            for w in self.workers:
-                w.secured = True
 
     # ------------------------------------------------------------------
     # shutdown
@@ -452,30 +260,18 @@ class ThreadFarm:
         """Simulate the coordinator process dying (SIGKILL semantics).
 
         Thread workers live *inside* the coordinator process, so they
-        die with it: every queued envelope is dropped on the floor (its
-        spans closed as ``coordinator-crashed``), every worker is
+        die with it: every open task ends as ``coordinator-crashed``,
+        every queued envelope is dropped on the floor, every worker is
         stopped, and nothing is flushed — a dead process flushes
         nothing.  A task already executing may still finish and deliver
         into ``results``; the supervisor's journal dedup makes that
         at-least-once tail harmless.
         """
         with self._lock:
-            workers = list(self.workers)
-            for w in workers:
+            for w in self.workers:
                 w.active = False
-        for w in workers:
-            while True:
-                try:
-                    item = w.queue.get_nowait()
-                except queue.Empty:
-                    break
-                if isinstance(item, _Poison):
-                    continue
-                trace = item[3]
-                if trace is not None:
-                    self.telemetry.end_span(trace.dispatch, outcome="coordinator-crashed")
-                    self.telemetry.end_span(trace.root, outcome="coordinator-crashed")
-            w.queue.put(_Poison())
+                self._drain(w)
+            self._abandon_all("coordinator-crashed")
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Stop every worker (pending tasks are abandoned)."""

@@ -10,8 +10,10 @@ Fault tolerance follows the paper's §2 framing — the manager "takes care
 of performing all those activities needed to restore ... after a fault"
 — split between two layers:
 
-* **mechanism (this module)**: every dispatched task is tracked until a
-  completion ack returns over the result pipe.  Workers are supervised
+* **mechanism (this module's transport under
+  :class:`~repro.runtime.farm_core.FarmCore`'s task lifecycle)**: every
+  dispatched task is tracked until a completion ack returns over the
+  result pipe.  Workers are supervised
   by heartbeats (a daemon thread in each child beats every
   ``heartbeat_period`` even while the main thread grinds a long task).
   When a worker dies, its un-acked tasks are *replayed* to survivors
@@ -41,17 +43,15 @@ import queue
 import signal
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
-from ..obs.propagation import TraceContext, make_span_record, task_context
-from ..obs.telemetry import NOOP, Telemetry
+from ..obs.propagation import TraceContext, make_span_record
+from ..obs.telemetry import Telemetry
 from ..security.crypto import decrypt, encrypt
-from ..sim.metrics import WindowRateEstimator, queue_length_stats
-from .backend import DispatchCounters, RuntimeFarmSnapshot, TaskRecord, drain_queue
+from .farm_core import FarmCore, TaskRecord
 
-__all__ = ["ProcessFarm", "ProcessWorkerHandle", "DeadLetter", "default_start_method"]
+__all__ = ["ProcessFarm", "ProcessWorkerHandle", "default_start_method"]
 
 _SECRET = b"repro-channel-key"
 
@@ -138,16 +138,6 @@ def _worker_main(
         result_q.put(("done", worker_id, task_id, result, completed, span_rec))
 
 
-@dataclass(frozen=True)
-class DeadLetter:
-    """A task abandoned after exhausting its replay budget."""
-
-    task_id: int
-    payload: Any
-    attempts: int
-    last_worker_id: Optional[int]
-
-
 @dataclass
 class ProcessWorkerHandle:
     """Parent-side handle of one worker process."""
@@ -170,12 +160,14 @@ class ProcessWorkerHandle:
         return self.process.pid
 
 
-class ProcessFarm:
+class ProcessFarm(FarmCore):
     """A live task farm whose executors are supervised OS processes.
 
-    Satisfies the same :class:`~repro.runtime.backend.FarmBackend`
-    surface as :class:`~repro.runtime.farm_runtime.ThreadFarm`; the
-    extra knobs are all fault-tolerance tuning:
+    The transport is one ``multiprocessing`` task queue per worker and a
+    shared result pipe.  Satisfies the same
+    :class:`~repro.runtime.backend.FarmBackend` surface as
+    :class:`~repro.runtime.farm_runtime.ThreadFarm`; the extra knobs are
+    all fault-tolerance tuning:
 
     ``heartbeat_period`` / ``heartbeat_timeout``
         children beat every period; a worker silent for the timeout (or
@@ -188,6 +180,8 @@ class ProcessFarm:
         multiprocessing start method; ``fork`` (default on POSIX) allows
         closures as ``fn``, ``spawn`` needs a module-level callable.
     """
+
+    _METRICS = "repro_process"
 
     def __init__(
         self,
@@ -209,44 +203,23 @@ class ProcessFarm:
     ) -> None:
         if initial_workers < 1:
             raise ValueError("need at least one worker")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+        super().__init__(
+            name,
+            rate_window=rate_window,
+            max_workers=max_workers,
+            clock=clock,
+            telemetry=telemetry,
+            backoff_base=backoff_base,
+            backoff_cap=backoff_cap,
+            max_attempts=max_attempts,
+        )
         self.fn = fn
-        self.name = name
-        self.max_workers = max_workers
         self.heartbeat_period = heartbeat_period
         self.heartbeat_timeout = heartbeat_timeout
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.max_attempts = max_attempts
         self.supervise_period = supervise_period
-        self.telemetry = telemetry if telemetry is not None else NOOP
-        self._dispatches = DispatchCounters(self.telemetry, name)
         self._ctx = multiprocessing.get_context(start_method or default_start_method())
-        self._clock = clock
-        self._t0 = clock()
-
-        self.results: "queue.Queue[Any]" = queue.Queue()
-        self._lock = threading.RLock()
-        self.workers: List[ProcessWorkerHandle] = []
-        self._next_id = 0
         self._rr = 0
         self._result_q: "multiprocessing.Queue" = self._ctx.Queue()
-
-        self.arrival_est = WindowRateEstimator(rate_window, start_time=0.0)
-        self.departure_est = WindowRateEstimator(rate_window, start_time=0.0)
-        self.rate_window = rate_window
-        self._latencies: "deque" = deque()  # (completion_time, latency)
-
-        self._tasks: Dict[int, TaskRecord] = {}
-        self._completed_ids: set = set()
-        self._task_seq = 0
-        self.submitted = 0
-        self.completed = 0
-        self.dead_letters: List[DeadLetter] = []
-        self.crashes: List[Tuple[float, int]] = []  # (time, worker_id)
-        self.replays = 0
-        self.duplicates = 0
 
         self._shutdown = threading.Event()
         for _ in range(initial_workers):
@@ -261,12 +234,6 @@ class ProcessFarm:
         self._supervisor.start()
 
     # ------------------------------------------------------------------
-    # time base
-    # ------------------------------------------------------------------
-    def now(self) -> float:
-        return self._clock() - self._t0
-
-    # ------------------------------------------------------------------
     # stream
     # ------------------------------------------------------------------
     def submit(
@@ -278,107 +245,45 @@ class ProcessFarm:
     ) -> None:
         """Track one task and dispatch it to a worker (round robin).
 
-        With ``traceparent`` (a supervisor resubmitting across a
-        coordinator crash) this farm's span is a ``task.attempt`` child
-        of the caller's root instead of a fresh root, so every
-        incarnation's attempt chains into one tree.
+        ``tenant`` and ``traceparent`` shape the task's root span; see
+        :meth:`FarmCore._track <repro.runtime.farm_core.FarmCore._track>`.
         """
         with self._lock:
-            now = self.now()
-            self.arrival_est.mark(now)
-            self.submitted += 1
-            task_id = self._task_seq
-            self._task_seq += 1
-            record = TaskRecord(task_id, payload, now)
-            if self.telemetry.enabled:
-                parent = (
-                    TraceContext.from_traceparent(traceparent) if traceparent else None
-                )
-                if parent is not None:
-                    record.root = self.telemetry.start_span(
-                        "task.attempt",
-                        actor=self.name,
-                        context=parent.child(f"{self.name}/task/{task_id}"),
-                        task_id=task_id,
-                        **({"tenant": tenant} if tenant is not None else {}),
-                    )
-                else:
-                    record.root = self.telemetry.start_span(
-                        "task",
-                        actor=self.name,
-                        context=task_context(self.name, task_id),
-                        task_id=task_id,
-                        **({"tenant": tenant} if tenant is not None else {}),
-                    )
-            self._tasks[task_id] = record
-            self._dispatch(record)
+            self._dispatch(self._track(payload, tenant, traceparent))
 
     def _dispatch(self, record: TaskRecord) -> None:
-        """Send one tracked task to a live worker (lock held).
+        """Send one tracked task to a serving worker (lock held).
 
-        With no live worker (e.g. every process just crashed) the record
-        stays queued with a due retry; the supervisor re-dispatches as
-        soon as capacity returns.  Quarantined workers are never
-        candidates — fresh submits and fault replays alike wait for
-        admitted capacity.
+        With no serving worker (e.g. every process just crashed) the
+        record is parked, due at once; the supervisor re-dispatches as
+        soon as capacity returns.
         """
-        live = [w for w in self.workers if w.active and not w.retiring and not w.quarantined]
-        if not live:
-            record.worker_id = None
-            record.next_retry_at = self.now()
+        serving = self._serving()
+        if not serving:
+            self._park(record, self.now())
             return
-        self._rr = (self._rr + 1) % len(live)
-        worker = live[self._rr]
-        record.attempts += 1
-        record.worker_id = worker.worker_id
+        self._rr = (self._rr + 1) % len(serving)
+        worker = serving[self._rr]
+        self._begin_attempt(record, worker)
         worker.outstanding.add(record.task_id)
-        traceparent = self._trace_dispatch(record, worker)
+        worker.task_queue.put(self._envelope(record, worker))
+        self._count_dispatch(worker)
+
+    def _envelope(self, record: TaskRecord, worker: "ProcessWorkerHandle") -> tuple:
+        """What travels to ``worker`` for one attempt: the payload —
+        encrypted on a secured channel — and the dispatch span's
+        traceparent, under which the worker records its execution."""
+        traceparent = (
+            record.dispatch.context.traceparent() if record.dispatch is not None else None
+        )
         if worker.secured:
-            item = (
+            return (
                 record.task_id,
                 encrypt(_SECRET, pickle.dumps(record.payload)),
                 True,
                 traceparent,
             )
-        else:
-            item = (record.task_id, record.payload, False, traceparent)
-        worker.task_queue.put(item)
-        self._dispatches.count(worker)
-
-    def _trace_dispatch(
-        self,
-        record: TaskRecord,
-        worker: ProcessWorkerHandle,
-        outcome: Optional[str] = None,
-    ) -> Optional[str]:
-        """Chain one dispatch-attempt span; returns its traceparent.
-
-        The first attempt parents under the task root; every later one
-        (crash replay, rebalance steal) parents under the attempt it
-        supersedes — the replayed execution lands *inside* the failed
-        dispatch's subtree, which is what makes the fault story legible.
-        """
-        if record.root is None:
-            return None
-        prev = record.dispatch
-        if prev is not None and outcome is not None:
-            self.telemetry.end_span(prev, outcome=outcome)
-        record.dispatch_seq += 1
-        parent = prev.context if prev is not None else record.root.context
-        seed = f"{self.name}/task/{record.task_id}/dispatch/{record.dispatch_seq}"
-        record.dispatch = self.telemetry.start_span(
-            "task.dispatch",
-            actor=self.name,
-            context=parent.child(seed),
-            worker=worker.worker_id,
-            attempt=record.attempts,
-            secured=worker.secured,
-        )
-        return record.dispatch.context.traceparent()
-
-    def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
-        """Collect ``count`` results (order of completion, deduplicated)."""
-        return drain_queue(self.results, count, timeout)
+        return (record.task_id, record.payload, False, traceparent)
 
     # ------------------------------------------------------------------
     # result pump: the single reader of the result pipe (and the single
@@ -401,10 +306,7 @@ class ProcessFarm:
             now = self.now()
             if handle is not None:
                 handle.last_seen = now
-            if kind == "hb":
-                self._note_worker_counter(handle, msg[2])
-                return
-            if kind == "bye":
+            if kind in ("hb", "bye"):
                 self._note_worker_counter(handle, msg[2])
                 return
             if kind != "done":
@@ -416,36 +318,11 @@ class ProcessFarm:
                 # ack: both executions of an at-least-once replay belong
                 # in the task's one trace tree
                 self.telemetry.import_span(span_rec)
-            if task_id in self._completed_ids:
-                # a replayed task also finished on its original worker:
-                # at-least-once underneath, exactly-once outward
-                self.duplicates += 1
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "repro_process_duplicate_results_total",
-                        "acks dropped because the task already completed",
-                    ).labels(farm=self.name).inc()
-                return
-            self._completed_ids.add(task_id)
-            record = self._tasks.pop(task_id, None)
             if handle is not None:
                 handle.outstanding.discard(task_id)
-            mark = max(now, self.departure_est._last_mark or 0.0)
-            self.departure_est.mark(mark)
-            self.completed += 1
-            if record is not None:
-                self._latencies.append((mark, mark - record.submitted_at))
-                outcome = "error" if isinstance(result, Exception) else "ok"
-                self.telemetry.end_span(record.dispatch, outcome=outcome)
-                self.telemetry.end_span(record.root, outcome=outcome)
+            if not self._complete(task_id, now, isinstance(result, Exception)):
+                return
         self.results.put(result)
-
-    def _note_worker_counter(self, handle: Optional[ProcessWorkerHandle], completed: int) -> None:
-        """Fold a per-worker completion counter into the metrics registry."""
-        if handle is None:
-            return
-        handle.reported_completed = max(handle.reported_completed, completed)
-        handle.completed_gauge.set(handle.reported_completed)
 
     # ------------------------------------------------------------------
     # supervision: heartbeat liveness + replay of due retries
@@ -462,135 +339,26 @@ class ProcessFarm:
 
         Returns the ids of workers declared dead in this pass.
         """
-        dead: List[int] = []
-        with self._lock:
-            now = self.now()
-            for w in list(self.workers):
-                if not w.active:
-                    continue
-                alive = w.process.is_alive()
-                silent = (
-                    w.last_seen > 0.0 or not alive
-                ) and now - w.last_seen > self.heartbeat_timeout
-                if alive and not silent:
-                    continue
-                if w.retiring and not alive and not w.outstanding:
-                    w.active = False  # clean retirement, nothing to replay
-                    continue
-                self._declare_dead(w, now)
-                dead.append(w.worker_id)
-            self._dispatch_due_retries(now)
-        return dead
+        return self._supervise_pass()
 
-    def _declare_dead(self, w: ProcessWorkerHandle, now: float) -> None:
-        """Crash handling: replay every un-acked task of ``w`` (lock held)."""
-        w.active = False
-        self._gauge_quarantined()
+    def _is_lost(self, w: "ProcessWorkerHandle", now: float) -> bool:
+        """Dead: the process has exited, or beats have stopped for
+        ``heartbeat_timeout`` (lock held)."""
+        alive = w.process.is_alive()
+        silent = (w.last_seen > 0.0 or not alive) and now - w.last_seen > self.heartbeat_timeout
+        if alive and not silent:
+            return False
+        if w.retiring and not alive and not w.outstanding:
+            w.active = False  # clean retirement, nothing to replay
+            return False
+        return True
+
+    def _sever(self, w: "ProcessWorkerHandle") -> None:
         if w.process.is_alive():  # wedged, not dead: make it official
             try:
                 w.process.kill()
             except Exception:  # noqa: BLE001
                 pass
-        self.crashes.append((now, w.worker_id))
-        if self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_process_worker_crashes_total",
-                "workers declared dead by the supervisor",
-            ).labels(farm=self.name).inc()
-        replayed = 0
-        for task_id in sorted(w.outstanding):
-            record = self._tasks.get(task_id)
-            if record is None:
-                continue
-            # the attempt in flight died with the worker; its span stays
-            # referenced by the record so the replay parents under it
-            self.telemetry.end_span(record.dispatch, outcome="crashed")
-            if record.attempts >= self.max_attempts:
-                del self._tasks[task_id]
-                self.telemetry.end_span(record.root, outcome="dead-letter")
-                self.dead_letters.append(
-                    DeadLetter(
-                        task_id=task_id,
-                        payload=record.payload,
-                        attempts=record.attempts,
-                        last_worker_id=w.worker_id,
-                    )
-                )
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "repro_process_dead_letter_total",
-                        "tasks abandoned after exhausting the replay budget",
-                    ).labels(farm=self.name).inc()
-                continue
-            delay = min(self.backoff_base * (2 ** (record.attempts - 1)), self.backoff_cap)
-            record.worker_id = None
-            record.next_retry_at = now + delay
-            replayed += 1
-        self.replays += replayed
-        if replayed and self.telemetry.enabled:
-            self.telemetry.metrics.counter(
-                "repro_process_tasks_replayed_total",
-                "task dispatches replayed after a worker death",
-            ).labels(farm=self.name).inc(replayed)
-        w.outstanding.clear()
-
-    def _dispatch_due_retries(self, now: float) -> None:
-        """Re-dispatch replayed tasks whose backoff has elapsed (lock held)."""
-        if not any(w.active and not w.retiring for w in self.workers):
-            return
-        due = [
-            r
-            for r in self._tasks.values()
-            if r.worker_id is None and r.next_retry_at <= now
-        ]
-        for record in sorted(due, key=lambda r: r.task_id):
-            self._dispatch(record)
-
-    # ------------------------------------------------------------------
-    # monitoring
-    # ------------------------------------------------------------------
-    def snapshot(self) -> RuntimeFarmSnapshot:
-        with self._lock:
-            now = self.now()
-            live = [w for w in self.workers if w.active and not w.quarantined]
-            quarantined = sum(1 for w in self.workers if w.active and w.quarantined)
-            lengths = tuple(len(w.outstanding) for w in live)
-            _, var, _, _ = queue_length_stats(lengths)
-            cutoff = now - self.rate_window
-            while self._latencies and self._latencies[0][0] <= cutoff:
-                self._latencies.popleft()
-            mean_lat = (
-                sum(lat for _, lat in self._latencies) / len(self._latencies)
-                if self._latencies
-                else 0.0
-            )
-            return RuntimeFarmSnapshot(
-                time=now,
-                arrival_rate=self.arrival_est.rate(now),
-                departure_rate=self.departure_est.rate(now),
-                num_workers=len(live),
-                queue_lengths=lengths,
-                queue_variance=var,
-                completed=self.completed,
-                pending=len(self._tasks),
-                mean_latency=mean_lat,
-                quarantined=quarantined,
-            )
-
-    @property
-    def num_workers(self) -> int:
-        """Serving capacity: live workers past the admission gate."""
-        return sum(1 for w in self.workers if w.active and not w.quarantined)
-
-    @property
-    def quarantined_workers(self) -> int:
-        return sum(1 for w in self.workers if w.active and w.quarantined)
-
-    def _find_worker(self, worker_id: int) -> Optional[ProcessWorkerHandle]:
-        for w in self.workers:
-            if w.worker_id == worker_id:
-                return w
-        return None
 
     # ------------------------------------------------------------------
     # actuators
@@ -599,12 +367,8 @@ class ProcessFarm:
         self, *, secured: bool = False, quarantined: bool = False
     ) -> ProcessWorkerHandle:
         with self._lock:
-            # quarantined workers count against the limit: they hold a
-            # real executor slot even while held out of dispatch
-            if sum(1 for w in self.workers if w.active) >= self.max_workers:
-                raise RuntimeError(f"worker limit {self.max_workers} reached")
+            self._require_slot()
             worker_id = self._next_id
-            self._next_id += 1
             task_q = self._ctx.Queue()
             proc = self._ctx.Process(
                 target=_worker_main,
@@ -626,49 +390,10 @@ class ProcessFarm:
                 secured=secured,
                 quarantined=quarantined,
                 last_seen=self.now(),
-                completed_gauge=self.telemetry.metrics.gauge(
-                    "repro_process_worker_completed_tasks",
-                    "cumulative tasks completed, as reported by each worker",
-                ).labels(farm=self.name, worker=worker_id),
+                completed_gauge=self._completed_gauge(worker_id),
             )
             proc.start()
-            self.workers.append(handle)
-            self._gauge_quarantined()
-            return handle
-
-    def secure_worker(self, worker_id: int) -> bool:
-        """Switch one worker's channel to encrypted payloads.
-
-        The task pipe is parent-local, so as on the thread farm securing
-        is flipping the emitter-side cipher on; the worker decrypts per
-        item via the ``enc`` flag it already honours.
-        """
-        with self._lock:
-            w = self._find_worker(worker_id)
-            if w is None or not w.active:
-                return False
-            w.secured = True
-            return True
-
-    def admit_worker(self, worker_id: int) -> bool:
-        """Lift the admission gate: the worker joins the dispatch set."""
-        with self._lock:
-            w = self._find_worker(worker_id)
-            if w is None or not w.active:
-                return False
-            w.quarantined = False
-            self._gauge_quarantined()
-            # capacity just appeared: anything parked for retry can go now
-            self._dispatch_due_retries(self.now())
-            return True
-
-    def _gauge_quarantined(self) -> None:
-        if self.telemetry.enabled:
-            self.telemetry.metrics.gauge(
-                "repro_mc_quarantined_workers", "workers held at the admission gate"
-            ).labels(farm=self.name).set(
-                sum(1 for w in self.workers if w.active and w.quarantined)
-            )
+            return self._enroll(handle)
 
     def remove_worker(self) -> Optional[ProcessWorkerHandle]:
         """Retire the newest worker gracefully.
@@ -678,14 +403,9 @@ class ProcessFarm:
         supervisor replays anything still un-acked if it dies instead.
         """
         with self._lock:
-            # a retiring worker is already on its way out: it neither
-            # counts toward the floor nor may be "removed" a second time;
-            # quarantined workers are not serving capacity, so they are
-            # neither victims nor part of the floor
-            live = [w for w in self.workers if w.active and not w.retiring and not w.quarantined]
-            if len(live) <= 1:
+            victim = self._pick_retiree()
+            if victim is None:
                 return None
-            victim = live[-1]
             victim.retiring = True
             victim.task_queue.put(_POISON)
             return victim
@@ -699,15 +419,13 @@ class ProcessFarm:
         """
         moved = 0
         with self._lock:
-            live = [
-                w for w in self.workers if w.active and not w.retiring and not w.quarantined
-            ]
+            live = self._serving()
             if len(live) < 2:
                 return 0
             for _ in range(1000):
-                live.sort(key=lambda w: len(w.outstanding))
+                live.sort(key=self._backlog)
                 shortest, longest = live[0], live[-1]
-                if len(longest.outstanding) - len(shortest.outstanding) <= 1:
+                if self._backlog(longest) - self._backlog(shortest) <= 1:
                     break
                 try:
                     item = longest.task_queue.get_nowait()
@@ -721,23 +439,17 @@ class ProcessFarm:
                 shortest.outstanding.add(task_id)
                 record = self._tasks.get(task_id)
                 if record is not None:
+                    # a steal is not a fresh attempt against the replay
+                    # budget; the envelope is re-made so the exec span
+                    # parents under the steal, not the superseded dispatch
                     record.worker_id = shortest.worker_id
                     if record.root is not None:
-                        # re-stamp the envelope so the exec span parents
-                        # under the steal, not the superseded dispatch
-                        tp = self._trace_dispatch(
-                            record, shortest, outcome="rebalanced"
-                        )
-                        item = (item[0], item[1], item[2], tp)
+                        self._chain_dispatch(record, shortest, outcome="rebalanced")
+                    item = self._envelope(record, shortest)
                 shortest.task_queue.put(item)
-                self._dispatches.count(shortest)
+                self._count_dispatch(shortest)
                 moved += 1
         return moved
-
-    def secure_all(self) -> None:
-        with self._lock:
-            for w in self.workers:
-                w.secured = True
 
     # ------------------------------------------------------------------
     # fault injection
@@ -751,21 +463,9 @@ class ProcessFarm:
         short-circuited for the test.
         """
         with self._lock:
-            if worker_id is None:
-                # default victims are serving workers: killing a
-                # quarantined one proves nothing about fault recovery
-                live = [
-                    w
-                    for w in self.workers
-                    if w.active and not w.retiring and not w.quarantined
-                ]
-                if not live:
-                    return None
-                victim = live[-1]
-            else:
-                victim = self._find_worker(worker_id)
-                if victim is None or not victim.active:
-                    return None
+            victim = self._pick_victim(worker_id)
+            if victim is None:
+                return None
             pid = victim.pid
         if pid is None:
             return None
@@ -793,10 +493,7 @@ class ProcessFarm:
             workers = list(self.workers)
             for w in workers:
                 w.active = False
-            for record in self._tasks.values():
-                self.telemetry.end_span(record.dispatch, outcome="coordinator-crashed")
-                self.telemetry.end_span(record.root, outcome="coordinator-crashed")
-            self._tasks.clear()
+            self._abandon_all("coordinator-crashed")
         for w in workers:
             if w.process.is_alive():
                 try:
@@ -805,6 +502,10 @@ class ProcessFarm:
                     pass
         for w in workers:
             w.process.join(1.0)
+        self._close_channels(workers)
+
+    def _close_channels(self, workers: List[ProcessWorkerHandle]) -> None:
+        """Stop the pump and supervisor threads, then close every pipe."""
         for t in (self._pump, self._supervisor):
             t.join(1.0)
         for w in workers:
@@ -831,13 +532,7 @@ class ProcessFarm:
             if w.process.is_alive():
                 w.process.kill()
                 w.process.join(1.0)
-        for t in (self._pump, self._supervisor):
-            t.join(1.0)
-        for w in workers:
-            w.task_queue.close()
-            w.task_queue.cancel_join_thread()
-        self._result_q.close()
-        self._result_q.cancel_join_thread()
+        self._close_channels(workers)
         # abandoned tasks must not leak open spans into the export
         if self.telemetry.enabled:
             self.telemetry.flush()

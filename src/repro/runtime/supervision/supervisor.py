@@ -179,6 +179,7 @@ class SupervisedFarm:
         self._survivors: List[Any] = []  # dist: adoptable worker handles
         self._survivor_map: Dict[int, int] = {}  # old farm id → wid
         self._pump_gen = 0
+        self._crashes_seen = 0  # how much of farm.crashes is journaled
         self._beat = clock()
 
         self.journal.append(
@@ -267,6 +268,24 @@ class SupervisedFarm:
                     return handle
         return None
 
+    def _journal_deaths(self, farm: Any) -> None:
+        """Journal the workers ``farm`` has declared dead (lock held).
+
+        The farm's ``crashes`` list is read from this side — the pump
+        thread, or the caller crashing the coordinator — because a farm
+        thread must never wait on the supervisor lock: the supervisor
+        calls into the farm holding it.  Without the ``remove`` events a
+        failover would respawn every worker ever admitted.
+        """
+        crashes = farm.crashes
+        while self._crashes_seen < len(crashes):
+            _, farm_id = crashes[self._crashes_seen]
+            self._crashes_seen += 1
+            entry = self._registry.get(self._farm_to_wid.get(farm_id))
+            if entry is not None and entry.active:
+                entry.active = False
+                self.journal.append({"ev": "remove", "wid": entry.wid})
+
     # ------------------------------------------------------------------
     # time base + heartbeat
     # ------------------------------------------------------------------
@@ -334,6 +353,7 @@ class SupervisedFarm:
     # ------------------------------------------------------------------
     def _start_pump(self) -> None:
         self._pump_gen += 1
+        self._crashes_seen = 0
         self._beat = self._clock()
         thread = threading.Thread(
             target=self._pump_loop,
@@ -349,6 +369,7 @@ class SupervisedFarm:
                 if self._shutdown_done or gen != self._pump_gen:
                     return
                 self._beat = self._clock()  # the coordinator heartbeat
+                self._journal_deaths(farm)
             try:
                 res = farm.results.get(timeout=0.02)
             except queue.Empty:
@@ -416,6 +437,9 @@ class SupervisedFarm:
         else:
             farm.crash()
             self._survivors = []
+        with self._lock:
+            # deaths the dead coordinator saw but its pump never journaled
+            self._journal_deaths(farm)
         if self.telemetry.enabled:
             self.telemetry.metrics.counter(
                 "repro_sup_coordinator_crashes_total",

@@ -61,6 +61,18 @@ class WindowRateEstimator:
             self._events.append(t)
         self.total += count
 
+    def mark_clamped(self, t: float, count: int = 1) -> float:
+        """Record ``count`` events at ``t``, or at the last mark if ``t``
+        is earlier; returns the time recorded.
+
+        For wall-clock callers on several threads, which read the clock
+        before taking the lock that orders their marks.
+        """
+        if self._last_mark is not None and t < self._last_mark:
+            t = self._last_mark
+        self.mark(t, count)
+        return t
+
     def _expire(self, now: float) -> None:
         cutoff = now - self.window
         while self._events and self._events[0] <= cutoff:

@@ -360,3 +360,42 @@ class TestSupervisedFarmFailover:
             assert farm.add_worker() is not None
         finally:
             farm.shutdown()
+
+    def test_failover_rebuilds_only_the_workers_still_alive(self, tmp_path):
+        """Worker deaths reach the journal, so a failover neither
+        respawns the dead nor trips over the farm's own worker limit."""
+        farm = SupervisedFarm(
+            supervised_task,
+            backend="process",
+            journal_path=str(tmp_path / "j.jsonl"),
+            initial_workers=4,
+            max_workers=4,
+            farm_options=dict(
+                heartbeat_period=0.05, heartbeat_timeout=0.5, supervise_period=0.02
+            ),
+        )
+        try:
+            inner = farm.farm
+            for doomed in inner.workers[1:]:
+                assert inner.inject_crash(doomed.worker_id) is not None
+            wait_until(
+                lambda: len(inner.crashes) == 3,
+                message="the farm to declare its three killed workers dead",
+            )
+            farm.crash_coordinator()
+            state = farm.failover()
+            assert len(state.admitted_wids) == 1
+            assert farm.num_workers == 1 and len(farm.farm.workers) == 1
+            # a fifth lifetime admission, two alive: well inside the limit
+            # of four, which a rebuild of all five admissions would exceed
+            farm.add_worker()
+            farm.crash_coordinator()
+            state = farm.failover()
+            assert state.admitted_wids == farm.journal.replay().admitted_wids
+            assert len(state.admitted_wids) == 2
+            assert farm.num_workers == 2 and len(farm.farm.workers) == 2
+            for i in range(6):
+                farm.submit((0.0, i))
+            assert sorted(farm.drain_results(6, timeout=60.0)) == [i * i for i in range(6)]
+        finally:
+            farm.shutdown()
