@@ -3,8 +3,9 @@
 
 ``process_farm_crashes.py`` already showed crash recovery, but its
 workers still share a host and a multiprocessing pipe with the manager.
-The :class:`~repro.runtime.DistFarm` coordinator speaks a plain
-length-prefixed JSON protocol over TCP instead, which buys two things:
+The :class:`~repro.runtime.DistFarm` coordinator speaks a small framed
+protocol over TCP instead (:mod:`repro.runtime.dist_proto`), which buys
+two things:
 
 * the fault model gains the *network* failure a real deployment meets —
   this example severs a worker's connection mid-stream (the worker

@@ -6,9 +6,8 @@ real *network* boundary between manager and managed, which is the
 platform shape the paper's behavioural skeletons actually target
 (GCM/ProActive components steered across a grid).  The coordinator
 speaks the binary batched protocol of :mod:`.dist_proto` over TCP —
-v4: struct-packed frame headers, a payload codec negotiated per worker
-at ``hello``, multi-task ``task_batch``/``result_batch`` frames, with
-v3 JSON peers still served via handshake downgrade — to worker
+struct-packed frame headers, a payload codec negotiated per worker at
+``hello``, multi-task ``task_batch``/``result_batch`` frames — to worker
 processes it spawns locally through
 ``python -m repro.runtime.dist_worker`` — and since that entry point is
 just a CLI, extra workers can be attached by hand from any host that
@@ -58,21 +57,28 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from ..obs.spans import Span
 from ..obs.telemetry import Telemetry
 from .dist_proto import (
-    COMPAT_PROTOCOLS,
     PROTOCOL_VERSION,
     ProtocolError,
-    encode_frame,
     encode_frame_v4,
-    encode_payload,
     make_challenge,
     negotiate_codec,
-    version_mismatch_error,
-    read_frame_ex,
+    read_frame,
+    refuse_hello,
     verify_proof,
 )
 from .farm_core import FarmCore, TaskRecord
 
 __all__ = ["DistFarm", "DistWorkerHandle", "fn_spec"]
+
+#: what handling a peer's frame may raise when the frame parses but has
+#: the wrong shape (a ``result`` without ``task_id``, ``results: "xx"``,
+#: ``completed: "x"``, ``worker_id: "abc"``, ``completed: Infinity``):
+#: the connection loop treats all of it as one peer fault
+_PEER_FAULT = (
+    ProtocolError, KeyError, TypeError, ValueError, AttributeError, OverflowError
+)
+
+_POISON = encode_frame_v4({"type": "poison"})
 
 
 def fn_spec(fn: Any) -> str:
@@ -136,12 +142,6 @@ class DistWorkerHandle:
     got_bye: bool = False
     spawned_at: float = 0.0
     last_seen: float = 0.0
-    #: protocol generation this session negotiated (3: legacy JSON
-    #: dialect — one task per frame, per-payload encryption; 4: binary
-    #: frames, batches)
-    proto: int = PROTOCOL_VERSION
-    #: frame layout the peer speaks (set from its hello; replies in kind)
-    wire: int = 3
     #: payload codec negotiated at hello for this session's data frames
     codec: str = "json"
     reported_completed: int = 0
@@ -200,10 +200,10 @@ class DistFarm(FarmCore):
         coordinator crash and reattach to the promoted standby (0, the
         default: workers exit on coordinator EOF, the pre-v3 behaviour).
     ``codec``
-        payload codec for v4 sessions: ``"auto"`` (default) negotiates
+        payload codec for data frames: ``"auto"`` (default) negotiates
         per worker — pickle for workers this coordinator spawned or
         adopted, the safe list for remote attachers — or a codec name
-        to pin every session to it.  v3 peers always speak json.
+        to pin every session to it.
     ``batch_size``
         most tasks one ``task_batch`` frame carries; with the default
         ``max_inflight`` of 2 batches degenerate to singletons, so
@@ -372,65 +372,78 @@ class DistFarm(FarmCore):
             return
 
     async def _serve_connection(self, reader, writer) -> None:
-        # the hello travels as codec 0 (json) on either frame layout; a
-        # protocol violation before identification is just a bad client
         try:
-            hello, wire = await read_frame_ex(reader, allowed=("json",))
-        except ProtocolError:
-            writer.close()
-            return
-        if hello is None or hello.get("type") not in ("hello", "reattach"):
-            writer.close()
-            return
-        peer_proto = hello.get("proto")
-        if peer_proto not in COMPAT_PROTOCOLS:
-            # refuse mismatched (or unversioned) peers up front with a
-            # diagnosis, instead of failing opaquely on the first frame
-            # the older peer does not understand
-            writer.write(
-                self._encode_wire(
-                    version_mismatch_error(peer_proto, role="coordinator"), wire
-                )
-            )
+            # the greeting travels as codec 0 (json)
+            hello = await read_frame(reader, allowed=("json",))
+            handle, reply = self._admit(hello, writer)
+        except _PEER_FAULT:
+            # a violation before identification is just a bad client: it
+            # has no window to replay, and one that did not open with a
+            # v4 frame could not read an ``error`` frame either
+            handle, reply = None, b""
+        writer.write(reply)
+        if handle is None:
             try:
-                await writer.drain()
+                await writer.drain()  # a refusal reaches the peer, then EOF
             except (ConnectionError, OSError):
                 pass
             writer.close()
             return
+        self._frames_tx.inc()
+        # after negotiation the connection may only carry json (control
+        # frames) and the session codec; anything else is a violation
+        allowed = ("json", handle.codec)
+        while True:
+            try:
+                frame = await read_frame(reader, allowed=allowed)
+                if frame is None:
+                    break
+                self._frames_rx.inc()
+                self._handle_message(handle, frame)
+            except _PEER_FAULT:
+                # torn batch, oversized length, codec smuggling, or a
+                # well-framed message of the wrong shape: the peer is
+                # faulty — disconnect, declare dead, replay its window
+                # elsewhere.  Never wait it out.
+                self._count(
+                    "protocol_errors_total",
+                    "connections dropped for wire-protocol violations",
+                )
+                break
+        writer.close()
+        self._on_disconnect(handle)
+
+    def _admit(
+        self, hello: Optional[dict], writer
+    ) -> Tuple[Optional[DistWorkerHandle], bytes]:
+        """Decide one greeting (loop thread, no I/O): ``(handle, reply)``.
+
+        A refused peer has no handle, and ``reply`` is what it is owed
+        before the hang-up (an ``error`` frame, or nothing).  Every
+        field of the greeting is parsed before any farm state changes,
+        so one of the wrong shape raises out with nothing registered.
+        """
+        refusal = refuse_hello(hello, role="coordinator", kinds=("hello", "reattach"))
+        if refusal is not None:
+            return None, refusal
         claimed = int(hello.get("worker_id", -1))
-        # the session runs the v4 dialect only if the peer both announced
-        # v4 *and* framed its hello as v4 — a v4-version hello on v3
-        # frames (hand-rolled clients, tests) gets the legacy dialect
-        session_proto = 4 if (peer_proto == PROTOCOL_VERSION and wire == 4) else 3
-        codec = "json"
-        if session_proto == 4:
-            with self._lock:
-                existing = self._find_worker(claimed) if claimed >= 0 else None
-                # pickle is only negotiated with workers whose *process*
-                # this coordinator owns (spawned or adopted); a remote
-                # attacher negotiates down the safe list
-                trusted = existing is not None and existing.process is not None
+        peer_completed = int(hello.get("completed", 0))
+        with self._lock:
+            handle = self._find_worker(claimed) if claimed >= 0 else None
             try:
                 codec = negotiate_codec(
                     hello.get("codecs") or ["json"],
-                    trusted=trusted,
+                    # pickle is only negotiated with workers whose
+                    # *process* this coordinator owns (spawned or
+                    # adopted); a remote attacher negotiates down the
+                    # safe list
+                    trusted=handle is not None and handle.process is not None,
                     allowed=self.codec,
                 )
             except ProtocolError as exc:
-                writer.write(
-                    encode_frame_v4(
-                        {"type": "error", "error": str(exc), "proto": PROTOCOL_VERSION}
-                    )
+                return None, encode_frame_v4(
+                    {"type": "error", "error": str(exc), "proto": PROTOCOL_VERSION}
                 )
-                try:
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    pass
-                writer.close()
-                return
-        with self._lock:
-            handle = self._find_worker(claimed) if claimed >= 0 else None
             reattaching = (
                 hello.get("type") == "reattach"
                 and handle is not None
@@ -448,7 +461,7 @@ class DistFarm(FarmCore):
                 handle.got_bye = False
                 handle.secured = False
                 handle.reported_completed = max(
-                    handle.reported_completed, int(hello.get("completed", 0))
+                    handle.reported_completed, peer_completed
                 )
                 now = self.now()
                 for task_id in sorted(handle.outstanding):
@@ -463,28 +476,23 @@ class DistFarm(FarmCore):
                 try:
                     self._require_slot()
                 except RuntimeError:
-                    writer.close()
-                    return
+                    return None, b""
                 handle = self._register_worker(process=None)
             handle.writer = writer
             handle.connected = True
             handle.ever_connected = True
             handle.last_seen = self.now()
-            handle.proto = session_proto
-            handle.wire = wire if session_proto == 4 else 3
             handle.codec = codec
             retiring = handle.retiring
-        reply = {
-            "type": "takeover" if reattaching else "welcome",
-            "worker_id": handle.worker_id,
-            # echo the peer's own generation: a v3 peer must read the
-            # version it can serve, not the one we prefer
-            "proto": peer_proto,
-            "epoch": self.epoch,
-        }
-        if session_proto == 4:
-            reply["codec"] = codec
-        writer.write(self._encode_control(handle, reply))
+        reply = encode_frame_v4(
+            {
+                "type": "takeover" if reattaching else "welcome",
+                "worker_id": handle.worker_id,
+                "proto": PROTOCOL_VERSION,
+                "epoch": self.epoch,
+                "codec": codec,
+            }
+        )
         if reattaching:
             self._count(
                 "reattach_total", "workers reattached after a coordinator failover"
@@ -493,37 +501,8 @@ class DistFarm(FarmCore):
             self._request_fill()
         if retiring or self._shutdown.is_set():
             # retired (or farm torn down) before it finished connecting
-            writer.write(self._encode_control(handle, {"type": "poison"}))
-        self._frames_tx.inc()
-        # after negotiation the connection may only carry json (control
-        # frames) and the session codec; anything else is a violation
-        allowed = ("json", handle.codec)
-        while True:
-            try:
-                frame = await read_frame_ex(reader, allowed=allowed)
-            except ProtocolError:
-                # torn batch, oversized length, codec smuggling: the
-                # peer is faulty — disconnect, declare dead, replay its
-                # window elsewhere.  Never wait it out.
-                self._count(
-                    "protocol_errors_total",
-                    "connections dropped for wire-protocol violations",
-                )
-                break
-            if frame[0] is None:
-                break
-            self._frames_rx.inc()
-            self._handle_message(handle, frame[0])
-        writer.close()
-        self._on_disconnect(handle)
-
-    def _encode_wire(self, message: dict, wire: int) -> bytes:
-        """Encode one control frame for a given frame layout (pre-handshake)."""
-        return encode_frame(message) if wire == 3 else encode_frame_v4(message)
-
-    def _encode_control(self, handle: DistWorkerHandle, message: dict) -> bytes:
-        """Encode one control frame on ``handle``'s dialect (json, clear)."""
-        return self._encode_wire(message, handle.wire)
+            reply += _POISON
+        return handle, reply
 
     def _on_disconnect(self, handle: DistWorkerHandle) -> None:
         with self._lock:
@@ -551,26 +530,30 @@ class DistFarm(FarmCore):
             return
         if kind in ("result", "result_batch"):
             # a result_batch acks a whole window in one frame; a lone
-            # result frame is just a batch of one with the legacy shape
+            # result frame is just a batch of one
             entries = frame["results"] if kind == "result_batch" else (frame,)
             deliver: List[Any] = []
-            with self._lock:
-                now = self.now()
-                handle.last_seen = now
-                self._note_worker_counter(handle, int(frame.get("completed", 0)))
-                for entry in entries:
-                    fresh, result = self._absorb_result(handle, entry, now)
-                    if fresh:
-                        deliver.append(result)
-            self.results.put_many(deliver)
+            try:
+                with self._lock:
+                    now = self.now()
+                    handle.last_seen = now
+                    self._note_worker_counter(handle, int(frame.get("completed", 0)))
+                    for entry in entries:
+                        fresh, result = self._absorb_result(handle, entry, now)
+                        if fresh:
+                            deliver.append(result)
+            finally:
+                # an entry of the wrong shape ends the session (the
+                # caller's peer-fault path), but the entries absorbed
+                # before it are completed and must still be delivered
+                self.results.put_many(deliver)
             self._fill()  # freed slots may unblock the ready queue
             return
         with self._lock:
             handle.last_seen = self.now()
-            if kind == "hb":
-                self._note_worker_counter(handle, int(frame.get("completed", 0)))
-            elif kind == "bye":
+            if kind == "bye":
                 handle.got_bye = True
+            if kind in ("hb", "bye"):
                 self._note_worker_counter(handle, int(frame.get("completed", 0)))
 
     def _absorb_result(
@@ -600,18 +583,15 @@ class DistFarm(FarmCore):
     ) -> None:
         """Land one execution's ``task.exec`` span in the store (lock held).
 
-        A traced v4 worker only stamps ``t = (start, end, pid)`` on its
+        A traced worker only stamps ``t = (start, end, pid)`` on its
         result entry; the span is built here, under the dispatch-attempt
-        span this worker was sent the task with.  A peer that ships a
-        full ``span`` record instead (v3 sessions) has it imported as
-        is.  Either field comes off the wire: one that does not parse is
-        dropped — the result still counts — never raised in the loop.
+        span this worker was sent the task with.  The field comes off
+        the wire: one that does not parse is dropped — the result still
+        counts — never raised in the loop.
         """
         try:
             timing = entry.get("t")
-            if timing is None:
-                self.telemetry.import_span(entry.get("span"))
-            elif dispatch is not None and isinstance(timing, (list, tuple)):
+            if dispatch is not None and isinstance(timing, (list, tuple)):
                 start, end, pid = timing
                 worker_id = handle.worker_id
                 span = self.telemetry.spans.open(
@@ -715,11 +695,18 @@ class DistFarm(FarmCore):
             if self._fill_scheduled:
                 return
             self._fill_scheduled = True
-        try:
-            self._loop.call_soon_threadsafe(self._fill)
-        except RuntimeError:  # loop already closed
+        if not self._on_loop(self._fill):
             with self._lock:
                 self._fill_scheduled = False
+
+    def _on_loop(self, fn: Callable[..., Any], *args: Any) -> bool:
+        """Hand ``fn(*args)`` to the loop thread — the only way any other
+        thread touches a socket.  False: the loop is already closed."""
+        try:
+            self._loop.call_soon_threadsafe(fn, *args)
+        except RuntimeError:
+            return False
+        return True
 
     def _writable(self, w: DistWorkerHandle) -> bool:
         """Backpressure check: is this worker's socket buffer shallow enough?
@@ -741,8 +728,7 @@ class DistFarm(FarmCore):
         """Dispatch ready tasks into free worker windows (loop thread only).
 
         Each pass fills the least-loaded worker's free window slots with
-        up to ``batch_size`` tasks in one ``task_batch`` frame (v4
-        sessions; v3 sessions get one legacy frame per task) and moves
+        up to ``batch_size`` tasks in one ``task_batch`` frame and moves
         on, so a burst of submits streams out as a handful of writes
         instead of a write per task.
         """
@@ -777,10 +763,9 @@ class DistFarm(FarmCore):
                     entries.append(record)
                 if not entries:
                     continue
-                frames = self._encode_dispatch(worker, entries)
+                data = self._encode_dispatch(worker, entries)
                 try:
-                    for data in frames:
-                        worker.writer.write(data)
+                    worker.writer.write(data)
                 except Exception:  # noqa: BLE001 - transport died under us
                     now = self.now()
                     for record in entries:
@@ -789,38 +774,23 @@ class DistFarm(FarmCore):
                             record, worker.worker_id, "write-failed", now
                         )
                     return
-                self._frames_tx.inc(len(frames))
+                self._frames_tx.inc()
                 self._count_dispatch(worker, len(entries))
                 if len(entries) > 1:
                     self._batched_tasks_total.inc(len(entries))
 
     def _encode_dispatch(
         self, worker: DistWorkerHandle, entries: List[TaskRecord]
-    ) -> List[bytes]:
-        """Encode one dispatch window on ``worker``'s dialect (lock held).
+    ) -> bytes:
+        """Encode one dispatch window as one frame (lock held).
 
-        v3 sessions: one legacy ``task`` frame per entry, per-payload
-        encryption, the dispatch span's ``traceparent`` beside it.  v4
-        singletons keep the legacy ``task`` shape (same keys, binary
-        framing); a window of two or more rides one ``task_batch``,
-        encrypted whole-frame when the channel is secured.  A traced v4
-        frame carries one ``traced`` flag, not a context per entry: the
-        worker answers with exec timings and the coordinator, which
-        holds the dispatch spans, builds the exec spans from them.
+        A singleton keeps the ``task`` shape; a window of two or more
+        rides one ``task_batch``; either is encrypted whole-frame when
+        the channel is secured.  A traced frame carries one ``traced``
+        flag, not a context per entry: the worker answers with exec
+        timings and the coordinator, which holds the dispatch spans,
+        builds the exec spans from them.
         """
-        if worker.wire != 4:
-            frames = []
-            for record in entries:
-                message = {
-                    "type": "task",
-                    "task_id": record.task_id,
-                    "payload": encode_payload(record.payload, secured=worker.secured),
-                    "enc": worker.secured,
-                }
-                if record.dispatch is not None:
-                    message["traceparent"] = record.dispatch.context.traceparent()
-                frames.append(encode_frame(message))
-            return frames
         if len(entries) == 1:
             record = entries[0]
             message = {
@@ -838,9 +808,7 @@ class DistFarm(FarmCore):
             }
         if entries[0].dispatch is not None:
             message["traced"] = True
-        return [
-            encode_frame_v4(message, codec=worker.codec, secured=worker.secured)
-        ]
+        return encode_frame_v4(message, codec=worker.codec, secured=worker.secured)
 
     # ------------------------------------------------------------------
     # supervision: liveness + replay of due retries
@@ -887,10 +855,7 @@ class DistFarm(FarmCore):
         if w.writer is not None:
             writer = w.writer
             w.writer = None
-            try:
-                self._loop.call_soon_threadsafe(writer.transport.abort)
-            except RuntimeError:
-                pass
+            self._on_loop(writer.transport.abort)
         self._end_worker_span(w, outcome="crashed")
 
     def _wake_secure_waiter(self, w: DistWorkerHandle) -> None:
@@ -1076,14 +1041,12 @@ class DistFarm(FarmCore):
             else:
                 w.secure_challenge = make_challenge()
                 w.secure_waiter = waiter
-                frame = self._encode_control(
-                    w, {"type": "secure", "challenge": w.secure_challenge}
+                frame = encode_frame_v4(
+                    {"type": "secure", "challenge": w.secure_challenge}
                 )
             writer = w.writer
         if frame is not None:
-            try:
-                self._loop.call_soon_threadsafe(writer.write, frame)
-            except RuntimeError:  # loop already closed
+            if not self._on_loop(writer.write, frame):
                 return False
             self._frames_tx.inc()
         if not waiter.wait(max(0.0, deadline - time.monotonic())):
@@ -1140,13 +1103,9 @@ class DistFarm(FarmCore):
                 return None
             victim.retiring = True
             writer = victim.writer
-            poison = self._encode_control(victim, {"type": "poison"})
         if writer is not None:
-            try:
-                self._loop.call_soon_threadsafe(writer.write, poison)
-            except RuntimeError:
-                pass
-        # not yet connected: _on_connection poisons it right after welcome
+            self._on_loop(writer.write, _POISON)
+        # not yet connected: _admit poisons it right after welcome
         return victim
 
     def balance_load(self) -> int:
@@ -1202,11 +1161,7 @@ class DistFarm(FarmCore):
             if victim is None or victim.writer is None:
                 return None
             writer = victim.writer
-        try:
-            self._loop.call_soon_threadsafe(writer.transport.abort)
-        except RuntimeError:
-            return None
-        return victim.worker_id
+        return victim.worker_id if self._on_loop(writer.transport.abort) else None
 
     # ------------------------------------------------------------------
     # shutdown
@@ -1240,13 +1195,9 @@ class DistFarm(FarmCore):
                 w.connected = False
                 self._end_worker_span(w, outcome="coordinator-crashed")
                 self._wake_secure_waiter(w)
-        if not self._loop.is_closed():
-            try:
-                # _finalize (post-stop) closes the server and aborts
-                # every worker transport — the EOF the workers react to
-                self._loop.call_soon_threadsafe(self._loop.stop)
-            except RuntimeError:
-                pass
+        # _finalize (post-stop) closes the server and aborts every worker
+        # transport — the EOF the workers react to
+        self._on_loop(self._loop.stop)
         self._loop_thread.join(5.0)
         return survivors
 
@@ -1257,27 +1208,12 @@ class DistFarm(FarmCore):
         self._shutdown.set()
         with self._lock:
             workers = list(self.workers)
-            writers = [
-                (w.writer, self._encode_control(w, {"type": "poison"}))
-                for w in workers
-                if w.writer is not None
-            ]
+            writers = [w.writer for w in workers if w.writer is not None]
             for w in workers:
                 w.active = False
                 self._end_worker_span(w, outcome="shutdown")
-
-        def poison_all() -> None:
-            for writer, poison in writers:
-                try:
-                    writer.write(poison)
-                except Exception:  # noqa: BLE001
-                    pass
-
-        if self._loop_ready.is_set() and not self._loop.is_closed():
-            try:
-                self._loop.call_soon_threadsafe(poison_all)
-            except RuntimeError:
-                pass
+        for writer in writers:
+            self._on_loop(writer.write, _POISON)
         deadline = time.monotonic() + timeout
         for w in workers:
             if w.process is None:
@@ -1291,11 +1227,7 @@ class DistFarm(FarmCore):
                     w.process.wait(1.0)
                 except subprocess.TimeoutExpired:
                     pass
-        if not self._loop.is_closed():
-            try:
-                self._loop.call_soon_threadsafe(self._loop.stop)
-            except RuntimeError:
-                pass
+        self._on_loop(self._loop.stop)
         self._loop_thread.join(max(1.0, deadline - time.monotonic()))
         # abandoned tasks must not leak open spans into the export
         if self.telemetry.enabled:

@@ -1,44 +1,37 @@
-"""The DistFarm wire protocol, version 4: binary frames, codecs, batches.
+"""The wire protocol, version 4: one binary frame layout for every link.
 
-Protocol v4 replaces the v3 per-task JSON wire with a compact binary
-frame whose payload codec is negotiated per connection, and whose data
-plane moves *batches* of tasks and results so dispatch and acks
-amortise syscalls.  v3 peers keep working: both frame layouts coexist
-on one socket, distinguished by the first byte, and the handshake
-downgrades a session to the older peer's dialect.
+Every byte this repo puts on a socket — the DistFarm task plane and the
+shard hierarchy's management links alike — is a frame of the layout
+below, and this module is the only one that knows it: one header
+``Struct``, one parser (:func:`_parse_header` / :func:`_parse_body`,
+no I/O) under two thin readers, :func:`read_frame` for asyncio streams
+and :func:`read_frame_blocking` for ``socket.makefile('rb')`` files.
 
-Frame layouts
--------------
+Frame layout
+------------
 
-v4 (this release)::
+::
 
     0      1      2      3..6        7..
     +------+------+------+-----------+---------------------+
     | 0xD4 | type | flags| length u32| body (codec-encoded)|
     +------+------+------+-----------+---------------------+
 
-    type   one of :data:`FRAME_TYPES` (``hello``, ``task_batch``, ...)
+    type   an id from :data:`FRAME_TYPES` (``hello``, ``task_batch``, ...)
     flags  low nibble: body codec id (:data:`CODEC_IDS`);
            bit 0x10 (:data:`FLAG_ENC`): body encrypted under the shared
            channel key *before* framing (secured channels)
-    length body byte count, refused above :data:`MAX_FRAME` **before**
-           any body allocation
+    length body byte count, refused above :data:`MAX_FRAME` from the
+           header alone — **before** any body is read or allocated
 
-v3 (legacy, still accepted)::
-
-    0..3         4..
-    +------------+--------------------+
-    | length u32 | UTF-8 JSON object  |
-    +------------+--------------------+
-
-The magic byte ``0xD4`` can never open a legal v3 frame — a v3 length
-starting ``0xD4`` would announce a >3 GiB body, far beyond
-:data:`MAX_FRAME` — so :func:`read_frame` sniffs one byte and parses
-either layout.  Malformed/EOF frames return ``None`` ("the peer is
-gone"); *protocol violations* — oversized lengths, unknown frame types
-or codec ids, undecodable bodies, empty batches — raise
-:class:`ProtocolError` with a named diagnosis, and both endpoints treat
-that as a peer fault (disconnect + replay), never a hang.
+A clean or torn EOF reads as ``None`` ("the peer is gone"); *protocol
+violations* — a first byte that is not ``0xD4``, unknown frame types or
+codec ids, a codec the connection did not negotiate, oversized lengths,
+undecodable bodies, empty batches — raise :class:`ProtocolError` with a
+named diagnosis, and every endpoint treats that as a peer fault (hang
+up, replay its work), never a hang.  A peer that does not open with
+``0xD4`` could not read an ``error`` frame either, so it is simply hung
+up on.
 
 Codec negotiation
 -----------------
@@ -53,7 +46,7 @@ the handshake itself needs no negotiation.
 =========  ==  ========================  =================================
 codec      id  wire format               offered to
 =========  ==  ========================  =================================
-json        0  UTF-8 JSON                everyone (the compat fallback)
+json        0  UTF-8 JSON                everyone (the fallback)
 pickle      1  pickle HIGHEST_PROTOCOL   trusted workers only — ones this
                                          coordinator spawned or adopted
                                          (unpickling runs code; a remote
@@ -63,78 +56,83 @@ msgpack     2  msgpack (if importable)   everyone; gated on the optional
 =========  ==  ========================  =================================
 
 A peer offering only unknown codec names is refused with an ``error``
-frame naming them; :func:`read_frame` additionally enforces a
-per-connection ``allowed`` codec set, so a peer that negotiated json
-cannot smuggle a pickle-flagged frame past the boundary.
+frame naming them; the readers additionally enforce a per-connection
+``allowed`` codec set, so a peer that negotiated json cannot smuggle a
+pickle-flagged frame past the boundary.
 
-Frame vocabulary (``type``)
----------------------------
+Frame vocabulary
+----------------
 
-worker → coordinator
-    ``hello``        first frame; worker id (−1 = "assign me one"),
-                     ``proto`` (the sender's :data:`PROTOCOL_VERSION`)
-                     and, from v4, ``codecs`` (see above).  Mismatched
-                     versions are refused with an ``error`` frame naming
-                     both; a v3 peer (proto 3) is *accepted* and served
-                     the v3 dialect: json payloads, one task per frame
-    ``reattach``     reconnect after losing the coordinator: like
-                     ``hello`` but asserts an already-assigned worker id
-                     and carries the cumulative ``completed`` counter
-    ``hb``           heartbeat, with the cumulative completed counter
-    ``result``       one task outcome (``value`` or ``error`` text, the
-                     cumulative ``completed`` counter and, for a traced
-                     task, its execution: on v4 the timing ``t =
-                     [start, end, pid]``, on v3 the whole ``span``
-                     record — the coordinator accepts either)
-    ``result_batch`` v4: ``results`` — a non-empty list of result
-                     entries (each shaped like a ``result`` body) plus
-                     one ``completed`` counter for the whole batch; one
-                     frame acks many tasks
-    ``secured``      answer to a ``secure`` challenge (``proof``)
-    ``refused``      task(s) bounced before execution — admission gate
-                     (``--require-secure``) or epoch fencing ("stale
-                     epoch"); carries ``task_id`` or, for a bounced
-                     batch, ``task_ids``
-    ``bye``          graceful exit after a poison frame
+``W`` worker, ``C`` coordinator, ``P`` parent manager, ``A`` shard agent
+(:mod:`repro.runtime.hierarchy.wire`); the registry is
+:data:`FRAME_TYPES`, and ids are append-only.
 
-coordinator → worker
-    ``welcome``      hello ack: worker id, ``proto`` (downgraded to the
-                     peer's version for a v3 peer), ``epoch``, and for
-                     v4 sessions the negotiated ``codec``
-    ``takeover``     ``reattach`` ack from a promoted standby; same
-                     shape as ``welcome``.  Epoch fencing applies to
-                     batches exactly as to single tasks: a worker whose
-                     highest seen epoch exceeds a session's refuses that
-                     session's ``task`` *and* ``task_batch`` frames
-    ``error``        terminal refusal with human-readable ``error`` text
-                     (protocol-version mismatch, unknown codecs)
-    ``task``         one task: ``task_id``, ``payload``.  On the v3
-                     dialect a traced task also carries its dispatch
-                     span as ``traceparent``, and the payload of a
-                     secured channel is individually encrypted and
-                     flagged ``enc``; on v4 the whole frame body is
-                     encrypted instead (:data:`FLAG_ENC`) and a traced
-                     frame carries ``traced: true`` (see ``task_batch``)
-    ``task_batch``   v4: ``tasks`` — a non-empty list of entries
-                     (``task_id``, ``payload``), one frame dispatching a
-                     whole window.  When the coordinator traces, the
-                     frame carries one ``traced: true`` — not a context
-                     per entry — and the worker stamps each result entry
-                     ``t = [start, end, pid]`` (epoch seconds); the
-                     coordinator holds every entry's dispatch span and
-                     builds the ``task.exec`` span under it.  A peer
-                     that ignores the flag just ships no timing
-    ``secure``       secure-channel handshake challenge
-    ``poison``       finish already-received tasks, send ``bye``, exit
+==  ================  ====  ============================================
+id  type              from  body
+==  ================  ====  ============================================
+ 1  ``hello``         W, P  first frame: ``proto`` (the sender's
+                            :data:`PROTOCOL_VERSION`; any other is
+                            refused by :func:`refuse_hello` with an
+                            ``error`` naming both); a worker adds
+                            ``worker_id`` (−1 = "assign me one") and
+                            its ``codecs`` offer
+ 2  ``welcome``       C, A  hello ack: ``proto``; ``worker_id``,
+                            ``epoch``, negotiated ``codec`` (C) or
+                            ``shard_id`` (A)
+ 3  ``error``         C, A  human-readable ``error`` text: terminal
+                            from C (version mismatch, unknown codecs)
+                            and from A for a protocol violation; A also
+                            answers a request the shard could not serve
+ 4  ``task``          C     ``task_id``, ``payload`` — a window of one
+ 5  ``result``        W     ``task_id``; ``value`` or ``error`` text;
+                            cumulative ``completed``; ``t`` if traced
+ 6  ``secure``        C     secure-channel ``challenge``
+ 7  ``secured``       W     its answer (``proof``)
+ 8  ``refused``       W     task(s) bounced before execution (``reason``:
+                            the ``--require-secure`` gate, or "stale
+                            epoch"): ``task_id`` or, for a batch,
+                            ``task_ids``
+ 9  ``poison``        C     finish received tasks, send ``bye``, exit
+10  ``bye``           W, P  graceful exit after ``poison`` (W, with
+                            ``completed``); closing a shard link (P)
+11  ``hb``            W     heartbeat, with cumulative ``completed``
+12  ``reattach``      W     ``hello`` after losing the coordinator:
+                            asserts the id already assigned and carries
+                            cumulative ``completed``
+13  ``takeover``      C     ``reattach`` ack from a promoted standby;
+                            shaped like ``welcome``
+14  ``task_batch``    C     ``tasks``: a non-empty list of (``task_id``,
+                            ``payload``) — one frame, a whole window
+15  ``result_batch``  W     ``results``: a non-empty list of ``result``
+                            bodies, and one ``completed`` for them all
+16  ``contract``      P     ``contract`` (:mod:`..hierarchy.codec`) → 22
+17  ``poll``          P     → zero or more 19, then one 18
+18  ``report``        A     ``report``: the shard's snapshot
+19  ``violation``     A     ``shard_id``, ``time``, ``kind`` — one per
+                            violation since the previous poll
+20  ``budget``        P     ``budget`` → 21
+21  ``budget-ack``    A     ``removed``, ``budget``
+22  ``contract-ack``  A     ``contract`` as the shard now describes it
+==  ================  ====  ============================================
 
-The shard hierarchy (:mod:`repro.runtime.hierarchy`) reuses the v3
-frame layer on its low-rate parent ↔ shard-agent management links with
-four more types (``contract``/``poll``/``report``/``violation``); the
-management plane carries a handful of frames per second, so it stays on
-the self-describing dialect deliberately.
+*Tracing.*  When the coordinator traces, a ``task``/``task_batch`` frame
+carries one ``traced: true`` — not a context per entry — and the worker
+stamps each result entry ``t = [start, end, pid]`` (epoch seconds); the
+coordinator holds every entry's dispatch span and builds the
+``task.exec`` span under it.  A peer that ignores the flag just ships
+no timing.
 
-Secured payloads use the same toy cipher as the thread and process
-farms (:mod:`repro.security.crypto`), so ``secure_all()`` has the same
+*Epoch fencing* applies to batches exactly as to single tasks: a worker
+whose highest seen ``epoch`` exceeds a session's refuses that session's
+``task`` *and* ``task_batch`` frames.
+
+*Management links* always send codec json and read with
+``allowed=("json",)``: a management link never unpickles, whoever is on
+the other end.
+
+*Secured channels* encrypt the whole frame body (:data:`FLAG_ENC`) with
+the same toy cipher as the thread and process farms
+(:mod:`repro.security.crypto`), so ``secure_all()`` has the same
 observable cost on every substrate.
 """
 
@@ -145,6 +143,7 @@ import json
 import os
 import pickle
 import struct
+from asyncio import IncompleteReadError
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from ..security.crypto import CryptoError, decrypt, encrypt
@@ -157,7 +156,6 @@ except ImportError:  # pragma: no cover - depends on the environment
 __all__ = [
     "MAX_FRAME",
     "PROTOCOL_VERSION",
-    "COMPAT_PROTOCOLS",
     "SECRET",
     "MAGIC_V4",
     "FLAG_ENC",
@@ -168,13 +166,10 @@ __all__ = [
     "ProtocolError",
     "available_codecs",
     "negotiate_codec",
-    "encode_frame",
     "encode_frame_v4",
     "read_frame",
-    "read_frame_ex",
-    "version_mismatch_error",
-    "encode_payload",
-    "decode_payload",
+    "read_frame_blocking",
+    "refuse_hello",
     "make_challenge",
     "prove_challenge",
     "verify_proof",
@@ -182,17 +177,13 @@ __all__ = [
 
 #: wire protocol generation.  Version 2 added the handshake version
 #: field plus the hierarchy frames; version 3 added coordinator failover
-#: (``reattach``/``takeover``, sticky epochs).  Version 4 replaces the
+#: (``reattach``/``takeover``, sticky epochs).  Version 4 replaced the
 #: per-task JSON wire with the binary frame header above, negotiated
-#: payload codecs and ``task_batch``/``result_batch`` frames.  The
-#: coordinator still serves v3 peers (:data:`COMPAT_PROTOCOLS`); peers
-#: outside that set are refused up front with an ``error`` frame.
+#: payload codecs and ``task_batch``/``result_batch`` frames.  It is the
+#: only version spoken: both ends of every link ship together, and a
+#: peer announcing anything else is refused up front with an ``error``
+#: frame (:func:`refuse_hello`).
 PROTOCOL_VERSION = 4
-
-#: protocol versions a v4 coordinator accepts at the handshake.  A v3
-#: peer gets the v3 dialect for the whole session: json frames, one
-#: task per frame, per-payload encryption.
-COMPAT_PROTOCOLS = (3, 4)
 
 #: shared toy-cipher key (same key the other substrates use)
 SECRET = b"repro-channel-key"
@@ -201,8 +192,8 @@ SECRET = b"repro-channel-key"
 #: make either side try to allocate gigabytes
 MAX_FRAME = 64 * 1024 * 1024
 
-#: first byte of every v4 frame; can never open a legal v3 frame (a v3
-#: length beginning 0xD4 would exceed MAX_FRAME by two orders)
+#: first byte of every frame; a connection that opens with anything
+#: else is not speaking this protocol
 MAGIC_V4 = 0xD4
 
 #: flags bit: the body was encrypted under :data:`SECRET` before framing
@@ -210,10 +201,9 @@ FLAG_ENC = 0x10
 
 _CODEC_MASK = 0x0F
 
-_HEADER_V3 = struct.Struct(">I")
-_HEADER_V4 = struct.Struct(">BBBI")  # magic, type, flags, body length
+_HEADER = struct.Struct(">BBBI")  # magic, type, flags, body length
 
-#: v4 frame-type registry (id ↔ name).  Ids are wire format: never
+#: frame-type registry (id ↔ name).  Ids are wire format: never
 #: renumber, only append.
 FRAME_TYPES = {
     1: "hello",
@@ -235,6 +225,9 @@ FRAME_TYPES = {
     17: "poll",
     18: "report",
     19: "violation",
+    20: "budget",
+    21: "budget-ack",
+    22: "contract-ack",
 }
 FRAME_IDS = {name: fid for fid, name in FRAME_TYPES.items()}
 
@@ -327,22 +320,19 @@ def _encode_body(obj: Any, codec: str) -> bytes:
 
 
 def _decode_body(data: bytes, codec: str) -> Any:
+    """``codec`` is a :data:`CODEC_IDS` name: the header parser saw to it."""
     try:
         if codec == "json":
             return json.loads(data.decode("utf-8"))
         if codec == "pickle":
             return pickle.loads(data)
-        if codec == "msgpack":
-            if _msgpack is None:
-                raise ProtocolError("msgpack codec negotiated but not importable")
-            return _msgpack.unpackb(data, raw=False)
+        if _msgpack is None:
+            raise ProtocolError("msgpack codec negotiated but not importable")
+        return _msgpack.unpackb(data, raw=False)
     except ProtocolError:
         raise
     except Exception as exc:  # noqa: BLE001 - torn/corrupt body
         raise ProtocolError(f"undecodable {codec} frame body: {exc}") from exc
-    raise ProtocolError(
-        f"unknown codec {codec!r}; supported codecs: {', '.join(sorted(CODEC_IDS))}"
-    )
 
 
 def _validate_batch(message: dict) -> None:
@@ -357,22 +347,10 @@ def _validate_batch(message: dict) -> None:
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def encode_frame(message: dict) -> bytes:
-    """Serialise one message to a *v3* length-prefixed JSON frame.
-
-    Still the dialect of v3 worker sessions and of the hierarchy's
-    management links; the task data plane uses :func:`encode_frame_v4`.
-    """
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME:
-        raise ValueError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
-    return _HEADER_V3.pack(len(body)) + body
-
-
 def encode_frame_v4(
     message: dict, *, codec: str = "json", secured: bool = False
 ) -> bytes:
-    """Serialise one message to a v4 binary frame.
+    """Serialise one message to a frame.
 
     The ``type`` key travels in the header, not the body; ``secured``
     encrypts the whole encoded body under the shared channel key and
@@ -383,146 +361,133 @@ def encode_frame_v4(
     if fid is None:
         raise ProtocolError(f"unknown frame type {mtype!r}")
     _validate_batch(message)
-    if codec not in CODEC_IDS:
-        raise ProtocolError(
-            f"unknown codec {codec!r}; supported codecs: {', '.join(sorted(CODEC_IDS))}"
-        )
     body_obj = {k: v for k, v in message.items() if k != "type"}
-    body = _encode_body(body_obj, codec)
+    body = _encode_body(body_obj, codec)  # names an unknown codec
     flags = CODEC_IDS[codec]
     if secured:
         body = encrypt(SECRET, body)
         flags |= FLAG_ENC
     if len(body) > MAX_FRAME:
         raise ValueError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
-    return _HEADER_V4.pack(MAGIC_V4, fid, flags, len(body)) + body
+    return _HEADER.pack(MAGIC_V4, fid, flags, len(body)) + body
 
 
-async def read_frame_ex(
-    reader, *, allowed: Optional[Sequence[str]] = None
-) -> Tuple[Optional[dict], int]:
-    """Read one frame (either layout); returns ``(message, wire)``.
+def _parse_header(
+    header: bytes, allowed: Optional[Sequence[str]]
+) -> Tuple[str, str, int, int]:
+    """Header bytes → ``(type, codec, flags, length)``; no I/O.
 
-    ``wire`` is 3 or 4 — which frame layout the peer used — so callers
-    can answer in kind.  ``(None, wire)`` means EOF/garbage ("the peer
-    is gone").  ``allowed`` restricts the codecs this connection may
-    use (after negotiation, a json session must not receive pickle
-    frames); violations raise :class:`ProtocolError`, as do oversized
-    lengths (checked *before* the body is read or allocated), unknown
-    frame types/codec ids, undecodable bodies and empty batches.
+    Everything a reader may refuse without the body is refused here, so
+    neither reader touches (or allocates for) the body of a frame that
+    is not this protocol's, names an unknown type or codec, uses a codec
+    outside the connection's ``allowed`` set, or announces more than
+    :data:`MAX_FRAME` bytes.
     """
-    import asyncio
-
-    try:
-        first = await reader.readexactly(1)
-    except (asyncio.IncompleteReadError, ConnectionError, OSError):
-        return None, 3
-    if first[0] == MAGIC_V4:
-        try:
-            rest = await reader.readexactly(_HEADER_V4.size - 1)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None, 4
-        fid, flags, length = struct.unpack(">BBI", rest)
-        mtype = FRAME_TYPES.get(fid)
-        if mtype is None:
-            raise ProtocolError(f"unknown v4 frame type id {fid}")
-        codec = CODEC_NAMES.get(flags & _CODEC_MASK)
-        if codec is None:
-            raise ProtocolError(f"unknown codec id {flags & _CODEC_MASK}")
-        if allowed is not None and codec not in allowed:
-            raise ProtocolError(
-                f"codec {codec!r} not negotiated on this connection "
-                f"(allowed: {', '.join(allowed)})"
-            )
-        if length > MAX_FRAME:
-            # refuse before reading (or allocating) the body
-            raise ProtocolError(
-                f"v4 frame of {length} bytes exceeds MAX_FRAME ({MAX_FRAME})"
-            )
-        try:
-            body = await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None, 4
-        if flags & FLAG_ENC:
-            try:
-                body = decrypt(SECRET, body)
-            except (CryptoError, ValueError) as exc:
-                raise ProtocolError(f"undecryptable frame body: {exc}") from exc
-        message = _decode_body(body, codec)
-        if not isinstance(message, dict):
-            raise ProtocolError(f"v4 {mtype} body is not a mapping")
-        message["type"] = mtype
-        _validate_batch(message)
-        return message, 4
-    # ---- v3: the first byte is the high byte of a 32-bit length ----
-    try:
-        rest = await reader.readexactly(_HEADER_V3.size - 1)
-    except (asyncio.IncompleteReadError, ConnectionError, OSError):
-        return None, 3
-    (length,) = _HEADER_V3.unpack(first + rest)
+    magic, fid, flags, length = _HEADER.unpack(header)
+    if magic != MAGIC_V4:
+        raise ProtocolError(
+            f"not a v4 frame: first byte is 0x{magic:02x}, expected 0x{MAGIC_V4:02x}"
+        )
+    mtype = FRAME_TYPES.get(fid)
+    if mtype is None:
+        raise ProtocolError(f"unknown v4 frame type id {fid}")
+    codec = CODEC_NAMES.get(flags & _CODEC_MASK)
+    if codec is None:
+        raise ProtocolError(f"unknown codec id {flags & _CODEC_MASK}")
+    if allowed is not None and codec not in allowed:
+        raise ProtocolError(
+            f"codec {codec!r} not negotiated on this connection "
+            f"(allowed: {', '.join(allowed)})"
+        )
     if length > MAX_FRAME:
         raise ProtocolError(
-            f"v3 frame of {length} bytes exceeds MAX_FRAME ({MAX_FRAME})"
+            f"v4 frame of {length} bytes exceeds MAX_FRAME ({MAX_FRAME})"
         )
-    try:
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError, OSError):
-        return None, 3
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None, 3
-    return (message, 3) if isinstance(message, dict) else (None, 3)
+    return mtype, codec, flags, length
+
+
+def _parse_body(mtype: str, codec: str, flags: int, body: bytes) -> dict:
+    """Body bytes → message: decrypt, decode, shape-check; no I/O."""
+    if flags & FLAG_ENC:
+        try:
+            body = decrypt(SECRET, body)
+        except (CryptoError, ValueError) as exc:
+            raise ProtocolError(f"undecryptable frame body: {exc}") from exc
+    message = _decode_body(body, codec)
+    if not isinstance(message, dict):
+        raise ProtocolError(f"v4 {mtype} body is not a mapping")
+    message["type"] = mtype
+    _validate_batch(message)
+    return message
 
 
 async def read_frame(
     reader, *, allowed: Optional[Sequence[str]] = None
 ) -> Optional[dict]:
-    """Read one frame from an ``asyncio.StreamReader`` (either layout).
+    """Read one frame from an ``asyncio.StreamReader``.
 
     Returns ``None`` on a clean or dirty EOF — the caller treats both as
     "the peer is gone"; distinguishing them is the supervisor's job (a
     dead connection with outstanding tasks means replay either way).
-    Raises :class:`ProtocolError` on protocol violations; see
-    :func:`read_frame_ex`.
+    ``allowed`` restricts the codecs this connection may use (after
+    negotiation, a json session must not receive pickle frames).  Every
+    violation raises :class:`ProtocolError` — those a header shows,
+    *before* the body is read or allocated.
     """
-    message, _ = await read_frame_ex(reader, allowed=allowed)
-    return message
+    try:
+        header = await reader.readexactly(_HEADER.size)
+        mtype, codec, flags, length = _parse_header(header, allowed)
+        body = await reader.readexactly(length)
+    except (IncompleteReadError, ConnectionError, OSError):
+        return None
+    return _parse_body(mtype, codec, flags, body)
 
 
-def version_mismatch_error(peer_proto: Any, *, role: str) -> dict:
-    """The ``error`` frame refusing a peer speaking the wrong protocol."""
+def read_frame_blocking(
+    rfile, *, allowed: Optional[Sequence[str]] = None
+) -> Optional[dict]:
+    """:func:`read_frame` for a blocking file (``socket.makefile('rb')``).
+
+    Same parser, same outcomes: ``None`` when the peer is gone, a
+    :class:`ProtocolError` with the same text for the same bytes.
+    """
+    try:
+        header = rfile.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            return None
+        mtype, codec, flags, length = _parse_header(header, allowed)
+        body = rfile.read(length)
+        if len(body) < length:
+            return None
+    except (ConnectionError, OSError, ValueError):
+        return None
+    return _parse_body(mtype, codec, flags, body)
+
+
+def refuse_hello(
+    hello: Optional[dict], *, role: str, kinds: Sequence[str] = ("hello",)
+) -> Optional[bytes]:
+    """The gate every server applies to a connection's first frame.
+
+    ``None`` admits the peer.  Anything else is what to send before
+    hanging up: the encoded version-mismatch ``error`` frame for a
+    greeting that announces another ``proto`` (or none), so the peer
+    learns why instead of failing on the first frame it does not
+    understand; nothing (``b""``) for a peer that is already gone or
+    opened with a frame that is not a greeting.
+    """
+    if hello is None or hello.get("type") not in kinds:
+        return b""
+    peer_proto = hello.get("proto")
+    if peer_proto == PROTOCOL_VERSION:
+        return None
     spoke = "no protocol version" if peer_proto is None else f"protocol version {peer_proto}"
-    return {
-        "type": "error",
-        "error": (
-            f"protocol version mismatch: this {role} speaks version "
-            f"{PROTOCOL_VERSION}, but the peer announced {spoke}; "
-            "upgrade both sides to the same repro release"
-        ),
-        "proto": PROTOCOL_VERSION,
-    }
-
-
-def encode_payload(payload: Any, *, secured: bool) -> Any:
-    """v3 dialect: prepare one task payload (encrypt + base64 if secured).
-
-    The v4 dialect encrypts the whole frame body instead
-    (:data:`FLAG_ENC`); this per-payload path survives for v3 worker
-    sessions and the tests that pin that wire.
-    """
-    if not secured:
-        return payload
-    clear = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return base64.b64encode(encrypt(SECRET, clear)).decode("ascii")
-
-
-def decode_payload(payload: Any, *, secured: bool) -> Any:
-    """Inverse of :func:`encode_payload` (runs worker-side)."""
-    if not secured:
-        return payload
-    clear = decrypt(SECRET, base64.b64decode(payload.encode("ascii")))
-    return json.loads(clear.decode("utf-8"))
+    error = (
+        f"protocol version mismatch: this {role} speaks version "
+        f"{PROTOCOL_VERSION}, but the peer announced {spoke}; "
+        "upgrade both sides to the same repro release"
+    )
+    return encode_frame_v4({"type": "error", "error": error, "proto": PROTOCOL_VERSION})
 
 
 # ----------------------------------------------------------------------

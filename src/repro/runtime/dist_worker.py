@@ -17,10 +17,7 @@ codec negotiated at ``hello`` (offer restricted with ``--codec``), and
 multi-task ``task_batch`` frames executed in arrival order with results
 accumulated and acked in ``result_batch`` frames — flushed whenever the
 input queue drains or enough results pile up, so a busy worker amortises
-acks without ever sitting on a finished result while idle.  Setting
-``REPRO_FORCE_PROTO=3`` in the environment pins the worker to the v3
-dialect — JSON frames, one task/result per frame, no codec offer —
-which is how CI proves a v4 coordinator still serves v3-only peers.
+acks without ever sitting on a finished result while idle.
 
 Structure (one asyncio loop, three coroutines):
 
@@ -55,16 +52,13 @@ import sys
 import time
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..obs.propagation import TraceContext, make_span_record
 from .dist_proto import (
     PROTOCOL_VERSION,
     ProtocolError,
     available_codecs,
-    decode_payload,
-    encode_frame,
     encode_frame_v4,
     prove_challenge,
-    read_frame_ex,
+    read_frame,
 )
 
 __all__ = ["resolve_fn", "run_worker", "main"]
@@ -153,12 +147,6 @@ async def run_worker(
     completed = 0
     max_epoch = -1  # highest coordinator epoch this worker has served
     attached = False  # whether a coordinator ever assigned us an id
-    # REPRO_FORCE_PROTO=3 emulates a genuine v3-release worker: v3
-    # framing everywhere, proto 3 in the hello, no codec offer, one
-    # result per frame — the wire-compat CI leg runs the whole
-    # conformance story this way against a v4 coordinator
-    force_v3 = os.environ.get("REPRO_FORCE_PROTO") == "3"
-    my_proto = 3 if force_v3 else PROTOCOL_VERSION
     offered = available_codecs() if codec == "auto" else (codec,)
 
     async def session() -> str:
@@ -174,64 +162,52 @@ async def run_worker(
         greeting = {
             "type": "reattach" if attached else "hello",
             "worker_id": worker_id,
-            "proto": my_proto,
+            "proto": PROTOCOL_VERSION,
+            "codecs": list(offered),
         }
-        if not force_v3:
-            greeting["codecs"] = list(offered)
         if attached:
             greeting["completed"] = completed
-        writer.write(encode_frame(greeting) if force_v3 else encode_frame_v4(greeting))
+        writer.write(encode_frame_v4(greeting))
         try:
-            welcome, _ = await read_frame_ex(reader, allowed=("json",))
+            welcome = await read_frame(reader, allowed=("json",)) or {}
         except ProtocolError:
-            writer.close()
-            return "bad-handshake"
-        if welcome is not None and welcome.get("type") == "error":
+            welcome = {}
+        session_codec = str(welcome.get("codec", "json"))
+        problem = None  # why this attachment ends here, for stderr
+        if welcome.get("type") == "error":
             # the coordinator refused us (e.g. protocol-version
             # mismatch, no acceptable codec): surface its diagnosis
             # instead of dying silently
-            print(
-                f"coordinator refused worker: {welcome.get('error', 'unknown error')}",
-                file=sys.stderr,
+            problem = f"coordinator refused worker: {welcome.get('error', 'unknown error')}"
+        elif welcome.get("type") not in ("welcome", "takeover"):
+            problem = "no welcome from the coordinator"
+        elif welcome.get("proto") != PROTOCOL_VERSION:
+            problem = (
+                f"protocol version mismatch: this worker speaks version "
+                f"{PROTOCOL_VERSION}, the coordinator announced {welcome.get('proto')}"
             )
+        elif session_codec != "json" and session_codec not in offered:
+            problem = (
+                f"coordinator picked codec {session_codec!r}, which this "
+                f"worker never offered (offered: {', '.join(offered)})"
+            )
+        if problem is not None:
+            print(problem, file=sys.stderr)
             writer.close()
             return "refused"
-        if welcome is None or welcome.get("type") not in ("welcome", "takeover"):
-            writer.close()
-            return "bad-handshake"
-        coord_proto = welcome.get("proto", my_proto)  # absent = legacy peer
-        if coord_proto != my_proto:
-            print(
-                f"protocol version mismatch: this worker speaks version "
-                f"{my_proto}, the coordinator announced {coord_proto}",
-                file=sys.stderr,
-            )
-            writer.close()
-            return "bad-handshake"
-        session_codec = str(welcome.get("codec", "json"))
-        if session_codec != "json" and session_codec not in offered:
-            print(
-                f"coordinator picked codec {session_codec!r}, which this "
-                f"worker never offered (offered: {', '.join(offered)})",
-                file=sys.stderr,
-            )
-            writer.close()
-            return "bad-handshake"
         worker_id = int(welcome.get("worker_id", worker_id))
         attached = True
         epoch = int(welcome.get("epoch", 0))
         stale = max_epoch >= 0 and epoch < max_epoch
         max_epoch = max(max_epoch, epoch)
 
-        # queue items: (wire, [task entries], traced) batches, or None (poison)
-        tasks: "asyncio.Queue[Optional[Tuple[int, List[dict], bool]]]" = asyncio.Queue()
+        # queue items: ([task entries], traced) batches, or None (poison)
+        tasks: "asyncio.Queue[Optional[Tuple[List[dict], bool]]]" = asyncio.Queue()
         pid = os.getpid()
         secured = False
         out_buf: List[dict] = []
 
         def encode_out(message: dict) -> bytes:
-            if force_v3:
-                return encode_frame(message)
             if message.get("type") in ("result", "result_batch"):
                 return encode_frame_v4(message, codec=session_codec)
             return encode_frame_v4(message)
@@ -253,7 +229,7 @@ async def run_worker(
                 return
             entries = out_buf[:]
             out_buf.clear()
-            if not force_v3 and len(entries) > 1:
+            if len(entries) > 1:
                 try:
                     writer.write(
                         encode_out(
@@ -280,9 +256,8 @@ async def run_worker(
                         "error": f"{type(exc).__name__}: {exc}",
                         "completed": completed,
                     }
-                    for key in ("t", "span"):  # the exec timing / v3 span record
-                        if key in entry:
-                            fallback[key] = entry[key]
+                    if "t" in entry:  # the exec timing survives the fallback
+                        fallback["t"] = entry["t"]
                     data = encode_out(fallback)
                 try:
                     writer.write(data)
@@ -290,35 +265,20 @@ async def run_worker(
                     return
 
         def refuse(items: List[dict], reason: str) -> None:
-            if len(items) == 1:
-                send(
-                    {
-                        "type": "refused",
-                        "task_id": items[0].get("task_id"),
-                        "reason": reason,
-                    }
-                )
-            else:
-                send(
-                    {
-                        "type": "refused",
-                        "task_ids": [it.get("task_id") for it in items],
-                        "reason": reason,
-                    }
-                )
+            ids = [it.get("task_id") for it in items]
+            # a bounced batch names every id; a lone task keeps ``task_id``
+            bounced = {"task_id": ids[0]} if len(ids) == 1 else {"task_ids": ids}
+            send({"type": "refused", **bounced, "reason": reason})
 
         async def reader_loop() -> str:
             nonlocal secured
             while True:
                 try:
-                    frame, wire = await read_frame_ex(
-                        reader, allowed=("json", session_codec)
-                    )
+                    frame = await read_frame(reader, allowed=("json", session_codec))
                 except ProtocolError:
                     # a malformed/torn frame means the coordinator-side
                     # stream is garbage; treat it exactly like EOF
                     frame = None
-                    wire = 3
                 if frame is None:
                     # the coordinator vanished mid-connection
                     if reconnect_attempts <= 0:
@@ -339,7 +299,7 @@ async def run_worker(
                         # handshake is done
                         refuse(items, "security handshake required")
                         continue
-                    await tasks.put((wire, items, bool(frame.get("traced"))))
+                    await tasks.put((items, bool(frame.get("traced"))))
                 elif kind == "secure":
                     send(
                         {
@@ -352,53 +312,28 @@ async def run_worker(
                     await tasks.put(None)
                     return "poison"
 
-        def run_entry(wire: int, task_frame: dict, traced: bool) -> dict:
-            """Execute one task entry (on the pool thread); the result.
+        def run_entries(items: List[dict], traced: bool) -> List[dict]:
+            """Execute one window in arrival order (on the pool thread).
 
-            On a ``traced`` v4 frame the execution is stamped
-            ``t = (start, end, pid)`` on its result entry and the
-            coordinator builds the ``task.exec`` span from that, under
-            the dispatch span it already holds.  A v3 ``task`` frame
-            carries that span as a ``traceparent`` instead, and gets the
-            whole child span record back (timestamps either way: epoch
-            seconds, the base the coordinator's WallClock uses).
+            On a ``traced`` frame each execution is stamped ``t = (start,
+            end, pid)`` on its result entry (epoch seconds, the base the
+            coordinator's WallClock uses) and the coordinator builds the
+            ``task.exec`` span from that, under the dispatch span it
+            already holds.  A secured frame's body was already decrypted
+            by the frame reader.
             """
-            task_id = task_frame.get("task_id")
-            started = time.time()
-            try:
-                if wire == 3:
-                    # v3 dialect: secured payloads are individually
-                    # encrypted and flagged; on v4 the whole frame body
-                    # was already decrypted by the frame reader
-                    payload = decode_payload(
-                        task_frame["payload"], secured=task_frame.get("enc", False)
-                    )
-                else:
-                    payload = task_frame["payload"]
-                entry = {"task_id": task_id, "value": fn(payload)}
-            except Exception as exc:  # noqa: BLE001 - surfaced as an error result
-                entry = {"task_id": task_id, "error": f"{type(exc).__name__}: {exc}"}
-            if traced:
-                entry["t"] = (started, time.time(), pid)
-            elif wire == 3:
-                parent_ctx = TraceContext.from_traceparent(task_frame.get("traceparent"))
-                if parent_ctx is not None:
-                    entry["span"] = make_span_record(
-                        parent_ctx.exec_child(worker_id),
-                        "task.exec",
-                        actor=f"dworker-{worker_id}",
-                        start=started,
-                        end=time.time(),
-                        attributes={
-                            "worker": worker_id,
-                            "pid": pid,
-                            "outcome": "error" if "error" in entry else "ok",
-                        },
-                    )
-            return entry
-
-        def run_entries(wire: int, items: List[dict], traced: bool) -> List[dict]:
-            return [run_entry(wire, task_frame, traced) for task_frame in items]
+            entries = []
+            for task_frame in items:
+                task_id = task_frame.get("task_id")
+                started = time.time()
+                try:
+                    entry = {"task_id": task_id, "value": fn(task_frame["payload"])}
+                except Exception as exc:  # noqa: BLE001 - surfaced as an error result
+                    entry = {"task_id": task_id, "error": f"{type(exc).__name__}: {exc}"}
+                if traced:
+                    entry["t"] = (started, time.time(), pid)
+                entries.append(entry)
+            return entries
 
         async def executor_loop() -> None:
             nonlocal completed
@@ -409,14 +344,12 @@ async def run_worker(
                     send({"type": "bye", "completed": completed})
                     await writer.drain()
                     return
-                wire, items, traced = item
+                items, traced = item
                 # one executor hop for the whole batch: the per-task
                 # submit/wakeup round trip through the pool was the
                 # dominant worker-side cost for cheap tasks, and the
                 # event loop stays free for heartbeats either way
-                entries = await loop.run_in_executor(
-                    pool, run_entries, wire, items, traced
-                )
+                entries = await loop.run_in_executor(pool, run_entries, items, traced)
                 completed += len(entries)
                 out_buf.extend(entries)
                 if len(out_buf) >= RESULT_FLUSH or tasks.empty():
@@ -463,7 +396,7 @@ async def run_worker(
                 return 1
             if outcome == "poison":
                 return 0
-            if outcome in ("refused", "bad-handshake"):
+            if outcome == "refused":
                 return 1
             # "eof" with reconnect enabled: in-flight frames are dropped
             # (the journal replays them) and we redial the same port —

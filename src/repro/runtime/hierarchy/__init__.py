@@ -27,7 +27,6 @@ from .wire import (
     ShardLink,
     TcpShardLink,
     connect_shard,
-    read_frame_blocking,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "contract_from_wire",
     "contract_to_wire",
     "make_shard_backend",
-    "read_frame_blocking",
 ]

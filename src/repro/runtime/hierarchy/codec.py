@@ -2,10 +2,11 @@
 
 The shard hierarchy re-assigns sub-contracts at run time — over a real
 TCP link when the shard is a :class:`~repro.runtime.dist_farm.DistFarm`
-coordinator — so contracts must cross the same length-prefixed JSON
-frame layer the dist protocol uses (:mod:`repro.runtime.dist_proto`).
-Like the task payloads there, the encoding is self-describing JSON, not
-pickle: a ``contract`` frame seen in ``tcpdump`` reads as what it is.
+coordinator — so contracts must cross the frame layer the dist
+protocol uses (:mod:`repro.runtime.dist_proto`), as the body of a
+codec-json frame.  The encoding is self-describing JSON, never pickle:
+a ``contract`` frame seen in ``tcpdump`` reads as what it is, and a
+management link can refuse every other codec outright.
 
 Only the contract types a shard's :class:`FarmController` can enforce
 (plus the boolean security concern and composites of those) are

@@ -8,34 +8,36 @@ so the shard tree composes over any mix of substrates:
   :class:`~repro.runtime.hierarchy.shard.FarmShard` (thread/process
   shards live in the parent's address space anyway);
 * :class:`TcpShardLink` → :class:`ShardAgent` — the same interface
-  spoken over a real TCP socket with the dist protocol's
-  length-prefixed JSON frames, exercising the ``contract`` /
-  ``violation`` / ``report`` / ``poll`` vocabulary added to
-  :mod:`repro.runtime.dist_proto` in protocol version 2.  A DistFarm
-  shard's management plane therefore crosses the wire just like its
-  task plane does, and a future remote shard host only needs to speak
-  these four frames.
+  spoken over a real TCP socket in :mod:`repro.runtime.dist_proto`
+  frames — the task plane's own header, parser and
+  :class:`~repro.runtime.dist_proto.ProtocolError` taxonomy — carrying
+  the ``contract`` / ``budget`` / ``poll`` requests and their
+  ``contract-ack`` / ``budget-ack`` / ``violation`` + ``report``
+  replies.  A DistFarm shard's management plane therefore crosses the
+  wire just like its task plane does, and a future remote shard host
+  only needs to speak these frames.
 
-Both ends of the TCP link enforce the protocol-version handshake: a
-mismatched peer is refused with an ``error`` frame naming both
-versions, never with an opaque mid-stream failure.
+Both ends read with ``allowed=("json",)``: a management link never
+unpickles, whoever is on the other side.  Both enforce the
+protocol-version handshake: a mismatched peer is refused with an
+``error`` frame naming both versions, never with an opaque mid-stream
+failure.
 """
 
 from __future__ import annotations
 
-import json
 import socket
-import struct
 import threading
 from typing import List, Optional, Tuple
 
 from ...core.contracts import Contract
 from ...obs.telemetry import NOOP, Telemetry
 from ..dist_proto import (
-    MAX_FRAME,
     PROTOCOL_VERSION,
-    encode_frame,
-    version_mismatch_error,
+    ProtocolError,
+    encode_frame_v4,
+    read_frame_blocking,
+    refuse_hello,
 )
 from .codec import contract_from_wire, contract_to_wire
 from .shard import FarmShard, ShardReport
@@ -46,37 +48,10 @@ __all__ = [
     "TcpShardLink",
     "ShardAgent",
     "connect_shard",
-    "read_frame_blocking",
 ]
 
-_HEADER = struct.Struct(">I")
-
-
-def read_frame_blocking(rfile) -> Optional[dict]:
-    """Synchronous twin of :func:`repro.runtime.dist_proto.read_frame`.
-
-    Reads one length-prefixed JSON frame from a blocking file-like
-    object (``socket.makefile('rb')``); returns ``None`` on EOF or a
-    malformed frame, mirroring the async reader's "peer is gone"
-    contract.
-    """
-    try:
-        header = rfile.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            return None
-        (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME:
-            return None
-        body = rfile.read(length)
-        if len(body) < length:
-            return None
-    except (ConnectionError, OSError, ValueError):
-        return None
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    return message if isinstance(message, dict) else None
+#: the only codec a management link reads (see the module docstring)
+_ALLOWED = ("json",)
 
 
 class ShardLink:
@@ -169,58 +144,62 @@ class ShardAgent:
                 "management-plane frames served by shard agents",
             ).labels(shard=self.shard.name, type=frame_type).inc()
 
+    def _answer(self, kind: str, frame: dict) -> List[dict]:
+        """Serve one request against the shard; the frames it is owed."""
+        shard = self.shard
+        if kind == "contract":
+            contract = contract_from_wire(frame.get("contract") or {})
+            shard.assign_contract(contract)
+            return [{"type": "contract-ack", "contract": contract.describe()}]
+        if kind == "budget":
+            removed = shard.set_budget(int(frame.get("budget", 0)))
+            return [{"type": "budget-ack", "removed": removed, "budget": shard.budget}]
+        report = shard.report()  # poll
+        return [
+            {"type": "violation", "shard_id": shard.shard_id, "time": when, "kind": violation}
+            for when, violation in report.violations
+        ] + [{"type": "report", "report": report.to_wire()}]
+
     def _serve(self, conn: socket.socket) -> None:
         rfile = conn.makefile("rb")
 
         def send(message: dict) -> None:
-            conn.sendall(encode_frame(message))
+            conn.sendall(encode_frame_v4(message))
 
         try:
-            hello = read_frame_blocking(rfile)
-            if hello is None or hello.get("type") != "hello":
-                return
-            if hello.get("proto") != PROTOCOL_VERSION:
-                send(version_mismatch_error(hello.get("proto"), role="shard agent"))
+            refusal = refuse_hello(
+                read_frame_blocking(rfile, allowed=_ALLOWED), role="shard agent"
+            )
+            if refusal is not None:
+                conn.sendall(refusal)
                 return
             send({"type": "welcome", "proto": PROTOCOL_VERSION,
                   "shard_id": self.shard.shard_id})
             self._count("hello")
             while not self._shutdown.is_set():
-                frame = read_frame_blocking(rfile)
+                frame = read_frame_blocking(rfile, allowed=_ALLOWED)
                 if frame is None:
                     return
                 kind = frame.get("type")
-                if kind == "contract":
-                    try:
-                        contract = contract_from_wire(frame.get("contract") or {})
-                        self.shard.assign_contract(contract)
-                        send({"type": "contract-ack",
-                              "contract": contract.describe()})
-                    except Exception as exc:  # noqa: BLE001 - surfaced to peer
-                        send({"type": "error",
-                              "error": f"{type(exc).__name__}: {exc}"})
-                    self._count("contract")
-                elif kind == "budget":
-                    try:
-                        removed = self.shard.set_budget(int(frame.get("budget", 0)))
-                        send({"type": "budget-ack", "removed": removed,
-                              "budget": self.shard.budget})
-                    except Exception as exc:  # noqa: BLE001 - surfaced to peer
-                        send({"type": "error",
-                              "error": f"{type(exc).__name__}: {exc}"})
-                    self._count("budget")
-                elif kind == "poll":
-                    report = self.shard.report()
-                    for when, violation in report.violations:
-                        send({"type": "violation",
-                              "shard_id": self.shard.shard_id,
-                              "time": when, "kind": violation})
-                    send({"type": "report", "report": report.to_wire()})
-                    self._count("poll")
-                elif kind == "bye":
+                if kind == "bye":
                     return
-                else:
+                if kind not in ("contract", "budget", "poll"):
                     send({"type": "error", "error": f"unknown frame type {kind!r}"})
+                    continue
+                try:
+                    replies = self._answer(kind, frame)
+                except Exception as exc:  # noqa: BLE001 - surfaced to peer
+                    replies = [{"type": "error", "error": f"{type(exc).__name__}: {exc}"}]
+                for reply in replies:
+                    send(reply)
+                self._count(kind)
+        except ProtocolError as exc:
+            # the stream is no longer frame-aligned: name the violation
+            # (a peer that framed it as v4 can read this) and hang up
+            try:
+                send({"type": "error", "error": str(exc)})
+            except OSError:
+                pass
         except (ConnectionError, OSError):
             return
         finally:
@@ -260,11 +239,15 @@ class TcpShardLink(ShardLink):
             )
 
     def _send(self, message: dict) -> None:
-        self._sock.sendall(encode_frame(message))
+        self._sock.sendall(encode_frame_v4(message))
         self.frames_sent += 1
 
     def _recv(self) -> Optional[dict]:
-        return read_frame_blocking(self._rfile)
+        try:
+            return read_frame_blocking(self._rfile, allowed=_ALLOWED)
+        except ProtocolError:
+            self._hang_up()  # the stream is no longer frame-aligned
+            raise
 
     def _request(self, message: dict, expect: str) -> Tuple[dict, List[dict]]:
         """One request/response exchange; collects interleaved pushes."""
@@ -308,12 +291,15 @@ class TcpShardLink(ShardLink):
         return report
 
     def close(self) -> None:
+        with self._lock:
+            try:
+                self._sock.sendall(encode_frame_v4({"type": "bye"}))
+            except OSError:
+                pass
+        self._hang_up()
+
+    def _hang_up(self) -> None:
         try:
-            with self._lock:
-                try:
-                    self._sock.sendall(encode_frame({"type": "bye"}))
-                except OSError:
-                    pass
             self._rfile.close()
             self._sock.close()
         except OSError:

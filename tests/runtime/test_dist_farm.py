@@ -2,14 +2,16 @@
 
 The cross-backend invariants (no loss, exactly-once, monotone counts,
 clean shutdown) live in ``test_backend_conformance.py``; this file
-covers what is *specific* to the TCP substrate — the framing module,
-the ``module:qualname`` function hand-off, remotely attached workers,
+covers what is *specific* to the TCP substrate — the handshake's
+version gate (framing itself is ``test_dist_proto_v4.py``'s), the
+``module:qualname`` function hand-off, remotely attached workers,
 secured payloads on the wire, dead-lettering, error results, and the
 ``repro_dist_*`` telemetry surface.
 """
 
 import asyncio
 import importlib.util
+import json
 import subprocess
 import sys
 import time
@@ -18,15 +20,7 @@ import pytest
 
 from repro.obs.telemetry import Telemetry
 from repro.runtime.dist_farm import DistFarm, fn_spec
-from repro.runtime.dist_proto import (
-    MAX_FRAME,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    decode_payload,
-    encode_frame,
-    encode_payload,
-    read_frame,
-)
+from repro.runtime.dist_proto import PROTOCOL_VERSION, encode_frame_v4, read_frame
 from repro.runtime.dist_worker import resolve_fn
 
 from .waiting import wait_until
@@ -58,45 +52,7 @@ def quick_farm(**overrides):
     return DistFarm(dist_task, **defaults)
 
 
-def roundtrip(frame_bytes):
-    """Feed raw bytes through an asyncio StreamReader into read_frame."""
-
-    async def go():
-        reader = asyncio.StreamReader()
-        if frame_bytes:
-            reader.feed_data(frame_bytes)
-        reader.feed_eof()
-        return await read_frame(reader)
-
-    return asyncio.run(go())
-
-
 class TestWireProtocol:
-    def test_frame_roundtrip(self):
-        msg = {"type": "task", "task_id": 7, "payload": [0.1, 42], "enc": False}
-        assert roundtrip(encode_frame(msg)) == msg
-
-    def test_eof_and_garbage_return_none(self):
-        assert roundtrip(b"") is None
-        assert roundtrip(b"\x00\x00") is None  # truncated header
-        assert roundtrip(b"\x00\x00\x00\x05notjs") is None  # bad JSON body
-        # a non-dict JSON body is protocol noise, not a frame
-        import json
-
-        body = json.dumps([1, 2]).encode()
-        header = len(body).to_bytes(4, "big")
-        assert roundtrip(header + body) is None
-
-    def test_oversize_length_prefix_rejected(self):
-        # rejected from the header alone — before the reader ever tries
-        # to buffer (or allocate) the announced body — with a diagnosis
-        # naming the limit, on both frame layouts
-        header = (MAX_FRAME + 1).to_bytes(4, "big")
-        with pytest.raises(ProtocolError, match="exceeds MAX_FRAME"):
-            roundtrip(header + b"x")
-        with pytest.raises(ValueError):
-            encode_frame({"pad": "x" * (MAX_FRAME + 10)})
-
     def test_mismatched_protocol_version_refused_with_clear_error(self):
         farm = quick_farm(initial_workers=1)
 
@@ -105,13 +61,13 @@ class TestWireProtocol:
             hello = {"type": "hello", "worker_id": -1}
             if proto is not None:
                 hello["proto"] = proto
-            writer.write(encode_frame(hello))
+            writer.write(encode_frame_v4(hello))
             reply = await read_frame(reader)
             writer.close()
             return reply
 
         try:
-            for bad in (999, None):
+            for bad in (999, 3, None):
                 reply = asyncio.run(attach(bad))
                 assert reply is not None and reply["type"] == "error"
                 assert "protocol version mismatch" in reply["error"]
@@ -126,14 +82,30 @@ class TestWireProtocol:
         finally:
             farm.shutdown()
 
-    def test_secured_payload_roundtrip(self):
-        payload = {"work": 0.1, "values": [1, 2, 3]}
-        wire = encode_payload(payload, secured=True)
-        assert wire != payload  # actually transformed
-        assert isinstance(wire, str)  # base64 text, JSON-safe
-        assert decode_payload(wire, secured=True) == payload
-        # unsecured is pass-through
-        assert encode_payload(payload, secured=False) is payload
+    def test_v3_framed_hello_is_hung_up_on(self):
+        """The length-prefixed-JSON dialect is gone: a peer that opens
+        with it is not speaking this protocol — hung up on at once (it
+        could not read a v4 ``error`` frame), nothing registered, no
+        task sent its way."""
+        farm = quick_farm(initial_workers=0)
+        body = json.dumps(
+            {"type": "hello", "worker_id": -1, "proto": 3}, separators=(",", ":")
+        ).encode()
+
+        async def attach():
+            reader, writer = await asyncio.open_connection("127.0.0.1", farm.port)
+            writer.write(len(body).to_bytes(4, "big") + body)
+            farm.submit((0.0, 3))
+            got = await asyncio.wait_for(reader.read(), 1.0)  # EOF within 1 s
+            writer.close()
+            return got
+
+        try:
+            assert asyncio.run(attach()) == b""
+            assert farm.num_workers == 0 and farm.workers == []
+            assert farm.snapshot().pending == 1  # still waiting for a real worker
+        finally:
+            farm.shutdown()
 
 
 class TestFnSpec:

@@ -2,18 +2,18 @@
 
 Three layers of coverage:
 
-* pure framing/codec units (no sockets): layout round-trips, sniffing,
-  the :class:`ProtocolError` diagnoses — unknown codec names and frame
-  types, oversized lengths refused before allocation, empty batches;
+* pure framing/codec units (no sockets): layout round-trips, the
+  :class:`ProtocolError` diagnoses — a foreign first byte, unknown
+  codec names and frame types, oversized lengths refused before
+  allocation, empty batches;
 * coordinator integration over real sockets with *scripted* peers: a
   malformed frame mid-stream is a worker fault (declared dead, window
   replayed — never a hang), duplicate entries inside a replayed
   ``result_batch`` dedupe to exactly-once, unknown codec offers are
   refused with the offending name in the error frame;
 * real-worker integration: the pickle fast path round-trips values JSON
-  cannot, ``REPRO_FORCE_PROTO=3`` pins spawned workers to the v3
-  dialect against the v4 coordinator, and a stale-epoch session's
-  ``task_batch`` bounces whole (``refused``/``task_ids``).
+  cannot, and a stale-epoch session's ``task_batch`` bounces whole
+  (``refused``/``task_ids``).
 """
 
 import asyncio
@@ -32,10 +32,9 @@ from repro.runtime.dist_proto import (
     PROTOCOL_VERSION,
     ProtocolError,
     available_codecs,
-    encode_frame,
     encode_frame_v4,
     negotiate_codec,
-    read_frame_ex,
+    read_frame,
 )
 
 from .test_dist_farm import dist_task
@@ -43,14 +42,14 @@ from .waiting import wait_until
 
 
 def feed(data, *, allowed=None):
-    """Run one read_frame_ex over raw bytes; returns (frame, wire)."""
+    """Run one read_frame over raw bytes; returns the frame."""
 
     async def go():
         reader = asyncio.StreamReader()
         if data:
             reader.feed_data(data)
         reader.feed_eof()
-        return await read_frame_ex(reader, allowed=allowed)
+        return await read_frame(reader, allowed=allowed)
 
     return asyncio.run(go())
 
@@ -72,24 +71,20 @@ class TestFraming:
     @pytest.mark.parametrize("codec", available_codecs())
     def test_v4_roundtrip_every_codec(self, codec):
         msg = {"type": "task", "task_id": 7, "payload": [0.5, [1, 2]]}
-        frame, wire = feed(encode_frame_v4(msg, codec=codec))
-        assert wire == 4 and frame == msg
+        assert feed(encode_frame_v4(msg, codec=codec)) == msg
 
-    def test_sniffing_distinguishes_both_layouts(self):
-        msg = {"type": "hb", "completed": 3}
-        assert feed(encode_frame(msg)) == (msg, 3)
-        assert feed(encode_frame_v4(msg)) == (msg, 4)
-        # the magic byte can never open a legal v3 frame: as a length
-        # prefix it would announce a body far beyond MAX_FRAME
-        assert int.from_bytes(bytes([MAGIC_V4, 0, 0, 0]), "big") > MAX_FRAME
+    def test_foreign_first_byte_is_a_named_protocol_error(self):
+        # what the deleted v3 dialect looked like: a 4-byte length, JSON
+        body = b'{"type":"hb","completed":3}'
+        with pytest.raises(ProtocolError, match="first byte is 0x00"):
+            feed(len(body).to_bytes(4, "big") + body)
 
     def test_secured_frame_is_opaque_and_roundtrips(self):
         msg = {"type": "task", "task_id": 1, "payload": {"k": "secret-value"}}
         data = encode_frame_v4(msg, codec="json", secured=True)
         assert b"secret-value" not in data  # body actually encrypted
         assert data[2] & FLAG_ENC
-        frame, wire = feed(data)
-        assert wire == 4 and frame == msg
+        assert feed(data) == msg
         # a tampered body is a protocol error, not garbage results
         with pytest.raises(ProtocolError):
             feed(data[:-3] + bytes(3))
@@ -121,11 +116,14 @@ class TestFraming:
         header = bytes([MAGIC_V4, 4, 0]) + (MAX_FRAME + 1).to_bytes(4, "big")
         with pytest.raises(ProtocolError, match="exceeds MAX_FRAME"):
             feed(header)
+        with pytest.raises(ValueError):  # nor does the encoder emit one
+            encode_frame_v4({"type": "hb", "pad": "x" * (MAX_FRAME + 10)})
 
     def test_torn_frame_reads_as_peer_gone(self):
         whole = encode_frame_v4({"type": "task", "task_id": 5, "payload": "x" * 64})
-        frame, _ = feed(whole[: len(whole) // 2])
-        assert frame is None  # EOF mid-body: the peer died, not a hang
+        assert feed(whole[: len(whole) // 2]) is None  # EOF mid-body, not a hang
+        assert feed(whole[:3]) is None  # EOF mid-header
+        assert feed(b"") is None
 
     def test_empty_batch_is_a_protocol_error(self):
         with pytest.raises(ProtocolError, match="empty task_batch"):
@@ -167,7 +165,7 @@ async def attach_v4(port, hello):
     """Open one scripted v4 peer connection; returns (reader, writer, reply)."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(encode_frame_v4(hello))
-    reply, _ = await read_frame_ex(reader)
+    reply = await read_frame(reader)
     return reader, writer, reply
 
 
@@ -226,13 +224,33 @@ class TestCoordinatorEdges:
                 + b'{"results":[]}',
                 id="empty-result-batch",
             ),
+            # frames that parse but have the wrong shape: the fault
+            # surfaces in the coordinator's handler, not its reader
+            pytest.param(
+                encode_frame_v4({"type": "result", "value": 1, "completed": 1}),
+                id="result-without-task-id",
+            ),
+            pytest.param(
+                encode_frame_v4({"type": "result_batch", "results": "xx"}),
+                id="result-batch-of-characters",
+            ),
+            pytest.param(
+                encode_frame_v4({"type": "hb", "completed": "x"}),
+                id="hb-completed-not-a-number",
+            ),
+            pytest.param(
+                encode_frame_v4({"type": "hb", "completed": float("inf")}),
+                id="hb-completed-infinite",
+            ),
         ],
     )
     def test_malformed_frame_mid_stream_is_a_worker_fault(self, garbage):
         """A peer that sends protocol garbage after taking tasks is
         declared dead and its window replayed elsewhere — never waited
-        out.  The task still completes, on a healthy worker."""
-        farm = patient_farm(max_inflight=8, batch_size=8)
+        out (the heartbeat timeout here is 30 s).  The task still
+        completes, on a healthy worker."""
+        tel = Telemetry()
+        farm = patient_farm(max_inflight=8, batch_size=8, telemetry=tel)
         try:
 
             async def go():
@@ -244,23 +262,103 @@ class TestCoordinatorEdges:
                 assert reply["type"] == "welcome"
                 farm.submit((0.0, 4))
                 # wait for the dispatch, then answer with garbage
-                frame, _ = await read_frame_ex(reader)
+                frame = await read_frame(reader)
                 assert frame["type"] in ("task", "task_batch")
+                sent_at = farm.now()
                 writer.write(garbage)
                 await writer.drain()
                 # the coordinator hangs up on protocol garbage
                 await asyncio.wait_for(reader.read(), 15.0)
                 writer.close()
-                return reply["worker_id"]
+                return reply["worker_id"], sent_at
 
-            bad_id = asyncio.run(go())
-            wait_until(
-                lambda: any(wid == bad_id for _, wid in farm.crashes),
+            bad_id, sent_at = asyncio.run(go())
+            (declared_at,) = wait_until(
+                lambda: [when for when, wid in farm.crashes if wid == bad_id],
                 message="scripted peer to be declared dead",
             )
+            assert declared_at - sent_at < 0.5
+            handle = farm.workers[0]
+            assert not handle.connected and not handle.active
+            errors = tel.metrics.get("repro_dist_protocol_errors_total")
+            assert errors.labels(farm=farm.name).value == 1
             farm.add_worker()  # healthy capacity; the replay lands here
             (result,) = farm.drain_results(1, timeout=30.0)
             assert result == 16
+        finally:
+            farm.shutdown()
+
+    def test_entries_absorbed_before_a_bad_one_are_still_delivered(self):
+        """One ``result_batch``: a good entry, then one without a task
+        id.  The session dies on the second — but the first task is
+        completed, so its result must reach the consumer, once; the
+        second task is replayed and completes elsewhere."""
+        farm = patient_farm(max_inflight=8, batch_size=8)
+        try:
+
+            async def go():
+                reader, writer, _ = await attach_v4(
+                    farm.port,
+                    {"type": "hello", "worker_id": -1, "proto": PROTOCOL_VERSION,
+                     "codecs": ["json"]},
+                )
+                for value in (3, 4):
+                    farm.submit((0.0, value))
+                tasks = []
+                while len(tasks) < 2:
+                    frame = await read_frame(reader)
+                    tasks.extend(frame.get("tasks") or [frame])
+                good = tasks[0]
+                writer.write(
+                    encode_frame_v4(
+                        {"type": "result_batch",
+                         "results": [
+                             {"task_id": good["task_id"],
+                              "value": good["payload"][1] ** 2},
+                             {"value": 1},
+                         ],
+                         "completed": 2}
+                    )
+                )
+                await asyncio.wait_for(reader.read(), 15.0)  # hung up on
+                writer.close()
+
+            asyncio.run(go())
+            farm.add_worker()
+            out = farm.drain_results(2, timeout=30.0)
+            assert sorted(out) == [9, 16]
+            assert farm.completed == 2 and farm.duplicates == 0
+            assert farm.results.empty()  # the good result came out once
+        finally:
+            farm.shutdown()
+
+    @pytest.mark.parametrize(
+        "bad_field",
+        [
+            pytest.param({"worker_id": "abc"}, id="worker-id-not-a-number"),
+            pytest.param({"codecs": 5}, id="codecs-not-a-list"),
+            pytest.param({"type": "reattach", "completed": "x"}, id="completed-not-a-number"),
+        ],
+    )
+    def test_ill_typed_greeting_is_hung_up_on(self, bad_field):
+        """A greeting that parses but has the wrong shape is a bad
+        client: hung up on at once, nothing half-registered."""
+        farm = patient_farm()
+        try:
+
+            async def go():
+                reader, writer, reply = await attach_v4(
+                    farm.port,
+                    {"type": "hello", "worker_id": -1, "proto": PROTOCOL_VERSION,
+                     "codecs": ["json"], **bad_field},
+                )
+                assert reply is None
+                got = await asyncio.wait_for(reader.read(), 1.0)
+                writer.close()
+                return got
+
+            assert asyncio.run(go()) == b""
+            assert farm.workers == []
         finally:
             farm.shutdown()
 
@@ -283,7 +381,7 @@ class TestCoordinatorEdges:
                 # tasks can arrive as one batch or as batch+singleton
                 tasks = []
                 while len(tasks) < 3:
-                    frame, _ = await read_frame_ex(reader)
+                    frame = await read_frame(reader)
                     assert frame["type"] in ("task", "task_batch")
                     tasks.extend(frame.get("tasks") or [frame])
                 results = [
@@ -326,7 +424,6 @@ class TestRealWorkers:
                 message="spawned worker to connect",
             )
             handle = farm.workers[0]
-            assert handle.proto == PROTOCOL_VERSION and handle.wire == 4
             assert handle.codec == "pickle"
             farm.submit((0.0, "unserializable"))
             (result,) = farm.drain_results(1, timeout=30.0)
@@ -356,26 +453,6 @@ class TestRealWorkers:
         finally:
             farm.shutdown()
 
-    def test_forced_v3_workers_serve_a_v4_coordinator(self, monkeypatch):
-        """REPRO_FORCE_PROTO=3 pins spawned workers to the v3 dialect —
-        the wire-compat guarantee CI runs the whole conformance story
-        under."""
-        monkeypatch.setenv("REPRO_FORCE_PROTO", "3")
-        farm = DistFarm(dist_task, initial_workers=2, supervise_period=0.02)
-        try:
-            wait_until(
-                lambda: sum(1 for w in farm.workers if w.connected) == 2,
-                message="forced-v3 workers to connect",
-            )
-            assert all(w.proto == 3 and w.wire == 3 for w in farm.workers)
-            total = 20
-            for i in range(total):
-                farm.submit((0.0, i))
-            results = farm.drain_results(total, timeout=30.0)
-            assert sorted(results) == [i * i for i in range(total)]
-        finally:
-            farm.shutdown()
-
     def test_stale_epoch_session_bounces_a_whole_batch(self):
         """Epoch fencing sees through batches: a superseded coordinator
         incarnation sending ``task_batch`` gets every id back in one
@@ -402,8 +479,8 @@ class TestRealWorkers:
             try:
                 # session 1: a high-epoch coordinator, then gone
                 reader, writer = await asyncio.wait_for(conns.get(), 15.0)
-                hello, wire = await read_frame_ex(reader)
-                assert hello["type"] == "hello" and wire == 4
+                hello = await read_frame(reader)
+                assert hello["type"] == "hello"
                 writer.write(
                     encode_frame_v4(
                         {"type": "welcome", "worker_id": 3,
@@ -414,7 +491,7 @@ class TestRealWorkers:
                 writer.close()
                 # session 2: a stale incarnation (lower epoch) redials
                 reader, writer = await asyncio.wait_for(conns.get(), 15.0)
-                reattach, _ = await read_frame_ex(reader)
+                reattach = await read_frame(reader)
                 assert reattach["type"] == "reattach"
                 writer.write(
                     encode_frame_v4(
@@ -432,7 +509,7 @@ class TestRealWorkers:
                 )
                 await writer.drain()
                 while True:
-                    frame, _ = await read_frame_ex(reader)
+                    frame = await read_frame(reader)
                     assert frame is not None, "worker hung up instead of refusing"
                     if frame["type"] != "hb":
                         break

@@ -1,7 +1,7 @@
 """E2E regression: a dist worker survives its coordinator.
 
 These tests drive a **real** :func:`repro.runtime.dist_worker.run_worker`
-coroutine against a scripted coordinator speaking the raw v3 wire
+coroutine against a scripted coordinator speaking the raw wire
 protocol, pinning the three reattach guarantees the supervised dist
 story depends on:
 
@@ -24,7 +24,7 @@ import asyncio
 
 import pytest
 
-from repro.runtime.dist_proto import PROTOCOL_VERSION, encode_frame, read_frame
+from repro.runtime.dist_proto import PROTOCOL_VERSION, encode_frame_v4, read_frame
 from repro.runtime.dist_worker import run_worker
 
 
@@ -41,7 +41,7 @@ class ScriptedSession:
         self.greeting = greeting
 
     def send(self, message):
-        self.writer.write(encode_frame(message))
+        self.writer.write(encode_frame_v4(message))
 
     async def recv(self, timeout=10.0):
         while True:

@@ -19,7 +19,7 @@ import pytest
 
 from repro.runtime.dist_proto import (
     PROTOCOL_VERSION,
-    encode_frame,
+    encode_frame_v4,
     make_challenge,
     read_frame,
     verify_proof,
@@ -91,14 +91,14 @@ class TestRequireSecureWire:
                 # v4 workers offer their codecs; json is always among them
                 assert "json" in hello["codecs"]
                 writer.write(
-                    encode_frame(
+                    encode_frame_v4(
                         {"type": "welcome", "worker_id": 7, "proto": PROTOCOL_VERSION}
                     )
                 )
 
                 # 1. a task racing ahead of the handshake is bounced, not run
                 writer.write(
-                    encode_frame(
+                    encode_frame_v4(
                         {"type": "task", "task_id": 101, "payload": [0.0, 6]}
                     )
                 )
@@ -110,7 +110,7 @@ class TestRequireSecureWire:
                 # 2. the handshake: challenge out, valid proof back
                 challenge = make_challenge()
                 writer.write(
-                    encode_frame({"type": "secure", "challenge": challenge})
+                    encode_frame_v4({"type": "secure", "challenge": challenge})
                 )
                 secured = await next_frame(reader)
                 assert secured["type"] == "secured"
@@ -118,7 +118,7 @@ class TestRequireSecureWire:
 
                 # 3. the same task is now executed
                 writer.write(
-                    encode_frame(
+                    encode_frame_v4(
                         {"type": "task", "task_id": 101, "payload": [0.0, 6]}
                     )
                 )
@@ -128,7 +128,7 @@ class TestRequireSecureWire:
                 assert result["value"] == 36
 
                 # 4. graceful retirement
-                writer.write(encode_frame({"type": "poison"}))
+                writer.write(encode_frame_v4({"type": "poison"}))
                 bye = await next_frame(reader)
                 assert bye["type"] == "bye"
                 assert bye["completed"] == 1  # the refused task never ran
@@ -150,16 +150,20 @@ class TestRequireSecureWire:
             try:
                 reader, writer = await asyncio.wait_for(conn, timeout=15.0)
                 await next_frame(reader)  # hello
-                writer.write(encode_frame({"type": "welcome", "worker_id": 7}))
                 writer.write(
-                    encode_frame(
+                    encode_frame_v4(
+                        {"type": "welcome", "worker_id": 7, "proto": PROTOCOL_VERSION}
+                    )
+                )
+                writer.write(
+                    encode_frame_v4(
                         {"type": "task", "task_id": 1, "payload": [0.0, 5]}
                     )
                 )
                 result = await next_frame(reader)
                 assert result["type"] == "result"
                 assert result["value"] == 25
-                writer.write(encode_frame({"type": "poison"}))
+                writer.write(encode_frame_v4({"type": "poison"}))
                 bye = await next_frame(reader)
                 assert bye["type"] == "bye"
                 writer.close()

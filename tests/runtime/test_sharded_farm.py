@@ -36,8 +36,12 @@ import pytest
 
 from repro.core.contracts import ThroughputRangeContract
 from repro.obs.telemetry import Telemetry
-from repro.runtime.dist_proto import PROTOCOL_VERSION, encode_frame
-from repro.runtime.hierarchy import ShardedFarm, read_frame_blocking
+from repro.runtime.dist_proto import (
+    PROTOCOL_VERSION,
+    encode_frame_v4,
+    read_frame_blocking,
+)
+from repro.runtime.hierarchy import ShardedFarm
 
 from .waiting import wait_until
 
@@ -285,11 +289,36 @@ class TestWireManagementPlane:
         try:
             agent = farm.agents[0]
             with socket.create_connection((agent.host, agent.port), timeout=5.0) as sock:
-                sock.sendall(encode_frame({"type": "hello", "proto": 999}))
+                sock.sendall(encode_frame_v4({"type": "hello", "proto": 999}))
                 reply = read_frame_blocking(sock.makefile("rb"))
             assert reply is not None
             assert reply["type"] == "error"
             assert "protocol version mismatch" in reply["error"]
             assert str(PROTOCOL_VERSION) in reply["error"]
+        finally:
+            farm.shutdown()
+
+    def test_agent_hangs_up_on_a_v3_framed_hello(self):
+        """The length-prefixed-JSON dialect is gone from the management
+        links too: such a peer is told why (in a frame it may not be
+        able to read) and hung up on within a second, never served."""
+        farm = make_sharded(
+            "thread",
+            contract=ThroughputRangeContract(2.0, 1000.0),
+            over_wire=True,
+            autostart=False,
+        )
+        try:
+            agent = farm.agents[0]
+            served = agent.frames_served
+            body = b'{"type":"hello","proto":3}'
+            with socket.create_connection((agent.host, agent.port), timeout=1.0) as sock:
+                sock.sendall(len(body).to_bytes(4, "big") + body)
+                rfile = sock.makefile("rb")
+                reply = read_frame_blocking(rfile)
+                assert rfile.read() == b""  # EOF inside the 1 s socket timeout
+            assert reply["type"] == "error"
+            assert "first byte is 0x00" in reply["error"]
+            assert agent.frames_served == served
         finally:
             farm.shutdown()

@@ -25,7 +25,7 @@ from repro.runtime.dist_proto import (
     PROTOCOL_VERSION,
     available_codecs,
     encode_frame_v4,
-    read_frame_ex,
+    read_frame,
 )
 from repro.runtime.hierarchy import ShardedFarm, TenantRegistry
 
@@ -196,7 +196,7 @@ class TestExecTimingIsPeerInput:
                     farm.submit((0.0, i))
                 tasks = []
                 while len(tasks) < total:
-                    frame, _ = await read_frame_ex(reader)
+                    frame = await read_frame(reader)
                     assert frame["type"] in ("task", "task_batch")
                     assert frame["traced"] is True  # one flag, no per-task context
                     for task in frame.get("tasks") or [frame]:
@@ -221,7 +221,7 @@ class TestExecTimingIsPeerInput:
                 await writer.drain()
                 # the session survived the hostile entries: it still serves
                 farm.submit((0.0, 9))
-                frame, _ = await read_frame_ex(reader)
+                frame = await read_frame(reader)
                 assert frame["type"] == "task"
                 writer.write(
                     encode_frame_v4(
