@@ -60,7 +60,6 @@ from .propagation import (
     TraceContext,
     build_trace_tree,
     list_traces,
-    make_span_record,
     stable_span_id,
     stable_trace_id,
     task_context,
@@ -123,7 +122,6 @@ __all__ = [
     "task_context",
     "stable_trace_id",
     "stable_span_id",
-    "make_span_record",
     "build_trace_tree",
     "list_traces",
     # live surface

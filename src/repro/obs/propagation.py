@@ -1,13 +1,13 @@
 """Trace-context propagation: one task, one causal tree, any substrate.
 
-PR 1's spans stop at the process boundary: a ``ProcessFarm`` child or a
-``dist_worker`` subprocess executes tasks the coordinator's
+PR 1's spans stop at the process boundary: a forked ``ProcessFarm``
+child or a ``dist_worker`` subprocess executes tasks the coordinator's
 :class:`~repro.obs.spans.SpanRecorder` never sees.  This module carries
 the missing link — a W3C-traceparent-style context (trace id, span id,
-parent id as stable hex strings) small enough to ride inside every task
-envelope, across ``multiprocessing`` queues and TCP frames alike, plus
-the machinery to re-parent worker-side span records back into the
-coordinator's trace store.
+parent id as stable hex strings) that names a span on either side of
+such a boundary: a resubmitted task carries it as a ``traceparent``
+string, and the coordinator derives a worker-side ``task.exec`` span's
+ids from the dispatch span it holds (:meth:`TraceContext.exec_child`).
 
 Identifiers are *deterministic*, never random: local spans keep the
 recorder's sequential counter (rendered as fixed-width hex), while spans
@@ -38,7 +38,6 @@ __all__ = [
     "stable_span_id",
     "TraceContext",
     "task_context",
-    "make_span_record",
     "build_trace_tree",
     "list_traces",
 ]
@@ -182,37 +181,6 @@ def task_context(farm_name: str, task_id: int) -> TraceContext:
     task hangs off this one root, whichever backend carries it.
     """
     return _derived(f"{farm_name}/task/{task_id}", None)
-
-
-# ----------------------------------------------------------------------
-# worker-side span records
-# ----------------------------------------------------------------------
-
-def make_span_record(
-    ctx: TraceContext,
-    name: str,
-    *,
-    actor: str,
-    start: float,
-    end: float,
-    attributes: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """A finished span as a JSON-safe dict a result frame can carry.
-
-    The coordinator re-hydrates it with
-    :meth:`~repro.obs.telemetry.Telemetry.import_span`, landing it in the
-    same trace store as the locally recorded spans.
-    """
-    return {
-        "trace_id": ctx.trace_id,
-        "span_id": ctx.span_id,
-        "parent_id": ctx.parent_id,
-        "name": name,
-        "actor": actor,
-        "start": start,
-        "end": end,
-        "attributes": dict(attributes or {}),
-    }
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from .propagation import TraceContext
 
@@ -223,35 +223,6 @@ class SpanRecorder:
         self.spans.append(span)
         if attach:
             (self._stack() if stack is None else stack).append(span)
-        return span
-
-    def import_span(self, record: Mapping[str, Any]) -> Span:
-        """Re-hydrate a finished remote span record into this store.
-
-        The record is the JSON-safe dict a worker shipped back on a
-        result frame (see
-        :func:`~repro.obs.propagation.make_span_record`); its ids are
-        kept verbatim so it lands in the trace its context named.
-        """
-        span = Span(
-            span_id=str(record["span_id"]),
-            parent_id=(
-                None if record.get("parent_id") is None else str(record["parent_id"])
-            ),
-            name=str(record.get("name", "")),
-            actor=str(record.get("actor", "")),
-            start=float(record.get("start", 0.0)),
-            end=None if record.get("end") is None else float(record["end"]),
-            attributes=dict(record.get("attributes") or {}),
-            trace_id=str(record.get("trace_id", "")),
-        )
-        for ev in record.get("events") or ():
-            span.add_event(
-                str(ev.get("name", "")),
-                float(ev.get("time", 0.0)),
-                **dict(ev.get("attributes") or {}),
-            )
-        self.spans.append(span)
         return span
 
     def close(self, span: Span, end: float) -> Span:

@@ -24,7 +24,7 @@ latency is measurable even when a tick takes zero simulated seconds.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from .clock import Clock, WallClock
 from .events import TraceRecorder
@@ -136,12 +136,6 @@ class Telemetry:
         if attributes:
             span.attributes.update(attributes)
         self.spans.close(span, self.clock.now())
-
-    def import_span(self, record: Optional[Mapping[str, Any]]) -> Optional[Span]:
-        """Re-hydrate a worker-shipped span record (None-safe)."""
-        if record is None:
-            return None
-        return self.spans.import_span(record)
 
     def flush(self) -> int:
         """Close every still-open span at ``clock.now()``; returns count.
@@ -329,9 +323,6 @@ class NullTelemetry:
         return None
 
     def event(self, name: str, **attributes: Any) -> None:
-        return None
-
-    def import_span(self, record: Any) -> None:
         return None
 
     def flush(self) -> int:

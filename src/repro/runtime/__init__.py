@@ -2,9 +2,10 @@
 
 Active objects (:mod:`~.active_object`), three real farm substrates
 with the same monitoring/actuator surface as the simulated one —
-threads (:mod:`~.farm_runtime`), supervised OS processes with crash
-replay (:mod:`~.process_farm`), and TCP-connected worker processes
-behind an asyncio coordinator (:mod:`~.dist_farm`) — all behind the
+threads (:mod:`~.farm_runtime`), and worker processes behind one asyncio
+stream coordinator with crash replay, forked over socketpairs
+(:mod:`~.process_farm`) or spawned and dialling in over TCP
+(:mod:`~.dist_farm`) — all behind the
 :class:`~.backend.FarmBackend` protocol, a thread pipeline
 (:mod:`~.pipeline_runtime`), a controller that runs the *same*
 Figure 5 rule set against any live backend (:mod:`~.controller`) —
@@ -22,7 +23,7 @@ from .farm_core import DeadLetter
 from .farm_runtime import ThreadFarm, ThreadWorker
 from .multiconcern import LiveGeneralManager, WorkerPlacement
 from .pipeline_runtime import ThreadPipeline, ThreadStage
-from .process_farm import ProcessFarm, ProcessWorkerHandle
+from .process_farm import ProcessFarm
 
 __all__ = [
     "ActiveObject",
@@ -37,7 +38,6 @@ __all__ = [
     "ThreadPipeline",
     "ThreadStage",
     "ProcessFarm",
-    "ProcessWorkerHandle",
     "DeadLetter",
     "DistFarm",
     "DistWorkerHandle",

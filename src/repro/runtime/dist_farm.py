@@ -1,20 +1,26 @@
-"""Distributed task farm: an asyncio TCP coordinator driving worker processes.
+"""Stream-coordinated task farms: one asyncio coordinator, v4 frames, worker processes.
 
-The fourth substrate behind the unmodified Figure 5 rules — after the
-simulator, the thread farm and the process farm — and the first with a
-real *network* boundary between manager and managed, which is the
-platform shape the paper's behavioural skeletons actually target
-(GCM/ProActive components steered across a grid).  The coordinator
-speaks the binary batched protocol of :mod:`.dist_proto` over TCP —
-struct-packed frame headers, a payload codec negotiated per worker at
-``hello``, multi-task ``task_batch``/``result_batch`` frames — to worker
-processes it spawns locally through
-``python -m repro.runtime.dist_worker`` — and since that entry point is
-just a CLI, extra workers can be attached by hand from any host that
-can reach ``host:port``.
+The coordinator here is written against a *stream* — an asyncio
+``(StreamReader, StreamWriter)`` pair carrying the binary batched
+protocol of :mod:`.dist_proto` (struct-packed frame headers, a payload
+codec negotiated per worker at ``hello``, multi-task
+``task_batch``/``result_batch`` frames) — and does not care how a worker
+came to hold the other end.  There are two ways, and one farm for each:
 
-Fault tolerance is :class:`~repro.runtime.farm_core.FarmCore`'s, shared
-with the process farm; this module decides only *when* a worker is lost:
+* :class:`DistFarm` (this module) binds a TCP port and spawns workers
+  through ``python -m repro.runtime.dist_worker``, which dial it — and
+  since that entry point is just a CLI, extra workers can be attached by
+  hand from any host that can reach ``host:port``.  The first substrate
+  with a real *network* boundary between manager and managed, which is
+  the platform shape the paper's behavioural skeletons actually target
+  (GCM/ProActive components steered across a grid).
+* :class:`~repro.runtime.process_farm.ProcessFarm` forks each worker
+  with one end of a ``socket.socketpair()`` and hands the other to the
+  loop; it binds nothing.
+
+Everything else — :class:`_StreamFarm` — is shared.  Fault tolerance is
+:class:`~repro.runtime.farm_core.FarmCore`'s; the stream coordinator
+decides only *when* a worker is lost:
 
 * every dispatched task is tracked until its result frame returns;
 * workers are declared dead on connection EOF, on heartbeat silence
@@ -127,12 +133,17 @@ class _ResultBus(queue.Queue):
 
 @dataclass
 class DistWorkerHandle:
-    """Coordinator-side view of one worker (spawned or attached)."""
+    """Coordinator-side view of one worker (spawned, forked or attached)."""
 
     worker_id: int
-    #: local child process, or None for a remotely attached worker
-    process: Optional[subprocess.Popen] = None
+    #: local child process (a ``Popen`` the DistFarm spawned, a
+    #: ``multiprocessing.Process`` the ProcessFarm forked), or None for
+    #: a remotely attached worker
+    process: Any = None
     writer: Optional[asyncio.StreamWriter] = None
+    #: the task serving a stream the coordinator opened itself (a forked
+    #: worker's); held here because the loop holds tasks only weakly
+    session: Any = None
     connected: bool = False
     ever_connected: bool = False
     secured: bool = False
@@ -161,60 +172,19 @@ class DistWorkerHandle:
         return self.process.pid if self.process is not None else None
 
 
-class DistFarm(FarmCore):
-    """A live task farm whose executors sit across a TCP boundary.
+class _StreamFarm(FarmCore):
+    """The coordinator of a farm whose workers sit at the far end of a stream.
 
     The transport is the v4 wire: a central ready queue feeding bounded
     per-worker windows (``_fill``), result batches and heartbeats read
-    off each connection.  Satisfies the
-    :class:`~repro.runtime.backend.FarmBackend` surface, so
-    :class:`~repro.runtime.controller.FarmController` drives it with
-    the unmodified Figure 5 rules.  Extra knobs:
-
-    ``host``
-        interface the coordinator binds (default loopback; use
-        ``"0.0.0.0"`` to accept workers from other hosts).
-    ``heartbeat_period`` / ``heartbeat_timeout``
-        workers beat every period; a *connected* worker silent for the
-        timeout is declared dead (wedged or partitioned).
-    ``connect_grace``
-        a spawned worker that never manages to connect within this
-        budget is declared dead (interpreter start + imports happen in
-        here, so it is deliberately generous).
-    ``backoff_base`` / ``backoff_cap`` / ``max_attempts``
-        replay schedule, identical to the process farm's.
-    ``max_inflight``
-        un-acked tasks a worker may hold; the rest queue centrally.
-    ``start_timeout``
-        how long ``__init__`` waits for the initial workers to connect.
-    ``port``
-        TCP port to bind (default 0: pick a free one).  A promoted
-        standby passes the dead coordinator's port so surviving workers
-        redialing it land on the successor.
-    ``epoch``
-        coordinator incarnation counter, announced in every
-        ``welcome``/``takeover`` frame; workers refuse task frames from
-        an epoch older than the newest they have served.
-    ``worker_reconnect_attempts``
-        spawn workers with ``--reconnect-attempts N`` so they survive a
-        coordinator crash and reattach to the promoted standby (0, the
-        default: workers exit on coordinator EOF, the pre-v3 behaviour).
-    ``codec``
-        payload codec for data frames: ``"auto"`` (default) negotiates
-        per worker — pickle for workers this coordinator spawned or
-        adopted, the safe list for remote attachers — or a codec name
-        to pin every session to it.
-    ``batch_size``
-        most tasks one ``task_batch`` frame carries; with the default
-        ``max_inflight`` of 2 batches degenerate to singletons, so
-        throughput configs raise both together.
-    ``max_buffered_bytes``
-        backpressure threshold: a worker whose socket write buffer
-        exceeds this is skipped by dispatch until it drains (the
-        supervisor tick and every ack re-run the fill pass).
+    off each connection, the secure handshake, retirement by ``poison``.
+    A farm supplies what differs with how a worker is come by: whether a
+    listening socket is bound (:meth:`_bind`), how a worker is started
+    (``add_worker``) and how its local process is asked whether it has
+    exited, and reaped (:meth:`_reap`) — cold paths all.
     """
 
-    #: ``add_worker`` accepts ``require_secure=True``, spawning workers
+    #: ``add_worker`` accepts ``require_secure=True``, starting workers
     #: that enforce the admission gate on their own side of the wire
     #: (coordinators without the capability simply rely on quarantine)
     SUPPORTS_REQUIRE_SECURE = True
@@ -224,55 +194,20 @@ class DistFarm(FarmCore):
 
     def __init__(
         self,
-        fn: Any,
+        name: str,
         *,
-        initial_workers: int = 2,
-        name: str = "dfarm",
-        rate_window: float = 5.0,
-        max_workers: int = 64,
-        host: str = "127.0.0.1",
-        heartbeat_period: float = 0.1,
-        heartbeat_timeout: float = 2.0,
+        heartbeat_period: float,
+        heartbeat_timeout: float,
+        supervise_period: float,
+        max_inflight: int,
+        batch_size: int,
+        codec: str,
         connect_grace: float = 15.0,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
-        max_attempts: int = 5,
-        supervise_period: float = 0.05,
-        max_inflight: int = 2,
-        start_timeout: float = 30.0,
-        telemetry: Optional[Telemetry] = None,
-        clock: Callable[[], float] = time.monotonic,
-        port: int = 0,
-        epoch: int = 0,
-        worker_reconnect_attempts: int = 0,
-        codec: str = "auto",
-        batch_size: int = 32,
         max_buffered_bytes: int = 256 * 1024,
+        epoch: int = 0,
+        **core: Any,
     ) -> None:
-        if initial_workers < 0:
-            # 0 is legal: a promoted standby starts empty and adopts the
-            # dead coordinator's surviving workers instead of spawning
-            raise ValueError("initial_workers must be non-negative")
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        super().__init__(
-            name,
-            rate_window=rate_window,
-            max_workers=max_workers,
-            clock=clock,
-            telemetry=telemetry,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-            max_attempts=max_attempts,
-        )
-        self.fn_spec = fn_spec(fn)
-        if codec == "auto":
-            # REPRO_DIST_CODEC pins every session without touching call
-            # sites — how the CI msgpack conformance leg forces the
-            # optional codec onto the whole grow/crash story
-            codec = os.environ.get("REPRO_DIST_CODEC") or "auto"
+        super().__init__(name, **core)
         self.codec = codec
         self.batch_size = batch_size
         self.max_buffered_bytes = max_buffered_bytes
@@ -291,36 +226,42 @@ class DistFarm(FarmCore):
         frames = metrics.counter("repro_dist_frames_total", "protocol frames exchanged")
         self._frames_tx = frames.labels(farm=name, direction="tx")
         self._frames_rx = frames.labels(farm=name, direction="rx")
-        self._host = host
         self.epoch = epoch
-        self.worker_reconnect_attempts = worker_reconnect_attempts
-        self._requested_port = port
 
         self.results: "_ResultBus" = _ResultBus()
         self._ready: "deque[int]" = deque()
         self._ready_set: Set[int] = set()
+        #: notified (under the farm lock) whenever a worker's session opens
+        self._connected = threading.Condition(self._lock)
 
         self._shutdown = threading.Event()
         self._server: Optional[asyncio.AbstractServer] = None
         self._supervisor_task: Optional[asyncio.Task] = None
-        self.port: int = 0
+        self.port: int = 0  # stays 0 on a farm that binds nothing
 
         self._loop = asyncio.new_event_loop()
         self._loop_ready = threading.Event()
         self._loop_thread = threading.Thread(
             target=self._loop_main, name=f"{name}-loop", daemon=True
         )
+
+    def _start_loop(self, timeout: float) -> None:
+        """Start the coordinator thread; returns once it is serving."""
         self._loop_thread.start()
-        if not self._loop_ready.wait(start_timeout):
+        if not self._loop_ready.wait(timeout):
             raise RuntimeError("coordinator event loop failed to start")
 
-        try:
-            for _ in range(initial_workers):
-                self.add_worker()
-            self._wait_for_connections(initial_workers, start_timeout)
-        except Exception:
-            self.shutdown()
-            raise
+    # ------------------------------------------------------------------
+    # what a farm supplies
+    # ------------------------------------------------------------------
+    async def _bind(self) -> None:
+        """Open the listening socket, on a farm whose workers dial in."""
+
+    @staticmethod
+    def _reap(process: Any, timeout: float) -> bool:
+        """Wait up to ``timeout`` (0: just look) for this local worker
+        process to exit, reaping it; True if it has."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # event-loop thread
@@ -329,10 +270,7 @@ class DistFarm(FarmCore):
         asyncio.set_event_loop(self._loop)
 
         async def boot() -> None:
-            self._server = await asyncio.start_server(
-                self._on_connection, self._host, self._requested_port
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
+            await self._bind()
             self._supervisor_task = self._loop.create_task(self._supervise_coro())
 
         self._loop.run_until_complete(boot())
@@ -360,6 +298,10 @@ class DistFarm(FarmCore):
         for task in pending:
             task.cancel()
         await asyncio.gather(*pending, return_exceptions=True)
+        # the cancelled supervisor keeps its last frame, and that frame this
+        # farm: let go, so a dead farm is freed at once and not by the next
+        # full collection
+        self._supervisor_task = None
 
     async def _on_connection(self, reader, writer) -> None:
         """One connected worker: handshake, then pump its frames."""
@@ -484,6 +426,7 @@ class DistFarm(FarmCore):
             handle.last_seen = self.now()
             handle.codec = codec
             retiring = handle.retiring
+            self._connected.notify_all()
         reply = encode_frame_v4(
             {
                 "type": "takeover" if reattaching else "welcome",
@@ -497,8 +440,9 @@ class DistFarm(FarmCore):
             self._count(
                 "reattach_total", "workers reattached after a coordinator failover"
             )
-            # ready tasks may have been waiting for this worker to appear
-            self._request_fill()
+        # ready tasks may have been waiting for this worker to appear; the
+        # pass runs after the caller has written the reply
+        self._request_fill()
         if retiring or self._shutdown.is_set():
             # retired (or farm torn down) before it finished connecting
             reply += _POISON
@@ -834,7 +778,7 @@ class DistFarm(FarmCore):
         """Dead: the local process has exited, a connected worker has
         been silent for ``heartbeat_timeout``, or a spawned one never
         connected within ``connect_grace`` (lock held)."""
-        proc_exited = w.process is not None and w.process.poll() is not None
+        proc_exited = w.process is not None and self._reap(w.process, 0.0)
         if w.connected:
             return proc_exited or now - w.last_seen > self.heartbeat_timeout
         if w.retiring and w.got_bye and not w.outstanding:
@@ -847,9 +791,13 @@ class DistFarm(FarmCore):
     def _sever(self, w: DistWorkerHandle) -> None:
         w.connected = False
         self._wake_secure_waiter(w)
-        if w.process is not None and w.process.poll() is None:
+        if w.process is not None and not self._reap(w.process, 0.0):
             try:
-                w.process.kill()  # wedged or partitioned: make it official
+                # wedged or partitioned: make it official.  For a forked
+                # worker the kill is the whole of it — its younger
+                # siblings inherited this end of its socket, so closing
+                # ours would never read as EOF over there
+                w.process.kill()
             except Exception:  # noqa: BLE001
                 pass
         if w.writer is not None:
@@ -872,7 +820,7 @@ class DistFarm(FarmCore):
     def _register_worker(
         self,
         *,
-        process: Optional[subprocess.Popen],
+        process: Any,
         secured: bool = False,
         quarantined: bool = False,
         adopt_id: Optional[int] = None,
@@ -908,80 +856,6 @@ class DistFarm(FarmCore):
                 handle.span, outcome=outcome, completed=handle.reported_completed
             )
             handle.span = None
-
-    def add_worker(
-        self,
-        *,
-        secured: bool = False,
-        quarantined: bool = False,
-        require_secure: bool = False,
-    ) -> DistWorkerHandle:
-        """Spawn one local worker process and point it at the coordinator.
-
-        ``require_secure`` spawns the worker with ``--require-secure``,
-        so the admission gate is enforced on *both* ends of the wire:
-        the coordinator never dispatches to a quarantined worker, and
-        the worker itself bounces any task frame (e.g. from a hand-
-        rolled client) that beats the handshake.
-        """
-        with self._lock:
-            self._require_slot()
-            worker_id = self._next_id  # reserved by _register_worker below
-            cmd = [
-                sys.executable,
-                "-m",
-                "repro.runtime.dist_worker",
-                "--host",
-                self._host,
-                "--port",
-                str(self.port),
-                "--worker-id",
-                str(worker_id),
-                "--fn",
-                self.fn_spec,
-                "--heartbeat-period",
-                str(self.heartbeat_period),
-            ]
-            if require_secure:
-                cmd.append("--require-secure")
-            if self.codec != "auto":
-                # a pinned farm spawns workers that offer exactly that
-                # codec, so negotiation cannot land anywhere else
-                cmd += ["--codec", self.codec]
-            if self.worker_reconnect_attempts > 0:
-                cmd += ["--reconnect-attempts", str(self.worker_reconnect_attempts)]
-            env = dict(os.environ)
-            # the child must see the parent's exact import surface — the
-            # task function may live in a package only sys.path knows about
-            env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-            process = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
-            return self._register_worker(
-                process=process, secured=secured, quarantined=quarantined
-            )
-
-    def adopt_worker(
-        self,
-        worker_id: int,
-        *,
-        process: Optional[subprocess.Popen] = None,
-        quarantined: bool = False,
-    ) -> DistWorkerHandle:
-        """Pre-register a worker that already exists (standby promotion).
-
-        A promoted coordinator inherits the dead one's surviving worker
-        processes: each keeps its old id, so the ``reattach`` frame it
-        sends when it redials this port finds its registration and
-        reactivates it.  The handle starts unconnected and *unsecured* —
-        channel trust does not survive a coordinator crash — and
-        ``connect_grace`` applies until the worker actually reattaches.
-        """
-        with self._lock:
-            if self._find_worker(worker_id) is not None:
-                raise ValueError(f"worker id {worker_id} already registered")
-            self._require_slot()
-            return self._register_worker(
-                process=process, quarantined=quarantined, adopt_id=worker_id
-            )
 
     def secure_worker(self, worker_id: int, timeout: float = 10.0) -> bool:
         """Secure one worker's channel via the wire-level handshake.
@@ -1069,27 +943,6 @@ class DistFarm(FarmCore):
             self._request_fill()
         return admitted
 
-    def _wait_for_connections(self, count: int, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if sum(1 for w in self.workers if w.connected) >= count:
-                    return
-                exited = [
-                    w.worker_id
-                    for w in self.workers
-                    if w.process is not None
-                    and w.process.poll() is not None
-                    and not w.ever_connected
-                ]
-            if exited:
-                raise RuntimeError(
-                    f"worker(s) {exited} exited before connecting — is the task "
-                    f"function importable as {self.fn_spec!r}?"
-                )
-            time.sleep(0.01)
-        raise RuntimeError(f"workers failed to connect within {timeout}s")
-
     def remove_worker(self) -> Optional[DistWorkerHandle]:
         """Retire the newest worker gracefully.
 
@@ -1113,8 +966,8 @@ class DistFarm(FarmCore):
 
         Tasks queue centrally and flow into bounded per-worker windows
         (``max_inflight``), so no worker can hoard a backlog another
-        worker could steal — the imbalance the thread/process farms
-        correct here cannot arise.  Returns 0.
+        worker could steal — the imbalance the thread farm corrects
+        here cannot arise.  Returns 0.
         """
         return 0
 
@@ -1124,9 +977,9 @@ class DistFarm(FarmCore):
     def inject_crash(self, worker_id: Optional[int] = None) -> Optional[int]:
         """SIGKILL one live local worker process (the newest, unless given).
 
-        For an attached worker with no local process, falls back to
-        :meth:`drop_connection` semantics.  Detection, replay and
-        capacity recovery then proceed through the ordinary
+        For an attached worker with no local process the fault in reach
+        is its connection, which is aborted instead.  Detection, replay
+        and capacity recovery then proceed through the ordinary
         supervision/rule machinery — nothing is short-circuited.
         """
         with self._lock:
@@ -1135,32 +988,19 @@ class DistFarm(FarmCore):
                 return None
             process = victim.process
         if process is None:
-            return self.drop_connection(victim.worker_id)
+            return self._abort_connection(victim)
         try:
             process.kill()
         except Exception:  # noqa: BLE001
             return None
         return victim.worker_id
 
-    def drop_connection(self, worker_id: Optional[int] = None) -> Optional[int]:
-        """Abort one worker's TCP connection — the network-level fault.
-
-        The coordinator sees EOF and replays; the orphaned worker sees
-        EOF on its side and exits.  This is the fault a real deployment
-        meets most often (a partition, a crashed gateway), and the one
-        the dist benchmarks time recovery for.
-        """
+    def _abort_connection(self, victim: DistWorkerHandle) -> Optional[int]:
+        """Abort one worker's connection; its id, or None with none to abort."""
         with self._lock:
-            if worker_id is None:
-                # the newest worker may not have connected yet; a fault
-                # on a connection that does not exist is a no-op
-                live = [w for w in self._serving() if w.writer is not None]
-                victim = live[-1] if live else None
-            else:
-                victim = self._pick_victim(worker_id)
-            if victim is None or victim.writer is None:
-                return None
             writer = victim.writer
+        if writer is None:
+            return None
         return victim.worker_id if self._on_loop(writer.transport.abort) else None
 
     # ------------------------------------------------------------------
@@ -1169,16 +1009,17 @@ class DistFarm(FarmCore):
     def crash(self) -> List[DistWorkerHandle]:
         """Simulate this coordinator process dying (SIGKILL semantics).
 
-        The event loop stops dead: the server socket closes, every
-        worker connection aborts (workers see EOF and — if spawned with
-        reconnect attempts — start redialing the port), no poison is
-        sent and no worker process is touched.  Open dispatch state ends
-        as ``coordinator-crashed`` spans; nothing is flushed — a dead
-        process flushes nothing.
+        The event loop stops dead: the server socket (if any) closes,
+        every worker connection aborts (workers that dialled in see EOF
+        and — if spawned with reconnect attempts — start redialing the
+        port), no poison is sent and no worker process is touched.  Open
+        dispatch state ends as ``coordinator-crashed`` spans; nothing is
+        flushed — a dead process flushes nothing.
 
         Returns the handles whose local worker processes are still
-        running: the supervisor hands them to the promoted standby via
-        :meth:`adopt_worker`.
+        running: what becomes of them is the farm's to say (a DistFarm's
+        are adopted by the promoted standby; a ProcessFarm's die with
+        the coordinator that forked them).
         """
         if self._shutdown.is_set():
             return []
@@ -1189,7 +1030,7 @@ class DistFarm(FarmCore):
             self._ready.clear()
             self._ready_set.clear()
             for w in self.workers:
-                if w.active and w.process is not None and w.process.poll() is None:
+                if w.active and w.process is not None and not self._reap(w.process, 0.0):
                     survivors.append(w)
                 w.active = False
                 w.connected = False
@@ -1218,17 +1059,265 @@ class DistFarm(FarmCore):
         for w in workers:
             if w.process is None:
                 continue
-            budget = max(0.05, deadline - time.monotonic())
-            try:
-                w.process.wait(budget)
-            except subprocess.TimeoutExpired:
+            if not self._reap(w.process, max(0.05, deadline - time.monotonic())):
                 w.process.kill()
-                try:
-                    w.process.wait(1.0)
-                except subprocess.TimeoutExpired:
-                    pass
+                self._reap(w.process, 1.0)
         self._on_loop(self._loop.stop)
         self._loop_thread.join(max(1.0, deadline - time.monotonic()))
         # abandoned tasks must not leak open spans into the export
         if self.telemetry.enabled:
             self.telemetry.flush()
+
+
+class DistFarm(_StreamFarm):
+    """A live task farm whose executors sit across a TCP boundary.
+
+    Workers dial the port this coordinator binds: the ones it spawns
+    (``python -m repro.runtime.dist_worker``) and any attached by hand
+    from another host.  Satisfies the
+    :class:`~repro.runtime.backend.FarmBackend` surface, so
+    :class:`~repro.runtime.controller.FarmController` drives it with
+    the unmodified Figure 5 rules.  Extra knobs:
+
+    ``host``
+        interface the coordinator binds (default loopback; use
+        ``"0.0.0.0"`` to accept workers from other hosts).
+    ``heartbeat_period`` / ``heartbeat_timeout``
+        workers beat every period; a *connected* worker silent for the
+        timeout is declared dead (wedged or partitioned).
+    ``connect_grace``
+        a spawned worker that never manages to connect within this
+        budget is declared dead (interpreter start + imports happen in
+        here, so it is deliberately generous).
+    ``backoff_base`` / ``backoff_cap`` / ``max_attempts``
+        replay delay for attempt *n* is ``min(base * 2**(n-1), cap)``,
+        dead-lettered after ``max_attempts`` dispatches.
+    ``max_inflight``
+        un-acked tasks a worker may hold; the rest queue centrally.
+    ``start_timeout``
+        how long ``__init__`` waits for the initial workers to connect.
+    ``port``
+        TCP port to bind (default 0: pick a free one).  A promoted
+        standby passes the dead coordinator's port so surviving workers
+        redialing it land on the successor.
+    ``epoch``
+        coordinator incarnation counter, announced in every
+        ``welcome``/``takeover`` frame; workers refuse task frames from
+        an epoch older than the newest they have served.
+    ``worker_reconnect_attempts``
+        spawn workers with ``--reconnect-attempts N`` so they survive a
+        coordinator crash and reattach to the promoted standby (0, the
+        default: workers exit on coordinator EOF, the pre-v3 behaviour).
+    ``codec``
+        payload codec for data frames: ``"auto"`` (default) negotiates
+        per worker — pickle for workers this coordinator spawned or
+        adopted, the safe list for remote attachers — or a codec name
+        to pin every session to it.
+    ``batch_size``
+        most tasks one ``task_batch`` frame carries; with the default
+        ``max_inflight`` of 2 batches degenerate to singletons, so
+        throughput configs raise both together.
+    ``max_buffered_bytes``
+        backpressure threshold: a worker whose socket write buffer
+        exceeds this is skipped by dispatch until it drains (the
+        supervisor tick and every ack re-run the fill pass).
+    """
+
+    def __init__(
+        self,
+        fn: Any,
+        *,
+        initial_workers: int = 2,
+        name: str = "dfarm",
+        rate_window: float = 5.0,
+        max_workers: int = 64,
+        host: str = "127.0.0.1",
+        heartbeat_period: float = 0.1,
+        heartbeat_timeout: float = 2.0,
+        connect_grace: float = 15.0,
+        backoff_base: float = 0.05,
+        backoff_cap: float = 1.0,
+        max_attempts: int = 5,
+        supervise_period: float = 0.05,
+        max_inflight: int = 2,
+        start_timeout: float = 30.0,
+        telemetry: Optional[Telemetry] = None,
+        clock: Callable[[], float] = time.monotonic,
+        port: int = 0,
+        epoch: int = 0,
+        worker_reconnect_attempts: int = 0,
+        codec: str = "auto",
+        batch_size: int = 32,
+        max_buffered_bytes: int = 256 * 1024,
+    ) -> None:
+        if initial_workers < 0:
+            # 0 is legal: a promoted standby starts empty and adopts the
+            # dead coordinator's surviving workers instead of spawning
+            raise ValueError("initial_workers must be non-negative")
+        if max_inflight < 1:
+            raise ValueError("max_inflight must be at least 1")
+        if batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if codec == "auto":
+            # REPRO_DIST_CODEC pins every session without touching call
+            # sites — how the CI msgpack conformance leg forces the
+            # optional codec onto the whole grow/crash story
+            codec = os.environ.get("REPRO_DIST_CODEC") or "auto"
+        super().__init__(
+            name,
+            rate_window=rate_window,
+            max_workers=max_workers,
+            clock=clock,
+            telemetry=telemetry,
+            backoff_base=backoff_base,
+            backoff_cap=backoff_cap,
+            max_attempts=max_attempts,
+            heartbeat_period=heartbeat_period,
+            heartbeat_timeout=heartbeat_timeout,
+            connect_grace=connect_grace,
+            supervise_period=supervise_period,
+            max_inflight=max_inflight,
+            batch_size=batch_size,
+            codec=codec,
+            max_buffered_bytes=max_buffered_bytes,
+            epoch=epoch,
+        )
+        self.fn_spec = fn_spec(fn)
+        self._host = host
+        self.worker_reconnect_attempts = worker_reconnect_attempts
+        self._requested_port = port
+        self._start_loop(start_timeout)
+        try:
+            for _ in range(initial_workers):
+                self.add_worker()
+            self._wait_for_connections(initial_workers, start_timeout)
+        except Exception:
+            self.shutdown()
+            raise
+
+    async def _bind(self) -> None:
+        self._server = await asyncio.start_server(
+            self._on_connection, self._host, self._requested_port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    @staticmethod
+    def _reap(process: subprocess.Popen, timeout: float) -> bool:
+        try:
+            process.wait(timeout)
+        except subprocess.TimeoutExpired:
+            return False
+        return True
+
+    def add_worker(
+        self,
+        *,
+        secured: bool = False,
+        quarantined: bool = False,
+        require_secure: bool = False,
+    ) -> DistWorkerHandle:
+        """Spawn one local worker process and point it at the coordinator.
+
+        ``require_secure`` spawns the worker with ``--require-secure``,
+        so the admission gate is enforced on *both* ends of the wire:
+        the coordinator never dispatches to a quarantined worker, and
+        the worker itself bounces any task frame (e.g. from a hand-
+        rolled client) that beats the handshake.
+        """
+        with self._lock:
+            self._require_slot()
+            worker_id = self._next_id  # reserved by _register_worker below
+            cmd = [
+                sys.executable,
+                "-m",
+                "repro.runtime.dist_worker",
+                "--host",
+                self._host,
+                "--port",
+                str(self.port),
+                "--worker-id",
+                str(worker_id),
+                "--fn",
+                self.fn_spec,
+                "--heartbeat-period",
+                str(self.heartbeat_period),
+            ]
+            if require_secure:
+                cmd.append("--require-secure")
+            if self.codec != "auto":
+                # a pinned farm spawns workers that offer exactly that
+                # codec, so negotiation cannot land anywhere else
+                cmd += ["--codec", self.codec]
+            if self.worker_reconnect_attempts > 0:
+                cmd += ["--reconnect-attempts", str(self.worker_reconnect_attempts)]
+            env = dict(os.environ)
+            # the child must see the parent's exact import surface — the
+            # task function may live in a package only sys.path knows about
+            env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+            process = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+            return self._register_worker(
+                process=process, secured=secured, quarantined=quarantined
+            )
+
+    def adopt_worker(
+        self,
+        worker_id: int,
+        *,
+        process: Optional[subprocess.Popen] = None,
+        quarantined: bool = False,
+    ) -> DistWorkerHandle:
+        """Pre-register a worker that already exists (standby promotion).
+
+        A promoted coordinator inherits the dead one's surviving worker
+        processes: each keeps its old id, so the ``reattach`` frame it
+        sends when it redials this port finds its registration and
+        reactivates it.  The handle starts unconnected and *unsecured* —
+        channel trust does not survive a coordinator crash — and
+        ``connect_grace`` applies until the worker actually reattaches.
+        """
+        with self._lock:
+            if self._find_worker(worker_id) is not None:
+                raise ValueError(f"worker id {worker_id} already registered")
+            self._require_slot()
+            return self._register_worker(
+                process=process, quarantined=quarantined, adopt_id=worker_id
+            )
+
+    def _wait_for_connections(self, count: int, timeout: float) -> None:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            with self._lock:
+                if sum(1 for w in self.workers if w.connected) >= count:
+                    return
+                exited = [
+                    w.worker_id
+                    for w in self.workers
+                    if w.process is not None
+                    and w.process.poll() is not None
+                    and not w.ever_connected
+                ]
+            if exited:
+                raise RuntimeError(
+                    f"worker(s) {exited} exited before connecting — is the task "
+                    f"function importable as {self.fn_spec!r}?"
+                )
+            time.sleep(0.01)
+        raise RuntimeError(f"workers failed to connect within {timeout}s")
+
+    def drop_connection(self, worker_id: Optional[int] = None) -> Optional[int]:
+        """Abort one worker's TCP connection — the network-level fault.
+
+        The coordinator sees EOF and replays; the orphaned worker sees
+        EOF on its side and exits.  This is the fault a real deployment
+        meets most often (a partition, a crashed gateway), and the one
+        the dist benchmarks time recovery for.
+        """
+        with self._lock:
+            if worker_id is None:
+                # the newest worker may not have connected yet; a fault
+                # on a connection that does not exist is a no-op
+                live = [w for w in self._serving() if w.writer is not None]
+                victim = live[-1] if live else None
+            else:
+                victim = self._pick_victim(worker_id)
+        return None if victim is None else self._abort_connection(victim)

@@ -131,9 +131,8 @@ whose highest seen ``epoch`` exceeds a session's refuses that session's
 the other end.
 
 *Secured channels* encrypt the whole frame body (:data:`FLAG_ENC`) with
-the same toy cipher as the thread and process farms
-(:mod:`repro.security.crypto`), so ``secure_all()`` has the same
-observable cost on every substrate.
+the same toy cipher as the thread farm (:mod:`repro.security.crypto`),
+so ``secure_all()`` has the same observable cost on every substrate.
 """
 
 from __future__ import annotations

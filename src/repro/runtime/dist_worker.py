@@ -1,4 +1,4 @@
-"""DistFarm worker process: connect, execute, ack — over plain TCP.
+"""The worker end of the v4 wire: connect, execute, ack.
 
 Runnable directly, which is the whole point of the distributed backend::
 
@@ -19,7 +19,19 @@ accumulated and acked in ``result_batch`` frames — flushed whenever the
 input queue drains or enough results pile up, so a busy worker amortises
 acks without ever sitting on a finished result while idle.
 
-Structure (one asyncio loop, three coroutines):
+What a worker *decides* — how a task is executed and stamped
+(:func:`iter_entries`), how results degrade from a batch to per-entry
+frames to an error (:func:`encode_results`), when a task is bounced and
+how (:func:`refusal_reason`, :func:`refused_frame`), the handshake proof
+(:func:`secured_frame`) — is plain functions, under two thin shells:
+
+* :func:`run_worker`, one asyncio loop for a worker that *dials* a
+  coordinator over TCP (three coroutines, below) and may outlive it;
+* :func:`serve_forked`, a blocking loop for a child a
+  :class:`~repro.runtime.process_farm.ProcessFarm` forked with one end of
+  a socketpair already in hand — no loop to start, no executor hop.
+
+The asyncio shell's coroutines:
 
 * **reader** — drains frames into an in-order queue; EOF means the
   coordinator is gone.  By default the worker exits immediately (nobody
@@ -33,8 +45,8 @@ Structure (one asyncio loop, three coroutines):
   never stalls the loop; a ``poison`` frame queues *behind* earlier
   tasks, which is what makes coordinator-driven retirement graceful.
 * **heartbeat** — beats every ``--heartbeat-period`` independently of
-  task execution, mirroring the process farm's liveness design: only
-  real death (or a wedged interpreter) silences a worker.
+  task execution: only real death (or a wedged interpreter) silences a
+  worker.
 
 Connection establishment retries with capped exponential backoff
 (``--connect-attempts`` / ``--connect-backoff``), so workers can be
@@ -48,9 +60,11 @@ import asyncio
 import concurrent.futures
 import importlib
 import os
+import socket
 import sys
+import threading
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .dist_proto import (
     PROTOCOL_VERSION,
@@ -59,13 +73,21 @@ from .dist_proto import (
     encode_frame_v4,
     prove_challenge,
     read_frame,
+    read_frame_blocking,
 )
 
-__all__ = ["resolve_fn", "run_worker", "main"]
+__all__ = ["resolve_fn", "run_worker", "serve_forked", "greeting", "main"]
 
 #: flush accumulated results once this many pile up even if the input
 #: queue never drains — bounds ack latency under a sustained stream
 RESULT_FLUSH = 32
+
+#: the blocking shell runs a window inline, so it bounds ack latency by
+#: time: a finished result waits at most this long behind the rest of its
+#: window.  Microsecond tasks still ack a whole window in one frame;
+#: millisecond tasks ack one by one, and the coordinator's rate monitor
+#: sees departures as they happen, not a window at a time
+ACK_INTERVAL = 0.001
 
 
 def resolve_fn(spec: str) -> Callable[[Any], Any]:
@@ -81,6 +103,119 @@ def resolve_fn(spec: str) -> Callable[[Any], Any]:
     return obj
 
 
+# ----------------------------------------------------------------------
+# what a worker decides (no I/O): both shells call these
+# ----------------------------------------------------------------------
+def greeting(
+    kind: str, worker_id: int, offered: Sequence[str], completed: Optional[int] = None
+) -> bytes:
+    """The frame that opens a session: ``hello``, or ``reattach`` with
+    the cumulative ``completed`` count a returning worker carries."""
+    message = {
+        "type": kind,
+        "worker_id": worker_id,
+        "proto": PROTOCOL_VERSION,
+        "codecs": list(offered),
+    }
+    if completed is not None:
+        message["completed"] = completed
+    return encode_frame_v4(message)
+
+
+def refusal_reason(stale: bool, require_secure: bool, secured: bool) -> Optional[str]:
+    """Why a task frame is bounced rather than executed, or ``None``."""
+    if stale:
+        # this session belongs to a superseded coordinator incarnation:
+        # never execute its work — single task or whole batch — tell it why
+        return "stale epoch"
+    if require_secure and not secured:
+        # the worker-side half of the admission gate: bounce, never
+        # execute, until the channel handshake is done
+        return "security handshake required"
+    return None
+
+
+def refused_frame(items: List[dict], reason: str) -> bytes:
+    ids = [it.get("task_id") for it in items]
+    # a bounced batch names every id; a lone task keeps ``task_id``
+    bounced = {"task_id": ids[0]} if len(ids) == 1 else {"task_ids": ids}
+    return encode_frame_v4({"type": "refused", **bounced, "reason": reason})
+
+
+def secured_frame(frame: dict) -> bytes:
+    """The answer to a ``secure`` challenge: proof of the shared key."""
+    proof = prove_challenge(str(frame.get("challenge", "")))
+    return encode_frame_v4({"type": "secured", "proof": proof})
+
+
+def iter_entries(
+    fn: Callable[[Any], Any], items: List[dict], traced: bool, pid: int
+) -> Iterator[dict]:
+    """Execute one window in arrival order, a result entry at a time.
+
+    On a ``traced`` frame each execution is stamped ``t = (start, end,
+    pid)`` on its result entry (epoch seconds, the base the
+    coordinator's WallClock uses) and the coordinator builds the
+    ``task.exec`` span from that, under the dispatch span it already
+    holds.  A secured frame's body was already decrypted by the frame
+    reader.
+    """
+    for task_frame in items:
+        task_id = task_frame.get("task_id")
+        started = time.time()
+        try:
+            entry = {"task_id": task_id, "value": fn(task_frame["payload"])}
+        except Exception as exc:  # noqa: BLE001 - surfaced as an error result
+            entry = {"task_id": task_id, "error": f"{type(exc).__name__}: {exc}"}
+        if traced:
+            entry["t"] = (started, time.time(), pid)
+        yield entry
+
+
+def run_entries(
+    fn: Callable[[Any], Any], items: List[dict], traced: bool, pid: int
+) -> List[dict]:
+    """:func:`iter_entries`, to the end (what a pool thread is handed)."""
+    return list(iter_entries(fn, items, traced, pid))
+
+
+def encode_results(entries: List[dict], completed: int, codec: str) -> bytes:
+    """Result entries as wire bytes, batched when possible.
+
+    Encoding is optimistic: if a batch refuses the session codec (one
+    unserializable value), fall back to per-entry frames so only the
+    offending task degrades to an error result.
+    """
+    if len(entries) > 1:
+        try:
+            return encode_frame_v4(
+                {"type": "result_batch", "results": entries, "completed": completed},
+                codec=codec,
+            )
+        except Exception:  # noqa: BLE001 - a value refused the codec
+            pass
+    frames = []
+    for entry in entries:
+        message = {"type": "result", **entry, "completed": completed}
+        try:
+            data = encode_frame_v4(message, codec=codec)
+        except Exception as exc:  # noqa: BLE001 - unserializable value
+            fallback = {
+                "type": "result",
+                "task_id": entry.get("task_id"),
+                "error": f"{type(exc).__name__}: {exc}",
+                "completed": completed,
+            }
+            if "t" in entry:  # the exec timing survives the fallback
+                fallback["t"] = entry["t"]
+            data = encode_frame_v4(fallback, codec=codec)
+        frames.append(data)
+    return b"".join(frames)
+
+
+# ----------------------------------------------------------------------
+# the asyncio shell: a worker that dials its coordinator
+# ----------------------------------------------------------------------
 async def _connect(
     host: str, port: int, attempts: int, backoff: float, backoff_cap: float
 ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
@@ -159,15 +294,10 @@ async def run_worker(
             connect_backoff,
             connect_backoff_cap,
         )
-        greeting = {
-            "type": "reattach" if attached else "hello",
-            "worker_id": worker_id,
-            "proto": PROTOCOL_VERSION,
-            "codecs": list(offered),
-        }
         if attached:
-            greeting["completed"] = completed
-        writer.write(encode_frame_v4(greeting))
+            writer.write(greeting("reattach", worker_id, offered, completed))
+        else:
+            writer.write(greeting("hello", worker_id, offered))
         try:
             welcome = await read_frame(reader, allowed=("json",)) or {}
         except ProtocolError:
@@ -207,68 +337,16 @@ async def run_worker(
         secured = False
         out_buf: List[dict] = []
 
-        def encode_out(message: dict) -> bytes:
-            if message.get("type") in ("result", "result_batch"):
-                return encode_frame_v4(message, codec=session_codec)
-            return encode_frame_v4(message)
-
-        def send(message: dict) -> None:
+        def send(data: bytes) -> None:
             try:
-                writer.write(encode_out(message))
+                writer.write(data)
             except Exception:  # noqa: BLE001 - connection died under us
                 pass
 
         def flush_results() -> None:
-            """Ship accumulated result entries, batched when possible.
-
-            Encoding is optimistic: if a batch refuses the session codec
-            (one unserializable value), fall back to per-entry frames so
-            only the offending task degrades to an error result.
-            """
-            if not out_buf:
-                return
-            entries = out_buf[:]
-            out_buf.clear()
-            if len(entries) > 1:
-                try:
-                    writer.write(
-                        encode_out(
-                            {
-                                "type": "result_batch",
-                                "results": entries,
-                                "completed": completed,
-                            }
-                        )
-                    )
-                    return
-                except (ConnectionError, OSError):
-                    return
-                except Exception:  # noqa: BLE001 - a value refused the codec
-                    pass
-            for entry in entries:
-                message = {"type": "result", **entry, "completed": completed}
-                try:
-                    data = encode_out(message)
-                except Exception as exc:  # noqa: BLE001 - unserializable value
-                    fallback = {
-                        "type": "result",
-                        "task_id": entry.get("task_id"),
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "completed": completed,
-                    }
-                    if "t" in entry:  # the exec timing survives the fallback
-                        fallback["t"] = entry["t"]
-                    data = encode_out(fallback)
-                try:
-                    writer.write(data)
-                except Exception:  # noqa: BLE001
-                    return
-
-        def refuse(items: List[dict], reason: str) -> None:
-            ids = [it.get("task_id") for it in items]
-            # a bounced batch names every id; a lone task keeps ``task_id``
-            bounced = {"task_id": ids[0]} if len(ids) == 1 else {"task_ids": ids}
-            send({"type": "refused", **bounced, "reason": reason})
+            if out_buf:
+                send(encode_results(out_buf, completed, session_codec))
+                out_buf.clear()
 
         async def reader_loop() -> str:
             nonlocal secured
@@ -287,53 +365,17 @@ async def run_worker(
                 kind = frame.get("type")
                 if kind in ("task", "task_batch"):
                     items = frame["tasks"] if kind == "task_batch" else [frame]
-                    if stale:
-                        # this session belongs to a superseded
-                        # coordinator incarnation: never execute its
-                        # work — single task or whole batch — tell it why
-                        refuse(items, "stale epoch")
-                        continue
-                    if require_secure and not secured:
-                        # the worker-side half of the admission gate:
-                        # bounce, never execute, until the channel
-                        # handshake is done
-                        refuse(items, "security handshake required")
+                    reason = refusal_reason(stale, require_secure, secured)
+                    if reason is not None:
+                        send(refused_frame(items, reason))
                         continue
                     await tasks.put((items, bool(frame.get("traced"))))
                 elif kind == "secure":
-                    send(
-                        {
-                            "type": "secured",
-                            "proof": prove_challenge(str(frame.get("challenge", ""))),
-                        }
-                    )
+                    send(secured_frame(frame))
                     secured = True
                 elif kind == "poison":
                     await tasks.put(None)
                     return "poison"
-
-        def run_entries(items: List[dict], traced: bool) -> List[dict]:
-            """Execute one window in arrival order (on the pool thread).
-
-            On a ``traced`` frame each execution is stamped ``t = (start,
-            end, pid)`` on its result entry (epoch seconds, the base the
-            coordinator's WallClock uses) and the coordinator builds the
-            ``task.exec`` span from that, under the dispatch span it
-            already holds.  A secured frame's body was already decrypted
-            by the frame reader.
-            """
-            entries = []
-            for task_frame in items:
-                task_id = task_frame.get("task_id")
-                started = time.time()
-                try:
-                    entry = {"task_id": task_id, "value": fn(task_frame["payload"])}
-                except Exception as exc:  # noqa: BLE001 - surfaced as an error result
-                    entry = {"task_id": task_id, "error": f"{type(exc).__name__}: {exc}"}
-                if traced:
-                    entry["t"] = (started, time.time(), pid)
-                entries.append(entry)
-            return entries
 
         async def executor_loop() -> None:
             nonlocal completed
@@ -341,7 +383,7 @@ async def run_worker(
                 item = await tasks.get()
                 if item is None:
                     flush_results()
-                    send({"type": "bye", "completed": completed})
+                    send(encode_frame_v4({"type": "bye", "completed": completed}))
                     await writer.drain()
                     return
                 items, traced = item
@@ -349,7 +391,9 @@ async def run_worker(
                 # submit/wakeup round trip through the pool was the
                 # dominant worker-side cost for cheap tasks, and the
                 # event loop stays free for heartbeats either way
-                entries = await loop.run_in_executor(pool, run_entries, items, traced)
+                entries = await loop.run_in_executor(
+                    pool, run_entries, fn, items, traced, pid
+                )
                 completed += len(entries)
                 out_buf.extend(entries)
                 if len(out_buf) >= RESULT_FLUSH or tasks.empty():
@@ -359,7 +403,7 @@ async def run_worker(
         async def heartbeat_loop() -> None:
             while True:
                 await asyncio.sleep(heartbeat_period)
-                send({"type": "hb", "completed": completed})
+                send(encode_frame_v4({"type": "hb", "completed": completed}))
 
         t_reader = asyncio.ensure_future(reader_loop())
         t_exec = asyncio.ensure_future(executor_loop())
@@ -403,6 +447,91 @@ async def run_worker(
             # the standby coordinator rebinds it on promotion
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
+
+
+# ----------------------------------------------------------------------
+# the blocking shell: a child its coordinator forked
+# ----------------------------------------------------------------------
+def serve_forked(
+    sock: socket.socket,
+    coordinator_end: socket.socket,
+    fn: Callable[[Any], Any],
+    heartbeat_period: float,
+    require_secure: bool = False,
+) -> None:
+    """Serve one v4 session on ``sock`` until poisoned; the child body
+    of a :class:`~repro.runtime.process_farm.ProcessFarm` worker.
+
+    The forking coordinator has already written this worker's ``hello``
+    (it knows the id it forked), so the first frame read here is the
+    ``welcome``.  Each task frame's window runs inline, in arrival
+    order, acked every :data:`ACK_INTERVAL`; a daemon thread beats
+    independently of task execution, so a worker crunching one long
+    CPU-bound task is still visibly alive — both write under one send
+    lock.  There is no reattach: EOF (or any write into a dead socket)
+    is the coordinator gone, and the process hard-exits.
+    """
+    # this process's copy of the coordinator's end: while it is open, a
+    # dead coordinator would not read as EOF here
+    coordinator_end.close()
+    rfile = sock.makefile("rb")
+    send_lock = threading.Lock()
+    completed = 0
+
+    def recv(allowed: Tuple[str, ...]) -> dict:
+        try:
+            frame = read_frame_blocking(rfile, allowed=allowed)
+        except ProtocolError:
+            frame = None  # a garbage stream reads like a dead one
+        if frame is None:
+            os._exit(1)
+        return frame
+
+    def send(data: bytes) -> None:
+        try:
+            with send_lock:
+                sock.sendall(data)
+        except OSError:
+            os._exit(1)
+
+    def beat() -> None:
+        while True:
+            time.sleep(heartbeat_period)
+            send(encode_frame_v4({"type": "hb", "completed": completed}))
+
+    # the coordinator is this process's own image, a moment older: its
+    # welcome needs no vetting, only reading
+    codec = str(recv(("json",))["codec"])
+    pid = os.getpid()
+    secured = False
+    threading.Thread(target=beat, name="worker-hb", daemon=True).start()
+    while True:
+        frame = recv(("json", codec))
+        kind = frame.get("type")
+        if kind in ("task", "task_batch"):
+            items = frame["tasks"] if kind == "task_batch" else [frame]
+            # a forked worker serves one coordinator, one epoch: never stale
+            reason = refusal_reason(False, require_secure, secured)
+            if reason is not None:
+                send(refused_frame(items, reason))
+                continue
+            entries: List[dict] = []
+            acked = time.monotonic()
+            for entry in iter_entries(fn, items, bool(frame.get("traced")), pid):
+                entries.append(entry)
+                completed += 1
+                if time.monotonic() - acked >= ACK_INTERVAL:
+                    send(encode_results(entries, completed, codec))
+                    entries = []
+                    acked = time.monotonic()
+            if entries:
+                send(encode_results(entries, completed, codec))
+        elif kind == "secure":
+            send(secured_frame(frame))
+            secured = True
+        elif kind == "poison":
+            send(encode_frame_v4({"type": "bye", "completed": completed}))
+            return
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -1,12 +1,13 @@
-"""One farm core under three transports.
+"""One farm core under two transports.
 
 The paper keeps a skeleton's *mechanism* — the ABC's monitor and
 actuator services — apart from the policy that steers it, and takes
 that mechanism as uniform whatever the substrate underneath.
 :class:`FarmCore` is that mechanism for the live farms, written once:
-:class:`~repro.runtime.farm_runtime.ThreadFarm`,
+:class:`~repro.runtime.farm_runtime.ThreadFarm` (in-process queues) and
+the stream coordinator of :mod:`~repro.runtime.dist_farm` — under both
 :class:`~repro.runtime.process_farm.ProcessFarm` and
-:class:`~repro.runtime.dist_farm.DistFarm` inherit it and add only
+:class:`~repro.runtime.dist_farm.DistFarm` — inherit it and add only
 their transport.
 
 The core owns
@@ -25,7 +26,7 @@ The core owns
 * every lifecycle **counter**, named under the farm's ``_METRICS``
   prefix and bound on first use (they are all cold paths).
 
-A farm supplies its transport: how a worker is started and stopped
+A transport supplies: how a worker is started and stopped
 (``add_worker``/``remove_worker``/``shutdown``/``crash``), how one
 attempt is put on the channel (``_dispatch``), how acks and heartbeats
 are read, the liveness test (``_is_lost``), what severing a lost worker

@@ -42,6 +42,7 @@ replayed task reads as ONE tree — root → attempt(epoch 0, ends
 
 from __future__ import annotations
 
+import inspect
 import queue
 import threading
 import time
@@ -196,44 +197,30 @@ class SupervisedFarm:
     # ------------------------------------------------------------------
     def _build_farm(self, *, initial_workers: int) -> Any:
         """Construct one coordinator incarnation (named by its epoch)."""
-        incarnation = f"{self.name}-e{self.epoch}"
-        opts = dict(self.farm_options)
-        if self.backend == "thread":
-            return ThreadFarm(
-                self._thread_fn(),
-                initial_workers=initial_workers,
-                name=incarnation,
-                max_workers=self.max_workers,
-                telemetry=self.telemetry,
-                **{k: v for k, v in opts.items() if k in ("rate_window",)},
+        if self.backend == "dist":
+            cls, fn = DistFarm, RUNNER_SPEC
+            placed = dict(
+                port=self._listen_port,  # the standby rebinds this port
+                epoch=self.epoch,
+                worker_reconnect_attempts=self.worker_reconnect_attempts,
             )
-        if self.backend == "process":
-            opts.pop("connect_grace", None)
-            opts.pop("start_timeout", None)
-            opts.pop("max_inflight", None)
-            opts.pop("codec", None)
-            opts.pop("batch_size", None)
-            opts.pop("max_buffered_bytes", None)
-            return ProcessFarm(
-                self._thread_fn(),
-                initial_workers=initial_workers,
-                name=incarnation,
-                max_workers=self.max_workers,
-                telemetry=self.telemetry,
-                **opts,
-            )
-        farm = DistFarm(
-            RUNNER_SPEC,
+        else:
+            cls = ThreadFarm if self.backend == "thread" else ProcessFarm
+            fn, placed = self._thread_fn(), {}
+        # one ``farm_options`` tunes whichever backend is underneath: each
+        # incarnation takes the options its constructor knows
+        known = inspect.signature(cls.__init__).parameters
+        farm = cls(
+            fn,
             initial_workers=initial_workers,
-            name=incarnation,
+            name=f"{self.name}-e{self.epoch}",
             max_workers=self.max_workers,
             telemetry=self.telemetry,
-            port=self._listen_port,
-            epoch=self.epoch,
-            worker_reconnect_attempts=self.worker_reconnect_attempts,
-            **opts,
+            **placed,
+            **{k: v for k, v in self.farm_options.items() if k in known},
         )
-        self._listen_port = farm.port  # the standby rebinds this port
+        if self.backend == "dist":
+            self._listen_port = farm.port
         return farm
 
     def _thread_fn(self) -> Any:

@@ -16,7 +16,6 @@ from repro.obs.propagation import (
     TraceContext,
     build_trace_tree,
     list_traces,
-    make_span_record,
     stable_span_id,
     stable_trace_id,
     task_context,
@@ -87,24 +86,6 @@ class TestTraceparent:
         # derivation is deterministic and collision-free across seeds
         assert child.span_id == root.child("dispatch/1").span_id
         assert child.span_id != root.child("dispatch/2").span_id
-
-
-class TestSpanRecord:
-    def test_record_is_json_shaped(self):
-        ctx = task_context("farm", 7).child("exec:1")
-        rec = make_span_record(
-            ctx, "task.exec", actor="w1", start=1.0, end=2.5,
-            attributes={"worker": 1},
-        )
-        assert rec["trace_id"] == ctx.trace_id
-        assert rec["span_id"] == ctx.span_id
-        assert rec["parent_id"] == ctx.parent_id
-        assert rec["name"] == "task.exec" and rec["actor"] == "w1"
-        assert rec["start"] == 1.0 and rec["end"] == 2.5
-        assert rec["attributes"] == {"worker": 1}
-        import json
-
-        json.dumps(rec)  # must cross a JSON wire as-is
 
 
 def _span(span_id, parent_id, name="s", trace_id="t" * 32, start=0.0, end=1.0):

@@ -232,3 +232,58 @@ class TestOneCopy:
     def test_properties_are_the_cores(self, name):
         for farm in self.FARMS:
             assert getattr(farm, name).fget is getattr(FarmCore, name).fget, (farm, name)
+
+    #: the stream coordinator: written once, for every farm whose workers
+    #: are processes — the two differ in how a worker comes by its stream
+    STREAM = ["_fill", "_serve_connection", "_handle_message", "_absorb_result",
+              "_record_exec", "_is_lost", "_sever", "secure_worker", "remove_worker",
+              "shutdown", "balance_load", "supervise_once", "inject_crash", "submit",
+              "_admit", "_on_disconnect", "_encode_dispatch", "_supervise_coro"]
+
+    @pytest.mark.parametrize("name", STREAM)
+    def test_process_workers_have_one_coordinator(self, name):
+        assert getattr(ProcessFarm, name) is getattr(DistFarm, name), name
+        assert name not in vars(ProcessFarm) and name not in vars(DistFarm), name
+
+    def test_process_farm_keeps_no_transport_of_its_own(self):
+        import ast
+        import inspect
+
+        from repro.runtime import process_farm
+
+        tree = ast.parse(inspect.getsource(process_farm))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        assert not imported & {
+            "queue", "pickle", "signal", "..security.crypto", "..obs.propagation",
+            "repro.security.crypto", "repro.obs.propagation",
+        }, imported
+
+    def test_process_farm_binds_nothing(self):
+        farm = ProcessFarm(abs, initial_workers=1)
+        try:
+            assert farm.port == 0 and farm._server is None
+            farm.submit(-3)
+            assert farm.drain_results(1, timeout=30.0) == [3]
+        finally:
+            farm.shutdown()
+
+    def test_importing_the_runtime_does_not_import_the_worker_entry_point(self):
+        """``python -m repro.runtime.dist_worker`` is how a DistFarm starts
+        a worker; runpy warns in each one if the package import already
+        pulled the module in (``ProcessFarm`` imports it on first use)."""
+        import os
+        import subprocess
+        import sys
+
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.runtime.dist_worker", "--help"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()

@@ -180,17 +180,28 @@ class TestCrashFaultTolerance:
             f.shutdown()
 
     def test_detection_via_supervise_once(self):
-        f = ProcessFarm(square, initial_workers=2, supervise_period=60.0)
+        """A forked worker's death is EOF on its socket: the farm sees it
+        at once, with no supervision tick — ``supervise_once`` reports
+        only what *it* finds (heartbeat silence, a wedged process)."""
+        f = ProcessFarm(very_slow_square, initial_workers=2, supervise_period=60.0)
         try:
-            killed = f.inject_crash()
-            assert killed is not None
-            wait_until(
-                lambda: not f._find_worker(killed).process.is_alive(),
-                message="SIGKILL to land",
+            for i in range(3):
+                f.submit(i)
+            victim = wait_until(
+                lambda: next((w for w in f.workers if w.outstanding), None),
+                message="a worker to hold the window",
             )
-            dead = f.supervise_once()
-            assert killed in dead
+            with f._lock:
+                window = sorted(victim.outstanding)
+            assert f.inject_crash(victim.worker_id) == victim.worker_id
+            wait_until(lambda: f.crashes, timeout=0.5, interval=0.001, message="EOF")
+            assert [wid for _, wid in f.crashes] == [victim.worker_id]
             assert f.num_workers == 1
+            with f._lock:  # the victim's window is parked for replay
+                assert window and not victim.outstanding
+                parked = [f._tasks[task_id] for task_id in window]
+                assert all(r.worker_id is None and r.next_retry_at > 0.0 for r in parked)
+            assert f.supervise_once() == []  # nothing was left for it to find
         finally:
             f.shutdown()
 

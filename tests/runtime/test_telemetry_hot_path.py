@@ -8,11 +8,12 @@
 * the exec timing a worker stamps on a result entry is peer input: a
   malformed one is dropped, the result still counts, the connection
   lives, nothing raises in the loop thread — on every codec the
-  interpreter has.
+  interpreter has, and on a ``ProcessFarm``'s socketpair as on TCP.
 """
 
 import asyncio
 import hashlib
+import socket
 
 import pytest
 
@@ -26,8 +27,11 @@ from repro.runtime.dist_proto import (
     available_codecs,
     encode_frame_v4,
     read_frame,
+    read_frame_blocking,
 )
+from repro.runtime.dist_worker import greeting
 from repro.runtime.hierarchy import ShardedFarm, TenantRegistry
+from repro.runtime.process_farm import ProcessFarm
 
 from .test_dist_farm import dist_task
 from .test_dist_proto_v4 import attach_v4, patient_farm
@@ -247,4 +251,59 @@ class TestExecTimingIsPeerInput:
             assert run.span_id == stable_span_id(f"exec:0:{dispatch.span_id}")
             assert run.actor == "dworker-0"
         finally:
+            farm.shutdown()
+
+    def test_a_process_farm_drops_malformed_timing_the_same_way(self):
+        """The same coordinator reads a forked worker's acks: here the
+        peer is this test, holding the far end of a socketpair."""
+        tel = Telemetry()
+        farm = ProcessFarm(abs, initial_workers=1, heartbeat_timeout=30.0, telemetry=tel)
+        hostile = ["1.5", [1.0, 2.0], ["a", "b", "c"], {"start": 1.0}, [None, 2.0, 3]]
+        total = len(hostile) + 1
+        ours, theirs = socket.socketpair()
+        try:
+            with farm._lock:
+                farm.workers[0].quarantined = True  # the scripted peer serves alone
+            theirs.sendall(greeting("hello", -1, ("pickle",)))
+            session = asyncio.run_coroutine_threadsafe(farm._attach(ours), farm._loop)
+            rfile = theirs.makefile("rb")
+            welcome = read_frame_blocking(rfile)
+            assert (welcome["type"], welcome["codec"]) == ("welcome", "pickle")
+            peer = welcome["worker_id"]
+            for i in range(total):
+                farm.submit(-i)
+            tasks = []
+            while len(tasks) < total:
+                frame = read_frame_blocking(rfile)
+                assert frame["traced"] is True
+                tasks.extend(frame.get("tasks") or [frame])
+            tasks.sort(key=lambda t: t["task_id"])
+            results = [
+                {"task_id": t["task_id"], "value": abs(t["payload"]), "t": bad}
+                for t, bad in zip(tasks, hostile)
+            ]
+            last = tasks[-1]
+            results.append(
+                {"task_id": last["task_id"], "value": abs(last["payload"]),
+                 "t": (10.0, 12.5, 4242)}
+            )
+            theirs.sendall(
+                encode_frame_v4(
+                    {"type": "result_batch", "results": results, "completed": total},
+                    codec="pickle",
+                )
+            )
+            assert sorted(farm.drain_results(total, timeout=30.0)) == list(range(total))
+            assert farm.completed == total and farm.duplicates == 0
+            (run,) = tel.spans.named("task.exec")
+            assert (run.start, run.end) == (10.0, 12.5)
+            assert run.attributes == {"worker": peer, "pid": 4242, "outcome": "ok"}
+            assert run.actor == f"dworker-{peer}"
+            # the session survived the hostile entries: it still serves
+            farm.submit(-9)
+            frame = read_frame_blocking(rfile)
+            assert frame["type"] == "task" and frame["payload"] == -9
+            assert not session.done()
+        finally:
+            theirs.close()
             farm.shutdown()
