@@ -28,6 +28,30 @@ model), :mod:`repro.security` (the security concern), :mod:`repro.
 runtime` (threads), :mod:`repro.experiments` (figure regeneration).
 """
 
+import sys
+from importlib import import_module
+
 __version__ = "0.1.0"
 
 __all__ = ["core", "sim", "rules", "skeletons", "gcm", "security", "runtime", "experiments"]
+
+
+def _lazy_exports(package: str, home: dict):
+    """PEP 562 ``(__getattr__, __dir__)`` for a package whose exports
+    resolve on first access: ``home`` maps each exported name to the
+    submodule that defines it.  For the packages on a dist worker's
+    import path, which must not pay for siblings it never touches
+    (docs/ARCHITECTURE.md, "Worker import closure")."""
+
+    def __getattr__(name: str):
+        submodule = home.get(name)
+        if submodule is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(f"{package}.{submodule}"), name)
+        setattr(sys.modules[package], name, value)  # later accesses skip this hook
+        return value
+
+    def __dir__():
+        return sorted({*vars(sys.modules[package]), *home})
+
+    return __getattr__, __dir__

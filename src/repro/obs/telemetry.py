@@ -181,11 +181,16 @@ class Telemetry:
         return store
 
     def stop_timeseries(self) -> None:
-        """Stop the scraper thread (if any) and close open alert spans."""
-        if self.slo is not None:
-            self.slo.close()
+        """Stop the scraper thread (if any), then close open alert spans.
+
+        In that order: the scraper's listeners append to the very sample
+        windows the close reads (``deque mutated during iteration``), and
+        a scrape after the close could open an alert nobody ends.
+        """
         if self.timeseries is not None:
             self.timeseries.stop()
+        if self.slo is not None:
+            self.slo.close()
 
     # -- live surface ----------------------------------------------------
     def serve(self, port: int = 0, host: str = "127.0.0.1") -> "TelemetryServer":

@@ -15,32 +15,33 @@ two-phase intent protocol over any backend's admission gate.  See
 ``docs/RUNTIME.md`` and ``docs/MULTICONCERN.md``.
 """
 
-from .active_object import ActiveObject, ActiveObjectError, FutureResult
-from .backend import FarmBackend, RuntimeFarmSnapshot
-from .controller import FarmController, ThreadFarmController
-from .dist_farm import DistFarm, DistWorkerHandle
-from .farm_core import DeadLetter
-from .farm_runtime import ThreadFarm, ThreadWorker
-from .multiconcern import LiveGeneralManager, WorkerPlacement
-from .pipeline_runtime import ThreadPipeline, ThreadStage
-from .process_farm import ProcessFarm
+from .. import _lazy_exports
 
-__all__ = [
-    "ActiveObject",
-    "ActiveObjectError",
-    "FutureResult",
-    "FarmBackend",
-    "FarmController",
-    "ThreadFarm",
-    "ThreadWorker",
-    "RuntimeFarmSnapshot",
-    "ThreadFarmController",
-    "ThreadPipeline",
-    "ThreadStage",
-    "ProcessFarm",
-    "DeadLetter",
-    "DistFarm",
-    "DistWorkerHandle",
-    "LiveGeneralManager",
-    "WorkerPlacement",
-]
+#: where each export lives.  Resolved on first access (PEP 562), never at
+#: package import: ``python -m repro.runtime.dist_worker`` imports this
+#: package on its way to two of its modules, and a worker's cold start is
+#: the floor under every grow/heal decision (docs/ARCHITECTURE.md,
+#: "Worker import closure")
+_HOME = {
+    "ActiveObject": "active_object",
+    "ActiveObjectError": "active_object",
+    "FutureResult": "active_object",
+    "FarmBackend": "backend",
+    "RuntimeFarmSnapshot": "backend",
+    "FarmController": "controller",
+    "ThreadFarmController": "controller",
+    "DistFarm": "dist_farm",
+    "DistWorkerHandle": "dist_farm",
+    "DeadLetter": "farm_core",
+    "ThreadFarm": "farm_runtime",
+    "ThreadWorker": "farm_runtime",
+    "LiveGeneralManager": "multiconcern",
+    "WorkerPlacement": "multiconcern",
+    "ThreadPipeline": "pipeline_runtime",
+    "ThreadStage": "pipeline_runtime",
+    "ProcessFarm": "process_farm",
+}
+
+__all__ = list(_HOME)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _HOME)

@@ -86,6 +86,10 @@ _PEER_FAULT = (
 
 _POISON = encode_frame_v4({"type": "poison"})
 
+#: a wait for a worker's session to open is woken by ``_connected``; it
+#: times out this often only to re-check that the worker is still alive
+_RECHECK = 0.05
+
 
 def fn_spec(fn: Any) -> str:
     """Derive the ``module:qualname`` spec a worker process can import.
@@ -889,15 +893,15 @@ class _StreamFarm(FarmCore):
                 return True
         # wait for the connection: a just-spawned worker may still be
         # importing its task function
-        while True:
-            with self._lock:
-                if not w.active:
+        with self._connected:
+            # woken by the worker's session opening; the short timeout is
+            # only to notice a worker declared dead meanwhile
+            while not self._connected.wait_for(
+                lambda: w.connected and w.writer is not None,
+                min(_RECHECK, max(0.0, deadline - time.monotonic())),
+            ):
+                if not w.active or time.monotonic() >= deadline:
                     return False
-                if w.connected and w.writer is not None:
-                    break
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.01)
         waiter = threading.Event()
         frame = None
         with self._lock:
@@ -1285,10 +1289,14 @@ class DistFarm(_StreamFarm):
 
     def _wait_for_connections(self, count: int, timeout: float) -> None:
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if sum(1 for w in self.workers if w.connected) >= count:
-                    return
+
+        def connected() -> bool:
+            return sum(1 for w in self.workers if w.connected) >= count
+
+        with self._connected:
+            # woken by the session that opens; the short timeout is only
+            # to notice a child that died before it could dial
+            while not self._connected.wait_for(connected, _RECHECK):
                 exited = [
                     w.worker_id
                     for w in self.workers
@@ -1296,13 +1304,13 @@ class DistFarm(_StreamFarm):
                     and w.process.poll() is not None
                     and not w.ever_connected
                 ]
-            if exited:
-                raise RuntimeError(
-                    f"worker(s) {exited} exited before connecting — is the task "
-                    f"function importable as {self.fn_spec!r}?"
-                )
-            time.sleep(0.01)
-        raise RuntimeError(f"workers failed to connect within {timeout}s")
+                if exited:
+                    raise RuntimeError(
+                        f"worker(s) {exited} exited before connecting — is the task "
+                        f"function importable as {self.fn_spec!r}?"
+                    )
+                if time.monotonic() >= deadline:
+                    raise RuntimeError(f"workers failed to connect within {timeout}s")
 
     def drop_connection(self, worker_id: Optional[int] = None) -> Optional[int]:
         """Abort one worker's TCP connection — the network-level fault.

@@ -142,7 +142,6 @@ import json
 import os
 import pickle
 import struct
-from asyncio import IncompleteReadError
 from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from ..security.crypto import CryptoError, decrypt, encrypt
@@ -437,7 +436,9 @@ async def read_frame(
         header = await reader.readexactly(_HEADER.size)
         mtype, codec, flags, length = _parse_header(header, allowed)
         body = await reader.readexactly(length)
-    except (IncompleteReadError, ConnectionError, OSError):
+    except (EOFError, ConnectionError, OSError):
+        # EOFError: asyncio's IncompleteReadError is one, and naming the
+        # base keeps asyncio out of a worker's imports
         return None
     return _parse_body(mtype, codec, flags, body)
 

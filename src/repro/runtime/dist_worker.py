@@ -14,57 +14,57 @@ remotely attached worker are indistinguishable on the wire.
 
 The wire is protocol v4 (:mod:`.dist_proto`): binary frames, a payload
 codec negotiated at ``hello`` (offer restricted with ``--codec``), and
-multi-task ``task_batch`` frames executed in arrival order with results
-accumulated and acked in ``result_batch`` frames — flushed whenever the
-input queue drains or enough results pile up, so a busy worker amortises
-acks without ever sitting on a finished result while idle.
+multi-task ``task_batch`` frames executed in arrival order and acked in
+``result_batch`` frames at most :data:`ACK_INTERVAL` behind the work —
+microsecond tasks amortise a whole window into one ack, and a finished
+result never sits out a slow neighbour.
 
 What a worker *decides* — how a task is executed and stamped
 (:func:`iter_entries`), how results degrade from a batch to per-entry
 frames to an error (:func:`encode_results`), when a task is bounced and
 how (:func:`refusal_reason`, :func:`refused_frame`), the handshake proof
-(:func:`secured_frame`) — is plain functions, under two thin shells:
+(:func:`secured_frame`) — is plain functions under **one shell**: a
+blocking loop on a connected socket that reads a frame, runs its window
+inline, acks, and answers ``secure`` and ``poison`` in wire order (a
+``poison`` queues *behind* earlier windows, which is what makes
+coordinator-driven retirement graceful).  No event loop, no queue, no
+executor hop: the only other thread is a daemon **heartbeat**, beating
+every ``--heartbeat-period`` under the same send lock, so a worker deep
+in one long task is still visibly alive and only real death (or a wedged
+interpreter) silences it.
 
-* :func:`run_worker`, one asyncio loop for a worker that *dials* a
-  coordinator over TCP (three coroutines, below) and may outlive it;
-* :func:`serve_forked`, a blocking loop for a child a
-  :class:`~repro.runtime.process_farm.ProcessFarm` forked with one end of
-  a socketpair already in hand — no loop to start, no executor hop.
+There are two ways of coming by the socket:
 
-The asyncio shell's coroutines:
+* :func:`run_worker` *dials* a coordinator over TCP — with capped
+  exponential backoff (``--connect-attempts`` / ``--connect-backoff``),
+  so workers can be launched *before* the coordinator finishes binding
+  its port — and greets it.  EOF means the coordinator is gone: by
+  default the worker exits at once (nobody left to ack to; in-flight
+  work is replayed anyway), but with ``--reconnect-attempts N`` it
+  redials and ``reattach``-es to whatever coordinator — typically a
+  promoted standby — rebinds the port, refusing task frames from any
+  session announcing an epoch older than the newest it has served.
+* :func:`serve_forked` is the body of a child a
+  :class:`~repro.runtime.process_farm.ProcessFarm` forked with one end
+  of a socketpair already in hand, its greeting already written by the
+  coordinator that forked it.
 
-* **reader** — drains frames into an in-order queue; EOF means the
-  coordinator is gone.  By default the worker exits immediately (nobody
-  left to ack to; in-flight work is replayed anyway), but with
-  ``--reconnect-attempts N`` it instead redials with capped backoff and
-  ``reattach``-es to whatever coordinator — typically a promoted
-  standby — rebinds the port, refusing task frames from any session
-  announcing an epoch older than the newest it has served.
-* **executor** — pulls tasks from the queue and runs the (blocking)
-  task function on a single-thread executor, so a long CPU/sleep task
-  never stalls the loop; a ``poison`` frame queues *behind* earlier
-  tasks, which is what makes coordinator-driven retirement graceful.
-* **heartbeat** — beats every ``--heartbeat-period`` independently of
-  task execution: only real death (or a wedged interpreter) silences a
-  worker.
-
-Connection establishment retries with capped exponential backoff
-(``--connect-attempts`` / ``--connect-backoff``), so workers can be
-launched *before* the coordinator finishes binding its port.
+This module is a worker's whole start-up cost, so it imports what it
+uses and nothing else: see "Worker import closure" in
+``docs/ARCHITECTURE.md`` before adding an import here or to
+:mod:`.dist_proto`.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
-import concurrent.futures
 import importlib
 import os
 import socket
 import sys
 import threading
 import time
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence
 
 from .dist_proto import (
     PROTOCOL_VERSION,
@@ -72,18 +72,13 @@ from .dist_proto import (
     available_codecs,
     encode_frame_v4,
     prove_challenge,
-    read_frame,
     read_frame_blocking,
 )
 
 __all__ = ["resolve_fn", "run_worker", "serve_forked", "greeting", "main"]
 
-#: flush accumulated results once this many pile up even if the input
-#: queue never drains — bounds ack latency under a sustained stream
-RESULT_FLUSH = 32
-
-#: the blocking shell runs a window inline, so it bounds ack latency by
-#: time: a finished result waits at most this long behind the rest of its
+#: the shell runs a window inline, so it bounds ack latency by time: a
+#: finished result waits at most this long behind the rest of its
 #: window.  Microsecond tasks still ack a whole window in one frame;
 #: millisecond tasks ack one by one, and the coordinator's rate monitor
 #: sees departures as they happen, not a window at a time
@@ -104,7 +99,7 @@ def resolve_fn(spec: str) -> Callable[[Any], Any]:
 
 
 # ----------------------------------------------------------------------
-# what a worker decides (no I/O): both shells call these
+# what a worker decides (no I/O)
 # ----------------------------------------------------------------------
 def greeting(
     kind: str, worker_id: int, offered: Sequence[str], completed: Optional[int] = None
@@ -172,13 +167,6 @@ def iter_entries(
         yield entry
 
 
-def run_entries(
-    fn: Callable[[Any], Any], items: List[dict], traced: bool, pid: int
-) -> List[dict]:
-    """:func:`iter_entries`, to the end (what a pool thread is handed)."""
-    return list(iter_entries(fn, items, traced, pid))
-
-
 def encode_results(entries: List[dict], completed: int, codec: str) -> bytes:
     """Result entries as wire bytes, batched when possible.
 
@@ -214,25 +202,194 @@ def encode_results(entries: List[dict], completed: int, codec: str) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# the asyncio shell: a worker that dials its coordinator
+# the one shell: a blocking session loop, and two ways to a socket
 # ----------------------------------------------------------------------
-async def _connect(
+class _Shell:
+    """What a worker carries from one session to the next — its id, its
+    cumulative ``completed``, the highest epoch it has served — and the
+    loop that serves one session on a connected socket."""
+
+    def __init__(
+        self,
+        fn: Callable[[Any], Any],
+        *,
+        worker_id: int,
+        offered: Sequence[str],
+        heartbeat_period: float,
+        require_secure: bool,
+        reconnects: bool,
+    ) -> None:
+        self.fn = fn
+        self.worker_id = worker_id
+        self.offered = tuple(offered)
+        self.heartbeat_period = heartbeat_period
+        self.require_secure = require_secure
+        self.reconnects = reconnects  # EOF ends the session, not the process
+        self.completed = 0
+        self.max_epoch = -1  # highest coordinator epoch served
+        self.attached = False  # whether a coordinator ever welcomed us
+
+    def greeting(self) -> bytes:
+        if self.attached:
+            return greeting("reattach", self.worker_id, self.offered, self.completed)
+        return greeting("hello", self.worker_id, self.offered)
+
+    def _gone(self) -> str:
+        """The coordinator vanished: nobody left to ack to.  The hard exit
+        skips whatever a forked child inherited to run at exit, and does
+        not wait for the tail of a long task."""
+        if not self.reconnects:
+            os._exit(1)
+        return "eof"
+
+    def _vet(self, welcome: dict, codec: str) -> Optional[str]:
+        """Why this welcome ends the attachment, or ``None``."""
+        if welcome.get("type") == "error":
+            # the coordinator refused us (e.g. protocol-version mismatch,
+            # no acceptable codec): surface its diagnosis
+            return f"coordinator refused worker: {welcome.get('error', 'unknown error')}"
+        if welcome.get("type") not in ("welcome", "takeover"):
+            return "no welcome from the coordinator"
+        if welcome.get("proto") != PROTOCOL_VERSION:
+            return (
+                f"protocol version mismatch: this worker speaks version "
+                f"{PROTOCOL_VERSION}, the coordinator announced {welcome.get('proto')}"
+            )
+        if codec != "json" and codec not in self.offered:
+            return (
+                f"coordinator picked codec {codec!r}, which this "
+                f"worker never offered (offered: {', '.join(self.offered)})"
+            )
+        return None
+
+    def serve(self, sock: socket.socket, greet: bytes = b"") -> str:
+        """Serve one session on ``sock`` and close it; returns how it
+        ended: ``"poison"``, ``"refused"`` (reason on stderr) or — only
+        when :attr:`reconnects` — ``"eof"``.
+
+        ``greet`` opens the session unless the other end already holds
+        this worker's greeting.  Each task frame's window runs inline, in
+        arrival order, acked every :data:`ACK_INTERVAL`; ``secure`` and
+        ``poison`` are answered in wire order, so a poison behind queued
+        windows retires the worker only after every result is out.  A
+        daemon thread beats independently of task execution — both write
+        under one send lock — and is gone when this returns.
+        """
+        stop = threading.Event()
+        send_lock = threading.Lock()
+
+        def send(data: bytes) -> None:
+            with send_lock:
+                sock.sendall(data)
+
+        def beat() -> None:
+            while not stop.wait(self.heartbeat_period):
+                try:
+                    send(encode_frame_v4({"type": "hb", "completed": self.completed}))
+                except OSError:
+                    # mid-task this is how a dead coordinator is noticed;
+                    # a surviving worker's reader meets the EOF itself
+                    self._gone()
+                    return
+
+        heart = threading.Thread(target=beat, name="worker-hb", daemon=True)
+        try:
+            with sock, sock.makefile("rb") as rfile:
+                send(greet)
+                try:
+                    welcome = read_frame_blocking(rfile, allowed=("json",)) or {}
+                except ProtocolError:
+                    welcome = {}
+                # a welcome that names no codec means json
+                codec = str(welcome.get("codec", "json"))
+                problem = self._vet(welcome, codec)
+                if problem is not None:
+                    print(problem, file=sys.stderr)
+                    return "refused"
+                self.worker_id = int(welcome.get("worker_id", self.worker_id))
+                self.attached = True
+                epoch = int(welcome.get("epoch", 0))
+                # sticky: a session announcing a lower epoch than one
+                # already served is a superseded coordinator incarnation
+                stale = epoch < self.max_epoch
+                self.max_epoch = max(self.max_epoch, epoch)
+                heart.start()
+                try:
+                    return self._pump(rfile, send, codec, stale)
+                finally:
+                    stop.set()
+                    heart.join()
+        except OSError:
+            return self._gone()
+
+    def _pump(
+        self,
+        rfile: Any,
+        send: Callable[[bytes], None],
+        codec: str,
+        stale: bool,
+    ) -> str:
+        fn = self.fn
+        # control frames travel as json, data frames as the session codec
+        allowed = ("json", codec)
+        pid = os.getpid()
+        secured = False
+        while True:
+            try:
+                frame = read_frame_blocking(rfile, allowed=allowed)
+            except ProtocolError:
+                frame = None  # a garbage stream reads like a dead one
+            if frame is None:
+                return self._gone()
+            kind = frame.get("type")
+            if kind in ("task", "task_batch"):
+                items = frame["tasks"] if kind == "task_batch" else [frame]
+                reason = refusal_reason(stale, self.require_secure, secured)
+                if reason is not None:
+                    send(refused_frame(items, reason))
+                    continue
+                entries: List[dict] = []
+                acked = time.monotonic()
+                for entry in iter_entries(fn, items, bool(frame.get("traced")), pid):
+                    entries.append(entry)
+                    if time.monotonic() - acked >= ACK_INTERVAL:
+                        self.completed += len(entries)
+                        send(encode_results(entries, self.completed, codec))
+                        entries = []
+                        acked = time.monotonic()
+                if entries:
+                    self.completed += len(entries)
+                    send(encode_results(entries, self.completed, codec))
+            elif kind == "secure":
+                send(secured_frame(frame))
+                secured = True
+            elif kind == "poison":
+                send(encode_frame_v4({"type": "bye", "completed": self.completed}))
+                return "poison"
+
+
+def _dial(
     host: str, port: int, attempts: int, backoff: float, backoff_cap: float
-) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+) -> socket.socket:
     """Open the coordinator connection, retrying with capped backoff."""
     delay = backoff
     for attempt in range(attempts):
         try:
-            return await asyncio.open_connection(host, port)
+            sock = socket.create_connection((host, port))
         except OSError:
             if attempt == attempts - 1:
                 raise
-            await asyncio.sleep(delay)
+            time.sleep(delay)
             delay = min(delay * 2.0, backoff_cap)
-    raise OSError("unreachable")  # pragma: no cover - loop always returns/raises
+            continue
+        # acks are small and latency is the point: without this, Nagle
+        # and the peer's delayed ACK put 40 ms on every one of them
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+    raise OSError("no connection attempt allowed")
 
 
-async def run_worker(
+def run_worker(
     host: str,
     port: int,
     fn: Callable[[Any], Any],
@@ -246,7 +403,8 @@ async def run_worker(
     reconnect_attempts: int = 0,
     codec: str = "auto",
 ) -> int:
-    """Run one worker until poisoned (returns 0) or orphaned.
+    """Dial a coordinator and serve it until poisoned (returns 0),
+    refused or out of redials (returns 1).  Blocks the calling thread.
 
     ``codec`` restricts the codec offer in the ``hello`` frame
     (``"auto"``: offer everything this interpreter can speak); the
@@ -259,199 +417,48 @@ async def run_worker(
     protocol cannot push work onto an unsecured channel.
 
     With ``reconnect_attempts > 0`` the worker *survives* losing its
-    coordinator: on EOF it drops in-flight state (the coordinator's
-    journal replays those tasks anyway), redials with capped exponential
-    backoff and announces itself with a ``reattach`` frame carrying the
-    id it was already assigned.  A promoted standby answers ``takeover``
-    and the worker keeps serving under the new epoch.  The highest epoch
+    coordinator: on EOF it drops the session (the coordinator's journal
+    replays what was in flight), redials with capped exponential backoff
+    and announces itself with a ``reattach`` frame carrying the id it
+    was already assigned.  A promoted standby answers ``takeover`` and
+    the worker keeps serving under the new epoch.  The highest epoch
     ever seen is sticky: a session announcing a *lower* epoch is a stale
     predecessor, and every task frame it sends — single or batch — is
     bounced with a ``refused``/``stale epoch`` frame rather than
     executed; at most one coordinator incarnation can get work out of
     this worker.
 
-    With ``reconnect_attempts <= 0`` (the default and the pre-v3
-    behaviour) EOF hard-exits the process: there is nobody to ack to,
-    and the hard exit guarantees no non-daemon executor thread keeps an
-    orphan alive for the tail of a long task.
+    With ``reconnect_attempts <= 0`` (the default) EOF hard-exits the
+    process with status 1: there is nobody to ack to.  Mid-task it is
+    the heartbeat's failed write that notices, within two periods.
     """
-    loop = asyncio.get_running_loop()
-    pool = concurrent.futures.ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix=f"dworker-{worker_id}"
+    shell = _Shell(
+        fn,
+        worker_id=worker_id,
+        offered=available_codecs() if codec == "auto" else (codec,),
+        heartbeat_period=heartbeat_period,
+        require_secure=require_secure,
+        reconnects=reconnect_attempts > 0,
     )
-    completed = 0
-    max_epoch = -1  # highest coordinator epoch this worker has served
-    attached = False  # whether a coordinator ever assigned us an id
-    offered = available_codecs() if codec == "auto" else (codec,)
-
-    async def session() -> str:
-        """One coordinator attachment; returns how it ended."""
-        nonlocal worker_id, completed, max_epoch, attached
-        reader, writer = await _connect(
-            host,
-            port,
-            reconnect_attempts if attached else connect_attempts,
-            connect_backoff,
-            connect_backoff_cap,
-        )
-        if attached:
-            writer.write(greeting("reattach", worker_id, offered, completed))
-        else:
-            writer.write(greeting("hello", worker_id, offered))
+    while True:
         try:
-            welcome = await read_frame(reader, allowed=("json",)) or {}
-        except ProtocolError:
-            welcome = {}
-        session_codec = str(welcome.get("codec", "json"))
-        problem = None  # why this attachment ends here, for stderr
-        if welcome.get("type") == "error":
-            # the coordinator refused us (e.g. protocol-version
-            # mismatch, no acceptable codec): surface its diagnosis
-            # instead of dying silently
-            problem = f"coordinator refused worker: {welcome.get('error', 'unknown error')}"
-        elif welcome.get("type") not in ("welcome", "takeover"):
-            problem = "no welcome from the coordinator"
-        elif welcome.get("proto") != PROTOCOL_VERSION:
-            problem = (
-                f"protocol version mismatch: this worker speaks version "
-                f"{PROTOCOL_VERSION}, the coordinator announced {welcome.get('proto')}"
+            sock = _dial(
+                host,
+                port,
+                reconnect_attempts if shell.attached else connect_attempts,
+                connect_backoff,
+                connect_backoff_cap,
             )
-        elif session_codec != "json" and session_codec not in offered:
-            problem = (
-                f"coordinator picked codec {session_codec!r}, which this "
-                f"worker never offered (offered: {', '.join(offered)})"
-            )
-        if problem is not None:
-            print(problem, file=sys.stderr)
-            writer.close()
-            return "refused"
-        worker_id = int(welcome.get("worker_id", worker_id))
-        attached = True
-        epoch = int(welcome.get("epoch", 0))
-        stale = max_epoch >= 0 and epoch < max_epoch
-        max_epoch = max(max_epoch, epoch)
-
-        # queue items: ([task entries], traced) batches, or None (poison)
-        tasks: "asyncio.Queue[Optional[Tuple[List[dict], bool]]]" = asyncio.Queue()
-        pid = os.getpid()
-        secured = False
-        out_buf: List[dict] = []
-
-        def send(data: bytes) -> None:
-            try:
-                writer.write(data)
-            except Exception:  # noqa: BLE001 - connection died under us
-                pass
-
-        def flush_results() -> None:
-            if out_buf:
-                send(encode_results(out_buf, completed, session_codec))
-                out_buf.clear()
-
-        async def reader_loop() -> str:
-            nonlocal secured
-            while True:
-                try:
-                    frame = await read_frame(reader, allowed=("json", session_codec))
-                except ProtocolError:
-                    # a malformed/torn frame means the coordinator-side
-                    # stream is garbage; treat it exactly like EOF
-                    frame = None
-                if frame is None:
-                    # the coordinator vanished mid-connection
-                    if reconnect_attempts <= 0:
-                        os._exit(1)
-                    return "eof"
-                kind = frame.get("type")
-                if kind in ("task", "task_batch"):
-                    items = frame["tasks"] if kind == "task_batch" else [frame]
-                    reason = refusal_reason(stale, require_secure, secured)
-                    if reason is not None:
-                        send(refused_frame(items, reason))
-                        continue
-                    await tasks.put((items, bool(frame.get("traced"))))
-                elif kind == "secure":
-                    send(secured_frame(frame))
-                    secured = True
-                elif kind == "poison":
-                    await tasks.put(None)
-                    return "poison"
-
-        async def executor_loop() -> None:
-            nonlocal completed
-            while True:
-                item = await tasks.get()
-                if item is None:
-                    flush_results()
-                    send(encode_frame_v4({"type": "bye", "completed": completed}))
-                    await writer.drain()
-                    return
-                items, traced = item
-                # one executor hop for the whole batch: the per-task
-                # submit/wakeup round trip through the pool was the
-                # dominant worker-side cost for cheap tasks, and the
-                # event loop stays free for heartbeats either way
-                entries = await loop.run_in_executor(
-                    pool, run_entries, fn, items, traced, pid
-                )
-                completed += len(entries)
-                out_buf.extend(entries)
-                if len(out_buf) >= RESULT_FLUSH or tasks.empty():
-                    # idle (or the queue drained): never sit on results
-                    flush_results()
-
-        async def heartbeat_loop() -> None:
-            while True:
-                await asyncio.sleep(heartbeat_period)
-                send(encode_frame_v4({"type": "hb", "completed": completed}))
-
-        t_reader = asyncio.ensure_future(reader_loop())
-        t_exec = asyncio.ensure_future(executor_loop())
-        t_hb = asyncio.ensure_future(heartbeat_loop())
-        done, _ = await asyncio.wait(
-            {t_reader, t_exec}, return_when=asyncio.FIRST_COMPLETED
-        )
-        outcome = "eof"
-        try:
-            if t_reader in done:
-                outcome = t_reader.result()
-                if outcome == "poison":
-                    # let already-queued tasks finish, then bye
-                    await t_exec
-            else:
-                # executor finished first: only happens after poison
-                outcome = "poison"
-        finally:
-            for task in (t_reader, t_exec, t_hb):
-                task.cancel()
-            await asyncio.gather(t_reader, t_exec, t_hb, return_exceptions=True)
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001
-                pass
-        return outcome
-
-    try:
-        while True:
-            try:
-                outcome = await session()
-            except OSError:
-                # redial exhausted: the coordinator never came back
-                return 1
-            if outcome == "poison":
-                return 0
-            if outcome == "refused":
-                return 1
-            # "eof" with reconnect enabled: in-flight frames are dropped
-            # (the journal replays them) and we redial the same port —
-            # the standby coordinator rebinds it on promotion
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        except OSError:
+            # (re)dial exhausted: the coordinator never came (back)
+            return 1
+        outcome = shell.serve(sock, shell.greeting())
+        if outcome != "eof":
+            return 0 if outcome == "poison" else 1
+        # "eof" with reconnect enabled: redial the same port — the
+        # standby coordinator rebinds it on promotion
 
 
-# ----------------------------------------------------------------------
-# the blocking shell: a child its coordinator forked
-# ----------------------------------------------------------------------
 def serve_forked(
     sock: socket.socket,
     coordinator_end: socket.socket,
@@ -459,79 +466,29 @@ def serve_forked(
     heartbeat_period: float,
     require_secure: bool = False,
 ) -> None:
-    """Serve one v4 session on ``sock`` until poisoned; the child body
-    of a :class:`~repro.runtime.process_farm.ProcessFarm` worker.
+    """Serve the one session of a child a
+    :class:`~repro.runtime.process_farm.ProcessFarm` forked, on the end
+    of a socketpair it was born holding.
 
     The forking coordinator has already written this worker's ``hello``
-    (it knows the id it forked), so the first frame read here is the
-    ``welcome``.  Each task frame's window runs inline, in arrival
-    order, acked every :data:`ACK_INTERVAL`; a daemon thread beats
-    independently of task execution, so a worker crunching one long
-    CPU-bound task is still visibly alive — both write under one send
-    lock.  There is no reattach: EOF (or any write into a dead socket)
-    is the coordinator gone, and the process hard-exits.
+    (it knows the id it forked, and offers pickle for it), so the
+    session starts at the ``welcome``.  There is no reattach: EOF (or a
+    write into a dead socket) is the coordinator gone, and the process
+    hard-exits.
     """
     # this process's copy of the coordinator's end: while it is open, a
     # dead coordinator would not read as EOF here
     coordinator_end.close()
-    rfile = sock.makefile("rb")
-    send_lock = threading.Lock()
-    completed = 0
-
-    def recv(allowed: Tuple[str, ...]) -> dict:
-        try:
-            frame = read_frame_blocking(rfile, allowed=allowed)
-        except ProtocolError:
-            frame = None  # a garbage stream reads like a dead one
-        if frame is None:
-            os._exit(1)
-        return frame
-
-    def send(data: bytes) -> None:
-        try:
-            with send_lock:
-                sock.sendall(data)
-        except OSError:
-            os._exit(1)
-
-    def beat() -> None:
-        while True:
-            time.sleep(heartbeat_period)
-            send(encode_frame_v4({"type": "hb", "completed": completed}))
-
-    # the coordinator is this process's own image, a moment older: its
-    # welcome needs no vetting, only reading
-    codec = str(recv(("json",))["codec"])
-    pid = os.getpid()
-    secured = False
-    threading.Thread(target=beat, name="worker-hb", daemon=True).start()
-    while True:
-        frame = recv(("json", codec))
-        kind = frame.get("type")
-        if kind in ("task", "task_batch"):
-            items = frame["tasks"] if kind == "task_batch" else [frame]
-            # a forked worker serves one coordinator, one epoch: never stale
-            reason = refusal_reason(False, require_secure, secured)
-            if reason is not None:
-                send(refused_frame(items, reason))
-                continue
-            entries: List[dict] = []
-            acked = time.monotonic()
-            for entry in iter_entries(fn, items, bool(frame.get("traced")), pid):
-                entries.append(entry)
-                completed += 1
-                if time.monotonic() - acked >= ACK_INTERVAL:
-                    send(encode_results(entries, completed, codec))
-                    entries = []
-                    acked = time.monotonic()
-            if entries:
-                send(encode_results(entries, completed, codec))
-        elif kind == "secure":
-            send(secured_frame(frame))
-            secured = True
-        elif kind == "poison":
-            send(encode_frame_v4({"type": "bye", "completed": completed}))
-            return
+    shell = _Shell(
+        fn,
+        worker_id=-1,  # the welcome names it
+        offered=("pickle",),
+        heartbeat_period=heartbeat_period,
+        require_secure=require_secure,
+        reconnects=False,
+    )
+    if shell.serve(sock) != "poison":
+        sys.exit(1)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -570,19 +527,17 @@ def main(argv: Optional[list] = None) -> int:
 
     fn = resolve_fn(args.fn)
     try:
-        return asyncio.run(
-            run_worker(
-                args.host,
-                args.port,
-                fn,
-                worker_id=args.worker_id,
-                heartbeat_period=args.heartbeat_period,
-                connect_attempts=args.connect_attempts,
-                connect_backoff=args.connect_backoff,
-                require_secure=args.require_secure,
-                reconnect_attempts=args.reconnect_attempts,
-                codec=args.codec,
-            )
+        return run_worker(
+            args.host,
+            args.port,
+            fn,
+            worker_id=args.worker_id,
+            heartbeat_period=args.heartbeat_period,
+            connect_attempts=args.connect_attempts,
+            connect_backoff=args.connect_backoff,
+            require_secure=args.require_secure,
+            reconnect_attempts=args.reconnect_attempts,
+            codec=args.codec,
         )
     except (OSError, KeyboardInterrupt):
         return 1

@@ -16,7 +16,8 @@ is a forked worker's own:
 
 * **how it comes to hold the other end of a stream** — a
   ``socket.socketpair()``: the child keeps one end
-  (:func:`~repro.runtime.dist_worker.serve_forked`, a blocking v4 shell),
+  (:func:`~repro.runtime.dist_worker.serve_forked` — the session loop a
+  dialling worker runs too),
   the coordinator's loop is handed the other, and no socket is bound or
   dialled.  A stream has one writer per direction, so there is no
   cross-process lock for a killed worker to die holding, and a dead
@@ -26,7 +27,7 @@ is a forked worker's own:
 
 Which farm when: fork takes closures, starts a worker in ~6 ms and lives
 on this host only; a DistFarm (exec + TCP) needs an importable function
-and ~0.45 s of interpreter start per worker, on any host.
+and ~60 ms of interpreter start per worker, on any host.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Any, Callable, Optional, Tuple
 
 from ..obs.telemetry import Telemetry
 from .dist_farm import DistWorkerHandle, _StreamFarm
+from .dist_worker import greeting, serve_forked
 
 __all__ = ["ProcessFarm", "default_start_method"]
 
@@ -171,11 +173,6 @@ class ProcessFarm(_StreamFarm):
         and the socket the child will serve; whenever that child dies, it
         is an EOF *behind* its greeting, its window replayed like any.
         """
-        # not at module level: ``repro.runtime`` imports this module, and
-        # ``python -m repro.runtime.dist_worker`` — a DistFarm's spawned
-        # worker — must not find itself imported before it runs
-        from .dist_worker import greeting, serve_forked
-
         if self._shutdown.is_set():
             raise RuntimeError("farm is shut down")
         self._require_slot()

@@ -6,27 +6,27 @@ reactively (the manager's own control loop) and proactively (intent
 review inside the two-phase protocol).
 """
 
-from .crypto import CryptoCostModel, CryptoError, decrypt, encrypt, keystream_xor
-from .domains import SecurityPolicy, TrustRegistry
-from .manager import (
-    ExposureBean,
-    LeakBean,
-    LiveSecurityManager,
-    SecurityABC,
-    SecurityManager,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "CryptoCostModel",
-    "CryptoError",
-    "encrypt",
-    "decrypt",
-    "keystream_xor",
-    "SecurityPolicy",
-    "TrustRegistry",
-    "SecurityABC",
-    "SecurityManager",
-    "LiveSecurityManager",
-    "ExposureBean",
-    "LeakBean",
-]
+#: where each export lives.  Resolved on first access (PEP 562), never at
+#: package import: a dist worker imports this package for ``crypto``
+#: alone, and must not pay for the managers (docs/ARCHITECTURE.md,
+#: "Worker import closure")
+_HOME = {
+    "CryptoCostModel": "crypto",
+    "CryptoError": "crypto",
+    "encrypt": "crypto",
+    "decrypt": "crypto",
+    "keystream_xor": "crypto",
+    "SecurityPolicy": "domains",
+    "TrustRegistry": "domains",
+    "SecurityABC": "manager",
+    "SecurityManager": "manager",
+    "LiveSecurityManager": "manager",
+    "ExposureBean": "manager",
+    "LeakBean": "manager",
+}
+
+__all__ = list(_HOME)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _HOME)

@@ -1,7 +1,7 @@
 """E2E regression: a dist worker survives its coordinator.
 
 These tests drive a **real** :func:`repro.runtime.dist_worker.run_worker`
-coroutine against a scripted coordinator speaking the raw wire
+(on an executor thread) against a scripted coordinator speaking the raw wire
 protocol, pinning the three reattach guarantees the supervised dist
 story depends on:
 
@@ -21,6 +21,7 @@ regression net that keeps those tests debuggable.
 """
 
 import asyncio
+from functools import partial
 
 import pytest
 
@@ -87,8 +88,10 @@ class ScriptedCoordinator:
 
 
 def _start_worker(port, **kwargs):
-    return asyncio.ensure_future(
-        run_worker(
+    return asyncio.get_running_loop().run_in_executor(
+        None,
+        partial(
+            run_worker,
             "127.0.0.1",
             port,
             _square,
@@ -96,7 +99,7 @@ def _start_worker(port, **kwargs):
             connect_backoff=0.01,
             connect_backoff_cap=0.1,
             **kwargs,
-        )
+        ),
     )
 
 

@@ -275,7 +275,8 @@ class TestOneCopy:
     def test_importing_the_runtime_does_not_import_the_worker_entry_point(self):
         """``python -m repro.runtime.dist_worker`` is how a DistFarm starts
         a worker; runpy warns in each one if the package import already
-        pulled the module in (``ProcessFarm`` imports it on first use)."""
+        pulled the module in (the package resolves its exports on first
+        access, ``ProcessFarm`` — which imports the worker — among them)."""
         import os
         import subprocess
         import sys
