@@ -12,9 +12,9 @@ Run:  python examples/dataparallel_map.py
 """
 
 from repro.core import MinThroughputContract, build_map_bs
+from repro.obs.export import ascii_series
 from repro.sim import ResourceManager, Simulator, make_cluster
 from repro.sim.resources import Node
-from repro.sim.trace import ascii_series
 from repro.sim.workload import ConstantWork, TaskSource
 
 

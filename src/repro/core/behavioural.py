@@ -33,13 +33,13 @@ from ..gcm.controllers import (
     LifecycleController,
     install_standard_controllers,
 )
+from ..obs.events import TraceRecorder
 from ..sim.engine import Simulator
 from ..sim.farm import SimFarm
 from ..sim.network import Network
 from ..sim.pipeline import Forwarder, SeqStage, SimPipeline
 from ..sim.queues import Store
 from ..sim.resources import Node, NodePredicate, ResourceManager, any_node
-from ..sim.trace import TraceRecorder
 from ..sim.workload import TaskSource, WorkModel
 from ..skeletons.ast import Farm as FarmSkel
 from ..skeletons.ast import Pipe as PipeSkel

@@ -34,11 +34,11 @@ import enum
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..gcm.abc_controller import AutonomicBehaviourController
+from ..obs.events import TraceRecorder
 from ..obs.telemetry import NOOP, Telemetry
 from ..rules.beans import Bean, ManagerOperation
 from ..rules.engine import RuleEngine
 from ..sim.engine import PeriodicTask, Simulator
-from ..sim.trace import TraceRecorder
 from .contracts import Contract
 from .events import Events, Violation
 

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..gcm.abc_controller import FarmABC, PlannedReconfiguration
+from ..obs.events import TraceRecorder
 from ..obs.telemetry import NOOP, Telemetry
 from ..rules.beans import ManagerOperation
-from ..sim.trace import TraceRecorder
 from .events import Events
 from .manager import AutonomicManager, ManagerError
 

@@ -24,9 +24,9 @@ from typing import List, Optional, Sequence
 
 from ..core.behavioural import build_farm_bs
 from ..core.contracts import ThroughputRangeContract
+from ..obs.events import TraceRecorder
 from ..sim.engine import Simulator
 from ..sim.resources import ResourceManager, make_cluster
-from ..sim.trace import TraceRecorder
 from ..sim.workload import ConstantWork, TaskSource
 from .fig3 import Fig3Config, Fig3Result, run_fig3
 

@@ -30,10 +30,10 @@ from typing import List, Optional, Tuple
 from ..core.behavioural import PipelineApp, build_three_stage_pipeline
 from ..core.contracts import ThroughputRangeContract
 from ..core.events import Events
+from ..obs.events import TraceRecorder
 from ..obs.telemetry import Telemetry
 from ..sim.engine import Simulator
 from ..sim.resources import ResourceManager, make_cluster
-from ..sim.trace import TraceRecorder
 from ..sim.workload import UniformWork
 
 __all__ = ["Fig4Config", "Fig4Result", "run_fig4", "main"]

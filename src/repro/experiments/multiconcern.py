@@ -30,12 +30,12 @@ from typing import Optional
 from ..core.behavioural import FarmBS, build_farm_bs
 from ..core.contracts import MinThroughputContract, SecurityContract
 from ..core.multiconcern import CoordinationMode, GeneralManager
+from ..obs.events import TraceRecorder
 from ..security.domains import SecurityPolicy
 from ..security.manager import SecurityABC, SecurityManager
 from ..sim.engine import Simulator
 from ..sim.network import Network
 from ..sim.resources import Domain, Node, ResourceManager
-from ..sim.trace import TraceRecorder
 from ..sim.workload import ConstantWork, TaskSource
 
 __all__ = ["MultiConcernConfig", "MultiConcernResult", "run_multiconcern"]

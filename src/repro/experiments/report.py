@@ -4,16 +4,15 @@ Each ``render_*`` function turns one experiment's result object into the
 textual analogue of the corresponding paper figure: aligned event
 timelines (Figure 4's first two graphs), rate charts with the contract
 stripe (third graph), and step charts of resources used (fourth graph).
-The benchmark harnesses print these, so ``pytest benchmarks/
---benchmark-only -s`` regenerates every figure of the paper in text
-form.
+``python -m repro.experiments`` prints these, regenerating every figure
+of the paper in text form.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..sim.trace import ascii_series, ascii_timeline
+from ..obs.export import ascii_series, ascii_timeline
 from .ablation import AblationRow
 from .failures import FaultResult
 from .fig3 import Fig3Result

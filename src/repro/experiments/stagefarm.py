@@ -23,9 +23,9 @@ from ..core.adaptation import install_stage_promotion
 from ..core.behavioural import PipelineApp, build_three_stage_pipeline
 from ..core.contracts import ThroughputRangeContract
 from ..core.events import Events
+from ..obs.events import TraceRecorder
 from ..sim.engine import Simulator
 from ..sim.resources import ResourceManager, make_cluster
-from ..sim.trace import TraceRecorder
 from ..sim.workload import ConstantWork
 
 __all__ = ["StageFarmConfig", "StageFarmResult", "run_stagefarm"]

@@ -10,8 +10,7 @@ One substrate-agnostic telemetry spine for the whole stack:
   invocation, contract split, violation propagation hop and two-phase
   intent round of the autonomic managers becomes a span or span-event;
 * **event marks** (:mod:`repro.obs.events`) — the flat
-  ``(time, actor, name)`` records behind the reproduced figures
-  (formerly ``repro.sim.trace``, which remains as a shim);
+  ``(time, actor, name)`` records behind the reproduced figures;
 * **metrics** (:mod:`repro.obs.metrics`) — a registry of counters,
   gauges and fixed-bucket histograms: control-loop latency, queue
   variance, per-worker service time, reconfiguration blackout duration;

@@ -29,7 +29,6 @@ _HOME = {
     "FarmBackend": "backend",
     "RuntimeFarmSnapshot": "backend",
     "FarmController": "controller",
-    "ThreadFarmController": "controller",
     "DistFarm": "dist_farm",
     "DistWorkerHandle": "dist_farm",
     "DeadLetter": "farm_core",

@@ -42,7 +42,7 @@ from ..obs.telemetry import NOOP, Telemetry
 from ..rules.engine import RuleEngine
 from .backend import FarmBackend
 
-__all__ = ["FarmController", "ThreadFarmController"]
+__all__ = ["FarmController"]
 
 
 class FarmController:
@@ -262,8 +262,3 @@ class FarmController:
                 self.actions.append((now, f"rebalance x{moved}"))
             return
         raise ValueError(f"controller cannot execute {op}")
-
-
-#: Historical name from when the thread farm was the only live backend;
-#: kept as an alias so existing imports keep working.
-ThreadFarmController = FarmController

@@ -1317,8 +1317,7 @@ class DistFarm(_StreamFarm):
 
         The coordinator sees EOF and replays; the orphaned worker sees
         EOF on its side and exits.  This is the fault a real deployment
-        meets most often (a partition, a crashed gateway), and the one
-        the dist benchmarks time recovery for.
+        meets most often (a partition, a crashed gateway).
         """
         with self._lock:
             if worker_id is None:

@@ -8,7 +8,7 @@ Python's GIL limits the parallel speed-up for CPU-bound functions
 (repro-band note), so the quantitative experiments use the simulator;
 this runtime exists to show that the identical manager/rule machinery
 drives genuine concurrent execution — see
-:class:`~repro.runtime.controller.ThreadFarmController`.
+:class:`~repro.runtime.controller.FarmController`.
 
 Secured channels are real here: task payloads (pickled) are encrypted by
 the emitter and decrypted by the worker with the toy cipher from

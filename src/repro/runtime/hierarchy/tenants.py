@@ -22,9 +22,9 @@ paper leaves implicit:
   (its contracted rate, by default).
 
 Everything observable lands in ``repro_tenant_*`` metrics, labelled by
-tenant, so the fair-share error asserted in tests (and reported in
-``BENCH_shard.json``) comes from the same counters operators would
-watch.
+tenant, so the fair-share error asserted in tests (and reported as
+BENCH_stack's ``tenants.fair_share_error``) comes from the same
+counters operators would watch.
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ with a monotonically increasing ``seq``):
 
 Durability model: writes are buffered and fsynced every ``fsync_batch``
 events (or on :meth:`DispatchJournal.sync`).  ``fsync_batch=1`` gives
-strict per-event durability at a measured cost — BENCH_failover.json
-records the batched-vs-unbatched overhead.  Replay tolerates a torn
+strict per-event durability at a cost (BENCH_stack's
+``journal.append_us`` measures the batched default).  Replay tolerates a torn
 final line (a crash mid-append), dropping everything from the first
 undecodable line on.
 """

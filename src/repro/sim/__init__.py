@@ -6,8 +6,7 @@ FIFO channels (:mod:`queues`), processing resources with external load
 (:mod:`resources`), a domain-aware network with secure-channel costs and
 leak auditing (:mod:`network`), synthetic stream workloads
 (:mod:`workload`), the farm and pipeline pattern mechanisms
-(:mod:`farm`, :mod:`pipeline`), monitoring probes (:mod:`metrics`) and
-figure-grade trace recording (:mod:`trace`).
+(:mod:`farm`, :mod:`pipeline`) and monitoring probes (:mod:`metrics`).
 """
 
 from .engine import (
@@ -43,7 +42,6 @@ from .resources import (
     make_cluster,
     trusted_only,
 )
-from .trace import EventMark, TraceRecorder, ascii_series, ascii_timeline
 from .workload import (
     ConstantWork,
     HotSpotWork,
@@ -102,8 +100,4 @@ __all__ = [
     "StageSnapshot",
     "Forwarder",
     "SimPipeline",
-    "EventMark",
-    "TraceRecorder",
-    "ascii_timeline",
-    "ascii_series",
 ]

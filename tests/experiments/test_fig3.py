@@ -69,6 +69,7 @@ class TestFig3Parametrisation:
         lo = run_fig3(Fig3Config(target_throughput=0.4, input_rate=0.5, duration=400.0))
         hi = run_fig3(Fig3Config(target_throughput=0.8, input_rate=1.0, duration=400.0))
         assert hi.final_workers > lo.final_workers
+        assert hi.time_to_contract >= lo.time_to_contract
 
     def test_unreachable_target_escalates(self):
         """Target beyond the pool's capacity: manager runs out of plans."""
@@ -88,7 +89,8 @@ class TestHotSpotAdaptation:
 
     def test_manager_rides_out_hot_spot(self):
         from repro.core import MinThroughputContract, build_farm_bs
-        from repro.sim import ResourceManager, Simulator, TraceRecorder, make_cluster
+        from repro.obs.events import TraceRecorder
+        from repro.sim import ResourceManager, Simulator, make_cluster
         from repro.sim.workload import ConstantWork, HotSpotWork, TaskSource
 
         sim = Simulator()

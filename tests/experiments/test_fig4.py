@@ -40,6 +40,8 @@ class TestPhase1Starvation:
         first_viol = result.first_violation_time
         first_inc = min(result.inc_rate_times)
         assert first_inc > first_viol
+        # ... and by no more than the transport delay plus one AM_A tick
+        assert first_inc - first_viol <= result.config.control_period + 1.0 + 1e-6
 
 
 class TestPhase2Growth:
@@ -176,7 +178,8 @@ class TestElasticity:
         """The full elastic cycle: grow under load, shrink when the input
         rate falls (CheckRateHigh + REMOVE_EXECUTOR)."""
         from repro.core import ThroughputRangeContract, build_farm_bs
-        from repro.sim import ResourceManager, Simulator, TraceRecorder, make_cluster
+        from repro.obs.events import TraceRecorder
+        from repro.sim import ResourceManager, Simulator, make_cluster
         from repro.sim.workload import ConstantWork, TaskSource
 
         sim = Simulator()

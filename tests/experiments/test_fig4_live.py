@@ -10,9 +10,12 @@ import pytest
 from repro.experiments.fig4 import main as fig4_main
 from repro.experiments.fig4_live import (
     Fig4LiveConfig,
+    Fig4ShardedConfig,
     make_backend,
     render_fig4_live,
+    render_fig4_sharded,
     run_fig4_live,
+    run_fig4_sharded,
 )
 
 
@@ -76,6 +79,38 @@ class TestProcessBackend:
         assert r.crashes == 0
         assert r.zero_loss()
         assert r.grew()
+
+
+class TestCoordinatorKill:
+    def test_supervisor_recovers_every_in_flight_task(self):
+        """fig4 --kill-coordinator: the whole coordinator stack dies
+        mid-feed and the next incarnation finishes the stream."""
+        cfg = quick_config("thread", kill_coordinator=True, total_tasks=80, crash_after=30)
+        r = run_fig4_live(cfg)
+        assert r.failover_story_ok()
+        assert r.final_epoch >= 1
+        text = render_fig4_live(r)
+        assert "coordinator failovers (supervisor)" in text
+        assert "self-healing story holds" in text
+
+    def test_kill_coordinator_excludes_with_security(self):
+        cfg = Fig4LiveConfig(backend="thread", kill_coordinator=True, with_security=True)
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            run_fig4_live(cfg)
+
+
+class TestShardedHierarchy:
+    def test_skewed_feed_is_rebalanced_without_loss(self):
+        r = run_fig4_sharded(Fig4ShardedConfig(total_tasks=120))
+        assert r.zero_loss()
+        assert r.rebalanced()
+        assert "first rebalance at t=" in render_fig4_sharded(r)
+
+    def test_in_quota_tenants_see_no_rejects(self):
+        r = run_fig4_sharded(Fig4ShardedConfig(tenants=3, contract_low=2.0, total_tasks=120))
+        assert r.zero_loss()
+        rejected = {row[0]: row[4] for row in r.tenant_stats}
+        assert rejected and not any(rejected.values()), rejected
 
 
 class TestRendering:

@@ -1,7 +1,6 @@
 """EventMark fixed-width formatting: columns align for any actor/time."""
 
 from repro.obs.events import EventMark
-from repro.sim.trace import EventMark as ShimEventMark
 
 
 def _colon_column(line: str) -> int:
@@ -36,6 +35,3 @@ class TestEventMarkStr:
         # the distinguishing suffix survives truncation
         assert actor_field.endswith(".W10")
         assert _colon_column(s) == _colon_column(str(EventMark(1.0, "GM", "x")))
-
-    def test_shim_reexports_same_class(self):
-        assert ShimEventMark is EventMark

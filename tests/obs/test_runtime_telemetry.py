@@ -3,7 +3,7 @@
 from repro.core.contracts import MinThroughputContract
 from repro.obs.export import prometheus_text
 from repro.obs.telemetry import Telemetry
-from repro.runtime.controller import ThreadFarmController
+from repro.runtime.controller import FarmController
 from repro.runtime.farm_runtime import ThreadFarm
 
 MAPE_PHASES = ("mape.monitor", "mape.analyse", "mape.plan", "mape.execute")
@@ -17,7 +17,7 @@ class TestControllerTelemetry:
     def _run_steps(self, telemetry, steps=3):
         farm = ThreadFarm(square, initial_workers=2)
         try:
-            ctl = ThreadFarmController(
+            ctl = FarmController(
                 farm,
                 MinThroughputContract(0.1),
                 control_period=0.05,

@@ -20,7 +20,7 @@ from repro.core.contracts import (
     ThroughputRangeContract,
 )
 from repro.runtime.backend import RuntimeFarmSnapshot
-from repro.runtime.controller import FarmController, ThreadFarmController
+from repro.runtime.controller import FarmController
 from repro.runtime.farm_runtime import ThreadFarm
 
 from .waiting import wait_until
@@ -33,11 +33,6 @@ def square(x):
 def slow_square(x):
     time.sleep(0.01)
     return x * x
-
-
-class TestAlias:
-    def test_thread_farm_controller_is_farm_controller(self):
-        assert ThreadFarmController is FarmController
 
 
 class TestShutdownPaths:
@@ -331,15 +326,10 @@ class TestViolationDuringDrain:
         finally:
             farm.shutdown()
 
-    @pytest.mark.timing
     def test_violation_mid_drain_does_not_block_stop(self):
         """stop() racing the very tick that appends a violation: the join
-        must win, and the violation list stays consistent.
-
-        Marked ``timing``: the "no tick after stop()" property is an
-        absence claim — it can only be checked by waiting a grace period
-        and observing nothing happened, which is inherently
-        load-sensitive.  CI excludes it via ``-m "not timing"``."""
+        must win, and the violation list stays consistent.  stop() joins
+        the loop thread, so once it is dead no tick can land."""
         farm = ThreadFarm(square, initial_workers=1, rate_window=0.1)
         for _ in range(20):
             ctl = FarmController(
@@ -348,7 +338,7 @@ class TestViolationDuringDrain:
             wait_until(lambda: ctl.violations, timeout=10.0, message="first violation")
             ctl.stop(timeout=10.0)
             count = len(ctl.violations)
-            # no tick may land after stop() returned
-            time.sleep(0.01)
+            # a dead loop thread cannot tick: nothing landed after stop()
+            assert not ctl._thread.is_alive()
             assert len(ctl.violations) == count
         farm.shutdown()

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.core.contracts import MinThroughputContract, ThroughputRangeContract
-from repro.runtime.controller import ThreadFarmController
+from repro.runtime.controller import FarmController
 from repro.runtime.farm_runtime import ThreadFarm
 
 from .waiting import wait_until
@@ -130,14 +130,14 @@ class TestThreadFarmController:
         farm = ThreadFarm(square, initial_workers=1)
         try:
             with pytest.raises(ValueError):
-                ThreadFarmController(farm, MinThroughputContract(1.0), control_period=0)
+                FarmController(farm, MinThroughputContract(1.0), control_period=0)
         finally:
             farm.shutdown()
 
     def test_contract_sets_thresholds(self):
         farm = ThreadFarm(square, initial_workers=1)
         try:
-            ctl = ThreadFarmController(farm, ThroughputRangeContract(2.0, 5.0))
+            ctl = FarmController(farm, ThroughputRangeContract(2.0, 5.0))
             assert ctl.constants.FARM_LOW_PERF_LEVEL == 2.0
             assert ctl.constants.FARM_HIGH_PERF_LEVEL == 5.0
         finally:
@@ -147,7 +147,7 @@ class TestThreadFarmController:
         """Same Figure 5 rules, real threads: sustained pressure with one
         slow worker forces ADD_EXECUTOR."""
         farm = ThreadFarm(slow_square, initial_workers=1)
-        ctl = ThreadFarmController(
+        ctl = FarmController(
             farm, MinThroughputContract(500.0), control_period=0.05, max_workers=8
         )
         try:
@@ -169,7 +169,7 @@ class TestThreadFarmController:
 
     def test_controller_reports_starvation(self):
         farm = ThreadFarm(square, initial_workers=1)
-        ctl = ThreadFarmController(farm, MinThroughputContract(10.0))
+        ctl = FarmController(farm, MinThroughputContract(10.0))
         try:
             # no arrivals at all -> notEnoughTasks, as soon as any wall
             # time has elapsed for the rate estimator to measure over
@@ -184,7 +184,7 @@ class TestThreadFarmController:
 
     def test_background_loop_runs(self):
         farm = ThreadFarm(square, initial_workers=1)
-        ctl = ThreadFarmController(
+        ctl = FarmController(
             farm, MinThroughputContract(10.0), control_period=0.02
         ).start()
         try:
@@ -234,7 +234,7 @@ class TestControllerLatencyContract:
 
         farm = ThreadFarm(square, initial_workers=1)
         try:
-            ctl = ThreadFarmController(
+            ctl = FarmController(
                 farm,
                 CompositeContract(
                     [ThroughputRangeContract(2.0, 5.0), MaxLatencyContract(0.25)]
@@ -250,7 +250,7 @@ class TestControllerLatencyContract:
         from repro.core.contracts import MaxLatencyContract
 
         farm = ThreadFarm(slow_square, initial_workers=1, rate_window=30.0)
-        ctl = ThreadFarmController(
+        ctl = FarmController(
             farm, MaxLatencyContract(0.02), control_period=0.05, max_workers=8
         )
         try:

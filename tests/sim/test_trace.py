@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.trace import EventMark, TraceRecorder, ascii_series, ascii_timeline
+from repro.obs.events import EventMark, TraceRecorder
+from repro.obs.export import ascii_series, ascii_timeline
 
 
 class TestTraceRecorder:
