@@ -68,6 +68,15 @@ RUNNER_SPEC = "repro.runtime.supervision.runner:run_tagged"
 #: backends a SupervisedFarm can incarnate
 BACKENDS = ("thread", "process", "dist")
 
+#: seconds the monitor waits after each consecutive failed failover (last
+#: value repeats): a rebuild that keeps raising neither spins at
+#: ``check_period`` nor goes unseen
+FAILOVER_BACKOFF = (0.5, 1.0, 2.0, 5.0)
+
+#: results the pump delivers under one hold of the supervisor lock: bounds
+#: how long a submit (or the heartbeat) waits behind a burst of completions
+PUMP_BATCH = 256
+
 
 @dataclass
 class _WorkerEntry:
@@ -351,20 +360,23 @@ class SupervisedFarm:
         thread.start()
 
     def _pump_loop(self, farm: Any, gen: int) -> None:
+        results = farm.results
         while True:
-            with self._lock:
-                if self._shutdown_done or gen != self._pump_gen:
-                    return
-                self._beat = self._clock()  # the coordinator heartbeat
-                self._journal_deaths(farm)
+            # every result already queued (bounded), not one per wake-up
+            batch: List[Any] = []
             try:
-                res = farm.results.get(timeout=0.02)
+                batch.append(results.get(timeout=0.02))
+                while len(batch) < PUMP_BATCH:
+                    batch.append(results.get_nowait())
             except queue.Empty:
-                continue
+                pass
             with self._lock:
                 if self._shutdown_done or gen != self._pump_gen:
                     return  # stale incarnation: its results died with it
-                self._deliver(res)
+                self._beat = self._clock()  # the coordinator heartbeat
+                self._journal_deaths(farm)
+                for res in batch:
+                    self._deliver(res)
 
     def _deliver(self, res: Any) -> None:
         """Journal + dedup one result envelope, then deliver (lock held)."""
@@ -735,6 +747,8 @@ class Supervisor:
         self.name = name or f"{farm.name}-sup"
         self.controller: Optional[FarmController] = None
         self.failovers = 0
+        self.failover_errors = 0
+        self.last_error: Optional[Exception] = None  # what the last failed failover raised
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._restart_lock = threading.Lock()
@@ -807,6 +821,7 @@ class Supervisor:
             return state
 
     def _monitor_loop(self) -> None:
+        failures = 0  # consecutive failed failovers
         while not self._stop.wait(self.check_period):
             farm = self.farm
             if farm._shutdown_done:
@@ -819,5 +834,16 @@ class Supervisor:
                     # silent wedge: declare the coordinator dead first
                     self.crash_coordinator()
                 self.restart()
-            except Exception:  # noqa: BLE001 - the supervisor must survive
-                continue
+                failures = 0
+            except Exception as exc:  # noqa: BLE001 - the supervisor must survive
+                self.last_error = exc
+                self.failover_errors += 1
+                if self.telemetry.enabled:
+                    self.telemetry.metrics.counter(
+                        "repro_sup_failover_errors_total",
+                        "failover attempts that raised (retried with backoff)",
+                    ).labels(farm=farm.name).inc()
+                delay = FAILOVER_BACKOFF[min(failures, len(FAILOVER_BACKOFF) - 1)]
+                failures += 1
+                if self._stop.wait(delay):
+                    return

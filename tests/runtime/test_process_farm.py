@@ -170,7 +170,13 @@ class TestCrashFaultTolerance:
             n = 60
             for i in range(n):
                 f.submit(i)
-            assert f.inject_crash() is not None
+            # kill a worker that is seen to hold tasks: on a starved box
+            # the farm's own pick may not have been sent anything yet
+            victim = wait_until(
+                lambda: next((w for w in f.workers if w.outstanding), None),
+                message="a worker to hold the window",
+            )
+            assert f.inject_crash(victim.worker_id) == victim.worker_id
             results = f.drain_results(n, timeout=60.0)
             assert sorted(results) == sorted(i * i for i in range(n))
             assert f.crashes, "the supervisor must have recorded the death"

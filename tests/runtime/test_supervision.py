@@ -3,7 +3,8 @@
 Three layers of guarantees:
 
 * **DispatchJournal mechanics** — seq continuation across restarts,
-  fsync batching, torn-tail tolerance, closed-journal discipline;
+  the group-commit durability contract (barrier, idle tail, SIGKILL,
+  commit failure), torn-tail tolerance, closed-journal discipline;
 * **replay as a pure fold** — the Hypothesis suite: for *any* valid
   event sequence and *any* crash point, replaying the prefix and then
   applying the suffix equals replaying the whole; the completed/pending
@@ -16,16 +17,24 @@ Three layers of guarantees:
   chaos tier of ``test_backend_conformance.py``.
 """
 
+import errno
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import Telemetry
 from repro.runtime.supervision import (
     DispatchJournal,
     SupervisedFarm,
+    Supervisor,
     read_journal,
     replay_events,
     run_tagged,
@@ -77,13 +86,155 @@ class TestDispatchJournal:
         assert seqs == sorted(seqs) == [0, 1, 2]
 
     def test_fsync_batching(self, tmp_path):
-        journal = DispatchJournal(str(tmp_path / "j.jsonl"), fsync_batch=8)
-        for i in range(20):
+        """The group-commit contract, not a count of fsyncs."""
+        path = str(tmp_path / "j.jsonl")
+        journal = DispatchJournal(path, fsync_batch=8)
+        for i in range(8):
             journal.append({"ev": "submit", "sid": i, "p": i})
-        assert journal.fsyncs == 2  # two full batches, tail unsynced
-        journal.sync()
-        assert journal.fsyncs == 3
+        # a full batch is committed without anybody calling sync()
+        wait_until(lambda: len(read_journal(path)) == 8, message="the full batch on disk")
+        for i in range(8, 20):
+            last = journal.append({"ev": "submit", "sid": i, "p": i})
+        journal.sync()  # the barrier: everything appended before it is on disk
+        assert journal.durable_seq == last == 19
+        assert [e["seq"] for e in read_journal(path)] == list(range(20))
+        assert journal.appended == 20 and journal.fsyncs >= 1
         journal.close()
+
+    @pytest.mark.parametrize("ev", ["contract", "submit"])
+    def test_idle_tail_becomes_durable(self, tmp_path, ev):
+        """One event and then silence: a control-plane event is committed
+        at once, a lone task event after the linger — neither waits for
+        31 further appends, or for a sync() nobody will call."""
+        path = str(tmp_path / "j.jsonl")
+        journal = DispatchJournal(path)
+        try:
+            journal.append({"ev": ev, "c": None})
+            wait_until(
+                lambda: [e["ev"] for e in read_journal(path)] == [ev],
+                timeout=5.0,
+                message="the idle tail on disk",
+            )
+            wait_until(lambda: journal.durable_seq == 0, timeout=5.0, message="the fsync")
+        finally:
+            journal.close()
+
+    def test_line_format_is_the_compact_dump_with_seq_last(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        events = [
+            {"ev": "submit", "sid": 0, "p": [1, {"k": "é"}], "tenant": "t"},
+            {"ev": "complete", "sid": 0, "ok": False, "err": "boom"},
+            {},  # nothing to splice the seq into
+            {"ev": "epoch", "seq": 99, "epoch": 1},  # a caller's seq is overwritten in place
+        ]
+        journal = DispatchJournal(str(path))
+        for event in events:
+            journal.append(event)
+        journal.close()
+        assert path.read_text().splitlines() == [
+            json.dumps({**event, "seq": seq}, separators=(",", ":"))
+            for seq, event in enumerate(events)
+        ]
+
+    def test_sigkill_keeps_everything_synced_before_it(self, tmp_path):
+        """A real process, a real SIGKILL: what sync() returned for is on
+        disk, and what follows it is a contiguous run of seqs (the line
+        the kill tore, if any, is dropped by read_journal)."""
+        path = str(tmp_path / "j.jsonl")
+        code = (
+            "import sys, time\n"
+            "from repro.runtime.supervision import DispatchJournal\n"
+            "j = DispatchJournal(sys.argv[1], fsync_batch=8)\n"
+            "for i in range(500):\n"
+            "    j.append({'ev': 'submit', 'sid': i, 'p': i})\n"
+            "j.sync()\n"
+            "print(j.durable_seq, flush=True)\n"
+            "for i in range(500, 100_000):\n"
+            "    j.append({'ev': 'submit', 'sid': i, 'p': i})\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, path], env=env, stdout=subprocess.PIPE, text=True
+        )
+        try:
+            synced = int(child.stdout.readline())
+            time.sleep(0.01)  # let it get some way into the un-synced appends
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL
+        seqs = [e["seq"] for e in read_journal(path)]
+        assert synced == 499 and len(seqs) > synced
+        assert seqs == list(range(len(seqs)))
+
+    def test_concurrent_appenders_keep_file_order_equal_to_seq_order(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = DispatchJournal(path, fsync_batch=8)
+        threads_n, each = 4, 5_000
+
+        def hammer(t):
+            for i in range(each):
+                journal.append({"ev": "submit", "sid": t * each + i, "p": i})
+
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        journal.sync()
+        events = read_journal(path)
+        assert [e["seq"] for e in events] == list(range(threads_n * each))
+        assert sorted(e["sid"] for e in events) == list(range(threads_n * each))
+        assert len(journal.replay().pending) == threads_n * each
+        assert journal.appended == threads_n * each
+        journal.close()
+
+    def test_commit_failure_surfaces_on_the_callers(self, tmp_path, monkeypatch):
+        """ENOSPC/EIO in the committer is not swallowed with its thread:
+        the journal keeps the error and every later call raises it."""
+        real_fsync, failed = os.fsync, []
+
+        def fsync_fails_once(fd):
+            if not failed:
+                failed.append(fd)
+                raise OSError(errno.EIO, "injected")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync_fails_once)
+        journal = DispatchJournal(str(tmp_path / "j.jsonl"))
+        journal.append({"ev": "contract", "c": None})
+        with pytest.raises(OSError, match="injected"):
+            journal.sync()
+        with pytest.raises(OSError, match="injected"):
+            journal.append({"ev": "submit", "sid": 0, "p": 0})
+        with pytest.raises(OSError, match="injected"):
+            journal.close()
+        assert journal.durable_seq == -1 and journal.fsyncs == 0
+
+    def test_commit_vital_signs(self, tmp_path):
+        telemetry = Telemetry()
+        journal = DispatchJournal(str(tmp_path / "j.jsonl"), telemetry=telemetry, name="vs")
+        for i in range(100):
+            journal.append({"ev": "submit", "sid": i, "p": i})
+        journal.append({"ev": "remove", "wid": 0})
+        journal.close()
+        metrics = telemetry.metrics
+        events = metrics.get("repro_sup_journal_events_total")
+        assert events.labels(journal="vs", ev="submit").value == 100
+        assert events.labels(journal="vs", ev="remove").value == 1
+        seconds = metrics.get("repro_sup_journal_commit_seconds").labels(journal="vs")
+        sizes = metrics.get("repro_sup_journal_commit_events").labels(journal="vs")
+        assert seconds.count == sizes.count == journal.fsyncs >= 1
+        assert sizes.sum == 101
+        assert metrics.get("repro_sup_journal_undurable").labels(journal="vs").value == 0
 
     def test_closed_journal_refuses_appends(self, tmp_path):
         journal = DispatchJournal(str(tmp_path / "j.jsonl"))
@@ -398,4 +549,96 @@ class TestSupervisedFarmFailover:
                 farm.submit((0.0, i))
             assert sorted(farm.drain_results(6, timeout=60.0)) == [i * i for i in range(6)]
         finally:
+            farm.shutdown()
+
+    def test_pump_delivers_a_queued_burst_in_bounded_batches(self, tmp_path):
+        """Results already queued when the pump wakes are delivered under
+        one hold of the supervisor lock (at most PUMP_BATCH of them) —
+        exactly once, in queue order, one ``complete`` line each."""
+        from repro.runtime.supervision import supervisor as sup_module
+
+        farm = SupervisedFarm(
+            supervised_task,
+            backend="thread",
+            journal_path=str(tmp_path / "j.jsonl"),
+            initial_workers=2,
+        )
+        try:
+            total = sup_module.PUMP_BATCH + 44
+            with farm._lock:
+                farm._pump_gen += 1  # retire the running pump
+            wait_until(
+                lambda: not any(t.name == "sfarm-pump-e0" for t in threading.enumerate()),
+                message="the first pump to exit",
+            )
+            for i in range(total):
+                farm.submit((0, i))
+            inner = farm.farm.results
+            wait_until(lambda: inner.qsize() == total, message="every result queued")
+            queued = [res["sid"] for res in inner.queue]
+
+            holds, held_in = [0], []
+            journal_deaths, deliver = farm._journal_deaths, farm._deliver
+
+            def count_hold(f):  # called once per hold of the lock, before delivering
+                holds[0] += 1
+                journal_deaths(f)
+
+            def record_hold(res):
+                held_in.append(holds[0])
+                deliver(res)
+
+            farm._journal_deaths, farm._deliver = count_hold, record_hold
+            farm._start_pump()
+            assert farm.drain_results(total, timeout=60.0) == [sid * sid for sid in queued]
+            assert held_in == [1] * sup_module.PUMP_BATCH + [2] * 44
+            assert farm.completed == total and farm.duplicates == 0
+            farm.journal.sync()
+            completes = [e["sid"] for e in read_journal(farm.journal.path) if e["ev"] == "complete"]
+            assert completes == queued
+        finally:
+            farm.shutdown()
+
+
+class TestSupervisorMonitor:
+    def test_failing_failover_backs_off_is_counted_and_recovers(self, tmp_path, monkeypatch):
+        """A rebuild that raises is neither swallowed nor retried every
+        check_period: the error is kept and counted, the retries climb
+        the backoff ladder, and the first success resets it."""
+        from repro.runtime.supervision import supervisor as sup_module
+
+        ladder = (0.05, 0.15, 5.0)
+        monkeypatch.setattr(sup_module, "FAILOVER_BACKOFF", ladder)
+        telemetry = Telemetry()
+        farm = SupervisedFarm(
+            supervised_task,
+            backend="thread",
+            journal_path=str(tmp_path / "j.jsonl"),
+            telemetry=telemetry,
+        )
+        failover, attempts = farm.failover, []
+
+        def flaky_failover():
+            attempts.append(time.monotonic())
+            if len(attempts) <= 2:
+                raise RuntimeError(f"rebuild failed #{len(attempts)}")
+            return failover()
+
+        farm.failover = flaky_failover
+        supervisor = Supervisor(farm, check_period=0.005, heartbeat_timeout=30.0).start()
+        try:
+            for i in range(4):
+                farm.submit((0, i))
+            supervisor.crash_coordinator()
+            wait_until(lambda: supervisor.failovers == 1, message="the third attempt")
+            assert supervisor.failover_errors == 2
+            assert str(supervisor.last_error) == "rebuild failed #2"
+            gaps = [b - a for a, b in zip(attempts, attempts[1:])]
+            assert gaps[0] >= ladder[0] and gaps[1] >= ladder[1]
+            errors = telemetry.metrics.get("repro_sup_failover_errors_total")
+            assert errors.labels(farm="sfarm").value == 2
+            farm.submit((0, 4))
+            assert sorted(farm.drain_results(5, timeout=60.0)) == [i * i for i in range(5)]
+        finally:
+            supervisor.stop()
             farm.shutdown()
