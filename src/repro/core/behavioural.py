@@ -26,7 +26,7 @@ from ..gcm.abc_controller import (
     ProducerABC,
     StageABC,
 )
-from ..gcm.component import Component, CompositeComponent
+from ..gcm.component import CompositeComponent
 from ..gcm.controllers import (
     BindingController,
     ContentController,

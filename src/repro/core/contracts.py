@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, List, Mapping, Optional, Sequence
 
-from ..skeletons.ast import Farm, Pipe, Seq, Skeleton
+from ..skeletons.ast import Farm, Pipe, Skeleton
 from ..skeletons.cost import stage_weights
 
 __all__ = [

@@ -26,27 +26,43 @@ manager in ACTIVE mode; an unrecoverable violation makes it report to
 its parent and drop to PASSIVE, where it keeps monitoring (and keeps
 re-reporting a persisting violation) but takes no corrective action
 until a new contract arrives.
+
+The manager is written against a :class:`TimeBase`, not a substrate: the
+DES ``Simulator`` and the live runtime's wall-clock ticker
+(:class:`~repro.runtime.controller.WallTimeBase`) both satisfy it.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Mapping, Optional
+import threading
+from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Tuple
 
 from ..gcm.abc_controller import AutonomicBehaviourController
 from ..obs.events import TraceRecorder
 from ..obs.telemetry import NOOP, Telemetry
 from ..rules.beans import Bean, ManagerOperation
 from ..rules.engine import RuleEngine
-from ..sim.engine import PeriodicTask, Simulator
 from .contracts import Contract
-from .events import Events, Violation
+from .events import Events, Violation, ViolationKind
 
-__all__ = ["ManagerState", "AutonomicManager", "ManagerError"]
+__all__ = ["ManagerState", "AutonomicManager", "ManagerError", "TimeBase"]
 
 
-class ManagerError(RuntimeError):
-    """Raised for invalid manager wiring or usage."""
+class ManagerError(RuntimeError, ValueError):
+    """Raised for invalid manager wiring or usage (bad values included)."""
+
+
+class TimeBase(Protocol):
+    """The three things a manager needs of a clock, simulated or wall."""
+
+    now: float  #: current time on this clock
+
+    def periodic(self, period: float, fn: Callable[[], Any], *, name: str = "") -> Any:
+        """Call ``fn`` every ``period``; the handle has ``cancel()``/``cancelled``."""
+
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
+        """Call ``fn(*args)`` once, ``delay`` from now."""
 
 
 class ManagerState(enum.Enum):
@@ -62,7 +78,7 @@ class AutonomicManager:
     def __init__(
         self,
         name: str,
-        sim: Simulator,
+        sim: TimeBase,
         *,
         concern: str = "performance",
         abc: Optional[AutonomicBehaviourController] = None,
@@ -97,8 +113,15 @@ class AutonomicManager:
         self.last_monitor: Optional[Dict[str, Any]] = None
         self.unhandled_violations: List[Violation] = []
         self.violations_raised: List[Violation] = []
+        #: ``(time, kind)`` of each, in order — the flat log reports read
+        self.violations: List[Tuple[float, str]] = []
 
-        self._loop: Optional[PeriodicTask] = None
+        #: serialises contract swaps against in-flight MAPE cycles, so a
+        #: cycle always analyses/plans/executes against ONE contract's
+        #: thresholds — never a half-old, half-new mixture (a live time
+        #: base ticks on its own thread; under the DES it is uncontended)
+        self._cycle_lock = threading.RLock()
+        self._loop: Optional[Any] = None
         if autostart:
             self.start()
 
@@ -134,8 +157,13 @@ class AutonomicManager:
         """Begin the periodic control loop (idempotent)."""
         if self._loop is None or self._loop.cancelled:
             self._loop = self.sim.periodic(
-                self.control_period, self.control_step, name=f"{self.name}.loop"
+                self.control_period, self._tick, name=f"{self.name}.loop"
             )
+
+    def _tick(self) -> None:
+        # control_step returns the fired rule names; a periodic task
+        # reads a truthy return as "stop", so the loop body returns None
+        self.control_step()
 
     def stop(self) -> None:
         """Stop the control loop."""
@@ -146,8 +174,16 @@ class AutonomicManager:
     # contracts (active role entry point)
     # ------------------------------------------------------------------
     def assign_contract(self, contract: Contract) -> None:
-        """Receive a contract from the user or the parent manager."""
-        with self.telemetry.span(
+        """Receive a contract from the user or the parent manager.
+
+        :meth:`check_contract` runs *before* anything mutates, so a
+        rejected contract leaves the previous one fully in force; the
+        swap itself happens under the cycle lock, so one arriving
+        mid-cycle takes effect on the next cycle rather than steering
+        half of this one.
+        """
+        self.check_contract(contract)
+        with self._cycle_lock, self.telemetry.span(
             "contract.assign", actor=self.name, contract=contract.describe()
         ):
             self.contract = contract
@@ -159,6 +195,9 @@ class AutonomicManager:
             # propagation tree becomes directly visible in the trace.
             self.on_contract(contract)
             self._set_state(ManagerState.ACTIVE)
+
+    def check_contract(self, contract: Contract) -> None:
+        """Hook: raise :class:`ManagerError` for an uninterpretable contract."""
 
     def on_contract(self, contract: Contract) -> None:
         """Hook: derive thresholds, split and propagate to children."""
@@ -177,11 +216,14 @@ class AutonomicManager:
     # ------------------------------------------------------------------
     # MAPE loop
     # ------------------------------------------------------------------
-    def control_step(self) -> None:
+    def control_step(self) -> List[str]:
         """One control-loop tick: monitor, analyse, plan, execute.
 
-        With telemetry attached, every phase of the MAPE cycle becomes a
-        child span of one ``mape.cycle`` span, and the cycle's
+        Returns the names of the rules fired (empty in PASSIVE mode and
+        during blackouts).  With telemetry attached, every phase of the
+        MAPE cycle becomes a child span of one ``mape.cycle`` span —
+        ``mape.monitor`` carrying the sample it read, so an exported
+        audit can be replayed through another manager — and the cycle's
         instrumentation-side cost feeds the control-loop latency
         histogram.  The rule evaluation is split into its
         :meth:`~repro.rules.engine.RuleEngine.agenda` (plan) and
@@ -190,9 +232,12 @@ class AutonomicManager:
         execution are separately attributable.
         """
         tel = self.telemetry
-        with tel.span("mape.cycle", actor=self.name) as cycle:
-            with tel.span("mape.monitor", actor=self.name):
+        fired: List[str] = []
+        with self._cycle_lock, tel.span("mape.cycle", actor=self.name) as cycle:
+            with tel.span("mape.monitor", actor=self.name) as monitor:
                 data = self.monitor()
+                if tel.enabled and data:
+                    monitor.set_attribute("sample", data)
             if data is None:
                 # reconfiguration blackout: no sensor data this tick
                 cycle.set_attribute("blackout", True)
@@ -201,7 +246,7 @@ class AutonomicManager:
                         "repro_mape_blackout_ticks_total",
                         "control ticks skipped during reconfiguration blackouts",
                     ).labels(manager=self.name).inc()
-                return
+                return fired
             self.last_monitor = data
             with tel.span("mape.analyse", actor=self.name):
                 self.observe(data)
@@ -228,6 +273,7 @@ class AutonomicManager:
             tel.metrics.counter(
                 "repro_mape_ticks_total", "MAPE control ticks executed"
             ).labels(manager=self.name).inc()
+        return fired
 
     def monitor(self) -> Optional[Dict[str, Any]]:
         """Sample the ABC (managers without an ABC see an empty sample)."""
@@ -254,6 +300,7 @@ class AutonomicManager:
         return bean.bind_sink(self._operation_sink)
 
     def _operation_sink(self, op: ManagerOperation, data: Any) -> None:
+        self.telemetry.event("mape.operation", op=op.value, data=data)
         self.on_operation(op, data)
 
     def on_operation(self, op: ManagerOperation, data: Any) -> None:
@@ -272,8 +319,6 @@ class AutonomicManager:
             raise ManagerError(f"{self.name}: no ABC to execute {op}")
         ok = self.abc.execute(op, data)
         if not ok:
-            from .events import ViolationKind
-
             self.raise_violation(ViolationKind.NO_LOCAL_PLAN, operation=op.value)
 
     # ------------------------------------------------------------------
@@ -292,6 +337,7 @@ class AutonomicManager:
         """
         violation = Violation(kind, self.name, self.sim.now, detail, severity)
         self.violations_raised.append(violation)
+        self.violations.append((violation.time, kind))
         self.trace.mark(self.sim.now, self.name, Events.RAISE_VIOL, kind=kind)
         if severity == "fatal" and self.parent is not None:
             self._set_state(ManagerState.PASSIVE)

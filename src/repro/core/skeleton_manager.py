@@ -24,9 +24,10 @@ AutonomicManager`:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+import copy
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..gcm.abc_controller import FarmABC, ProducerABC, StageABC
+from ..gcm.abc_controller import AutonomicBehaviourController, ProducerABC, StageABC
 from ..rules.beans import (
     ArrivalRateBean,
     DepartureRateBean,
@@ -50,7 +51,7 @@ from .contracts import (
     ThroughputRangeContract,
 )
 from .events import Events, Violation, ViolationKind
-from .manager import AutonomicManager, ManagerError, ManagerState
+from .manager import AutonomicManager, ManagerError, ManagerState, TimeBase
 from .policies import (
     ManagersConstants,
     farm_rules,
@@ -68,14 +69,33 @@ __all__ = [
 ]
 
 
+#: (gauge name, help, monitor-sample key) — what a farm manager publishes
+#: each tick; sim and live runtimes share the names and the ``manager=``
+#: label, so one dashboard/SLO (``slo_from_contract``) reads either
+_FARM_GAUGES = (
+    ("repro_farm_arrival_rate", "task arrival rate (tasks/s)", "arrival_rate"),
+    ("repro_farm_departure_rate", "task departure rate (tasks/s)", "departure_rate"),
+    ("repro_farm_workers", "active parallelism degree", "num_workers"),
+    ("repro_farm_queue_variance", "population variance of queue lengths", "queue_variance"),
+    ("repro_farm_latency_seconds", "windowed mean task latency", "mean_latency"),
+)
+
+
 class FarmManager(AutonomicManager):
-    """AM_F: autonomic manager of a task-farm behavioural skeleton."""
+    """AM_F: autonomic manager of a task-farm behavioural skeleton.
+
+    ``abc`` is any farm ABC — the simulated
+    :class:`~repro.gcm.abc_controller.FarmABC` or the live
+    :class:`~repro.runtime.controller.LiveFarmABC`; model-based initial
+    deployment and per-worker managers (``worker_work``,
+    ``manage_workers``) additionally need the simulated one.
+    """
 
     def __init__(
         self,
         name: str,
-        sim: Simulator,
-        abc: FarmABC,
+        sim: TimeBase,
+        abc: AutonomicBehaviourController,
         *,
         constants: Optional[ManagersConstants] = None,
         manage_workers: bool = True,
@@ -100,33 +120,41 @@ class FarmManager(AutonomicManager):
         # per-task work estimate enabling model-based initial deployment
         # (§3's first listed policy: "initial parallelism degree setup")
         self.worker_work = worker_work
+        #: ``(time, text)`` of every actuation executed, in order
+        self.actions: List[Tuple[float, str]] = []
 
     # -- contract handling ---------------------------------------------
-    def on_contract(self, contract: Contract) -> None:
-        """Derive the rule thresholds from the contract and hand the
-        worker managers their best-effort sub-contracts (§4.2).
+    def check_contract(self, contract: Contract) -> None:
+        # a dry run on a copy: an uninterpretable part raises here, before
+        # on_contract has touched the thresholds the live rules read
+        self._set_thresholds(contract, copy.copy(self.constants))
 
-        Composite contracts are interpreted part by part, so the classic
+    def _set_thresholds(self, contract: Contract, constants: ManagersConstants) -> None:
+        """Composite contracts are interpreted part by part, so the classic
         "throughput in range AND mean latency below L" SLA tunes both the
-        Figure 5 thresholds and the latency-extension rule.
-        """
+        Figure 5 thresholds and the latency-extension rule."""
         parts = contract.parts if isinstance(contract, CompositeContract) else [contract]
         for part in parts:
             if isinstance(part, ThroughputRangeContract):
-                self.constants.FARM_LOW_PERF_LEVEL = part.low
-                self.constants.FARM_HIGH_PERF_LEVEL = part.high
+                constants.FARM_LOW_PERF_LEVEL = part.low
+                constants.FARM_HIGH_PERF_LEVEL = part.high
             elif isinstance(part, MinThroughputContract):
-                self.constants.FARM_LOW_PERF_LEVEL = part.target
-                self.constants.FARM_HIGH_PERF_LEVEL = float("inf")
+                constants.FARM_LOW_PERF_LEVEL = part.target
+                constants.FARM_HIGH_PERF_LEVEL = float("inf")
             elif isinstance(part, MaxLatencyContract):
-                self.constants.FARM_MAX_LATENCY = part.limit
+                constants.FARM_MAX_LATENCY = part.limit
             elif isinstance(part, BestEffortContract):
-                self.constants.FARM_LOW_PERF_LEVEL = 0.0
-                self.constants.FARM_HIGH_PERF_LEVEL = float("inf")
+                constants.FARM_LOW_PERF_LEVEL = 0.0
+                constants.FARM_HIGH_PERF_LEVEL = float("inf")
             else:
                 raise ManagerError(
                     f"{self.name}: farm manager cannot interpret {type(part).__name__}"
                 )
+
+    def on_contract(self, contract: Contract) -> None:
+        """Derive the rule thresholds from the contract and hand the
+        worker managers their best-effort sub-contracts (§4.2)."""
+        self._set_thresholds(contract, self.constants)
         self._initial_deployment()
         for child in self.children:
             child.assign_contract(BestEffortContract())
@@ -194,28 +222,14 @@ class FarmManager(AutonomicManager):
 
         tel = self.telemetry
         if tel.enabled:
-            # The metrics registry is the shared sink for the window/EWMA
-            # rate estimators' outputs — sim and live runtimes publish the
-            # same gauge names.
             m = tel.metrics
-            labels = {"manager": self.name}
-            m.gauge("repro_farm_arrival_rate", "task arrival rate (tasks/s)").labels(
-                **labels
-            ).set(data["arrival_rate"])
-            m.gauge(
-                "repro_farm_departure_rate", "task departure rate (tasks/s)"
-            ).labels(**labels).set(data["departure_rate"])
-            m.gauge("repro_farm_workers", "active parallelism degree").labels(
-                **labels
-            ).set(data["num_workers"])
-            m.gauge(
-                "repro_farm_queue_variance", "population variance of queue lengths"
-            ).labels(**labels).set(data["queue_variance"])
+            for metric, text, key in _FARM_GAUGES:
+                m.gauge(metric, text).labels(manager=self.name).set(data.get(key, 0.0))
             m.histogram(
                 "repro_farm_queue_variance_ticks",
                 "queue variance observed per control tick",
                 buckets=(0.25, 1.0, 4.0, 9.0, 16.0, 25.0, 100.0),
-            ).labels(**labels).observe(data["queue_variance"])
+            ).labels(manager=self.name).observe(data["queue_variance"])
 
         low = self.constants.FARM_LOW_PERF_LEVEL
         high = self.constants.FARM_HIGH_PERF_LEVEL
@@ -240,16 +254,25 @@ class FarmManager(AutonomicManager):
 
     # -- operations -------------------------------------------------------
     def on_operation(self, op: ManagerOperation, data: Any) -> None:
+        # adaptation-latency yardstick: the tracker, when an SLOEngine
+        # attached one to the telemetry, stamps violation-observed and
+        # plan-committed timestamps off these exact hook points
+        adaptation = getattr(self.telemetry, "adaptation", None)
         if op is ManagerOperation.RAISE_VIOLATION:
             kind = str(data)
             severity = "warning" if kind == ViolationKind.TOO_MUCH_TASKS else "fatal"
             self.raise_violation(kind, severity=severity)
+            if adaptation is not None:
+                adaptation.violation_observed(kind, manager=self.name)
             return
         if op is ManagerOperation.ADD_EXECUTOR:
             count = int(data.get("count", 1)) if isinstance(data, Mapping) else 1
             ok = self._add_workers(count)
             if ok:
-                self.trace.mark(self.sim.now, self.name, Events.ADD_WORKER, count=count)
+                intent = " (intent)" if self.coordinator is not None else ""
+                self._acted(Events.ADD_WORKER, f" x{count}{intent}", count=count)
+                if adaptation is not None:
+                    adaptation.plan_committed("addWorker", manager=self.name)
             else:
                 self.raise_violation(ViolationKind.NO_LOCAL_PLAN, operation=op.value)
             if self.telemetry.enabled:
@@ -259,27 +282,31 @@ class FarmManager(AutonomicManager):
             return
         if op is ManagerOperation.REMOVE_EXECUTOR:
             if self.farm_abc.execute(op, data):
-                self.trace.mark(self.sim.now, self.name, Events.REMOVE_WORKER)
+                self._acted(Events.REMOVE_WORKER)
+                if adaptation is not None:
+                    adaptation.plan_committed("removeWorker", manager=self.name)
             # refusing to go below one worker is not a violation
             return
         if op is ManagerOperation.MIGRATE:
             if self.farm_abc.execute(op, None):
-                self.trace.mark(self.sim.now, self.name, Events.MIGRATE_WORKER)
+                self._acted(Events.MIGRATE_WORKER)
             else:
                 # no sufficiently faster node: fall back to growing
                 self.on_operation(ManagerOperation.ADD_EXECUTOR, data)
             return
         if op is ManagerOperation.BALANCE_LOAD:
             self.farm_abc.execute(op, data)
-            if self.farm_abc.last_balance_moved > 0:
-                self.trace.mark(
-                    self.sim.now,
-                    self.name,
-                    Events.REBALANCE,
-                    moved=self.farm_abc.last_balance_moved,
-                )
+            moved = self.farm_abc.last_balance_moved
+            if moved > 0:
+                self._acted(Events.REBALANCE, f" x{moved}", moved=moved)
             return
         super().on_operation(op, data)
+
+    def _acted(self, event: str, suffix: str = "", **detail: Any) -> None:
+        """Record one executed actuation: a trace mark and an ``actions`` line."""
+        now = self.sim.now
+        self.trace.mark(now, self.name, event, **detail)
+        self.actions.append((now, event + suffix))
 
     def _add_workers(self, count: int) -> bool:
         """Add workers, via the multi-concern coordinator when present.

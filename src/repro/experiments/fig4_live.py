@@ -50,7 +50,7 @@ from ..obs.telemetry import Telemetry
 from ..runtime.backend import FarmBackend
 from ..runtime.controller import FarmController
 from ..runtime.dist_farm import DistFarm
-from ..runtime.farm_runtime import ThreadFarm
+from ..runtime.hierarchy.sharded_farm import make_shard_backend
 from ..runtime.multiconcern import LiveGeneralManager, WorkerPlacement
 from ..runtime.process_farm import ProcessFarm
 from ..security.manager import LiveSecurityManager
@@ -68,8 +68,6 @@ __all__ = [
     "run_fig4_sharded",
     "render_fig4_sharded",
 ]
-
-LIVE_BACKENDS = ("thread", "process", "dist")
 
 
 @dataclass
@@ -206,34 +204,15 @@ def live_task(payload: Any) -> Any:
 def make_backend(
     cfg: Fig4LiveConfig, telemetry: Optional[Telemetry] = None
 ) -> FarmBackend:
-    if cfg.backend == "thread":
-        return ThreadFarm(
-            live_task,
-            initial_workers=cfg.initial_workers,
-            name="fig4-thread",
-            rate_window=cfg.rate_window,
-            max_workers=cfg.max_workers,
-            telemetry=telemetry,
-        )
-    if cfg.backend == "process":
-        return ProcessFarm(
-            live_task,
-            initial_workers=cfg.initial_workers,
-            name="fig4-process",
-            rate_window=cfg.rate_window,
-            max_workers=cfg.max_workers,
-            telemetry=telemetry,
-        )
-    if cfg.backend == "dist":
-        return DistFarm(
-            live_task,
-            initial_workers=cfg.initial_workers,
-            name="fig4-dist",
-            rate_window=cfg.rate_window,
-            max_workers=cfg.max_workers,
-            telemetry=telemetry,
-        )
-    raise ValueError(f"unknown live backend {cfg.backend!r} (choose from {LIVE_BACKENDS})")
+    return make_shard_backend(
+        cfg.backend,
+        live_task,
+        initial_workers=cfg.initial_workers,
+        max_workers=cfg.max_workers,
+        name=f"fig4-{cfg.backend}",
+        telemetry=telemetry,
+        rate_window=cfg.rate_window,
+    )
 
 
 def _attach_slo(

@@ -1,72 +1,141 @@
-"""Live autonomic control of a farm backend: same rules, real clock.
+"""Live autonomic control of a farm backend: the same manager, a real clock.
 
-The policies are exactly the Figure 5 rule set built by
-:func:`repro.core.policies.farm_rules` — the same objects that drive the
-simulated farm manager — evaluated here by a wall-clock control loop
-thread against the live farm's monitor snapshot.  This demonstrates the
-paper's separation of mechanism and policy: the rules do not know (or
-care) whether the beans underneath them come from a discrete-event
-simulation, from ``threading`` queues, or from OS processes — the
-controller sees only the :class:`~repro.runtime.backend.FarmBackend`
-protocol, so :class:`~repro.runtime.farm_runtime.ThreadFarm`,
-:class:`~repro.runtime.process_farm.ProcessFarm` and
-:class:`~repro.runtime.dist_farm.DistFarm` are interchangeable
-underneath it.
+:class:`FarmController` *is* the paper's farm manager
+(:class:`~repro.core.skeleton_manager.FarmManager`: the Figure 5 rules,
+the MAPE cycle, contract → thresholds, the operation sink, P_rol) — the
+class the simulated experiments run — over the two things that differ on
+a live substrate, and only those:
+
+* :class:`LiveFarmABC` — the paper's ABC (monitor + actuators, §4.1) over
+  any :class:`~repro.runtime.backend.FarmBackend`, so
+  :class:`~repro.runtime.farm_runtime.ThreadFarm`,
+  :class:`~repro.runtime.process_farm.ProcessFarm` and
+  :class:`~repro.runtime.dist_farm.DistFarm` are interchangeable
+  underneath it;
+* :class:`WallTimeBase` — the manager's time base on the farm's wall
+  clock: the control loop ticks on a daemon thread.
+
+Policy never learns which substrate it steers; ``tests/runtime/
+test_decision_replay.py`` holds the two clocks to the same decisions.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional
 
-from ..core.contracts import (
-    BestEffortContract,
-    CompositeContract,
-    Contract,
-    MaxLatencyContract,
-    MinThroughputContract,
-    ThroughputRangeContract,
-)
-from ..core.events import ViolationKind
-from ..core.policies import ManagersConstants, farm_rules, latency_rule
-from ..rules.beans import (
-    ArrivalRateBean,
-    DepartureRateBean,
-    LatencyBean,
-    ManagerOperation,
-    NumWorkerBean,
-    QueueVarianceBean,
-)
-from ..obs.telemetry import NOOP, Telemetry
-from ..rules.engine import RuleEngine
+from ..core.contracts import Contract
+from ..core.policies import ManagersConstants
+from ..core.skeleton_manager import FarmManager
+from ..gcm.abc_controller import ABCError, AutonomicBehaviourController
+from ..obs.telemetry import Telemetry
+from ..rules.beans import ManagerOperation
 from .backend import FarmBackend
 
-__all__ = ["FarmController"]
+__all__ = ["FarmController", "LiveFarmABC", "WallTimeBase"]
 
 
-class FarmController:
-    """A wall-clock MAPE loop enforcing a contract on a :class:`FarmBackend`.
+class LiveFarmABC(AutonomicBehaviourController):
+    """ABC for a live task farm: ``snapshot()`` in, actuator calls out."""
 
-    The backend may be a :class:`~repro.runtime.farm_runtime.ThreadFarm`,
-    a :class:`~repro.runtime.process_farm.ProcessFarm` or a
-    :class:`~repro.runtime.dist_farm.DistFarm`; the controller never
-    looks past the protocol, so the rule set stays substrate-agnostic.
+    _OPS = frozenset(
+        {
+            ManagerOperation.ADD_EXECUTOR,
+            ManagerOperation.REMOVE_EXECUTOR,
+            ManagerOperation.BALANCE_LOAD,
+        }
+    )
 
-    ``telemetry`` (optional, no-op default) records the same
-    ``mape.*`` span hierarchy the simulated managers emit — but on the
-    wall clock, since this controller is a real thread: one probe works
-    for every substrate.
+    def __init__(self, farm: FarmBackend) -> None:
+        self.farm = farm
+        self.last_balance_moved = 0
+
+    def monitor(self) -> Dict[str, Any]:
+        # RuntimeFarmSnapshot names its fields as FarmABC.monitor keys the
+        # simulated sample; a live farm has no blackout, so never None
+        return {**vars(self.farm.snapshot()), "end_of_stream": False}
+
+    def supported_operations(self) -> FrozenSet[ManagerOperation]:
+        return self._OPS
+
+    def execute(self, op: ManagerOperation, data: Any = None) -> bool:
+        if op is ManagerOperation.ADD_EXECUTOR:
+            count = int(data.get("count", 1)) if isinstance(data, Mapping) else 1
+            for added in range(count):
+                try:
+                    self.farm.add_worker()
+                except RuntimeError:  # the backend is at its max_workers
+                    # growing by some of ``count`` is still a success
+                    return added > 0
+            return True
+        if op is ManagerOperation.REMOVE_EXECUTOR:
+            return self.farm.remove_worker() is not None
+        if op is ManagerOperation.BALANCE_LOAD:
+            self.last_balance_moved = self.farm.balance_load()
+            return True
+        raise ABCError(f"LiveFarmABC does not implement {op}")
+
+
+class _Ticker(threading.Thread):
+    """A periodic callback on a daemon thread (what ``periodic`` returns)."""
+
+    def __init__(self, period: float, fn: Callable[[], Any], name: str) -> None:
+        super().__init__(name=name, daemon=True)
+        self.period = period
+        self.fn = fn
+        self._cancel = threading.Event()
+        self.start()
+
+    @property
+    def cancelled(self) -> bool:
+        return self._cancel.is_set()
+
+    def cancel(self) -> None:
+        self._cancel.set()
+
+    def run(self) -> None:
+        while not self._cancel.wait(self.period):
+            self.fn()
+
+
+class WallTimeBase:
+    """A manager's :class:`~repro.core.manager.TimeBase` on a real clock.
+
+    ``clock`` is a zero-argument callable returning seconds (a farm's
+    ``now``); ``periodic`` ticks on its own daemon thread and
+    ``schedule`` fires once from a timer thread.
+    """
+
+    def __init__(self, clock: Callable[[], float]) -> None:
+        self._clock = clock
+
+    @property
+    def now(self) -> float:
+        return self._clock()
+
+    def periodic(self, period: float, fn: Callable[[], Any], *, name: str = "") -> _Ticker:
+        return _Ticker(period, fn, name)
+
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> threading.Timer:
+        timer = threading.Timer(delay, fn, args)
+        timer.daemon = True
+        timer.start()
+        return timer
+
+
+class FarmController(FarmManager):
+    """The farm manager enforcing a contract on a live :class:`FarmBackend`.
+
+    A root manager (violations land in ``unhandled_violations`` and it
+    stays ACTIVE), not started until :meth:`start`; ``control_step()``
+    stays public so tests can drive ticks deterministically.
 
     When a :class:`~repro.runtime.multiconcern.LiveGeneralManager` has
     registered this controller (setting :attr:`coordinator`), grow
     actuations become *intents*: they route through the GM's two-phase
     protocol, where other concern managers may amend or veto them,
-    instead of calling ``farm.add_worker()`` directly.
+    instead of reaching ``farm.add_worker()`` directly.
     """
-
-    #: quantitative concern — reviews after boolean concerns in the GM
-    concern = "performance"
 
     def __init__(
         self,
@@ -79,186 +148,32 @@ class FarmController:
         telemetry: Optional[Telemetry] = None,
         name: str = "AM_live",
     ) -> None:
-        if control_period <= 0:
-            raise ValueError("control_period must be positive")
-        self.farm = farm
-        self.name = name
-        self.control_period = control_period
-        self.constants = constants or ManagersConstants()
+        constants = constants or ManagersConstants()
         if max_workers is not None:
-            self.constants.FARM_MAX_NUM_WORKERS = max_workers
-        self.telemetry = telemetry if telemetry is not None else NOOP
-        self.engine = RuleEngine(
-            farm_rules(self.constants), telemetry=self.telemetry, owner=name
+            constants.FARM_MAX_NUM_WORKERS = max_workers
+        self.farm = farm
+        super().__init__(
+            name,
+            WallTimeBase(farm.now),
+            LiveFarmABC(farm),
+            constants=constants,
+            manage_workers=False,
+            telemetry=telemetry,
+            control_period=control_period,
+            autostart=False,
         )
-        self.engine.add_rule(latency_rule(self.constants))
-        self.violations: List[Tuple[float, str]] = []
-        self.actions: List[Tuple[float, str]] = []
-        #: set by LiveGeneralManager.register(); routes grow intents
-        self.coordinator: Optional[Any] = None
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        #: serialises contract swaps against in-flight MAPE cycles, so a
-        #: cycle always analyses/plans/executes against ONE contract's
-        #: thresholds — never a half-old, half-new mixture
-        self._cycle_lock = threading.RLock()
         self.assign_contract(contract)
 
-    # ------------------------------------------------------------------
-    # contract
-    # ------------------------------------------------------------------
-    def assign_contract(self, contract: Contract) -> None:
-        """Swap the enforced contract, atomically w.r.t. the MAPE cycle.
-
-        The new thresholds are validated *before* anything mutates and
-        applied under the cycle lock, so a swap arriving mid-cycle takes
-        effect on the next cycle rather than steering half of this one.
-        An unsupported part therefore leaves the previous contract fully
-        in force instead of half-applied.
-        """
-        parts = contract.parts if isinstance(contract, CompositeContract) else [contract]
-        supported = (
-            ThroughputRangeContract,
-            MinThroughputContract,
-            MaxLatencyContract,
-            BestEffortContract,
-        )
-        for part in parts:
-            if not isinstance(part, supported):
-                raise ValueError(f"unsupported contract {type(part).__name__}")
-        with self._cycle_lock:
-            self.contract = contract
-            for part in parts:
-                if isinstance(part, ThroughputRangeContract):
-                    self.constants.FARM_LOW_PERF_LEVEL = part.low
-                    self.constants.FARM_HIGH_PERF_LEVEL = part.high
-                elif isinstance(part, MinThroughputContract):
-                    self.constants.FARM_LOW_PERF_LEVEL = part.target
-                    self.constants.FARM_HIGH_PERF_LEVEL = float("inf")
-                elif isinstance(part, MaxLatencyContract):
-                    self.constants.FARM_MAX_LATENCY = part.limit
-                elif isinstance(part, BestEffortContract):
-                    self.constants.FARM_LOW_PERF_LEVEL = 0.0
-                    self.constants.FARM_HIGH_PERF_LEVEL = float("inf")
-
-    # ------------------------------------------------------------------
-    # loop lifecycle
-    # ------------------------------------------------------------------
     def start(self) -> "FarmController":
-        if self._thread is not None and self._thread.is_alive():
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="farm-controller", daemon=True
-        )
-        self._thread.start()
+        super().start()
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
+        """Stop ticking and wait up to ``timeout`` for an in-flight cycle."""
+        super().stop()
+        if self._loop is not None:
+            self._loop.join(timeout)
 
-    def _loop(self) -> None:
-        while not self._stop.wait(self.control_period):
-            self.control_step()
-
-    # ------------------------------------------------------------------
-    # one MAPE tick (public so tests can drive it deterministically)
-    # ------------------------------------------------------------------
-    def control_step(self) -> List[str]:
-        tel = self.telemetry
-        with self._cycle_lock, tel.span("mape.cycle", actor=self.name) as cycle:
-            with tel.span("mape.monitor", actor=self.name):
-                snap = self.farm.snapshot()
-            with tel.span("mape.analyse", actor=self.name):
-                mem = self.engine.memory
-                mem.replace(ArrivalRateBean(snap.arrival_rate).bind_sink(self._sink))
-                mem.replace(DepartureRateBean(snap.departure_rate).bind_sink(self._sink))
-                mem.replace(NumWorkerBean(snap.num_workers).bind_sink(self._sink))
-                mem.replace(QueueVarianceBean(snap.queue_variance).bind_sink(self._sink))
-                mem.replace(LatencyBean(snap.mean_latency).bind_sink(self._sink))
-                if tel.enabled:
-                    m = tel.metrics
-                    m.gauge(
-                        "repro_farm_departure_rate", "results per second leaving the farm"
-                    ).labels(manager=self.name).set(snap.departure_rate)
-                    m.gauge(
-                        "repro_farm_workers", "active workers"
-                    ).labels(manager=self.name).set(snap.num_workers)
-                    m.gauge(
-                        "repro_farm_queue_variance", "variance of per-worker queue lengths"
-                    ).labels(manager=self.name).set(snap.queue_variance)
-                    m.gauge(
-                        "repro_farm_latency_seconds", "windowed mean task latency"
-                    ).labels(manager=self.name).set(snap.mean_latency)
-            with tel.span("mape.plan", actor=self.name) as plan:
-                agenda = self.engine.agenda()
-                if tel.enabled:
-                    plan.set_attribute(
-                        "matched", [(a.rule.name, a.rule.salience) for a in agenda]
-                    )
-            with tel.span("mape.execute", actor=self.name) as execute:
-                fired = self.engine.fire(agenda)
-                if tel.enabled:
-                    execute.set_attribute("fired", fired)
-        if tel.enabled:
-            tel.metrics.histogram(
-                "repro_control_loop_latency_seconds",
-                "wall-clock cost of one MAPE control tick",
-            ).labels(manager=self.name).observe(cycle.perf_elapsed or 0.0)
-            tel.metrics.counter(
-                "repro_mape_ticks_total", "MAPE control ticks executed"
-            ).labels(manager=self.name).inc()
-        return fired
-
-    def _sink(self, op: ManagerOperation, data: Any) -> None:
-        now = self.farm.now()
-        # adaptation-latency yardstick (ROADMAP item 4): the tracker, when
-        # attached by an SLOEngine, stamps violation-observed and
-        # plan-committed timestamps off these exact hook points
-        adaptation = getattr(self.telemetry, "adaptation", None)
-        if op is ManagerOperation.RAISE_VIOLATION:
-            self.violations.append((now, str(data)))
-            if adaptation is not None:
-                adaptation.violation_observed(str(data), manager=self.name)
-            return
-        if op is ManagerOperation.ADD_EXECUTOR:
-            count = int(data.get("count", 1)) if isinstance(data, Mapping) else 1
-            if self.coordinator is not None:
-                # multi-concern mode: express the *intent* and let the GM
-                # run plan → review → commit (other concerns may amend or
-                # veto before any worker is instantiated)
-                if self.coordinator.execute_intent(self, op, data):
-                    self.actions.append((now, f"addWorker x{count} (intent)"))
-                    if adaptation is not None:
-                        adaptation.plan_committed("addWorker", manager=self.name)
-                else:
-                    self.violations.append((now, ViolationKind.NO_LOCAL_PLAN))
-                return
-            added = 0
-            for _ in range(count):
-                try:
-                    self.farm.add_worker()
-                    added += 1
-                except RuntimeError:
-                    break
-            if added:
-                self.actions.append((now, f"addWorker x{added}"))
-                if adaptation is not None:
-                    adaptation.plan_committed("addWorker", manager=self.name)
-            else:
-                self.violations.append((now, ViolationKind.NO_LOCAL_PLAN))
-            return
-        if op is ManagerOperation.REMOVE_EXECUTOR:
-            if self.farm.remove_worker() is not None:
-                self.actions.append((now, "removeWorker"))
-                if adaptation is not None:
-                    adaptation.plan_committed("removeWorker", manager=self.name)
-            return
-        if op is ManagerOperation.BALANCE_LOAD:
-            moved = self.farm.balance_load()
-            if moved:
-                self.actions.append((now, f"rebalance x{moved}"))
-            return
-        raise ValueError(f"controller cannot execute {op}")
+    @property
+    def _thread(self) -> Optional[threading.Thread]:
+        return self._loop

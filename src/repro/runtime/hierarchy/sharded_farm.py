@@ -48,11 +48,18 @@ from ...core.contracts import (
 )
 from ...obs.telemetry import NOOP, Telemetry
 from ..backend import drain_queue
+from ..dist_farm import DistFarm
+from ..farm_runtime import ThreadFarm
+from ..process_farm import ProcessFarm
 from .shard import FarmShard, ShardReport
 from .tenants import Admission, FairShareScheduler, TenantRegistry
 from .wire import ShardAgent, ShardLink, connect_shard
 
-__all__ = ["ShardedFarm", "RebalanceEvent", "make_shard_backend"]
+__all__ = ["ShardedFarm", "RebalanceEvent", "FARM_BACKENDS", "make_shard_backend"]
+
+
+#: the one name → :class:`FarmBackend` class table of the live runtime
+FARM_BACKENDS = {"thread": ThreadFarm, "process": ProcessFarm, "dist": DistFarm}
 
 
 def make_shard_backend(
@@ -65,41 +72,19 @@ def make_shard_backend(
     telemetry: Optional[Telemetry] = None,
     **kwargs: Any,
 ):
-    """Build one shard's :class:`FarmBackend` (thread/process/dist)."""
-    if backend == "thread":
-        from ..farm_runtime import ThreadFarm
-
-        return ThreadFarm(
-            fn,
-            initial_workers=initial_workers,
-            max_workers=max_workers,
-            name=name,
-            telemetry=telemetry,
-            **kwargs,
+    """Build one :class:`FarmBackend` by name (thread/process/dist)."""
+    if backend not in FARM_BACKENDS:
+        raise ValueError(
+            f"unknown farm backend {backend!r} (choose from {tuple(FARM_BACKENDS)})"
         )
-    if backend == "process":
-        from ..process_farm import ProcessFarm
-
-        return ProcessFarm(
-            fn,
-            initial_workers=initial_workers,
-            max_workers=max_workers,
-            name=name,
-            telemetry=telemetry,
-            **kwargs,
-        )
-    if backend == "dist":
-        from ..dist_farm import DistFarm
-
-        return DistFarm(
-            fn,
-            initial_workers=initial_workers,
-            max_workers=max_workers,
-            name=name,
-            telemetry=telemetry,
-            **kwargs,
-        )
-    raise ValueError(f"unknown shard backend {backend!r}")
+    return FARM_BACKENDS[backend](
+        fn,
+        initial_workers=initial_workers,
+        max_workers=max_workers,
+        name=name,
+        telemetry=telemetry,
+        **kwargs,
+    )
 
 
 @dataclass

@@ -14,7 +14,6 @@ import time
 from typing import Any, Callable, List, Optional, Sequence
 
 from ..sim.metrics import WindowRateEstimator
-from .farm_runtime import ThreadFarm
 
 __all__ = ["ThreadStage", "ThreadPipeline"]
 

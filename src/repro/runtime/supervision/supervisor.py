@@ -54,19 +54,15 @@ from ...obs.spans import Span
 from ...obs.telemetry import NOOP, Telemetry
 from ..backend import RuntimeFarmSnapshot, drain_queue
 from ..controller import FarmController
-from ..dist_farm import DistFarm, fn_spec
-from ..farm_runtime import ThreadFarm
+from ..dist_farm import fn_spec
 from ..hierarchy.codec import contract_from_wire, contract_to_wire
-from ..process_farm import ProcessFarm
+from ..hierarchy.sharded_farm import FARM_BACKENDS
 from .journal import DispatchJournal, JournalState
 from .runner import tagged_envelope
 
 __all__ = ["SupervisedFarm", "SupervisedWorkerHandle", "Supervisor"]
 
 RUNNER_SPEC = "repro.runtime.supervision.runner:run_tagged"
-
-#: backends a SupervisedFarm can incarnate
-BACKENDS = ("thread", "process", "dist")
 
 #: seconds the monitor waits after each consecutive failed failover (last
 #: value repeats): a rebuild that keeps raising neither spins at
@@ -146,8 +142,10 @@ class SupervisedFarm:
         farm_options: Optional[Dict[str, Any]] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+        if backend not in FARM_BACKENDS:
+            raise ValueError(
+                f"backend must be one of {tuple(FARM_BACKENDS)}, got {backend!r}"
+            )
         if initial_workers < 1:
             raise ValueError("need at least one worker")
         self.fn_spec = fn_spec(fn)
@@ -206,15 +204,15 @@ class SupervisedFarm:
     # ------------------------------------------------------------------
     def _build_farm(self, *, initial_workers: int) -> Any:
         """Construct one coordinator incarnation (named by its epoch)."""
+        cls = FARM_BACKENDS[self.backend]
         if self.backend == "dist":
-            cls, fn = DistFarm, RUNNER_SPEC
+            fn = RUNNER_SPEC
             placed = dict(
                 port=self._listen_port,  # the standby rebinds this port
                 epoch=self.epoch,
                 worker_reconnect_attempts=self.worker_reconnect_attempts,
             )
         else:
-            cls = ThreadFarm if self.backend == "thread" else ProcessFarm
             fn, placed = self._thread_fn(), {}
         # one ``farm_options`` tunes whichever backend is underneath: each
         # incarnation takes the options its constructor knows
@@ -803,8 +801,8 @@ class Supervisor:
         """Kill the whole coordinator stack: controller + dispatcher."""
         if self.controller is not None:
             # simulated SIGKILL: the control thread is told nothing and
-            # simply stops being scheduled (stop event, no graceful join)
-            self.controller._stop.set()
+            # simply stops being scheduled (cancelled, no graceful join)
+            self.controller.stop(timeout=0.0)
         self.farm.crash_coordinator()
 
     def restart(self) -> JournalState:

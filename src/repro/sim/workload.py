@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional
 
 from .engine import Interrupt, Process, Simulator

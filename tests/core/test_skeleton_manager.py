@@ -370,3 +370,34 @@ class TestModelBasedInitialDeployment:
         sim, rm, bs = self._build()
         bs.assign_contract(BestEffortContract())
         assert bs.farm.workers == []
+
+
+class TestOneManagerTwoClocks:
+    """What the DES side gained when the live controller became this class."""
+
+    def test_failed_swap_leaves_old_contract_fully_in_force(self):
+        """Mirror of the live lifecycle test: a composite with one
+        uninterpretable part is rejected *before* any threshold (or
+        ``manager.contract``) mutates — not half-applied up to the bad part."""
+        from repro.core.contracts import CompositeContract
+
+        _, _, _, mgr = farm_manager_setup()
+        mgr.assign_contract(ThroughputRangeContract(2.0, 5.0))
+        bad = CompositeContract([ThroughputRangeContract(7.0, 9.0), RateContract(5.0)])
+        with pytest.raises(ManagerError):
+            mgr.assign_contract(bad)
+        assert mgr.constants.FARM_LOW_PERF_LEVEL == 2.0
+        assert mgr.constants.FARM_HIGH_PERF_LEVEL == 5.0
+        assert isinstance(mgr.contract, ThroughputRangeContract)
+
+    def test_loop_keeps_ticking_after_rules_fire(self):
+        """control_step() returns the fired rule names (the live tests
+        read them) — and a PeriodicTask stops on a truthy return, so the
+        DES loop must not hand that list back to it."""
+        sim, _, _, mgr = farm_manager_setup(control_period=10.0)
+        mgr.assign_contract(MinThroughputContract(0.5))  # starved: no source
+        sim.run(until=15.0)
+        assert mgr.engine.fired_names() == ["CheckInterArrivalRateLow"]  # tick 1 fired
+        sim.run(until=35.0)
+        assert mgr.trace.count(Events.NOT_ENOUGH, "AM_F") == 3  # ticks 2 and 3 ran
+        assert not mgr._loop.cancelled

@@ -12,10 +12,16 @@ Two halves, both against the real thing:
   blocking socket: welcome vetting, heartbeats during a long task,
   poison behind queued windows, EOF, TCP_NODELAY.
 
+Beside the closure sits the governor's layering guard (one manager class:
+``core/manager.py`` knows no simulator, ``runtime/controller.py`` holds
+no MAPE loop of its own).
+
 Reattach and epoch fencing are pinned by ``test_dist_reconnect.py``, the
 ``--require-secure`` gate by ``test_dist_secure.py``.
 """
 
+import ast
+import importlib
 import multiprocessing
 import os
 import socket
@@ -81,6 +87,41 @@ class TestImportClosure:
             "else:\n"
             "    raise AssertionError('unknown attribute resolved')\n"
         )
+
+
+class TestGovernorLayering:
+    """One manager: ``core`` owns the MAPE loop, beans and operation sink
+    on a bare time base; ``runtime.controller`` only adapts a live farm
+    and a wall clock to it.  Read off the source, like the closure above."""
+
+    @staticmethod
+    def _tree(module):
+        with open(importlib.import_module(module).__file__) as fh:
+            return ast.parse(fh.read())
+
+    def test_core_manager_imports_nothing_from_the_simulator(self):
+        tree = self._tree("repro.core.manager")
+        imported = [
+            f"{'.' * node.level}{node.module or ''}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+        ] + [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+        assert not [m for m in imported if "sim" in m.split(".")], imported
+
+    def test_live_controller_opens_no_mape_span_and_builds_no_bean(self):
+        tree = self._tree("repro.runtime.controller")
+        literals = [
+            n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        ]
+        assert not [s for s in literals if s.startswith("mape.")]
+        called = [
+            getattr(n.func, "attr", getattr(n.func, "id", ""))
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+        ]
+        assert not [name for name in called if name.endswith("Bean")], called
+        defined = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        assert not {"_sink", "on_operation", "control_step", "observe"} & set(defined)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.sim.engine import (
     Interrupt,
     PeriodicTask,
-    SimEvent,
     SimulationError,
     Simulator,
     Timeout,
