@@ -210,11 +210,20 @@ class ShardAgent:
                 pass
 
     def close(self) -> None:
+        """Stop accepting and wait for the accept thread to return.
+
+        On Linux closing a listening socket does not wake a thread
+        blocked in ``accept()`` on it; shutting it down does.  Left
+        running, that thread would keep the agent — and through it the
+        shard, its farm and the telemetry — alive for good.
+        """
         self._shutdown.set()
         try:
-            self._server.close()
+            self._server.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            pass  # never listened, or already shut down
+        self._server.close()
+        self._accept_thread.join(5.0)
 
 
 class TcpShardLink(ShardLink):

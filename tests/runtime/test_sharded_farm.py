@@ -29,8 +29,11 @@ Run one backend with, e.g.::
     PYTHONPATH=src python -m pytest tests/runtime/test_sharded_farm.py -k thread
 """
 
+import gc
 import socket
+import threading
 import time
+import weakref
 
 import pytest
 
@@ -322,3 +325,21 @@ class TestWireManagementPlane:
             assert agent.frames_served == served
         finally:
             farm.shutdown()
+
+    def test_shutdown_frees_the_whole_stack(self):
+        """Closing a listening socket does not wake the thread blocked in
+        ``accept()`` on it: each agent's accept thread used to outlive
+        ``shutdown()`` and keep its shard, farm and telemetry — every
+        span in it — reachable for the rest of the process."""
+        tel = Telemetry()
+        farm = make_sharded(
+            "dist", contract=ThroughputRangeContract(2.0, 1000.0), telemetry=tel
+        )
+        assert farm.over_wire and all(agent is not None for agent in farm.agents)
+        farm.shutdown()
+        alive = weakref.ref(tel)
+        del tel, farm
+        gc.collect()
+        assert alive() is None, "the telemetry outlived the sharded farm"
+        agents = [t.name for t in threading.enumerate() if t.name.endswith("-agent")]
+        assert agents == []
