@@ -52,7 +52,7 @@ every later ``append``/``sync``/``close``: after a failed fsync the
 kernel may have dropped the pages, so the journal does not pretend a
 retry could make them durable.  Replay tolerates a torn final line (a
 crash mid-write), dropping everything from the first undecodable line
-on.
+on; reopening the file cuts that tail off before anything is appended.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ...obs.telemetry import NOOP, Telemetry
 
@@ -96,22 +96,29 @@ def read_journal(path: str) -> List[dict]:
     A torn tail — the line a crash interrupted mid-write — ends the
     read: everything before it is trusted, nothing after it is.
     """
+    return _read_intact(path)[0]
+
+
+def _read_intact(path: str) -> Tuple[List[dict], int]:
+    """The intact events of a journal file and the byte offset their
+    lines end at: where a torn tail, if any, begins."""
     events: List[dict] = []
+    end = 0
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    break
-                if isinstance(event, dict):
-                    events.append(event)
+        with open(path, "rb") as f:
+            for raw in f:
+                line = raw.strip()
+                if line:
+                    try:
+                        event = json.loads(line)
+                    except ValueError:  # undecodable JSON or UTF-8
+                        break
+                    if isinstance(event, dict):
+                        events.append(event)
+                end += len(raw)
     except FileNotFoundError:
-        return []
-    return events
+        pass
+    return events, end
 
 
 @dataclass
@@ -260,9 +267,15 @@ class DispatchJournal:
         self._lock = threading.Lock()
         self._wake_committer = threading.Condition(self._lock)  # the committer waits here
         self._committed = threading.Condition(self._lock)  # sync() and held-back appenders
-        existing = read_journal(self.path)
+        existing, intact = _read_intact(self.path)
         self._seq = (max((e.get("seq", -1) for e in existing), default=-1)) + 1
-        self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        # a torn tail was never durable: cut it off, or the first line
+        # appended would be glued onto it and end every later read there
+        if os.fstat(self._fd).st_size > intact:
+            os.ftruncate(self._fd, intact)
+        if intact and os.pread(self._fd, 1, intact - 1) != b"\n":
+            os.write(self._fd, b"\n")  # an intact last line the crash left unterminated
         self._pending: List[str] = []  # numbered lines the committer has not taken yet
         self._commit_due = False
         self.durable_seq = self._seq - 1  # highest seq known to be on disk

@@ -262,6 +262,26 @@ class TestDispatchJournal:
         assert journal.append({"ev": "submit", "sid": 2, "p": 3}) == 2
         journal.close()
 
+    @pytest.mark.parametrize(
+        "tail", ['{"ev": "compl', '{"ev": "worker", "wid": 0, "seq": 1}'],
+        ids=["torn", "unterminated"],
+    )
+    def test_records_appended_after_a_tear_read_back(self, tmp_path, tail):
+        """Reopening cuts the torn bytes off (or ends an intact line the
+        crash left without its newline): the next record used to be glued
+        onto them, and every read stopped there for good."""
+        path = tmp_path / "j.jsonl"
+        path.write_text(json.dumps({"ev": "submit", "sid": 0, "p": 1, "seq": 0}) + "\n" + tail)
+        kept = len(read_journal(str(path)))
+        journal = DispatchJournal(str(path))
+        seqs = [journal.append({"ev": "submit", "sid": i, "p": i}) for i in range(1, 4)]
+        journal.close()
+        events = read_journal(str(path))
+        assert [e["seq"] for e in events][kept:] == seqs == list(range(kept, kept + 3))
+        # and a second recovery finds the same file it left
+        DispatchJournal(str(path)).close()
+        assert read_journal(str(path)) == events
+
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_journal(str(tmp_path / "absent.jsonl")) == []
 
