@@ -162,10 +162,13 @@ class _SLOState:
 
     def burn(self, window: float, now: float, budget_fraction: float) -> float:
         """Burn rate over the trailing ``window``: violating-fraction /
-        budget-fraction (1.0 = spending budget exactly on schedule)."""
+        budget-fraction (1.0 = spending budget exactly on schedule).
+
+        Readers iterate a copy: an evaluation on another thread may be
+        appending to and pruning the window meanwhile."""
         t0 = now - window
         observed = violating = 0.0
-        for t, dt, dv in self.samples:
+        for t, dt, dv in self.samples.copy():
             if t >= t0:
                 observed += dt
                 violating += dv
@@ -178,7 +181,7 @@ class _SLOState:
         go negative when overspent — that *is* the signal)."""
         slo = self.slo
         t0 = now - slo.budget_window
-        violating = sum(dv for t, _, dv in self.samples if t >= t0)
+        violating = sum(dv for t, _, dv in self.samples.copy() if t >= t0)
         budget_seconds = slo.budget_fraction * slo.budget_window
         return 1.0 - violating / budget_seconds
 
@@ -208,6 +211,9 @@ class SLOEngine:
         self.broker = broker
         self.name = name
         self._lock = threading.Lock()
+        #: one evaluation at a time: the scraper, ``/slo`` callers and
+        #: probes may all call :meth:`evaluate` on their own threads
+        self._evaluating = threading.Lock()
         self._states: Dict[str, _SLOState] = {}
         for slo in slos:
             self.add(slo)
@@ -237,9 +243,10 @@ class SLOEngine:
         t = self.telemetry.clock.now() if now is None else now
         with self._lock:
             states = list(self._states.values())
-        for state in states:
-            self._evaluate_one(state, t)
-        self.evaluations += 1
+        with self._evaluating:
+            for state in states:
+                self._evaluate_one(state, t)
+            self.evaluations += 1
 
     def _evaluate_one(self, state: _SLOState, now: float) -> None:
         slo = state.slo
@@ -449,17 +456,18 @@ class SLOEngine:
         now = self.telemetry.clock.now()
         with self._lock:
             states = list(self._states.values())
-        for state in states:
-            if state.alert_span is not None:
-                self.telemetry.end_span(
-                    state.alert_span,
-                    resolved=False,
-                    budget_remaining_close=round(state.budget_remaining(now), 4),
-                    violation_seconds=round(
-                        state.episode_violation_seconds, 6
-                    ),
-                )
-                state.alert_span = None
+        with self._evaluating:  # not under an evaluation opening an alert
+            for state in states:
+                if state.alert_span is not None:
+                    self.telemetry.end_span(
+                        state.alert_span,
+                        resolved=False,
+                        budget_remaining_close=round(state.budget_remaining(now), 4),
+                        violation_seconds=round(
+                            state.episode_violation_seconds, 6
+                        ),
+                    )
+                    state.alert_span = None
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ invariant is *no 500s and no torn state*, ever.
 """
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -262,3 +263,54 @@ class TestSurfaceRaces:
         assert bad == []
         assert final["open_spans"] == 0
         assert final["status"] == "ok"
+
+    def test_evaluate_and_describe_race_the_scraper(self):
+        """The scraper evaluates every 1 ms while one thread calls
+        ``evaluate()`` (flipping the verdict each time) and another
+        ``describe()``: no reader may trip over a window an evaluation
+        is appending to, and no evaluation may be lost."""
+        tel = Telemetry()
+        gauge = tel.metrics.gauge("repro_farm_departure_rate", "r").labels(manager="AM_x")
+        gauge.set(50.0)
+
+        def sample(store, now):
+            v = store.latest("repro_farm_departure_rate", {"manager": "AM_x"})
+            return {} if v is None else {"departure_rate": v}
+
+        store = tel.start_timeseries(interval=0.001, retention=5.0, stream=False)
+        engine = SLOEngine(tel, store, [SLO("x", MinThroughputContract(40.0), sample)])
+        errors: list = []
+        calls = {"evaluate": 0, "describe": 0}
+        deadline = time.monotonic() + 1.0
+
+        def hammer(name, call):
+            while time.monotonic() < deadline:
+                try:
+                    call()
+                except Exception as exc:  # noqa: BLE001 - the assertion reports it
+                    errors.append((name, repr(exc)))
+                calls[name] += 1
+
+        def flip_and_evaluate():
+            gauge.set(10.0 if calls["evaluate"] % 2 else 50.0)
+            engine.evaluate()
+
+        threads = [
+            threading.Thread(target=hammer, args=("evaluate", flip_and_evaluate)),
+            threading.Thread(target=hammer, args=("describe", engine.describe)),
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over mid-iteration often
+        try:
+            store.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+            tel.stop_timeseries()
+        assert errors == []
+        assert calls["describe"] > 0 and store.scrapes > 0
+        # every scrape's evaluation and every direct one ran to completion
+        assert engine.evaluations == store.scrapes + calls["evaluate"]
