@@ -56,6 +56,10 @@ class ThreadStage:
             if self.output is not None:
                 self.output.put(result)
 
+    def close(self) -> None:
+        """Signal end of stream: the stage passes it on and stops."""
+        self.input.put(_END)
+
     def join(self, timeout: float = 30.0) -> None:
         self._thread.join(timeout)
 
@@ -86,7 +90,7 @@ class ThreadPipeline:
 
     def close(self) -> None:
         """Signal end of stream; stages shut down as it propagates."""
-        self.stages[0].input.put(_END)
+        self.stages[0].close()
 
     def collect(self, count: int, timeout: float = 60.0) -> List[Any]:
         """Gather ``count`` results in arrival order."""

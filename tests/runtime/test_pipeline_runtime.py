@@ -19,6 +19,9 @@ class TestThreadStage:
         got = [out.get(timeout=5.0) for _ in range(5)]
         assert got == [1, 2, 3, 4, 5]
         assert stage.completed == 5
+        stage.close()
+        stage.join(timeout=5.0)
+        assert not stage.alive
 
 
 class TestThreadPipeline:

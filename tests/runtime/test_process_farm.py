@@ -65,7 +65,11 @@ class TestProcessFarmBasics:
 
     def test_satisfies_farm_backend_protocol(self, farm):
         assert isinstance(farm, FarmBackend)
-        assert isinstance(ThreadFarm(square, initial_workers=1), FarmBackend)
+        threads = ThreadFarm(square, initial_workers=1)
+        try:
+            assert isinstance(threads, FarmBackend)
+        finally:
+            threads.shutdown()
 
     def test_all_results_arrive(self, farm):
         for i in range(30):
