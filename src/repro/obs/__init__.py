@@ -9,6 +9,8 @@ One substrate-agnostic telemetry spine for the whole stack:
   parents, attributes and point events; every MAPE phase, rule-engine
   invocation, contract split, violation propagation hop and two-phase
   intent round of the autonomic managers becomes a span or span-event;
+  a farm task's spans are kept as rows (:mod:`repro.obs.rows`) and
+  built when the store is read;
 * **event marks** (:mod:`repro.obs.events`) — the flat
   ``(time, actor, name)`` records behind the reproduced figures;
 * **metrics** (:mod:`repro.obs.metrics`) — a registry of counters,

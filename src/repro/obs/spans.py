@@ -156,12 +156,34 @@ class SpanRecorder:
     only for the live runtime, where the controller thread and worker
     threads must not interleave their stacks; under the single-threaded
     DES it is inert.
+
+    The store holds spans and, for the farms' per-task spans, the
+    :mod:`~repro.obs.rows` they are built from — each in the place its
+    span was opened, so :attr:`spans` (and every query over it) reads
+    in creation order either way.
     """
 
     def __init__(self) -> None:
-        self.spans: List[Span] = []
+        self._entries: List[Any] = []  # Spans and SpanRows, in opening order
         self._next_id = 0
         self._stacks = threading.local()
+
+    @property
+    def spans(self) -> List[Span]:
+        """Every span, in creation order; rows are built into spans here."""
+        built: Dict[Any, Span] = {}
+        spans: List[Span] = []
+        for entry in list(self._entries):
+            if isinstance(entry, Span):
+                spans.append(entry)
+            else:
+                span = built[entry] = entry.to_span(built)
+                spans.append(span)
+        return spans
+
+    def _add_row(self, row: Any) -> None:
+        """Keep one :class:`~repro.obs.rows.SpanRow` as its span opens."""
+        self._entries.append(row)
 
     # -- stack ----------------------------------------------------------
     def _stack(self) -> List[Span]:
@@ -220,7 +242,7 @@ class SpanRecorder:
             span_id, parent_id, name, actor, start, None, attributes, None, None,
             trace_id, context=context,
         )
-        self.spans.append(span)
+        self._entries.append(span)
         if attach:
             (self._stack() if stack is None else stack).append(span)
         return span
@@ -291,10 +313,13 @@ class SpanRecorder:
         shutdown sweep.
         """
         flushed = 0
-        for span in self.spans:
-            if span.end is None:
-                span.set_attribute("flushed", True)
-                span.end = end
+        for entry in self._entries:
+            if entry.end is None:
+                if isinstance(entry, Span):
+                    entry.set_attribute("flushed", True)
+                else:
+                    entry.flushed = True
+                entry.end = end
                 flushed += 1
         # the stacks of surviving threads may still reference the spans
         # just closed; drop this thread's, and let close() skip
@@ -304,4 +329,4 @@ class SpanRecorder:
         return flushed
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._entries)

@@ -60,7 +60,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..obs.spans import Span
+from ..obs.rows import DispatchRow, ExecRow
 from ..obs.telemetry import Telemetry
 from .dist_proto import (
     PROTOCOL_VERSION,
@@ -161,15 +161,20 @@ class DistWorkerHandle:
     codec: str = "json"
     reported_completed: int = 0
     dispatched: int = 0
-    #: un-acked task id -> the dispatch-attempt span it went out under
-    #: (None untraced): a result is matched to *this worker's* attempt,
+    #: un-acked task id -> the dispatch attempt it went out under (None
+    #: untraced): a result is matched to *this worker's* attempt,
     #: however late it arrives and whatever the task has done since
-    outstanding: Dict[int, Optional[Span]] = field(default_factory=dict)
+    outstanding: Dict[int, Optional[DispatchRow]] = field(default_factory=dict)
     span: Any = None  # detached dist.worker telemetry span
     completed_gauge: Any = None  # this worker's bound completed-tasks gauge
     #: in-flight secure handshake state (challenge sent, waiter to wake)
     secure_challenge: Optional[str] = None
     secure_waiter: Optional[threading.Event] = None
+    #: the actor of the ``task.exec`` spans this worker's results stamp
+    exec_actor: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.exec_actor = f"dworker-{self.worker_id}"
 
     @property
     def pid(self) -> Optional[int]:
@@ -527,13 +532,13 @@ class _StreamFarm(FarmCore):
         return True, RuntimeError(entry["error"]) if failed else entry.get("value")
 
     def _record_exec(
-        self, handle: DistWorkerHandle, dispatch: Optional[Span], entry: dict
+        self, handle: DistWorkerHandle, dispatch: Optional[DispatchRow], entry: dict
     ) -> None:
         """Land one execution's ``task.exec`` span in the store (lock held).
 
         A traced worker only stamps ``t = (start, end, pid)`` on its
-        result entry; the span is built here, under the dispatch-attempt
-        span this worker was sent the task with.  The field comes off
+        result entry; the span's row is kept here, under the dispatch
+        attempt this worker was sent the task with.  The field comes off
         the wire: one that does not parse is dropped — the result still
         counts — never raised in the loop.
         """
@@ -541,18 +546,16 @@ class _StreamFarm(FarmCore):
             timing = entry.get("t")
             if dispatch is not None and isinstance(timing, (list, tuple)):
                 start, end, pid = timing
-                worker_id = handle.worker_id
-                span = self.telemetry.spans.open(
-                    "task.exec",
+                run = ExecRow(
+                    dispatch,
+                    handle.exec_actor,
+                    handle.worker_id,
+                    int(pid),
                     float(start),
-                    actor=f"dworker-{worker_id}",
-                    attach=False,
-                    context=dispatch.context.exec_child(worker_id),
-                    worker=worker_id,
-                    pid=int(pid),
-                    outcome="error" if "error" in entry else "ok",
+                    float(end),
+                    "error" if "error" in entry else "ok",
                 )
-                span.end = float(end)
+                self.telemetry.spans._add_row(run)
         except (TypeError, ValueError, KeyError, AttributeError):
             pass
 

@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..obs.propagation import TraceContext, task_context
+from ..obs.rows import DispatchRow, TaskRow
 from ..obs.telemetry import NOOP, Telemetry
 from ..sim.metrics import WindowRateEstimator, queue_length_stats
 from .backend import RuntimeFarmSnapshot, drain_queue
@@ -65,7 +65,7 @@ class TaskRecord:
 
     __slots__ = (
         "task_id", "payload", "submitted_at", "attempts", "worker_id",
-        "next_retry_at", "root", "dispatch", "dispatch_seq",
+        "next_retry_at", "root", "dispatch",
     )
 
     def __init__(self, task_id: int, payload: Any, submitted_at: float) -> None:
@@ -75,12 +75,11 @@ class TaskRecord:
         self.attempts = 0
         self.worker_id: Optional[int] = None  # None: awaiting (re)dispatch
         self.next_retry_at = 0.0
-        # trace context: the task's root span and the current (or most
-        # recent) dispatch-attempt span; each new attempt parents under
-        # the previous one, so a replayed task reads as one causal chain
-        self.root: Any = None
-        self.dispatch: Any = None
-        self.dispatch_seq = 0
+        # trace rows (traced farms only): the task's root and its current
+        # (or most recent) dispatch attempt, which a worker's execution
+        # is stamped under
+        self.root: Optional[TaskRow] = None
+        self.dispatch: Optional[DispatchRow] = None
 
 
 @dataclass(frozen=True)
@@ -357,7 +356,8 @@ class FarmCore:
         With ``traceparent`` (a supervisor resubmitting across a
         coordinator crash) the span is a ``task.attempt`` child of the
         caller's root instead of a fresh root, so every incarnation's
-        attempt chains into one tree.
+        attempt chains into one tree.  Task spans are kept as rows
+        (:mod:`repro.obs.rows`), built into spans when the store is read.
         """
         now = self.now()
         self.arrival_est.mark(now)
@@ -365,21 +365,12 @@ class FarmCore:
         task_id = self._task_seq
         self._task_seq += 1
         record = TaskRecord(task_id, payload, now)
-        if self.telemetry.enabled:
-            parent = TraceContext.from_traceparent(traceparent) if traceparent else None
-            if parent is not None:
-                kind = "task.attempt"
-                context = parent.child(f"{self.name}/task/{task_id}")
-            else:
-                kind = "task"
-                context = task_context(self.name, task_id)
-            record.root = self.telemetry.start_span(
-                kind,
-                actor=self.name,
-                context=context,
-                task_id=task_id,
-                **({"tenant": tenant} if tenant is not None else {}),
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            record.root = TaskRow(
+                self.name, task_id, tenant, traceparent, telemetry.clock.now()
             )
+            telemetry.spans._add_row(record.root)
         self._tasks[task_id] = record
         return record
 
@@ -403,20 +394,19 @@ class FarmCore:
         dispatch's subtree, which is what makes the fault story legible.
         ``outcome`` closes a superseded attempt that is still open.
         """
+        telemetry = self.telemetry
+        now = telemetry.clock.now()
         prev = record.dispatch
         if prev is not None and outcome is not None:
-            self.telemetry.end_span(prev, outcome=outcome)
-        record.dispatch_seq += 1
-        parent = prev.context if prev is not None else record.root.context
-        seed = f"{self.name}/task/{record.task_id}/dispatch/{record.dispatch_seq}"
-        record.dispatch = self.telemetry.start_span(
-            "task.dispatch",
-            actor=self.name,
-            context=parent.child(seed),
-            worker=worker.worker_id,
-            attempt=record.attempts,
-            secured=worker.secured,
+            prev.close(now, outcome)
+        record.dispatch = DispatchRow(
+            record.root if prev is None else prev,
+            worker.worker_id,
+            record.attempts,
+            worker.secured,
+            now,
         )
+        telemetry.spans._add_row(record.dispatch)
 
     def _park(self, record: TaskRecord, due: float) -> None:
         """Leave ``record`` unassigned until ``due``."""
@@ -433,10 +423,10 @@ class FarmCore:
         under it.  Replay is at-least-once — a task whose ack was in
         flight runs twice — and :meth:`_complete` dedupes.
         """
-        self.telemetry.end_span(record.dispatch, outcome=outcome)
-        if record.attempts >= self.max_attempts:
+        buried = record.attempts >= self.max_attempts
+        self._close_trace(record, outcome, "dead-letter" if buried else None)
+        if buried:
             del self._tasks[record.task_id]
-            self.telemetry.end_span(record.root, outcome="dead-letter")
             self.dead_letters.append(
                 DeadLetter(
                     task_id=record.task_id,
@@ -522,14 +512,26 @@ class FarmCore:
             self._latencies.append((mark, mark - record.submitted_at))
             if record.root is not None:
                 outcome = "error" if failed else "ok"
-                self.telemetry.end_span(record.dispatch, outcome=outcome)
-                self.telemetry.end_span(record.root, outcome=outcome)
+                self._close_trace(record, outcome, outcome)
         return True
 
     def _abandon_all(self, outcome: str) -> None:
         """The coordinator is going away: close every open task's spans."""
         for record in self._tasks.values():
-            self.telemetry.end_span(record.dispatch, outcome=outcome)
-            self.telemetry.end_span(record.root, outcome=outcome)
+            self._close_trace(record, outcome, outcome)
         self._tasks.clear()
         self._retry_heap.clear()
+
+    def _close_trace(
+        self, record: TaskRecord, outcome: str, task_outcome: Optional[str]
+    ) -> None:
+        """Close a traced task's latest attempt with ``outcome`` and, with
+        a ``task_outcome``, the task itself (untraced: nothing to do)."""
+        root = record.root
+        if root is None:
+            return
+        end = self.telemetry.clock.now()
+        if record.dispatch is not None:
+            record.dispatch.close(end, outcome)
+        if task_outcome is not None:
+            root.close(end, task_outcome)

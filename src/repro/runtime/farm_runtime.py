@@ -24,7 +24,7 @@ import threading
 import time
 from typing import Any, Callable, Optional
 
-from ..obs.spans import Span
+from ..obs.rows import ExecRow
 from ..obs.telemetry import Telemetry
 from ..security.crypto import decrypt, encrypt
 from .backend import RuntimeFarmSnapshot
@@ -56,6 +56,7 @@ class ThreadWorker:
     ) -> None:
         self.farm = farm
         self.worker_id = worker_id
+        self.name = f"{farm.name}-w{worker_id}"  # its thread, its exec spans' actor
         self.secured = secured
         self.quarantined = quarantined
         self.queue: "queue.Queue[Any]" = queue.Queue()
@@ -63,7 +64,7 @@ class ThreadWorker:
         self.dispatched = 0
         self.active = True
         self._thread = threading.Thread(
-            target=self._run, name=f"{farm.name}-w{worker_id}", daemon=True
+            target=self._run, name=self.name, daemon=True
         )
         self._thread.start()
 
@@ -82,15 +83,15 @@ class ThreadWorker:
             payload, enc, _, record = item
             if enc:
                 payload = pickle.loads(decrypt(_SECRET, payload))
-            exec_span = self.farm._trace_exec(record, self.worker_id)
+            run = self.farm._trace_exec(record, self)
             try:
                 result = self.farm.fn(payload)
             except Exception as exc:  # noqa: BLE001 - surfaced via results
                 result = exc
-            if exec_span is not None:
-                self.farm.telemetry.end_span(
-                    exec_span,
-                    outcome="error" if isinstance(result, Exception) else "ok",
+            if run is not None:
+                run.close(
+                    self.farm.telemetry.clock.now(),
+                    "error" if isinstance(result, Exception) else "ok",
                 )
             self.completed += 1
             self.farm._deliver(record, result)
@@ -168,16 +169,17 @@ class ThreadFarm(FarmCore):
         worker.queue.put(item)
         self._count_dispatch(worker)
 
-    def _trace_exec(self, record: Optional[TaskRecord], worker_id: int) -> Optional[Span]:
-        """Open the worker-side execution span (worker thread)."""
+    def _trace_exec(
+        self, record: Optional[TaskRecord], worker: ThreadWorker
+    ) -> Optional[ExecRow]:
+        """Open the worker-side execution span, as a row (worker thread)."""
         if record is None or record.dispatch is None:
             return None
-        return self.telemetry.start_span(
-            "task.exec",
-            actor=f"{self.name}-w{worker_id}",
-            context=record.dispatch.context.exec_child(worker_id),
-            worker=worker_id,
+        run = ExecRow(
+            record.dispatch, worker.name, worker.worker_id, None, self.telemetry.clock.now()
         )
+        self.telemetry.spans._add_row(run)
+        return run
 
     def _deliver(self, record: Optional[TaskRecord], result: Any) -> None:
         if record is not None:

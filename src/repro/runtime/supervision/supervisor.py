@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from ...obs.propagation import task_context
+from ...obs.rows import TaskRow
 from ...obs.spans import Span
 from ...obs.telemetry import NOOP, Telemetry
 from ..backend import RuntimeFarmSnapshot, drain_queue
@@ -172,7 +173,7 @@ class SupervisedFarm:
         self._next_sid = 0
         self._payloads: Dict[int, Any] = {}  # sid → payload while pending
         self._tenants: Dict[int, str] = {}
-        self._roots: Dict[int, Span] = {}  # sid → open root span
+        self._roots: Dict[int, TaskRow] = {}  # sid → open root span's row
         self._delivered: Set[int] = set()
         self.submitted = 0
         self.completed = 0
@@ -313,13 +314,10 @@ class SupervisedFarm:
                 event["tenant"] = tenant
             self.journal.append(event)
             if self.telemetry.enabled:
-                self._roots[sid] = self.telemetry.start_span(
-                    "task",
-                    actor=self.name,
-                    context=task_context(self.name, sid),
-                    task_id=sid,
-                    **({"tenant": tenant} if tenant is not None else {}),
+                root = self._roots[sid] = TaskRow(
+                    self.name, sid, tenant, None, self.telemetry.clock.now()
                 )
+                self.telemetry.spans._add_row(root)
             if not self.crashed:
                 self._submit_to_farm(sid, payload, tenant)
 
@@ -405,7 +403,7 @@ class SupervisedFarm:
         self.completed += 1
         root = self._roots.pop(sid, None)
         if root is not None:
-            self.telemetry.end_span(root, outcome="ok" if ok else "error")
+            root.close(self.telemetry.clock.now(), "ok" if ok else "error")
         self.results.put(
             res.get("value") if ok else RuntimeError(str(res.get("error", "task failed")))
         )
@@ -707,7 +705,7 @@ class SupervisedFarm:
         with self._lock:
             self._shutdown_done = True
             for root in self._roots.values():
-                self.telemetry.end_span(root, outcome="abandoned")
+                root.close(self.telemetry.clock.now(), "abandoned")
             self._roots.clear()
         self.journal.close()
         if self.telemetry.enabled:
