@@ -277,7 +277,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--no-slo", action="store_true",
-        help="live backends: skip deriving SLO burn-rate objectives "
+        help="live backends without --shards: skip deriving SLO burn-rate objectives "
         "from the contract (on by default when telemetry is enabled)",
     )
     parser.add_argument(
@@ -293,57 +293,52 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write the metrics registry as Prometheus text",
     )
     parser.add_argument(
-        "--duration", type=float, default=None, help="override simulated duration"
+        "--duration", type=float, default=None,
+        help="sim backend: override the simulated duration",
     )
     parser.add_argument(
         "--with-coordinator", action="store_true",
-        help="route AM_F worker additions through a two-phase GM",
+        help="sim backend: route AM_F worker additions through a two-phase GM",
     )
     args = parser.parse_args(argv)
 
-    if args.tenants and not args.shards:
-        parser.error("--tenants needs --shards")
-    if args.kill_coordinator:
-        if args.backend == "sim":
-            parser.error("--kill-coordinator needs a live backend (thread/process/dist)")
-        if args.with_security:
-            parser.error("--kill-coordinator and --with-security are mutually exclusive")
-        if args.shards:
-            parser.error("--kill-coordinator does not combine with --shards")
+    live = args.backend != "sim"
+    needs_live = "needs a live backend (thread/process/dist)"
+    sim_only = "only applies to the sim backend"
+    unsharded = "does not combine with --shards"
+    for refused, message in (
+        (args.tenants and not args.shards, "--tenants needs --shards"),
+        (args.kill_coordinator and not live, f"--kill-coordinator {needs_live}"),
+        (args.shards and not live, f"--shards {needs_live}"),
+        (args.with_security and not live, f"--with-security {needs_live}"),
+        (args.serve_telemetry and not live, f"--serve-telemetry {needs_live}"),
+        (args.duration is not None and live, f"--duration {sim_only}"),
+        (args.with_coordinator and live, f"--with-coordinator {sim_only}"),
+        (
+            args.kill_coordinator and args.with_security,
+            "--kill-coordinator and --with-security are mutually exclusive",
+        ),
+        (args.kill_coordinator and args.shards, f"--kill-coordinator {unsharded}"),
+        (args.with_security and args.shards, f"--with-security {unsharded}"),
+        (args.no_slo and args.shards, f"--no-slo {unsharded}"),
+    ):
+        if refused:
+            parser.error(message)
+
+    telemetry = Telemetry() if args.trace_out or args.metrics_out else None
+    trace = None
     if args.shards:
-        if args.backend == "sim":
-            parser.error("--shards needs a live backend (thread/process/dist)")
-        from .fig4_live import (
-            Fig4ShardedConfig,
-            render_fig4_sharded,
-            run_fig4_sharded,
+        from .fig4_live import Fig4ShardedConfig, render_fig4_sharded, run_fig4_sharded
+
+        cfg = Fig4ShardedConfig(
+            backend=args.backend, shards=args.shards, tenants=args.tenants,
+            serve_telemetry=args.serve_telemetry, telemetry_port=args.telemetry_port,
         )
-
-        sharded_telemetry = None
-        if args.trace_out or args.metrics_out:
-            sharded_telemetry = Telemetry()
-        sharded_cfg = Fig4ShardedConfig(
-            backend=args.backend, shards=args.shards, tenants=args.tenants
-        )
-        print(render_fig4_sharded(
-            run_fig4_sharded(sharded_cfg, telemetry=sharded_telemetry)
-        ))
-        if args.trace_out:
-            from ..obs.export import write_trace_jsonl
-
-            n = write_trace_jsonl(args.trace_out, sharded_telemetry)
-            print(f"wrote {n} trace records to {args.trace_out}")
-        if args.metrics_out:
-            from ..obs.export import prometheus_text
-
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(prometheus_text(sharded_telemetry.metrics))
-            print(f"wrote metrics to {args.metrics_out}")
-        return 0
-    if args.backend != "sim":
+        print(render_fig4_sharded(run_fig4_sharded(cfg, telemetry=telemetry)))
+    elif live:
         from .fig4_live import Fig4LiveConfig, render_fig4_live, run_fig4_live
 
-        live_cfg = Fig4LiveConfig(
+        cfg = Fig4LiveConfig(
             backend=args.backend,
             inject_crash=not args.no_crash,
             with_security=args.with_security,
@@ -353,47 +348,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             kill_coordinator=args.kill_coordinator,
             with_slo=not args.no_slo,
         )
-        live_telemetry = None
-        if args.trace_out or args.metrics_out:
-            live_telemetry = Telemetry()
-        print(render_fig4_live(run_fig4_live(live_cfg, telemetry=live_telemetry)))
-        if args.trace_out:
-            from ..obs.export import write_trace_jsonl
+        print(render_fig4_live(run_fig4_live(cfg, telemetry=telemetry)))
+    else:
+        from .report import render_fig4
 
-            n = write_trace_jsonl(args.trace_out, live_telemetry)
-            print(f"wrote {n} trace records to {args.trace_out}")
-        if args.metrics_out:
-            from ..obs.export import prometheus_text
-
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(prometheus_text(live_telemetry.metrics))
-            print(f"wrote metrics to {args.metrics_out}")
-        return 0
-    if args.with_security:
-        parser.error("--with-security needs a live backend (thread/process/dist)")
-    if args.serve_telemetry:
-        parser.error("--serve-telemetry needs a live backend (thread/process/dist)")
-
-    cfg = Fig4Config(with_coordinator=args.with_coordinator)
-    if args.duration is not None:
-        cfg.duration = args.duration
-
-    telemetry = None
-    if args.trace_out or args.metrics_out:
-        telemetry = Telemetry()
-
-    result = run_fig4(cfg, telemetry=telemetry)
-
-    from .report import render_fig4
-
-    print(render_fig4(result))
+        cfg = Fig4Config(with_coordinator=args.with_coordinator)
+        if args.duration is not None:
+            cfg.duration = args.duration
+        result = run_fig4(cfg, telemetry=telemetry)
+        print(render_fig4(result))
+        trace = result.trace
 
     if args.trace_out:
         from ..obs.export import write_trace_jsonl
 
-        n = write_trace_jsonl(
-            args.trace_out, telemetry, result.trace, include_series=True
-        )
+        n = write_trace_jsonl(args.trace_out, telemetry, trace, include_series=True)
         print(f"wrote {n} trace records to {args.trace_out}")
     if args.metrics_out:
         from ..obs.export import prometheus_text

@@ -34,13 +34,22 @@ dispatch counters: zero tasks ever handed to an unsecured channel
 ``coordination="naive"`` is the ablation: same pool, no intent
 protocol, so the insecure-dispatch counter measures the leak window.
 
+``--kill-coordinator`` makes the coordinator itself the fault, and
+``--shards`` runs the farm-of-farms variant.  Every mode is one stack
+builder and one feed/drain loop: the builder picks the mode's farm,
+managers and fault, the loop feeds, drains and checks them all alike.
+
 The sim backend (default) remains byte-identical to the regenerated
 Figure 4 artefacts — this module never touches it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
@@ -49,10 +58,8 @@ from ..core.multiconcern import CoordinationMode
 from ..obs.telemetry import Telemetry
 from ..runtime.backend import FarmBackend
 from ..runtime.controller import FarmController
-from ..runtime.dist_farm import DistFarm
-from ..runtime.hierarchy.sharded_farm import make_shard_backend
+from ..runtime.hierarchy import ShardedFarm, TenantRegistry, make_shard_backend
 from ..runtime.multiconcern import LiveGeneralManager, WorkerPlacement
-from ..runtime.process_farm import ProcessFarm
 from ..security.manager import LiveSecurityManager
 from ..sim.resources import Domain, ResourceManager, make_cluster
 
@@ -69,6 +76,25 @@ __all__ = [
     "render_fig4_sharded",
 ]
 
+# fixed parameters of the live scenario (wall-clock seconds)
+_INITIAL_WORKERS = 1
+_RATE_WINDOW = 1.5
+_DRAIN_TIMEOUT = 60.0
+_UNTRUSTED_NODES = 16              # growth pool size (all untrusted)
+_SLO_WINDOW_SCALE = 1.0 / 150.0    # SRE minutes → fig4 seconds
+_SLO_BUDGET_WINDOW = 30.0          # error-budget horizon (s)
+_SLO_BUDGET_FRACTION = 0.05
+# ... and of the farm-of-farms scenario
+_SHARDED_CONTRACT_HIGH = 400.0
+_SHARDED_TASK_WORK = 0.04          # one worker sustains ~25 tasks/s
+_SHARDED_FEED_RATE = 100.0
+_SHARDED_MAX_WORKERS = 4           # total worker budget across the shards
+_SHARDED_CONTROL_PERIOD = 0.1
+_SHARDED_REBALANCE_COOLDOWN = 0.3
+_SHARDED_RATE_WINDOW = 0.8
+_TENANT_RATE = 20.0                # per-tenant SLA (tasks/s)
+_TENANT_BURST = 1.0
+
 
 @dataclass
 class Fig4LiveConfig:
@@ -82,26 +108,18 @@ class Fig4LiveConfig:
     feed_rate: float = 60.0          # phase-2 feed, inside the stripe
     starve_duration: float = 0.8
     total_tasks: int = 200
-    initial_workers: int = 1
     max_workers: int = 8
     control_period: float = 0.2
-    rate_window: float = 1.5
-    inject_crash: bool = True        # honoured by process (SIGKILL) and dist (cut TCP)
+    inject_crash: bool = True        # the mode's fault: SIGKILL, cut TCP or coordinator
     crash_after: int = 60            # tasks fed before the fault
-    drain_timeout: float = 60.0
     with_security: bool = False      # run the §3.2 multi-concern story
-    untrusted_nodes: int = 16        # growth pool size (all untrusted)
     coordination: str = "two-phase"  # or "naive": the leak-window ablation
     serve_telemetry: bool = False    # expose /metrics + /trace live over HTTP
     telemetry_port: int = 0          # 0 = pick a free port
     kill_coordinator: bool = False   # crash the whole coordinator stack mid-feed
     journal_path: str = ""           # dispatch journal ("" = private temp file)
-    # -- SLO engine (attached whenever the run has real telemetry) ------
     with_slo: bool = True            # compile the contract into live SLOs
-    slo_window_scale: float = 1.0 / 150.0  # SRE minutes → fig4 seconds
-    slo_budget_window: float = 30.0  # error-budget horizon (s)
-    slo_budget_fraction: float = 0.05
-    scrape_interval: float = 0.0     # TSDB scrape period (0 = control_period/2)
+    #                                  (whenever the run has real telemetry)
 
 
 @dataclass
@@ -189,410 +207,6 @@ class Fig4LiveResult:
         )
 
 
-def live_task(payload: Any) -> Any:
-    """The stage function: ``task_work`` seconds of blocking work.
-
-    Module-level so it survives pickling under every multiprocessing
-    start method.  Sleep-based, so the thread backend scales too and the
-    two backends face the identical workload.
-    """
-    work, value = payload
-    time.sleep(work)
-    return value * value
-
-
-def make_backend(
-    cfg: Fig4LiveConfig, telemetry: Optional[Telemetry] = None
-) -> FarmBackend:
-    return make_shard_backend(
-        cfg.backend,
-        live_task,
-        initial_workers=cfg.initial_workers,
-        max_workers=cfg.max_workers,
-        name=f"fig4-{cfg.backend}",
-        telemetry=telemetry,
-        rate_window=cfg.rate_window,
-    )
-
-
-def _attach_slo(
-    cfg: Fig4LiveConfig, telemetry: Optional[Telemetry], contract: Any, manager: str
-) -> Optional[Any]:
-    """Compile the run's contract into live SLOs — no manual alert config.
-
-    Starts the embedded TSDB (scraping at half the control period so
-    every MAPE tick is observed), derives objectives straight from the
-    active contract via :func:`repro.obs.slo.slo_from_contract`, and
-    evaluates them with the SRE burn-rate windows scaled from minutes to
-    fig4's seconds.
-    """
-    if telemetry is None or not telemetry.enabled or not cfg.with_slo:
-        return None
-    from ..obs.slo import BurnWindows, SLOEngine, slo_from_contract
-
-    interval = cfg.scrape_interval or cfg.control_period / 2.0
-    store = telemetry.start_timeseries(
-        interval=interval, retention=600.0, scraper_thread=True
-    )
-    slos = slo_from_contract(
-        contract,
-        name=f"fig4.{cfg.backend}",
-        manager=manager,
-        budget_fraction=cfg.slo_budget_fraction,
-        budget_window=cfg.slo_budget_window,
-    )
-    return SLOEngine(
-        telemetry,
-        store,
-        slos,
-        windows=BurnWindows().scaled(cfg.slo_window_scale),
-        broker=telemetry.stream,
-    )
-
-
-def _harvest_slo(result: Fig4LiveResult, telemetry: Optional[Telemetry]) -> None:
-    """Fold the engine's accounting into the run result (None-safe)."""
-    engine = getattr(telemetry, "slo", None) if telemetry is not None else None
-    if engine is None:
-        return
-    result.slo_objectives = len(engine.slos)
-    for name, transitions in engine.transitions().items():
-        for tr in transitions:
-            result.slo_transitions.append((tr["t"], name, tr["from"], tr["to"]))
-    result.slo_transitions.sort()
-    result.slo_pages = sum(1 for *_rest, to in result.slo_transitions if to == "page")
-    result.slo_violation_seconds = sum(engine.violation_seconds().values())
-    tracker = getattr(telemetry, "adaptation", None)
-    if tracker is not None and tracker.cycles:
-        result.adaptation_cycles = len(tracker.cycles)
-        result.adaptation_latency = tracker.cycles[0]["total"]
-
-
-def run_fig4_live(
-    config: Optional[Fig4LiveConfig] = None, *, telemetry: Optional[Telemetry] = None
-) -> Fig4LiveResult:
-    """Run the live scenario and return its measured traces."""
-    cfg = config or Fig4LiveConfig()
-    if cfg.kill_coordinator:
-        if cfg.with_security:
-            raise ValueError(
-                "--kill-coordinator and --with-security are mutually exclusive"
-            )
-        return _run_fig4_supervised(cfg, telemetry)
-    if telemetry is None and (cfg.with_security or cfg.serve_telemetry):
-        # the security story proves itself via the dispatch counters, and
-        # the live endpoint has nothing to serve without a store — either
-        # way the run needs real telemetry, not the null object
-        telemetry = Telemetry()
-    server = None
-    if cfg.serve_telemetry:
-        server = telemetry.serve(port=cfg.telemetry_port)
-        print(
-            f"live telemetry on http://{server.host}:{server.port} "
-            "(/metrics, /traces, /trace/<id>, /healthz, /query, /slo, /stream)"
-        )
-    farm = make_backend(cfg, telemetry)
-    contract = ThroughputRangeContract(cfg.contract_low, cfg.contract_high)
-    controller = FarmController(
-        farm,
-        contract,
-        control_period=cfg.control_period,
-        max_workers=cfg.max_workers,
-        telemetry=telemetry,
-        name=f"AM_{cfg.backend}",
-    )
-    _attach_slo(cfg, telemetry, contract, f"AM_{cfg.backend}")
-    security: Optional[LiveSecurityManager] = None
-    gm: Optional[LiveGeneralManager] = None
-    if cfg.with_security:
-        # every channel starts secured; every *new* worker lands on
-        # untrusted ground, so the intent protocol must secure it before
-        # the dispatcher may touch it
-        farm.secure_all()
-        pool = make_cluster(
-            cfg.untrusted_nodes,
-            prefix="u",
-            domain=Domain("untrusted_ip_domain_A", trusted=False),
-        )
-        placement = WorkerPlacement(ResourceManager(pool))
-        security = LiveSecurityManager(
-            farm,
-            placement,
-            control_period=cfg.control_period,
-            telemetry=telemetry,
-            name=f"AM_sec_{cfg.backend}",
-        )
-        gm = LiveGeneralManager(
-            farm,
-            placement,
-            mode=CoordinationMode(cfg.coordination),
-            telemetry=telemetry,
-            name=f"GM_{cfg.backend}",
-        )
-        gm.register(security)
-        gm.register(controller, priority=0)
-        security.start()
-    controller.start()
-
-    worker_series: List[Tuple[float, float]] = []
-    throughput_series: List[Tuple[float, float]] = []
-    arrival_series: List[Tuple[float, float]] = []
-    last_sample = [0.0]
-
-    def sample() -> None:
-        now = farm.now()
-        if now - last_sample[0] < cfg.control_period / 2.0:
-            return
-        last_sample[0] = now
-        snap = farm.snapshot()
-        worker_series.append((now, snap.num_workers))
-        throughput_series.append((now, snap.departure_rate))
-        arrival_series.append((now, snap.arrival_rate))
-
-    fed = 0
-    crashed = False
-    try:
-        # phase 1: starvation below the stripe
-        t_end = farm.now() + cfg.starve_duration
-        while farm.now() < t_end and fed < cfg.total_tasks:
-            farm.submit((cfg.task_work, fed))
-            fed += 1
-            sample()
-            time.sleep(1.0 / cfg.starve_rate)
-        # phases 2-3: pressure inside the stripe, with an optional kill
-        while fed < cfg.total_tasks:
-            farm.submit((cfg.task_work, fed))
-            fed += 1
-            if cfg.inject_crash and not crashed and fed >= cfg.crash_after:
-                if isinstance(farm, DistFarm):
-                    # the distributed fault: sever the TCP connection —
-                    # the worker process itself may be perfectly healthy
-                    crashed = farm.drop_connection() is not None
-                elif isinstance(farm, ProcessFarm):
-                    crashed = farm.inject_crash() is not None
-            sample()
-            time.sleep(1.0 / cfg.feed_rate)
-        # phase 4: drain
-        results = farm.drain_results(fed, timeout=cfg.drain_timeout)
-        sample()
-        expected = sorted(i * i for i in range(fed))
-        results_ok = sorted(results) == expected
-        duration = farm.now()
-        if security is not None:
-            security.stop()
-        controller.stop()
-        snap = farm.snapshot()
-        result = Fig4LiveResult(
-            config=cfg,
-            backend=cfg.backend,
-            completed=snap.completed,
-            results_ok=results_ok,
-            duration=duration,
-            actions=list(controller.actions),
-            violations=list(controller.violations),
-            worker_series=worker_series,
-            throughput_series=throughput_series,
-            arrival_series=arrival_series,
-            final_workers=snap.num_workers,
-            crashes=len(getattr(farm, "crashes", [])),
-            replays=getattr(farm, "replays", 0),
-            duplicates=getattr(farm, "duplicates", 0),
-            dead_letters=len(getattr(farm, "dead_letters", [])),
-        )
-        _harvest_slo(result, telemetry)
-        if gm is not None and telemetry is not None:
-            outcomes = gm.outcomes()
-            result.mc_committed = outcomes.get("committed", 0) + outcomes.get("partial", 0)
-            result.mc_vetoed = outcomes.get("vetoed", 0)
-            result.mc_amendments = sum(r.amendments for r in gm.intents)
-            metrics = telemetry.metrics
-            result.mc_admitted = int(
-                metrics.counter("repro_mc_admitted_workers_total", "")
-                .labels(gm=gm.name).value
-            )
-            result.insecure_dispatches = int(
-                metrics.counter("repro_mc_insecure_dispatch_total", "")
-                .labels(farm=farm.name).value
-            )
-            result.secured_workers = sum(
-                1 for w in farm.workers if getattr(w, "active", True) and w.secured
-            )
-            result.quarantined_at_end = snap.quarantined
-        if server is not None:
-            result.telemetry_url = f"http://{server.host}:{server.port}"
-        return result
-    finally:
-        if security is not None:
-            security.stop()
-        controller.stop()
-        if telemetry is not None:
-            telemetry.stop_timeseries()
-        farm.shutdown()
-        if server is not None:
-            server.close()
-
-
-# ----------------------------------------------------------------------
-# the self-healing variant: --kill-coordinator
-# ----------------------------------------------------------------------
-
-
-def _run_fig4_supervised(
-    cfg: Fig4LiveConfig, telemetry: Optional[Telemetry]
-) -> Fig4LiveResult:
-    """The FIG4 phases with the *coordinator itself* as the fault.
-
-    The farm runs behind :class:`~repro.runtime.supervision.SupervisedFarm`
-    (journaled dispatch) with a
-    :class:`~repro.runtime.supervision.Supervisor` watching the
-    heartbeat.  At ``crash_after`` fed tasks the whole coordinator stack
-    — dispatcher and controller — is killed with tasks in flight; the
-    supervisor replays the journal, promotes a new incarnation (the
-    standby on the dist backend, with live workers reattaching over
-    TCP), redispatches the in-flight tasks and restarts the controller
-    under the journaled contract.  Zero loss must hold *across the
-    coordinator's death*, not just a worker's.
-    """
-    import os
-    import tempfile
-
-    from ..runtime.supervision import SupervisedFarm, Supervisor
-
-    if telemetry is None and cfg.serve_telemetry:
-        telemetry = Telemetry()
-    server = None
-    if cfg.serve_telemetry:
-        server = telemetry.serve(port=cfg.telemetry_port)
-        print(
-            f"live telemetry on http://{server.host}:{server.port} "
-            "(/metrics, /traces, /trace/<id>, /healthz, /query, /slo, /stream)"
-        )
-    journal_path = cfg.journal_path
-    cleanup_journal = False
-    if not journal_path:
-        fd, journal_path = tempfile.mkstemp(prefix="fig4-journal-", suffix=".jsonl")
-        os.close(fd)
-        cleanup_journal = True
-    farm = SupervisedFarm(
-        live_task,
-        backend=cfg.backend,
-        journal_path=journal_path,
-        name=f"fig4-{cfg.backend}",
-        initial_workers=cfg.initial_workers,
-        max_workers=cfg.max_workers,
-        telemetry=telemetry,
-        farm_options={"rate_window": cfg.rate_window},
-    )
-    contract = ThroughputRangeContract(cfg.contract_low, cfg.contract_high)
-    supervisor = Supervisor(
-        farm,
-        contract=contract,
-        control_period=cfg.control_period,
-        max_workers=cfg.max_workers,
-        telemetry=telemetry,
-    ).start()
-    # the supervised controller keeps an epoch-stable manager name, so
-    # its gauges form one series across failovers and these objectives
-    # keep judging the farm through the coordinator's death
-    _attach_slo(cfg, telemetry, contract, f"{supervisor.name}-am")
-
-    worker_series: List[Tuple[float, float]] = []
-    throughput_series: List[Tuple[float, float]] = []
-    arrival_series: List[Tuple[float, float]] = []
-    last_sample = [0.0]
-
-    def sample() -> None:
-        now = farm.now()
-        if now - last_sample[0] < cfg.control_period / 2.0:
-            return
-        last_sample[0] = now
-        snap = farm.snapshot()
-        worker_series.append((now, snap.num_workers))
-        throughput_series.append((now, snap.departure_rate))
-        arrival_series.append((now, snap.arrival_rate))
-
-    # actions/violations span coordinator incarnations: snapshot the
-    # doomed controller's lists right before killing it, then append the
-    # replacement's at the end
-    actions: List[Tuple[float, str]] = []
-    violations: List[Tuple[float, str]] = []
-
-    def harvest_controller() -> None:
-        controller = supervisor.controller
-        if controller is not None:
-            actions.extend(controller.actions)
-            violations.extend(controller.violations)
-
-    fed = 0
-    crashed = False
-    try:
-        t_end = farm.now() + cfg.starve_duration
-        while farm.now() < t_end and fed < cfg.total_tasks:
-            farm.submit((cfg.task_work, fed))
-            fed += 1
-            sample()
-            time.sleep(1.0 / cfg.starve_rate)
-        while fed < cfg.total_tasks:
-            farm.submit((cfg.task_work, fed))
-            fed += 1
-            if cfg.inject_crash and not crashed and fed >= cfg.crash_after:
-                harvest_controller()
-                supervisor.crash_coordinator()
-                crashed = True
-            sample()
-            time.sleep(1.0 / cfg.feed_rate)
-        results = farm.drain_results(fed, timeout=cfg.drain_timeout)
-        sample()
-        expected = sorted(i * i for i in range(fed))
-        results_ok = sorted(results) == expected
-        duration = farm.now()
-        harvest_controller()
-        supervisor.stop()
-        snap = farm.snapshot()
-        result = Fig4LiveResult(
-            config=cfg,
-            backend=cfg.backend,
-            completed=snap.completed,
-            results_ok=results_ok,
-            duration=duration,
-            actions=actions,
-            violations=violations,
-            worker_series=worker_series,
-            throughput_series=throughput_series,
-            arrival_series=arrival_series,
-            final_workers=snap.num_workers,
-            crashes=1 if crashed else 0,
-            replays=farm.redispatched,
-            duplicates=farm.duplicates,
-            dead_letters=0,
-            failovers=supervisor.failovers,
-            failover_latency=farm.last_failover_seconds or 0.0,
-            final_epoch=farm.epoch,
-            redispatched=farm.redispatched,
-        )
-        _harvest_slo(result, telemetry)
-        if server is not None:
-            result.telemetry_url = f"http://{server.host}:{server.port}"
-        return result
-    finally:
-        supervisor.stop()
-        if telemetry is not None:
-            telemetry.stop_timeseries()
-        farm.shutdown()
-        if server is not None:
-            server.close()
-        if cleanup_journal:
-            try:
-                os.unlink(journal_path)
-            except OSError:
-                pass
-
-
-# ----------------------------------------------------------------------
-# the sharded variant: --shards / --tenants
-# ----------------------------------------------------------------------
-
-
 @dataclass
 class Fig4ShardedConfig:
     """Parameters of the farm-of-farms scenario (wall-clock seconds).
@@ -610,17 +224,9 @@ class Fig4ShardedConfig:
     shards: int = 2
     tenants: int = 0
     contract_low: float = 120.0
-    contract_high: float = 400.0
-    task_work: float = 0.04           # one worker sustains ~25 tasks/s
-    feed_rate: float = 100.0
     total_tasks: int = 240
-    max_workers_total: int = 4
-    control_period: float = 0.1
-    rebalance_cooldown: float = 0.3
-    rate_window: float = 0.8
-    tenant_rate: float = 20.0         # per-tenant SLA (tasks/s)
-    tenant_burst: float = 1.0
-    drain_timeout: float = 60.0
+    serve_telemetry: bool = False    # expose /metrics + /trace live over HTTP
+    telemetry_port: int = 0          # 0 = pick a free port
 
 
 @dataclass
@@ -652,91 +258,340 @@ class Fig4ShardedResult:
         return self.results_ok
 
 
+def live_task(payload: Any) -> Any:
+    """The stage function: ``task_work`` seconds of blocking work.
+
+    Module-level so it survives pickling under every multiprocessing
+    start method.  Sleep-based, so the thread backend scales too and the
+    two backends face the identical workload.
+    """
+    work, value = payload
+    time.sleep(work)
+    return value * value
+
+
+def make_backend(cfg: Fig4LiveConfig, telemetry: Optional[Telemetry] = None) -> FarmBackend:
+    return make_shard_backend(
+        cfg.backend, live_task, initial_workers=_INITIAL_WORKERS, max_workers=cfg.max_workers,
+        name=f"fig4-{cfg.backend}", telemetry=telemetry, rate_window=_RATE_WINDOW,
+    )
+
+
+def _build_stack(cfg: Any, telemetry: Optional[Telemetry], stack: contextlib.ExitStack):
+    """Build one run's stack, putting each piece's teardown on ``stack``
+    the moment the piece exists — a build that raises halfway closes
+    whatever it had already started.
+
+    Returns ``(farm, submit, fault, harvest)``: ``submit(i)`` feeds task
+    ``i`` and says whether it was admitted; ``fault()`` is the mode's
+    mid-feed fault and says whether it landed (``None`` when the run has
+    none); ``harvest(results_ok)`` stops the managers once the stream
+    has drained and builds the run's result.
+    """
+    if telemetry is None and (cfg.serve_telemetry or getattr(cfg, "with_security", False)):
+        # the security story proves itself via the dispatch counters, and
+        # the live endpoint has nothing to serve without a store — either
+        # way the run needs real telemetry, not the null object
+        telemetry = Telemetry()
+    url = ""
+    if cfg.serve_telemetry:
+        server = stack.enter_context(telemetry.serve(port=cfg.telemetry_port))
+        url = f"http://{server.host}:{server.port}"
+        print(f"live telemetry on {url} "
+              "(/metrics, /traces, /trace/<id>, /healthz, /query, /slo, /stream)")
+
+    if isinstance(cfg, Fig4ShardedConfig):
+        registry = TenantRegistry(telemetry=telemetry) if cfg.tenants > 0 else None
+        names = [f"tenant{i}" for i in range(cfg.tenants)]
+        for name in names:
+            registry.register(name, _TENANT_RATE, burst=_TENANT_BURST)
+        hfarm = ShardedFarm(
+            live_task,
+            contract=ThroughputRangeContract(cfg.contract_low, _SHARDED_CONTRACT_HIGH),
+            shards=cfg.shards, backend=cfg.backend, max_workers_total=_SHARDED_MAX_WORKERS,
+            control_period=_SHARDED_CONTROL_PERIOD,
+            rebalance_cooldown=_SHARDED_REBALANCE_COOLDOWN, registry=registry,
+            telemetry=telemetry, shard_kwargs={"rate_window": _SHARDED_RATE_WINDOW},
+        )
+        stack.callback(hfarm.shutdown)
+        fair_share = [0.0]
+
+        def submit_sharded(i: int) -> bool:
+            if registry is None:
+                # rebalancing story: the whole feed lands on shard 0
+                hfarm.shards[0].farm.submit((_SHARDED_TASK_WORK, i))
+                return True
+            # multi-tenant story: everything through the admission gate
+            verdict = hfarm.submit((_SHARDED_TASK_WORK, i), tenant=names[i % len(names)])
+            if i == cfg.total_tasks - 1:
+                # the contended window: every backlogged tenant is draining
+                # against its token rate, so dispatch counts here measure
+                # fair share, not merely "everything got through eventually"
+                dispatched = [registry.get(n).dispatched for n in names]
+                mean = sum(dispatched) / len(dispatched)
+                if mean > 0:
+                    fair_share[0] = max(abs(d - mean) / mean for d in dispatched)
+            return verdict != "reject"
+
+        def harvest_sharded(results_ok: bool) -> Fig4ShardedResult:
+            tenants = registry.tenants() if registry is not None else []
+            return Fig4ShardedResult(
+                config=cfg, backend=cfg.backend, completed=hfarm.completed,
+                results_ok=results_ok, duration=hfarm.now(), budgets=list(hfarm.budgets),
+                workers=[s.farm.num_workers for s in hfarm.shards],
+                rebalances=[
+                    (e.time, e.from_shard, e.to_shard, e.latency) for e in hfarm.rebalances
+                ],
+                shard_violations=dict(Counter(kind for _t, _s, kind in hfarm.violations)),
+                root_violations=len(hfarm.root_violations),
+                tenant_stats=[
+                    (t.name, t.submitted, t.admitted, t.queued, t.rejected, t.dispatched)
+                    for t in tenants
+                ],
+                fair_share_error=fair_share[0],
+            )
+
+        return hfarm, submit_sharded, None, harvest_sharded
+
+    contract = ThroughputRangeContract(cfg.contract_low, cfg.contract_high)
+    if cfg.kill_coordinator:
+        # the coordinator itself is the fault: the farm runs behind
+        # journaled dispatch with a supervisor watching its heartbeat, and
+        # at ``crash_after`` the whole stack — dispatcher and controller —
+        # dies with tasks in flight; the supervisor replays the journal,
+        # promotes a new incarnation (the dist standby, live workers
+        # reattaching over TCP), redispatches the in-flight tasks and
+        # restarts the controller under the journaled contract
+        from ..runtime.supervision import SupervisedFarm, Supervisor
+
+        journal_path = cfg.journal_path or os.path.join(
+            stack.enter_context(tempfile.TemporaryDirectory(prefix="fig4-journal-")),
+            "journal.jsonl",
+        )
+        farm = SupervisedFarm(
+            live_task, backend=cfg.backend, journal_path=journal_path,
+            name=f"fig4-{cfg.backend}", initial_workers=_INITIAL_WORKERS,
+            max_workers=cfg.max_workers, telemetry=telemetry,
+            farm_options={"rate_window": _RATE_WINDOW},
+        )
+        stack.callback(farm.shutdown)
+        supervisor = Supervisor(
+            farm, contract=contract, control_period=cfg.control_period,
+            max_workers=cfg.max_workers, telemetry=telemetry,
+        )
+        stack.callback(supervisor.stop)
+        supervisor.start()
+        # the supervised controller keeps an epoch-stable manager name, so
+        # its gauges form one series across failovers and the objectives
+        # keep judging the farm through the coordinator's death
+        manager = f"{supervisor.name}-am"
+        # actions/violations span coordinator incarnations: the doomed
+        # controller's lists are harvested right before the kill, the
+        # replacement's at the end
+        actions: List[Tuple[float, str]] = []
+        violations: List[Tuple[float, str]] = []
+        crashes: List[float] = []
+
+        def harvest_controller() -> None:
+            if supervisor.controller is not None:
+                actions.extend(supervisor.controller.actions)
+                violations.extend(supervisor.controller.violations)
+
+        def crash() -> bool:
+            harvest_controller()
+            supervisor.crash_coordinator()
+            crashes.append(farm.now())
+            return True
+
+        fault = crash if cfg.inject_crash else None
+
+        def stop_managers() -> dict:
+            harvest_controller()
+            supervisor.stop()
+            return dict(
+                actions=actions, violations=violations, crashes=len(crashes),
+                replays=farm.redispatched, duplicates=farm.duplicates,
+                failovers=supervisor.failovers, final_epoch=farm.epoch,
+                failover_latency=farm.last_failover_seconds or 0.0,
+                redispatched=farm.redispatched,
+            )
+    else:
+        farm = make_backend(cfg, telemetry)
+        stack.callback(farm.shutdown)
+        manager = f"AM_{cfg.backend}"
+        controller = FarmController(
+            farm, contract, control_period=cfg.control_period,
+            max_workers=cfg.max_workers, telemetry=telemetry, name=manager,
+        )
+        stack.callback(controller.stop)
+        gm: Optional[LiveGeneralManager] = None
+        if cfg.with_security:
+            # every channel starts secured; every *new* worker lands on
+            # untrusted ground, so the intent protocol must secure it before
+            # the dispatcher may touch it
+            farm.secure_all()
+            pool = make_cluster(
+                _UNTRUSTED_NODES, prefix="u",
+                domain=Domain("untrusted_ip_domain_A", trusted=False),
+            )
+            placement = WorkerPlacement(ResourceManager(pool))
+            security = LiveSecurityManager(
+                farm, placement, control_period=cfg.control_period,
+                telemetry=telemetry, name=f"AM_sec_{cfg.backend}",
+            )
+            stack.callback(security.stop)
+            gm = LiveGeneralManager(
+                farm, placement, mode=CoordinationMode(cfg.coordination),
+                telemetry=telemetry, name=f"GM_{cfg.backend}",
+            )
+            gm.register(security)
+            gm.register(controller, priority=0)
+            security.start()
+        controller.start()
+        fault = None
+        if cfg.inject_crash and cfg.backend in ("process", "dist"):
+            # SIGKILL on the process backend; on dist the distributed
+            # fault — sever the TCP connection, the worker process itself
+            # may be perfectly healthy
+            cut = farm.inject_crash if cfg.backend == "process" else farm.drop_connection
+
+            def fault() -> bool:
+                return cut() is not None
+
+        def stop_managers() -> dict:
+            if gm is not None:
+                security.stop()
+            controller.stop()
+            fields = dict(
+                actions=list(controller.actions), violations=list(controller.violations),
+                crashes=len(farm.crashes), replays=farm.replays, duplicates=farm.duplicates,
+                dead_letters=len(farm.dead_letters),
+            )
+            if gm is not None:
+                outcomes = gm.outcomes()
+                counter = telemetry.metrics.counter
+                fields.update(
+                    mc_committed=outcomes.get("committed", 0) + outcomes.get("partial", 0),
+                    mc_vetoed=outcomes.get("vetoed", 0),
+                    mc_amendments=sum(r.amendments for r in gm.intents),
+                    mc_admitted=int(
+                        counter("repro_mc_admitted_workers_total", "").labels(gm=gm.name).value
+                    ),
+                    insecure_dispatches=int(
+                        counter("repro_mc_insecure_dispatch_total", "")
+                        .labels(farm=farm.name).value
+                    ),
+                    secured_workers=sum(
+                        1 for w in farm.workers if getattr(w, "active", True) and w.secured
+                    ),
+                )
+            return fields
+
+    if telemetry is not None and telemetry.enabled and cfg.with_slo:
+        # compile the contract into live SLOs — no manual alert config: the
+        # embedded TSDB scrapes at half the control period so every MAPE
+        # tick is observed, and the SRE burn-rate windows are scaled from
+        # minutes to fig4's seconds
+        from ..obs.slo import BurnWindows, SLOEngine, slo_from_contract
+
+        stack.callback(telemetry.stop_timeseries)
+        store = telemetry.start_timeseries(
+            interval=cfg.control_period / 2.0, retention=600.0, scraper_thread=True
+        )
+        slos = slo_from_contract(
+            contract, name=f"fig4.{cfg.backend}", manager=manager,
+            budget_fraction=_SLO_BUDGET_FRACTION, budget_window=_SLO_BUDGET_WINDOW,
+        )
+        SLOEngine(
+            telemetry, store, slos, windows=BurnWindows().scaled(_SLO_WINDOW_SCALE),
+            broker=telemetry.stream,
+        )
+
+    series: List[Tuple[float, float, float, float]] = []
+
+    def sample() -> None:
+        now = farm.now()
+        if now - (series[-1][0] if series else 0.0) < cfg.control_period / 2.0:
+            return
+        snap = farm.snapshot()
+        series.append((now, snap.num_workers, snap.departure_rate, snap.arrival_rate))
+
+    def submit(i: int) -> bool:
+        farm.submit((cfg.task_work, i))
+        sample()
+        return True
+
+    def harvest(results_ok: bool) -> Fig4LiveResult:
+        sample()
+        duration = farm.now()
+        fields = stop_managers()
+        snap = farm.snapshot()
+        result = Fig4LiveResult(
+            config=cfg, backend=cfg.backend, completed=snap.completed,
+            results_ok=results_ok, duration=duration,
+            worker_series=[(t, w) for t, w, _, _ in series],
+            throughput_series=[(t, d) for t, _, d, _ in series],
+            arrival_series=[(t, a) for t, _, _, a in series],
+            final_workers=snap.num_workers, quarantined_at_end=snap.quarantined,
+            telemetry_url=url, **fields,
+        )
+        engine = getattr(telemetry, "slo", None)
+        if engine is not None:
+            # fold the engine's accounting into the result
+            result.slo_objectives = len(engine.slos)
+            result.slo_transitions = sorted(
+                (tr["t"], name, tr["from"], tr["to"])
+                for name, transitions in engine.transitions().items()
+                for tr in transitions
+            )
+            result.slo_pages = sum(1 for *_, to in result.slo_transitions if to == "page")
+            result.slo_violation_seconds = sum(engine.violation_seconds().values())
+            tracker = telemetry.adaptation
+            if tracker is not None and tracker.cycles:
+                result.adaptation_cycles = len(tracker.cycles)
+                result.adaptation_latency = tracker.cycles[0]["total"]
+        return result
+
+    return farm, submit, fault, harvest
+
+
+def _run(
+    cfg: Any, telemetry: Optional[Telemetry], feed_rate: float,
+    starve_duration: float = 0.0, starve_rate: float = 1.0,
+) -> Any:
+    """The one feed/drain loop of every mode: a starve phase below the
+    stripe, a feed phase that lands the mode's fault once ``crash_after``
+    tasks are in, then one drain and one check of every result."""
+    with contextlib.ExitStack() as stack:
+        farm, submit, fault, harvest = _build_stack(cfg, telemetry, stack)
+        expected: List[int] = []
+        t_end = farm.now() + starve_duration
+        for i in range(cfg.total_tasks):
+            starving = farm.now() < t_end
+            if submit(i):
+                expected.append(i * i)
+            if fault is not None and not starving and i + 1 >= cfg.crash_after and fault():
+                fault = None
+            time.sleep(1.0 / (starve_rate if starving else feed_rate))
+        results = farm.drain_results(len(expected), timeout=_DRAIN_TIMEOUT)
+        return harvest(sorted(results) == expected)
+
+
+def run_fig4_live(
+    config: Optional[Fig4LiveConfig] = None, *, telemetry: Optional[Telemetry] = None
+) -> Fig4LiveResult:
+    """Run the live scenario and return its measured traces."""
+    cfg = config or Fig4LiveConfig()
+    if cfg.kill_coordinator and cfg.with_security:
+        raise ValueError("--kill-coordinator and --with-security are mutually exclusive")
+    return _run(cfg, telemetry, cfg.feed_rate, cfg.starve_duration, cfg.starve_rate)
+
+
 def run_fig4_sharded(
-    config: Optional[Fig4ShardedConfig] = None,
-    *,
-    telemetry: Optional[Telemetry] = None,
+    config: Optional[Fig4ShardedConfig] = None, *, telemetry: Optional[Telemetry] = None
 ) -> Fig4ShardedResult:
     """Run the farm-of-farms scenario and return its measured outcome."""
-    from ..core.contracts import ThroughputRangeContract as _Range
-    from ..runtime.hierarchy import ShardedFarm, TenantRegistry
-
-    cfg = config or Fig4ShardedConfig()
-    registry = None
-    tenant_names: List[str] = []
-    if cfg.tenants > 0:
-        registry = TenantRegistry(telemetry=telemetry)
-        for i in range(cfg.tenants):
-            name = f"tenant{i}"
-            registry.register(name, cfg.tenant_rate, burst=cfg.tenant_burst)
-            tenant_names.append(name)
-    farm = ShardedFarm(
-        live_task,
-        contract=_Range(cfg.contract_low, cfg.contract_high),
-        shards=cfg.shards,
-        backend=cfg.backend,
-        max_workers_total=cfg.max_workers_total,
-        control_period=cfg.control_period,
-        rebalance_cooldown=cfg.rebalance_cooldown,
-        registry=registry,
-        telemetry=telemetry,
-        shard_kwargs={"rate_window": cfg.rate_window},
-    )
-    expected: List[int] = []
-    fair_share_error = 0.0
-    try:
-        if cfg.tenants > 0:
-            # multi-tenant story: everything through the admission gate
-            for i in range(cfg.total_tasks):
-                tenant = tenant_names[i % cfg.tenants]
-                verdict = farm.submit((cfg.task_work, i), tenant=tenant)
-                if verdict != "reject":
-                    expected.append(i * i)
-                time.sleep(1.0 / cfg.feed_rate)
-            # the contended window: every backlogged tenant is draining
-            # against its token rate, so dispatch counts here measure
-            # fair share, not merely "everything got through eventually"
-            dispatched = [registry.get(n).dispatched for n in tenant_names]
-            mean = sum(dispatched) / len(dispatched)
-            if mean > 0:
-                fair_share_error = max(
-                    abs(d - mean) / mean for d in dispatched
-                )
-        else:
-            # rebalancing story: the whole feed lands on shard 0
-            for i in range(cfg.total_tasks):
-                farm.shards[0].farm.submit((cfg.task_work, i))
-                expected.append(i * i)
-                time.sleep(1.0 / cfg.feed_rate)
-        # tenant backlogs keep draining through the parent loop's pump
-        results = farm.drain_results(len(expected), timeout=cfg.drain_timeout)
-        results_ok = sorted(results) == sorted(expected)
-        violations: dict = {}
-        for _t, _shard, kind in farm.violations:
-            violations[kind] = violations.get(kind, 0) + 1
-        tenant_stats = [
-            (t.name, t.submitted, t.admitted, t.queued, t.rejected, t.dispatched)
-            for t in (registry.tenants() if registry is not None else [])
-        ]
-        return Fig4ShardedResult(
-            config=cfg,
-            backend=cfg.backend,
-            completed=farm.completed,
-            results_ok=results_ok,
-            duration=farm.now(),
-            budgets=list(farm.budgets),
-            workers=[s.farm.num_workers for s in farm.shards],
-            rebalances=[
-                (e.time, e.from_shard, e.to_shard, e.latency)
-                for e in farm.rebalances
-            ],
-            shard_violations=violations,
-            root_violations=len(farm.root_violations),
-            tenant_stats=tenant_stats,
-            fair_share_error=fair_share_error,
-        )
-    finally:
-        farm.shutdown()
+    return _run(config or Fig4ShardedConfig(), telemetry, _SHARDED_FEED_RATE)
 
 
 def render_fig4_sharded(r: Fig4ShardedResult) -> str:
@@ -748,11 +603,11 @@ def render_fig4_sharded(r: Fig4ShardedResult) -> str:
         f"=== FIG4-SHARDED: {cfg.shards}-shard hierarchy on the "
         f"{r.backend} backend ===",
         "",
-        f"root SLA: {cfg.contract_low:g}-{cfg.contract_high:g} tasks/s; "
-        f"{cfg.total_tasks} tasks of {cfg.task_work * 1000:g} ms; "
-        f"total worker budget {cfg.max_workers_total}"
+        f"root SLA: {cfg.contract_low:g}-{_SHARDED_CONTRACT_HIGH:g} tasks/s; "
+        f"{cfg.total_tasks} tasks of {_SHARDED_TASK_WORK * 1000:g} ms; "
+        f"total worker budget {_SHARDED_MAX_WORKERS}"
         + (
-            f"; {cfg.tenants} tenants at {cfg.tenant_rate:g} tasks/s each"
+            f"; {cfg.tenants} tenants at {_TENANT_RATE:g} tasks/s each"
             if cfg.tenants
             else "; whole feed skewed onto shard 0"
         ),
@@ -805,7 +660,7 @@ def render_fig4_live(r: Fig4LiveResult) -> str:
         f"contract: {cfg.contract_low:g}-{cfg.contract_high:g} tasks/s; "
         f"{cfg.total_tasks} tasks of {cfg.task_work * 1000:g} ms; "
         f"feed {cfg.starve_rate:g} -> {cfg.feed_rate:g} tasks/s; "
-        f"workers start at {cfg.initial_workers}",
+        f"workers start at {_INITIAL_WORKERS}",
         "",
         "--- arrival rate vs the contract stripe ---",
         ascii_series(
