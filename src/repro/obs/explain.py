@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .export import read_trace_jsonl
 from .propagation import list_traces
@@ -58,17 +58,6 @@ __all__ = [
     "main",
 ]
 
-#: span names that mark a dispatch attempt ending without a result
-_SUPERSEDED = (
-    "crashed",
-    "refused",
-    "redispatched",
-    "rebalanced",
-    "write-failed",
-    "coordinator-crashed",
-)
-
-
 def load(path: str) -> List[Span]:
     """Read a JSONL trace export back into Span objects."""
     return read_trace_jsonl(path)
@@ -80,6 +69,15 @@ def children_index(spans: Sequence[Span]) -> Dict[Optional[str], List[Span]]:
     for span in spans:
         index.setdefault(span.parent_id, []).append(span)
     return index
+
+
+def _in_order(spans: Iterable[Span], name: Optional[str] = None) -> List[Span]:
+    """``spans`` — only those called ``name``, if given — in
+    ``(start, span_id)`` order."""
+    return sorted(
+        (s for s in spans if name is None or s.name == name),
+        key=lambda s: (s.start, s.span_id),
+    )
 
 
 def _fmt_duration(span: Span) -> str:
@@ -136,11 +134,11 @@ def explain_trace(
         for event in span.events:
             eattrs = " ".join(f"{k}={v!r}" for k, v in event.attributes.items())
             print(f"{deeper}· {event.name}" + (f"  {eattrs}" if eattrs else ""), file=out)
-        kids = sorted(index.get(span.span_id, []), key=lambda s: (s.start, s.span_id))
+        kids = _in_order(index.get(span.span_id, []))
         for i, kid in enumerate(kids):
             walk(kid, deeper, i == len(kids) - 1)
 
-    for i, root in enumerate(sorted(roots, key=lambda s: (s.start, s.span_id))):
+    for i, root in enumerate(_in_order(roots)):
         walk(root, "", i == len(roots) - 1)
     return True
 
@@ -150,6 +148,7 @@ def explain_trace(
 # ----------------------------------------------------------------------
 
 
+#: outcomes that end a dispatch attempt without a result → why it ended
 _SUPERSEDED_REASON = {
     "crashed": "the worker died; the supervisor replayed the task",
     "refused": "the worker refused it pre-handshake; replayed elsewhere",
@@ -162,13 +161,22 @@ _SUPERSEDED_REASON = {
 }
 
 
+def _dispatch_chain(index, parent: Span) -> Iterator[Span]:
+    """The ``task.dispatch`` parent chain hanging off ``parent``: each
+    attempt is a child of the attempt it superseded."""
+    span: Optional[Span] = parent
+    while True:
+        span = next(
+            (s for s in index.get(span.span_id, []) if s.name == "task.dispatch"), None
+        )
+        if span is None:
+            return
+        yield span
+
+
 def _walk_dispatch_chain(index, parent: Span, out: TextIO, indent: str) -> None:
     """Narrate the ``task.dispatch`` parent chain hanging off ``parent``."""
-    dispatch = next(
-        (s for s in index.get(parent.span_id, []) if s.name == "task.dispatch"),
-        None,
-    )
-    while dispatch is not None:
+    for dispatch in _dispatch_chain(index, parent):
         attempt = dispatch.attributes.get("attempt")
         worker = dispatch.attributes.get("worker")
         secured = dispatch.attributes.get("secured")
@@ -189,17 +197,8 @@ def _walk_dispatch_chain(index, parent: Span, out: TextIO, indent: str) -> None:
                 f"{ex.attributes.get('outcome', 'ok')}, {_fmt_duration(ex)}",
                 file=out,
             )
-        if d_outcome in _SUPERSEDED:
-            reason = _SUPERSEDED_REASON.get(d_outcome, "superseded")
-            print(f"{indent}  ↳ {reason}", file=out)
-        dispatch = next(
-            (
-                s
-                for s in index.get(dispatch.span_id, [])
-                if s.name == "task.dispatch"
-            ),
-            None,
-        )
+        if d_outcome in _SUPERSEDED_REASON:
+            print(f"{indent}  ↳ {_SUPERSEDED_REASON[d_outcome]}", file=out)
 
 
 def explain_task(
@@ -229,10 +228,7 @@ def explain_task(
             f"{outcome}, {_fmt_duration(root)}",
             file=out,
         )
-        attempts = sorted(
-            (s for s in index.get(root.span_id, []) if s.name == "task.attempt"),
-            key=lambda s: (s.start, s.span_id),
-        )
+        attempts = _in_order(index.get(root.span_id, []), "task.attempt")
         if attempts:
             for n, att in enumerate(attempts, start=1):
                 a_outcome = att.attributes.get("outcome", "open")
@@ -242,9 +238,8 @@ def explain_task(
                     file=out,
                 )
                 _walk_dispatch_chain(index, att, out, "    ")
-                if a_outcome in _SUPERSEDED:
-                    reason = _SUPERSEDED_REASON.get(a_outcome, "superseded")
-                    print(f"    ↳ {reason}", file=out)
+                if a_outcome in _SUPERSEDED_REASON:
+                    print(f"    ↳ {_SUPERSEDED_REASON[a_outcome]}", file=out)
         else:
             _walk_dispatch_chain(index, root, out, "  ")
         print(f"  result: {outcome}", file=out)
@@ -258,10 +253,7 @@ def explain_task(
 
 def find_failovers(spans: Sequence[Span]) -> List[Span]:
     """Every ``sup.failover`` span, in start order."""
-    return sorted(
-        (s for s in spans if s.name == "sup.failover"),
-        key=lambda s: (s.start, s.span_id),
-    )
+    return _in_order(spans, "sup.failover")
 
 
 def explain_failovers(spans: Sequence[Span], *, out: TextIO) -> bool:
@@ -333,10 +325,7 @@ def explain_failovers(spans: Sequence[Span], *, out: TextIO) -> bool:
 
 def find_slo_alerts(spans: Sequence[Span]) -> List[Span]:
     """Every ``slo.alert`` episode span, in start order."""
-    return sorted(
-        (s for s in spans if s.name == "slo.alert"),
-        key=lambda s: (s.start, s.span_id),
-    )
+    return _in_order(spans, "slo.alert")
 
 
 def _pct(value: Any) -> str:
@@ -371,10 +360,7 @@ def explain_slo(spans: Sequence[Span], *, out: TextIO) -> bool:
         f"objective(s): {', '.join(objectives)}",
         file=out,
     )
-    adaptations = sorted(
-        (s for s in spans if s.name == "slo.adaptation"),
-        key=lambda s: (s.start, s.span_id),
-    )
+    adaptations = _in_order(spans, "slo.adaptation")
     actuations = find_actuations(spans)
     for i, span in enumerate(alerts, start=1):
         # the span's level attribute tracks the *current* level, so the
@@ -511,7 +497,7 @@ def explain_tenant(
             print("tenants in this export: " + ", ".join(known), file=out)
         return False
     index = children_index(spans)
-    roots = sorted(roots, key=lambda s: (s.start, s.span_id))
+    roots = _in_order(roots)
     farms = sorted({r.actor for r in roots})
     print(
         f"tenant {tenant!r} — {len(roots)} task(s) across "
@@ -524,25 +510,12 @@ def explain_tenant(
         if outcome == "ok":
             done += 1
         hops: List[str] = []
-        dispatch = next(
-            (s for s in index.get(root.span_id, []) if s.name == "task.dispatch"),
-            None,
-        )
-        while dispatch is not None:
-            worker = dispatch.attributes.get("worker")
+        for dispatch in _dispatch_chain(index, root):
             d_outcome = dispatch.attributes.get("outcome", "open")
-            hop = f"worker {worker}"
-            if d_outcome in _SUPERSEDED:
+            hop = f"worker {dispatch.attributes.get('worker')}"
+            if d_outcome in _SUPERSEDED_REASON:
                 hop += f" ({d_outcome})"
             hops.append(hop)
-            dispatch = next(
-                (
-                    s
-                    for s in index.get(dispatch.span_id, [])
-                    if s.name == "task.dispatch"
-                ),
-                None,
-            )
         chain = " -> ".join(hops) if hops else "never dispatched"
         print(
             f"  task {root.attributes.get('task_id')} on {root.actor}: "
@@ -591,7 +564,7 @@ def find_actuations(spans: Sequence[Span]) -> List[Span]:
     orphan_intents = [
         s for s in spans if s.name == "mc.intent" and s.span_id not in covered
     ]
-    return sorted(cycles + orphan_intents, key=lambda s: (s.start, s.span_id))
+    return _in_order(cycles + orphan_intents)
 
 
 def _explain_intent(span: Span, index, out: TextIO, indent: str) -> None:
@@ -699,9 +672,8 @@ def explain_actuation(
         commit = next(
             (
                 s
-                for s in sorted(siblings, key=lambda s: (s.start, s.span_id))
-                if s.name == "mc.commit"
-                and s.start >= span.start
+                for s in _in_order(siblings, "mc.commit")
+                if s.start >= span.start
                 and s.attributes.get("originator") == span.attributes.get("originator")
             ),
             None,
@@ -731,9 +703,7 @@ def explain_actuation(
         )
 
         def walk(parent: Span, indent: str) -> None:
-            for child in sorted(
-                index.get(parent.span_id, []), key=lambda s: (s.start, s.span_id)
-            ):
+            for child in _in_order(index.get(parent.span_id, [])):
                 if child.name == "mc.intent":
                     _explain_intent(child, index, out, indent)
                 elif child.name == "mc.commit":
