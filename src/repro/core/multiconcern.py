@@ -17,22 +17,32 @@ design points, all implemented here:
   *intent* to add a new node, ii) AM_sec could react by prompting
   securing of communications and iii) AM_perf may then instantiate the
   new secure worker."  :meth:`GeneralManager.execute_intent` runs
-  exactly this: plan (reserve) → review (each concern manager may amend
-  or veto the :class:`~repro.gcm.abc_controller.PlannedReconfiguration`)
-  → commit or abort.
+  exactly this on the originator's ABC: plan (``plan_add_workers``) →
+  review (each concern manager may amend or veto the
+  :class:`~repro.gcm.abc_controller.PlannedReconfiguration`) → commit
+  (``commit_plan``) or abort (``abort_plan``).  The simulated
+  :class:`~repro.gcm.abc_controller.FarmABC` and the live
+  :class:`~repro.runtime.controller.LiveFarmABC` both offer that
+  surface, so one GM coordinates both clocks.
 * **Naive mode** (the ablation baseline) — ``mode="naive"`` commits the
   originator's plan immediately and lets other concern managers catch up
   through their own control loops, reproducing the insecure window the
   paper warns about.
+
+Telemetry: one ``mc.intent`` span per round (plan, review and commit;
+a live ABC narrates its admission gate in a nested ``mc.commit`` span)
+and the ``repro_mc_*`` counters, labelled by the GM's name.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..gcm.abc_controller import FarmABC, PlannedReconfiguration
+from ..gcm.abc_controller import PlannedReconfiguration
 from ..obs.events import TraceRecorder
 from ..obs.telemetry import NOOP, Telemetry
 from ..rules.beans import ManagerOperation
@@ -44,7 +54,6 @@ __all__ = [
     "ConcernReview",
     "GeneralManager",
     "IntentRecord",
-    "review_plan",
 ]
 
 
@@ -68,55 +77,6 @@ class ConcernReview:
         return True
 
 
-def review_plan(
-    originator: Any,
-    plan: PlannedReconfiguration,
-    reviewers: Any,
-    *,
-    telemetry: Telemetry = NOOP,
-    on_amend: Any = None,
-    on_veto: Any = None,
-) -> Tuple[bool, int, Tuple[str, ...]]:
-    """Phase one of the intent protocol: run every reviewer over ``plan``.
-
-    Shared by the simulated :class:`GeneralManager` and the live
-    :class:`~repro.runtime.multiconcern.LiveGeneralManager`, so the
-    review semantics — priority order, amendment detection, first veto
-    wins — cannot drift between substrates.  ``on_amend(reviewer,
-    secured_nodes)`` and ``on_veto(reviewer)`` are optional hooks for
-    caller-specific bookkeeping (trace marks, plan abort).
-
-    Returns ``(ok, amendments, reviewer_names)``; ``ok`` is False the
-    moment any reviewer vetoes.
-    """
-    amendments = 0
-    names: list = []
-    for reviewer in reviewers:
-        if reviewer is originator:
-            continue
-        if not isinstance(reviewer, ConcernReview) and not hasattr(
-            reviewer, "review_intent"
-        ):
-            continue
-        names.append(reviewer.name)
-        before = dict(plan.secured)
-        verdict = reviewer.review_intent(originator, plan)
-        telemetry.event(
-            "intent.review", reviewer=reviewer.name, verdict=verdict is not False
-        )
-        if plan.secured != before:
-            amendments += 1
-            if on_amend is not None:
-                on_amend(reviewer, [n for n in plan.secured if plan.secured[n]])
-            telemetry.event("intent.amend", reviewer=reviewer.name)
-        if verdict is False:
-            if on_veto is not None:
-                on_veto(reviewer)
-            telemetry.event("intent.veto", reviewer=reviewer.name)
-            return False, amendments, tuple(names)
-    return True, amendments, tuple(names)
-
-
 @dataclass
 class IntentRecord:
     """Audit entry for one intent run through the GM."""
@@ -124,7 +84,7 @@ class IntentRecord:
     time: float
     originator: str
     operation: str
-    outcome: str  # committed | vetoed | no-plan
+    outcome: str  # committed | partial | failed | vetoed | no-plan
     amendments: int = 0
     reviewers: Tuple[str, ...] = ()
 
@@ -141,12 +101,17 @@ class GeneralManager:
         mode: CoordinationMode = CoordinationMode.TWO_PHASE,
         trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
+        name: str = "GM",
     ) -> None:
         self.mode = mode
         self.trace = trace or TraceRecorder()
         self.telemetry = telemetry if telemetry is not None else NOOP
+        self.name = name
         self._managers: List[Tuple[int, AutonomicManager]] = []
         self.intents: List[IntentRecord] = []
+        #: one intent round at a time: originators ticking on their own
+        #: threads must not interleave their plan/review/commit sequences
+        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # registration
@@ -181,100 +146,107 @@ class GeneralManager:
     ) -> bool:
         """Run one reconfiguration intent through the coordination policy.
 
-        Only ``ADD_EXECUTOR`` on a farm ABC has a plan/commit split; any
-        other operation is executed directly (nothing for other concerns
-        to interpose on in this substrate).
+        ``ADD_EXECUTOR`` runs plan → review → commit on the originator's
+        ABC; any other operation is executed directly (nothing for other
+        concerns to interpose on).  True iff at least one worker was
+        admitted.
         """
         abc = originator.abc
-        if op is not ManagerOperation.ADD_EXECUTOR or not isinstance(abc, FarmABC):
+        if op is not ManagerOperation.ADD_EXECUTOR:
             return abc.execute(op, data) if abc is not None else False
-
+        count = int(data.get("count", 1)) if isinstance(data, Mapping) else 1
         tel = self.telemetry
-        with tel.span(
-            "intent.round",
-            actor="GM",
+        with self._lock, tel.span(
+            "mc.intent",
+            actor=self.name,
             originator=originator.name,
             operation=op.value,
             mode=self.mode.value,
-        ) as round_span:
-            count = int(data.get("count", 1)) if isinstance(data, Mapping) else 1
+        ) as intent_span:
             plan = abc.plan_add_workers(count)
             tel.event("intent.plan", count=count, ok=plan is not None)
             if plan is None:
-                round_span.set_attribute("outcome", "no-plan")
-                self._record(originator, op, "no-plan")
+                self._record(intent_span, originator, op, "no-plan")
                 return False
+            amendments, reviewers = 0, ()
+            # naive mode commits phase-less: other concern managers only
+            # find out via their own monitoring — the unsafe window of §3.2
+            if self.mode is CoordinationMode.TWO_PHASE:
+                ok, amendments, reviewers = self._review(originator, plan)
+                if not ok:
+                    self._record(intent_span, originator, op, "vetoed", amendments, reviewers)
+                    return False
+            admitted = len(abc.commit_plan(plan))
+            if admitted == count:
+                outcome = "committed"
+            else:
+                outcome = "partial" if admitted else "failed"
+            if tel.enabled:
+                tel.metrics.counter(
+                    "repro_mc_admitted_workers_total", "workers committed through the GM"
+                ).labels(gm=self.name).inc(admitted)
+                if amendments:
+                    tel.metrics.counter(
+                        "repro_mc_amendments_total", "plan amendments applied by reviewers"
+                    ).labels(gm=self.name).inc(amendments)
+            self._record(intent_span, originator, op, outcome, amendments, reviewers)
+            return admitted > 0
 
-            if self.mode is CoordinationMode.NAIVE:
-                # Phase-less commit: other concern managers only find out via
-                # their own monitoring — the unsafe window of §3.2.
-                abc.commit_plan(plan)
-                tel.event("intent.commit", reviewers=0)
-                round_span.set_attribute("outcome", "committed")
-                self._record(originator, op, "committed", reviewers=())
-                return True
+    def _review(
+        self, originator: AutonomicManager, plan: PlannedReconfiguration
+    ) -> Tuple[bool, int, Tuple[str, ...]]:
+        """Phase one: every other concern manager, in priority order, may
+        amend the plan or veto it; the first veto aborts the plan.
 
-            def on_amend(reviewer: AutonomicManager, secured_nodes: List[str]) -> None:
+        Returns ``(ok, amendments, reviewer_names)``.
+        """
+        tel = self.telemetry
+        amendments = 0
+        names: List[str] = []
+        for reviewer in self.managers:
+            if reviewer is originator or not hasattr(reviewer, "review_intent"):
+                continue
+            names.append(reviewer.name)
+            before = dict(plan.secured)
+            verdict = reviewer.review_intent(originator, plan)
+            tel.event("intent.review", reviewer=reviewer.name, verdict=verdict is not False)
+            if plan.secured != before:
+                amendments += 1
                 self.trace.mark(
                     originator.sim.now,
                     reviewer.name,
                     Events.INTENT_AMENDED,
-                    nodes=secured_nodes,
+                    nodes=[n for n in plan.secured if plan.secured[n]],
                 )
-
-            def on_veto(reviewer: AutonomicManager) -> None:
-                abc.abort_plan(plan)
+                tel.event("intent.amend", reviewer=reviewer.name)
+            if verdict is False:
+                originator.abc.abort_plan(plan)
                 self.trace.mark(originator.sim.now, reviewer.name, Events.INTENT_VETOED)
-
-            ok, amendments, reviewers = review_plan(
-                originator,
-                plan,
-                self.managers,
-                telemetry=tel,
-                on_amend=on_amend,
-                on_veto=on_veto,
-            )
-            if not ok:
-                round_span.set_attribute("outcome", "vetoed")
-                self._record(
-                    originator, op, "vetoed", amendments=amendments,
-                    reviewers=reviewers,
-                )
-                return False
-            abc.commit_plan(plan)
-            tel.event("intent.commit", reviewers=len(reviewers), amendments=amendments)
-            round_span.set_attribute("outcome", "committed")
-            self._record(
-                originator, op, "committed", amendments=amendments,
-                reviewers=reviewers,
-            )
-            return True
+                tel.event("intent.veto", reviewer=reviewer.name)
+                return False, amendments, tuple(names)
+        return True, amendments, tuple(names)
 
     def _record(
         self,
+        span: Any,
         originator: AutonomicManager,
         op: ManagerOperation,
         outcome: str,
-        *,
         amendments: int = 0,
         reviewers: Tuple[str, ...] = (),
     ) -> None:
-        rec = IntentRecord(
-            time=originator.sim.now,
-            originator=originator.name,
-            operation=op.value,
-            outcome=outcome,
-            amendments=amendments,
-            reviewers=reviewers,
+        span.set_attribute("outcome", outcome)
+        now = originator.sim.now
+        self.intents.append(
+            IntentRecord(now, originator.name, op.value, outcome, amendments, reviewers)
         )
-        self.intents.append(rec)
         self.trace.mark(
-            originator.sim.now,
-            "GM",
-            Events.INTENT_REVIEW,
-            originator=originator.name,
-            outcome=outcome,
+            now, self.name, Events.INTENT_REVIEW, originator=originator.name, outcome=outcome
         )
+        if self.telemetry.enabled:
+            self.telemetry.metrics.counter(
+                "repro_mc_intent_rounds_total", "intent rounds through the GM, by outcome"
+            ).labels(gm=self.name, outcome=outcome).inc()
 
     # ------------------------------------------------------------------
     # the §3.2 super-contract c̄
@@ -325,3 +297,7 @@ class GeneralManager:
 
     def vetoed_intents(self) -> List[IntentRecord]:
         return [r for r in self.intents if r.outcome == "vetoed"]
+
+    def outcomes(self) -> Dict[str, int]:
+        """Intent outcome histogram (committed/vetoed/no-plan/...)."""
+        return dict(Counter(r.outcome for r in self.intents))

@@ -24,10 +24,10 @@ discrete-event simulator, driven by the very same Figure 5 rule objects
    for (zero loss even across the kill).
 
 With ``--with-security`` the same run becomes the §3.2 *multi-concern*
-story: the controller's grow actuations route through a live
-:class:`~repro.runtime.multiconcern.LiveGeneralManager` coordinating it
-with a :class:`~repro.security.LiveSecurityManager` over a pool of
-**untrusted** nodes.  Every growth then follows grow → quarantine →
+story: the controller's grow actuations route through the
+:class:`~repro.core.multiconcern.GeneralManager` coordinating it with a
+:class:`~repro.security.manager.SecurityManager` on the wall clock, over
+a pool of **untrusted** nodes.  Every growth then follows grow → quarantine →
 secure → admit, and the run asserts its own invariant from the farm's
 dispatch counters: zero tasks ever handed to an unsecured channel
 (``repro_mc_insecure_dispatch_total == 0``), still with zero loss.
@@ -53,14 +53,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
-from ..core.contracts import ThroughputRangeContract
-from ..core.multiconcern import CoordinationMode
+from ..core.contracts import SecurityContract, ThroughputRangeContract
+from ..core.multiconcern import CoordinationMode, GeneralManager
 from ..obs.telemetry import Telemetry
 from ..runtime.backend import FarmBackend
-from ..runtime.controller import FarmController
+from ..runtime.controller import FarmController, WallTimeBase
 from ..runtime.hierarchy import ShardedFarm, TenantRegistry, make_shard_backend
-from ..runtime.multiconcern import LiveGeneralManager, WorkerPlacement
-from ..security.manager import LiveSecurityManager
+from ..security.domains import SecurityPolicy
+from ..security.manager import SecurityABC, SecurityManager
 from ..sim.resources import Domain, ResourceManager, make_cluster
 
 __all__ = [
@@ -419,34 +419,37 @@ def _build_stack(cfg: Any, telemetry: Optional[Telemetry], stack: contextlib.Exi
         farm = make_backend(cfg, telemetry)
         stack.callback(farm.shutdown)
         manager = f"AM_{cfg.backend}"
-        controller = FarmController(
-            farm, contract, control_period=cfg.control_period,
-            max_workers=cfg.max_workers, telemetry=telemetry, name=manager,
-        )
-        stack.callback(controller.stop)
-        gm: Optional[LiveGeneralManager] = None
+        resources = None
         if cfg.with_security:
             # every channel starts secured; every *new* worker lands on
             # untrusted ground, so the intent protocol must secure it before
             # the dispatcher may touch it
             farm.secure_all()
-            pool = make_cluster(
+            resources = ResourceManager(make_cluster(
                 _UNTRUSTED_NODES, prefix="u",
                 domain=Domain("untrusted_ip_domain_A", trusted=False),
-            )
-            placement = WorkerPlacement(ResourceManager(pool))
-            security = LiveSecurityManager(
-                farm, placement, control_period=cfg.control_period,
-                telemetry=telemetry, name=f"AM_sec_{cfg.backend}",
+            ))
+        controller = FarmController(
+            farm, contract, control_period=cfg.control_period,
+            max_workers=cfg.max_workers, telemetry=telemetry, name=manager,
+            resources=resources,
+        )
+        stack.callback(controller.stop)
+        gm: Optional[GeneralManager] = None
+        if cfg.with_security:
+            security = SecurityManager(
+                f"AM_sec_{cfg.backend}", WallTimeBase(farm.now),
+                SecurityABC([controller.abc], None, SecurityPolicy()),
+                control_period=cfg.control_period, telemetry=telemetry,
             )
             stack.callback(security.stop)
-            gm = LiveGeneralManager(
-                farm, placement, mode=CoordinationMode(cfg.coordination),
-                telemetry=telemetry, name=f"GM_{cfg.backend}",
+            security.assign_contract(SecurityContract())
+            gm = GeneralManager(
+                mode=CoordinationMode(cfg.coordination), telemetry=telemetry,
+                name=f"GM_{cfg.backend}",
             )
             gm.register(security)
             gm.register(controller, priority=0)
-            security.start()
         controller.start()
         fault = None
         if cfg.inject_crash and cfg.backend in ("process", "dist"):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..rules.beans import ManagerOperation
 from ..sim.farm import FarmWorker, SimFarm
@@ -166,6 +166,23 @@ class FarmABC(AutonomicBehaviourController):
             if not w._stopped and w.worker_id in self._worker_nodes:
                 out.extend(self._worker_nodes[w.worker_id])
         return out
+
+    # ------------------------------------------------------------------
+    # channel view (what the security concern reads and actuates)
+    # ------------------------------------------------------------------
+    @property
+    def emitter_node(self) -> Node:
+        """Where the emitter runs: one end of every worker's channel."""
+        return self.farm.emitter_node
+
+    def bindings(self) -> List[Tuple[FarmWorker, Node]]:
+        """``(worker, node)`` for every active or deploying worker."""
+        return [(w, w.node) for w in self.farm.workers if not w._stopped]
+
+    def secure(self, worker: FarmWorker) -> bool:
+        """Switch one worker's channel to the secure protocol."""
+        self.farm.secure_worker(worker)
+        return True
 
     # ------------------------------------------------------------------
     # two-phase reconfiguration (intent protocol, §3.2)

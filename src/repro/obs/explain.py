@@ -567,7 +567,7 @@ def find_actuations(spans: Sequence[Span]) -> List[Span]:
     return _in_order(cycles + orphan_intents)
 
 
-def _explain_intent(span: Span, index, out: TextIO, indent: str) -> None:
+def _explain_intent(span: Span, out: TextIO, indent: str) -> None:
     originator = span.attributes.get("originator", "?")
     operation = span.attributes.get("operation", "?")
     mode = span.attributes.get("mode", "?")
@@ -597,12 +597,6 @@ def _explain_intent(span: Span, index, out: TextIO, indent: str) -> None:
                 f"— plan aborted, reservation released",
                 file=out,
             )
-        elif event.name == "intent.commit":
-            print(
-                f"{indent}  commit round: {event.attributes.get('reviewers')} "
-                f"reviewer(s), {event.attributes.get('amendments', 0)} amendment(s)",
-                file=out,
-            )
         elif event.name == "security.amend":
             print(
                 f"{indent}  security manager amended nodes: "
@@ -628,8 +622,6 @@ def _explain_commit(span: Span, out: TextIO, indent: str) -> None:
         }.get(event.name)
         if label is None:
             continue
-        if event.name == "mc.admit" and event.attributes.get("naive"):
-            label = "admitted immediately (naive mode — no gate)"
         steps.setdefault(worker, []).append(label)
     for worker, path in steps.items():
         print(f"{indent}  worker {worker}: " + " → ".join(path), file=out)
@@ -664,21 +656,9 @@ def explain_actuation(
         file=out,
     )
     if span.name == "mc.intent":
-        _explain_intent(span, index, out, "  ")
-        # the commit round opens as the intent span's *sibling* (the
-        # intent closes before the commit starts); narrate the first
-        # commit that follows it under the same parent
-        siblings = index.get(span.parent_id, [])
-        commit = next(
-            (
-                s
-                for s in _in_order(siblings, "mc.commit")
-                if s.start >= span.start
-                and s.attributes.get("originator") == span.attributes.get("originator")
-            ),
-            None,
-        )
-        if commit is not None:
+        _explain_intent(span, out, "  ")
+        # a live ABC's admission gate narrates its commit nested inside
+        for commit in kids(span, "mc.commit"):
             _explain_commit(commit, out, "  ")
         return True
     # a MAPE cycle: monitor → analyse → plan → execute, with any intent
@@ -705,7 +685,7 @@ def explain_actuation(
         def walk(parent: Span, indent: str) -> None:
             for child in _in_order(index.get(parent.span_id, [])):
                 if child.name == "mc.intent":
-                    _explain_intent(child, index, out, indent)
+                    _explain_intent(child, out, indent)
                 elif child.name == "mc.commit":
                     _explain_commit(child, out, indent)
                 walk(child, indent)

@@ -9,10 +9,10 @@ stream coordinator with crash replay, forked over socketpairs
 :class:`~.backend.FarmBackend` protocol, a thread pipeline
 (:mod:`~.pipeline_runtime`), a controller that runs the *same*
 Figure 5 rule set against any live backend (:mod:`~.controller`) —
-mechanism/policy separation made concrete — and live multi-concern
-coordination (:mod:`~.multiconcern`): a general manager running the
-two-phase intent protocol over any backend's admission gate.  See
-``docs/RUNTIME.md`` and ``docs/MULTICONCERN.md``.
+mechanism/policy separation made concrete — whose ABC also carries the
+two-phase grow (plan → commit through any backend's admission gate)
+that :class:`repro.core.multiconcern.GeneralManager` coordinates live.
+See ``docs/RUNTIME.md`` and ``docs/MULTICONCERN.md``.
 """
 
 from .. import _lazy_exports
@@ -34,8 +34,6 @@ _HOME = {
     "DeadLetter": "farm_core",
     "ThreadFarm": "farm_runtime",
     "ThreadWorker": "farm_runtime",
-    "LiveGeneralManager": "multiconcern",
-    "WorkerPlacement": "multiconcern",
     "ThreadPipeline": "pipeline_runtime",
     "ThreadStage": "pipeline_runtime",
     "ProcessFarm": "process_farm",

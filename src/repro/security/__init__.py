@@ -22,7 +22,6 @@ _HOME = {
     "TrustRegistry": "domains",
     "SecurityABC": "manager",
     "SecurityManager": "manager",
-    "LiveSecurityManager": "manager",
     "ExposureBean": "manager",
     "LeakBean": "manager",
 }

@@ -76,13 +76,14 @@ class TestFig4Acceptance:
         assert all(s["end"] is not None and s["duration"] > 0 for s in violations)
         assert all(s["attributes"]["target"] for s in violations)
 
-        # (b3) at least one two-phase intent round with its phase events
-        intents = [s for s in spans if s["name"] == "intent.round"]
+        # (b3) at least one two-phase intent round with its phase events:
+        # the plan, then the commit's reconfiguration blackout
+        intents = [s for s in spans if s["name"] == "mc.intent"]
         assert intents
         committed = [s for s in intents if s["attributes"]["outcome"] == "committed"]
         assert committed
         event_names = {e["name"] for s in committed for e in s["events"]}
-        assert {"intent.plan", "intent.commit"} <= event_names
+        assert {"intent.plan", "farm.blackout"} <= event_names
 
         # spans nest: every mape phase span has a mape.cycle parent
         by_id = {s["id"]: s for s in spans}
