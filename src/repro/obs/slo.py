@@ -697,8 +697,10 @@ def slos_for_sharded(
     """Every objective a :class:`ShardedFarm` implies: root, shards, tenants.
 
     The root objective samples the *sum* of the shard controllers'
-    departure gauges (the quantity the parent MAPE loop itself judges);
-    per-shard objectives come from the current ``sub_contracts``; tenant
+    departure gauges — rates add across shards, so the sum is the tree's
+    throughput.  Only this objective judges it: the parent MAPE loop
+    judges each shard's report against its own sub-contract.  Per-shard
+    objectives come from the current ``sub_contracts``; tenant
     objectives from each registered tenant's `RateContract` SLA.
     """
     kwargs = dict(

@@ -6,11 +6,11 @@ multi-tenant layer that multiplexes many per-tenant rate SLAs onto one
 shard tree.  See ``docs/HIERARCHY.md`` for the architecture.
 
 * :class:`ShardedFarm` — the farm-of-farms and its parent MAPE loop
-* :class:`FarmShard` / :class:`ShardReport` — one managed shard and
-  its upward report
-* :class:`LocalShardLink` / :class:`TcpShardLink` /
-  :class:`ShardAgent` — the management-plane links (direct calls, or
-  ``contract``/``violation``/``report``/``poll`` frames over TCP)
+* :class:`FarmShard` / :class:`ShardReport` — one managed shard (the
+  parent's in-process link to it) and its upward report
+* :class:`TcpShardLink` / :class:`ShardAgent` — the same link over TCP
+  (``contract``/``budget``/``poll`` requests, ``violation``/``report``
+  replies)
 * :class:`TenantRegistry` / :class:`FairShareScheduler` — tenants,
   admission control and weighted fair-share dispatch
 * :func:`contract_to_wire` / :func:`contract_from_wire` — the JSON
@@ -21,28 +21,19 @@ from .codec import contract_from_wire, contract_to_wire
 from .shard import FarmShard, ShardReport
 from .sharded_farm import RebalanceEvent, ShardedFarm, make_shard_backend
 from .tenants import Admission, FairShareScheduler, Tenant, TenantRegistry
-from .wire import (
-    LocalShardLink,
-    ShardAgent,
-    ShardLink,
-    TcpShardLink,
-    connect_shard,
-)
+from .wire import ShardAgent, TcpShardLink
 
 __all__ = [
     "Admission",
     "FairShareScheduler",
     "FarmShard",
-    "LocalShardLink",
     "RebalanceEvent",
     "ShardAgent",
-    "ShardLink",
     "ShardReport",
     "ShardedFarm",
     "TcpShardLink",
     "Tenant",
     "TenantRegistry",
-    "connect_shard",
     "contract_from_wire",
     "contract_to_wire",
     "make_shard_backend",

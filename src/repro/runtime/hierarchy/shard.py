@@ -4,11 +4,11 @@ A shard is exactly the paper's managed component, unchanged: a
 :class:`~repro.runtime.backend.FarmBackend` (thread, process or dist)
 with a :class:`~repro.runtime.controller.FarmController` running the
 unmodified Figure 5 rule set against its *sub*-contract.  The only
-additions are the reporting surface the parent manager consumes:
+additions are the three calls the parent manager makes on it:
 
-* :meth:`FarmShard.report` — a :class:`ShardReport` combining the
+* :meth:`FarmShard.poll` — a :class:`ShardReport` combining the
   farm's monitor snapshot with the violations the shard's controller
-  raised since the previous report (the upward half of §3.1's
+  raised since the previous poll (the upward half of §3.1's
   "violations propagate to the parent");
 * :meth:`FarmShard.set_budget` — the downward capacity lever: the
   parent adjusts ``FARM_MAX_NUM_WORKERS`` so the shard's own rules can
@@ -17,9 +17,10 @@ additions are the reporting surface the parent manager consumes:
 * :meth:`FarmShard.assign_contract` — sub-contract (re)assignment,
   forwarded to the controller's atomic swap.
 
-Everything here is substrate-agnostic; whether the parent calls these
-methods directly (:class:`LocalShardLink`) or via ``contract``/``poll``
-frames over TCP (:class:`TcpShardLink`) is the wire layer's business.
+A :class:`FarmShard` is therefore its own in-process link: the parent
+calls it directly, or — across a TCP boundary — calls a
+:class:`~repro.runtime.hierarchy.wire.TcpShardLink` whose
+:class:`~repro.runtime.hierarchy.wire.ShardAgent` calls it.
 """
 
 from __future__ import annotations
@@ -114,10 +115,6 @@ class FarmShard:
     def stop(self) -> None:
         self.controller.stop()
 
-    def shutdown(self) -> None:
-        self.controller.stop()
-        self.farm.shutdown()
-
     # ------------------------------------------------------------------
     # the parent-facing management surface
     # ------------------------------------------------------------------
@@ -148,8 +145,8 @@ class FarmShard:
             removed += 1
         return removed
 
-    def report(self) -> ShardReport:
-        """Snapshot + violations raised since the last report."""
+    def poll(self) -> ShardReport:
+        """Snapshot + violations raised since the last poll."""
         snap = self.farm.snapshot()
         with self._lock:
             violations = self.controller.violations

@@ -5,17 +5,22 @@ parent, :func:`~repro.core.contracts.split_rate_contract` solves it
 into per-shard sub-contracts whose rates sum *exactly* to the root's,
 and each shard — a full :class:`~repro.runtime.backend.FarmBackend`
 under its own unmodified Figure 5 controller — enforces its slice
-autonomously.  The parent runs its own MAPE loop on top:
+autonomously.  The parent runs its own MAPE loop on top, one
+:meth:`ShardedFarm.parent_step` per ``control_period`` on the same
+:class:`~repro.runtime.controller.WallTimeBase` ticker every live
+manager ticks on (``<name>.loop``):
 
 * **monitor** — poll every shard link for a
-  :class:`~repro.runtime.hierarchy.shard.ShardReport` (over TCP
-  ``poll``/``report``/``violation`` frames when the shard is a
-  DistFarm coordinator); aggregate shard violations into the parent's
-  record, the upward half of "violations propagate to the parent";
-* **analyse** — judge the root contract against the *aggregate* sample
-  (rates are additive across shards — the invariant the exact rate
-  split preserves) and classify each shard as starving (capacity-capped
-  and missing its slice with work waiting) or donor (idle headroom);
+  :class:`~repro.runtime.hierarchy.shard.ShardReport` (the
+  :class:`~repro.runtime.hierarchy.shard.FarmShard` itself, or
+  ``poll``/``report``/``violation`` frames over TCP when ``over_wire``);
+  aggregate shard violations into the parent's record, the upward half
+  of "violations propagate to the parent";
+* **analyse** — classify each shard, from its own report against its
+  own sub-contract, as starving (capacity-capped and missing its slice
+  with work waiting) or donor (idle headroom).  No aggregate sample is
+  judged: the root SLA counts as unmet only when a shard is starving
+  and no donor is left (a *root violation*);
 * **plan** — pick one unit of capacity to move from the most
   over-provisioned donor to the most starving shard, if any;
 * **execute** — re-cap both shards' budgets over their links (the
@@ -35,11 +40,10 @@ story end-to-end from an export.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ...core.contracts import (
     Contract,
@@ -47,13 +51,13 @@ from ...core.contracts import (
     split_rate_contract_weighted,
 )
 from ...obs.telemetry import NOOP, Telemetry
-from ..backend import drain_queue
+from ..controller import WallTimeBase
 from ..dist_farm import DistFarm
 from ..farm_runtime import ThreadFarm
 from ..process_farm import ProcessFarm
 from .shard import FarmShard, ShardReport
 from .tenants import Admission, FairShareScheduler, TenantRegistry
-from .wire import ShardAgent, ShardLink, connect_shard
+from .wire import ShardAgent, TcpShardLink
 
 __all__ = ["ShardedFarm", "RebalanceEvent", "FARM_BACKENDS", "make_shard_backend"]
 
@@ -146,7 +150,8 @@ class ShardedFarm:
         self.sub_contracts = split_rate_contract(contract, shards)
 
         self.shards: List[FarmShard] = []
-        self.links: List[ShardLink] = []
+        #: what the parent polls and steers: each shard itself, or its TCP link
+        self.links: List[Union[FarmShard, TcpShardLink]] = []
         self.agents: List[Optional[ShardAgent]] = []
         kwargs = dict(shard_kwargs or {})
         for i in range(shards):
@@ -168,12 +173,16 @@ class ShardedFarm:
                 telemetry=telemetry,
                 name=f"{name}-s{i}",
             )
-            link, agent = connect_shard(
-                shard, over_wire=self.over_wire, telemetry=telemetry
-            )
+            agent = ShardAgent(shard, telemetry=telemetry) if self.over_wire else None
             self.shards.append(shard)
-            self.links.append(link)
+            self.links.append(
+                TcpShardLink(agent.host, agent.port, shard_id=i) if agent else shard
+            )
             self.agents.append(agent)
+        # every shard delivers into the first one's results queue, rebound
+        # before any task exists: a result reaches drain_results directly
+        for shard in self.shards[1:]:
+            shard.farm.results = self.shards[0].farm.results
 
         #: (parent time, shard id, violation kind) aggregated from reports
         self.violations: List[Tuple[float, int, str]] = []
@@ -182,7 +191,6 @@ class ShardedFarm:
         self.rebalances: List[RebalanceEvent] = []
         self.last_reports: List[Optional[ShardReport]] = [None] * shards
 
-        self._results: "queue.Queue[Any]" = queue.Queue()
         self._lock = threading.RLock()
         self._t0 = time.monotonic()
         self._submitted = 0
@@ -190,18 +198,7 @@ class ShardedFarm:
         self._shard_vt = [0.0] * shards  # stride dispatch virtual times
         self._starving_since: Dict[int, float] = {}
         self._last_rebalance = -float("inf")
-        self._stop = threading.Event()
-        self._threads: List[threading.Thread] = []
-
-        for shard in self.shards:
-            collector = threading.Thread(
-                target=self._collect_loop,
-                args=(shard,),
-                name=f"{name}-collect{shard.shard_id}",
-                daemon=True,
-            )
-            collector.start()
-            self._threads.append(collector)
+        self._loop: Optional[Any] = None
 
         if autostart:
             self.start()
@@ -215,27 +212,28 @@ class ShardedFarm:
     def start(self) -> "ShardedFarm":
         for shard in self.shards:
             shard.start()
-        if not any(t.name.endswith("-parent") for t in self._threads if t.is_alive()):
-            parent = threading.Thread(
-                target=self._parent_loop, name=f"{self.name}-parent", daemon=True
+        if self._loop is None or self._loop.cancelled:
+            self._loop = WallTimeBase(self.now).periodic(
+                self.control_period, self._tick, name=f"{self.name}.loop"
             )
-            parent.start()
-            self._threads.append(parent)
         return self
 
+    def _tick(self) -> None:
+        # parent_step returns the move it made; a periodic task reads a
+        # truthy return as "stop", so the loop body returns None
+        self.parent_step()
+
     def shutdown(self) -> None:
-        self._stop.set()
+        if self._loop is not None:
+            self._loop.cancel()  # waits out a tick in flight: no link is closed under it
         for shard in self.shards:
             shard.stop()
-        for link in self.links:
-            link.close()
-        for agent in self.agents:
+        for link, agent in zip(self.links, self.agents):
             if agent is not None:
+                link.close()
                 agent.close()
         for shard in self.shards:
             shard.farm.shutdown()
-        for thread in self._threads:
-            thread.join(5.0)
         if self.telemetry.enabled:
             self.telemetry.flush()
 
@@ -280,15 +278,7 @@ class ShardedFarm:
 
     def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
         """Collect ``count`` results from all shards (completion order)."""
-        return drain_queue(self._results, count, timeout)
-
-    def _collect_loop(self, shard: FarmShard) -> None:
-        """Funnel one shard's results into the central queue."""
-        while not self._stop.is_set():
-            try:
-                self._results.put(shard.farm.results.get(timeout=0.1))
-            except queue.Empty:
-                continue
+        return self.shards[0].farm.drain_results(count, timeout)
 
     # ------------------------------------------------------------------
     # monitoring
@@ -305,32 +295,9 @@ class ShardedFarm:
     def completed(self) -> int:
         return sum(shard.farm.completed for shard in self.shards)
 
-    def aggregate_sample(self) -> Dict[str, float]:
-        """The parent's monitor view: additive rates, summed counters."""
-        reports = [r for r in self.last_reports if r is not None]
-        if not reports:
-            return {}
-        return {
-            "arrival_rate": sum(r.arrival_rate for r in reports),
-            "departure_rate": sum(r.departure_rate for r in reports),
-            "num_workers": sum(r.num_workers for r in reports),
-            "pending": sum(r.pending for r in reports),
-            "completed": sum(r.completed for r in reports),
-            "mean_latency": max(r.mean_latency for r in reports),
-        }
-
     # ------------------------------------------------------------------
     # the parent MAPE loop
     # ------------------------------------------------------------------
-    def _parent_loop(self) -> None:
-        while not self._stop.wait(self.control_period):
-            try:
-                self.parent_step()
-            except (ConnectionError, RuntimeError, OSError):
-                if self._stop.is_set():
-                    return
-                raise
-
     def parent_step(self) -> Optional[RebalanceEvent]:
         """One parent MAPE tick (public so tests can drive it)."""
         tel = self.telemetry

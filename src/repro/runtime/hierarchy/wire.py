@@ -1,21 +1,17 @@
-"""Parent ↔ shard links: direct calls locally, real frames for dist.
+"""The parent ↔ shard management plane over TCP, in real frames.
 
-The parent manager of a :class:`ShardedFarm` talks to every shard
-through one small interface — assign a sub-contract, poll a report —
-so the shard tree composes over any mix of substrates:
-
-* :class:`LocalShardLink` — plain method calls on an in-process
-  :class:`~repro.runtime.hierarchy.shard.FarmShard` (thread/process
-  shards live in the parent's address space anyway);
-* :class:`TcpShardLink` → :class:`ShardAgent` — the same interface
-  spoken over a real TCP socket in :mod:`repro.runtime.dist_proto`
-  frames — the task plane's own header, parser and
-  :class:`~repro.runtime.dist_proto.ProtocolError` taxonomy — carrying
-  the ``contract`` / ``budget`` / ``poll`` requests and their
-  ``contract-ack`` / ``budget-ack`` / ``violation`` + ``report``
-  replies.  A DistFarm shard's management plane therefore crosses the
-  wire just like its task plane does, and a future remote shard host
-  only needs to speak these frames.
+The parent manager of a :class:`ShardedFarm` needs three calls of a
+shard — assign a sub-contract, re-cap its budget, poll a report.  An
+in-process :class:`~repro.runtime.hierarchy.shard.FarmShard` answers
+them itself; this module puts the same three calls across a socket:
+:class:`TcpShardLink` → :class:`ShardAgent`, spoken in
+:mod:`repro.runtime.dist_proto` frames — the task plane's own header,
+parser and :class:`~repro.runtime.dist_proto.ProtocolError` taxonomy —
+carrying the ``contract`` / ``budget`` / ``poll`` requests and their
+``contract-ack`` / ``budget-ack`` / ``violation`` + ``report``
+replies.  A DistFarm shard's management plane therefore crosses the
+wire just like its task plane does, and a future remote shard host
+only needs to speak these frames.
 
 Both ends read with ``allowed=("json",)``: a management link never
 unpickles, whoever is on the other side.  Both enforce the
@@ -42,54 +38,10 @@ from ..dist_proto import (
 from .codec import contract_from_wire, contract_to_wire
 from .shard import FarmShard, ShardReport
 
-__all__ = [
-    "ShardLink",
-    "LocalShardLink",
-    "TcpShardLink",
-    "ShardAgent",
-    "connect_shard",
-]
+__all__ = ["TcpShardLink", "ShardAgent"]
 
 #: the only codec a management link reads (see the module docstring)
 _ALLOWED = ("json",)
-
-
-class ShardLink:
-    """What the parent manager needs from a shard, wire or no wire."""
-
-    shard_id: int
-
-    def assign_contract(self, contract: Contract) -> None:
-        raise NotImplementedError
-
-    def set_budget(self, budget: int) -> int:
-        raise NotImplementedError
-
-    def poll(self) -> ShardReport:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class LocalShardLink(ShardLink):
-    """Direct in-process link (thread/process shards)."""
-
-    def __init__(self, shard: FarmShard) -> None:
-        self.shard = shard
-        self.shard_id = shard.shard_id
-
-    def assign_contract(self, contract: Contract) -> None:
-        self.shard.assign_contract(contract)
-
-    def set_budget(self, budget: int) -> int:
-        return self.shard.set_budget(budget)
-
-    def poll(self) -> ShardReport:
-        return self.shard.report()
-
-    def close(self) -> None:  # nothing to tear down
-        return None
 
 
 class ShardAgent:
@@ -154,7 +106,7 @@ class ShardAgent:
         if kind == "budget":
             removed = shard.set_budget(int(frame.get("budget", 0)))
             return [{"type": "budget-ack", "removed": removed, "budget": shard.budget}]
-        report = shard.report()  # poll
+        report = shard.poll()
         return [
             {"type": "violation", "shard_id": shard.shard_id, "time": when, "kind": violation}
             for when, violation in report.violations
@@ -226,8 +178,9 @@ class ShardAgent:
         self._accept_thread.join(5.0)
 
 
-class TcpShardLink(ShardLink):
-    """Client side of :class:`ShardAgent`: the parent's wire link."""
+class TcpShardLink:
+    """Client side of :class:`ShardAgent`: :class:`FarmShard`'s three
+    calls — ``assign_contract``, ``set_budget``, ``poll`` — over TCP."""
 
     def __init__(self, host: str, port: int, *, shard_id: int, timeout: float = 10.0) -> None:
         self.shard_id = shard_id
@@ -288,15 +241,13 @@ class TcpShardLink(ShardLink):
     def poll(self) -> ShardReport:
         reply, pushed = self._request({"type": "poll"}, expect="report")
         report = ShardReport.from_wire(reply["report"])
-        # `violation` frames precede the report and duplicate its
-        # violations list; trust the frames (they are the wire truth)
-        # but fall back to the report's own list if none were pushed.
-        if pushed:
-            report.violations = [
-                (float(f.get("time", 0.0)), str(f.get("kind")))
-                for f in pushed
-                if f.get("type") == "violation"
-            ]
+        # the agent pushes one `violation` frame per entry of the report's
+        # list, ahead of it: the frames are the wire truth
+        report.violations = [
+            (float(f.get("time", 0.0)), str(f.get("kind")))
+            for f in pushed
+            if f.get("type") == "violation"
+        ]
         return report
 
     def close(self) -> None:
@@ -314,17 +265,3 @@ class TcpShardLink(ShardLink):
         except OSError:
             pass
 
-
-def connect_shard(
-    shard: FarmShard, *, over_wire: bool, telemetry: Optional[Telemetry] = None
-) -> Tuple[ShardLink, Optional[ShardAgent]]:
-    """Wrap a shard in the appropriate link flavour.
-
-    Returns ``(link, agent)``; ``agent`` is ``None`` for local links and
-    must outlive the link otherwise.
-    """
-    if not over_wire:
-        return LocalShardLink(shard), None
-    agent = ShardAgent(shard, telemetry=telemetry)
-    link = TcpShardLink(agent.host, agent.port, shard_id=shard.shard_id)
-    return link, agent

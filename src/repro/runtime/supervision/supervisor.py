@@ -25,9 +25,10 @@ themselves:
   promoted onto the same port (epoch+1) so surviving workers reattach
   via the ``reattach``/``takeover`` frames.
 
-* :class:`Supervisor` (policy) watches the coordinator heartbeat (the
-  supervisor's result pump beats while alive), triggers failover when it
-  goes silent, and rebuilds the :class:`~repro.runtime.controller.\
+* :class:`Supervisor` (policy) checks the coordinator heartbeat (the
+  supervisor's result pump beats while alive) on a
+  :class:`~repro.runtime.controller.WallTimeBase` ticker, triggers
+  failover when it goes silent, and rebuilds the :class:`~repro.runtime.controller.\
 FarmController` with the journaled contract — the manager-of-managers
   the formal-semantics line of work models, made executable.
 
@@ -54,7 +55,7 @@ from ...obs.rows import TaskRow
 from ...obs.spans import Span
 from ...obs.telemetry import NOOP, Telemetry
 from ..backend import RuntimeFarmSnapshot, drain_queue
-from ..controller import FarmController
+from ..controller import FarmController, WallTimeBase
 from ..dist_farm import fn_spec
 from ..hierarchy.codec import contract_from_wire, contract_to_wire
 from ..hierarchy.sharded_farm import FARM_BACKENDS
@@ -65,9 +66,9 @@ __all__ = ["SupervisedFarm", "SupervisedWorkerHandle", "Supervisor"]
 
 RUNNER_SPEC = "repro.runtime.supervision.runner:run_tagged"
 
-#: seconds the monitor waits after each consecutive failed failover (last
-#: value repeats): a rebuild that keeps raising neither spins at
-#: ``check_period`` nor goes unseen
+#: seconds after each consecutive failed failover before the supervisor
+#: tries again (last value repeats): a rebuild that keeps raising neither
+#: spins at ``check_period`` nor goes unseen
 FAILOVER_BACKOFF = (0.5, 1.0, 2.0, 5.0)
 
 #: results the pump delivers under one hold of the supervisor lock: bounds
@@ -745,8 +746,9 @@ class Supervisor:
         self.failovers = 0
         self.failover_errors = 0
         self.last_error: Optional[Exception] = None  # what the last failed failover raised
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._loop: Optional[Any] = None
+        self._failures = 0  # consecutive failed failovers
+        self._retry_at = 0.0  # farm time before which no failover is tried
         self._restart_lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------
@@ -756,17 +758,14 @@ class Supervisor:
                 {"ev": "contract", "c": contract_to_wire(self.contract)}
             )
             self.controller = self._make_controller(self.contract)
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._monitor_loop, name=f"{self.name}-monitor", daemon=True
+        self._loop = WallTimeBase(self.farm.now).periodic(
+            self.check_period, self._check, name=f"{self.name}.loop"
         )
-        self._thread.start()
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
+        if self._loop is not None:
+            self._loop.cancel(timeout)
         if self.controller is not None:
             self.controller.stop(timeout)
 
@@ -816,30 +815,31 @@ class Supervisor:
             self.failovers += 1
             return state
 
-    def _monitor_loop(self) -> None:
-        failures = 0  # consecutive failed failovers
-        while not self._stop.wait(self.check_period):
-            farm = self.farm
-            if farm._shutdown_done:
-                return
-            stale = farm.heartbeat_age() > self.heartbeat_timeout
-            if not (farm.crashed or stale):
-                continue
-            try:
-                if not farm.crashed:
-                    # silent wedge: declare the coordinator dead first
-                    self.crash_coordinator()
-                self.restart()
-                failures = 0
-            except Exception as exc:  # noqa: BLE001 - the supervisor must survive
-                self.last_error = exc
-                self.failover_errors += 1
-                if self.telemetry.enabled:
-                    self.telemetry.metrics.counter(
-                        "repro_sup_failover_errors_total",
-                        "failover attempts that raised (retried with backoff)",
-                    ).labels(farm=farm.name).inc()
-                delay = FAILOVER_BACKOFF[min(failures, len(FAILOVER_BACKOFF) - 1)]
-                failures += 1
-                if self._stop.wait(delay):
-                    return
+    def _check(self) -> None:
+        """One heartbeat check: fail over a crashed or silent coordinator,
+        but not before the backoff after a failed attempt has passed."""
+        farm = self.farm
+        if farm._shutdown_done:
+            self._loop.cancel()
+            return
+        if farm.now() < self._retry_at:
+            return
+        if not (farm.crashed or farm.heartbeat_age() > self.heartbeat_timeout):
+            return
+        try:
+            if not farm.crashed:
+                # silent wedge: declare the coordinator dead first
+                self.crash_coordinator()
+            self.restart()
+            self._failures = 0
+        except Exception as exc:  # noqa: BLE001 - the supervisor must survive
+            self.last_error = exc
+            self.failover_errors += 1
+            if self.telemetry.enabled:
+                self.telemetry.metrics.counter(
+                    "repro_sup_failover_errors_total",
+                    "failover attempts that raised (retried with backoff)",
+                ).labels(farm=farm.name).inc()
+            delay = FAILOVER_BACKOFF[min(self._failures, len(FAILOVER_BACKOFF) - 1)]
+            self._failures += 1
+            self._retry_at = farm.now() + delay
