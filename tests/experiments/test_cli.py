@@ -1,6 +1,16 @@
 """Tests for the ``python -m repro.experiments`` runner."""
 
+from pathlib import Path
+
 from repro.experiments.__main__ import DEFAULT_ORDER, RUNNERS, main
+
+#: one byte-exact report per experiment key (`multiconcern` shares the
+#: `mc` alias's pin)
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def fixture_for(key: str) -> Path:
+    return FIXTURES / ("mc_report.txt" if key == "multiconcern" else f"{key}.txt")
 
 
 class TestCLI:
@@ -13,9 +23,11 @@ class TestCLI:
         assert "unknown experiment" in out
 
     def test_single_experiment_runs(self, capsys):
-        assert main(["patterns"]) == 0
-        out = capsys.readouterr().out
-        assert "PATTERNS" in out
+        """Every DES report is deterministic: each key prints its pinned
+        bytes, so a mechanism refactor cannot move a figure silently."""
+        for key in DEFAULT_ORDER:
+            assert main([key]) == 0
+            assert capsys.readouterr().out == fixture_for(key).read_text(), key
 
     def test_alias_mc(self, capsys):
         assert main(["mc"]) == 0

@@ -2,9 +2,11 @@
 
 The examples are the library's front door; each must execute its
 ``main()`` without raising and print the outcome markers a reader would
-look for.  (``live_threads`` is exercised with reduced volume through
-its building blocks in ``tests/runtime`` instead — wall-clock sleeps
-make the full script too slow for the unit suite.)
+look for.  The six DES examples are deterministic, so each also prints
+exactly the bytes pinned in ``tests/fixtures/examples/<name>.txt``.
+(``live_threads`` is exercised with reduced volume through its building
+blocks in ``tests/runtime`` instead — wall-clock sleeps make the full
+script too slow for the unit suite.)
 """
 
 import importlib.util
@@ -12,6 +14,7 @@ import pathlib
 import sys
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+PINNED = pathlib.Path(__file__).parent / "fixtures" / "examples"
 
 
 def load_example(name: str):
@@ -22,18 +25,24 @@ def load_example(name: str):
     return module
 
 
+def pinned(name: str) -> str:
+    return (PINNED / f"{name}.txt").read_text()
+
+
 class TestExamples:
     def test_quickstart(self, capsys):
         load_example("quickstart").main()
         out = capsys.readouterr().out
         assert "satisfied    : True" in out
         assert "addWorker" in out
+        assert out == pinned("quickstart")
 
     def test_medical_imaging(self, capsys):
         load_example("medical_imaging").main()
         out = capsys.readouterr().out
         assert "images/s processed" in out
         assert "final:" in out
+        assert out == pinned("medical_imaging")
 
     def test_pipeline_hierarchy(self, capsys):
         load_example("pipeline_hierarchy").main()
@@ -42,6 +51,7 @@ class TestExamples:
         assert "incRate" in out
         assert "addWorker" in out
         assert "endStream" in out
+        assert out == pinned("pipeline_hierarchy")
 
     def test_multiconcern_security(self, capsys):
         load_example("multiconcern_security").main()
@@ -49,6 +59,7 @@ class TestExamples:
         assert "MC-2PC" in out
         assert "plaintext over a non-private link" in out
         assert "amendment" in out
+        assert out == pinned("multiconcern_security")
 
     def test_multiconcern_live(self, capsys):
         load_example("multiconcern_live").main()
@@ -63,12 +74,16 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "contract met    : True" in out
         assert "addWorker" in out
+        assert out == pinned("dataparallel_map")
 
     def test_nested_skeletons(self, capsys):
+        """The only end-to-end run of SimFarmOfPipelines: no experiment
+        drives a farm of pipelines."""
         load_example("nested_skeletons").main()
         out = capsys.readouterr().out
         assert "contract met    : True" in out
         assert "replicas" in out
+        assert out == pinned("nested_skeletons")
 
     def test_live_threads_importable(self):
         """Import only: the full run sleeps for real seconds."""
