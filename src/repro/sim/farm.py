@@ -18,6 +18,13 @@ incoming tasks" only after instantiation), ``remove_worker``,
 ``balance_load`` (redistribute queued tasks — the ``rebalance`` events),
 ``secure_worker`` (switch a worker's bindings to the secure protocol).
 
+:class:`FunctionalReplication` owns that surface once.  The task farm
+(:class:`SimFarm`), the data-parallel map (:class:`~repro.sim.map.SimMap`)
+and the farm of pipelines (:class:`~repro.sim.farmpipe.
+SimFarmOfPipelines`) subclass it and differ only in how tasks reach the
+workers and how a worker retires, so one
+:class:`~repro.gcm.abc_controller.FarmABC` drives all three.
+
 Transfers emitter→worker and worker→collector go through the
 :class:`~repro.sim.network.Network` when one is attached, so the
 security concern's leak accounting sees every farm message.
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, Iterator, List, Optional
 
 from .engine import Interrupt, Process, Simulator
 from .metrics import UtilizationMeter, WindowRateEstimator, queue_length_stats
@@ -36,7 +43,7 @@ from .queues import Store, rebalance as rebalance_stores, transfer
 from .resources import Node
 from .workload import Task
 
-__all__ = ["SimFarm", "FarmWorker", "FarmSnapshot", "DispatchPolicy"]
+__all__ = ["FunctionalReplication", "SimFarm", "FarmWorker", "FarmSnapshot", "DispatchPolicy"]
 
 
 @dataclass(frozen=True)
@@ -54,12 +61,6 @@ class FarmSnapshot:
     pending: int
     #: mean completion latency over the monitoring window (0 if none)
     mean_latency: float = 0.0
-
-    @property
-    def mean_queue_length(self) -> float:
-        if not self.queue_lengths:
-            return 0.0
-        return sum(self.queue_lengths) / len(self.queue_lengths)
 
 
 class DispatchPolicy:
@@ -136,13 +137,205 @@ class FarmWorker:
             self.farm._on_task_done(self, task)
 
 
-class SimFarm:
+class FunctionalReplication:
+    """The monitor and actuator surface every replication mechanism shares.
+
+    A worker is anything with ``active``, ``_stopped``, ``secured``, a
+    ``queue`` and a ``util`` meter.  A subclass supplies its worker type
+    (:meth:`_new_worker`), the dispatcher process that feeds the workers,
+    ``pending``, and the actuators whose rules differ between patterns:
+    ``remove_worker``, ``balance_load``, ``fail_worker`` and
+    ``migrate_worker``.  A worker whose backlog or busy time is not one
+    queue and one meter overrides :meth:`_backlog` / :meth:`_meters`.
+    """
+
+    #: histogram bounds for reconfiguration blackout durations
+    BLACKOUT_BUCKETS = (0.5, 1.0, 2.5, 5.0, 10.0, 20.0, 40.0)
+
+    def __init__(
+        self,
+        sim: Simulator,
+        *,
+        name: str,
+        rate_window: float,
+        worker_setup_time: float,
+        on_result: Optional[Callable[[Task], None]],
+        input_store: Optional[Store] = None,
+        output_store: Optional[Store] = None,
+        telemetry: Any = None,
+    ) -> None:
+        self.sim = sim
+        self.name = name
+        self.rate_window = rate_window
+        self.worker_setup_time = worker_setup_time
+        self.on_result = on_result
+        #: optional repro.obs.Telemetry; purely passive (never schedules)
+        self.telemetry = telemetry
+
+        # Adopting existing stores lets a farm take over a SeqStage's
+        # plumbing in place — the §4.2 stage-to-farm transformation.
+        self.input = input_store if input_store is not None else Store(sim, name=f"{name}.input")
+        self.output = output_store if output_store is not None else Store(sim, name=f"{name}.output")
+        self.workers: List[Any] = []
+        self._next_worker_id = 0
+
+        self.arrival_est = WindowRateEstimator(rate_window, start_time=sim.now)
+        self.departure_est = WindowRateEstimator(rate_window, start_time=sim.now)
+        # (completion_time, latency) of recent results, for the latency SLA
+        self._latencies: deque = deque()
+        self.completed = 0
+        self.end_of_stream = False
+
+        # Reconfiguration blackout: monitoring returns None until this time.
+        self._blackout_until = -1.0
+        self.reconfigurations = 0
+        self.failures = 0
+
+    # ------------------------------------------------------------------
+    # what a pattern supplies
+    # ------------------------------------------------------------------
+    def _new_worker(self, node: Any, worker_id: int, secured: bool) -> Any:
+        """Build (and start) one worker of this pattern on ``node``."""
+        raise NotImplementedError
+
+    def _backlog(self, worker: Any) -> int:
+        """Tasks waiting at ``worker`` (its entry in ``queue_lengths``)."""
+        return len(worker.queue)
+
+    def _meters(self, worker: Any) -> Iterable[UtilizationMeter]:
+        """The busy-time meters that ``worker`` adds to ``utilization``."""
+        return (worker.util,)
+
+    def _deliver(self, task: Task) -> None:
+        """Emit a completed task on the output stream."""
+        self.departure_est.mark(self.sim.now)
+        self.completed += 1
+        self.output.put_nowait(task)
+        if self.on_result is not None:
+            self.on_result(task)
+
+    # ------------------------------------------------------------------
+    # monitoring (ABC monitor services)
+    # ------------------------------------------------------------------
+    @property
+    def in_blackout(self) -> bool:
+        """True while a reconfiguration suppresses sensor data."""
+        return self.sim.now < self._blackout_until
+
+    def snapshot(self) -> Optional[FarmSnapshot]:
+        """Monitoring sample, or None during a reconfiguration blackout."""
+        if self.in_blackout:
+            return None
+        return self.force_snapshot()
+
+    def mean_latency(self) -> float:
+        """Mean completion latency over the monitoring window."""
+        cutoff = self.sim.now - self.rate_window
+        while self._latencies and self._latencies[0][0] <= cutoff:
+            self._latencies.popleft()
+        if not self._latencies:
+            return 0.0
+        return sum(lat for _, lat in self._latencies) / len(self._latencies)
+
+    def force_snapshot(self) -> FarmSnapshot:
+        """Monitoring sample ignoring blackout (for post-run analysis)."""
+        live = [w for w in self.workers if w.active]
+        lengths = tuple(self._backlog(w) for w in live)
+        _, var, _, _ = queue_length_stats(lengths)
+        meters = [m for w in live for m in self._meters(w)]
+        util = (
+            sum(m.utilization(self.sim.now) for m in meters) / len(meters)
+            if meters
+            else 0.0
+        )
+        return FarmSnapshot(
+            time=self.sim.now,
+            arrival_rate=self.arrival_est.rate(self.sim.now),
+            departure_rate=self.departure_est.rate(self.sim.now),
+            num_workers=len(live),
+            queue_lengths=lengths,
+            queue_variance=var,
+            utilization=util,
+            completed=self.completed,
+            pending=self.pending,
+            mean_latency=self.mean_latency(),
+        )
+
+    @property
+    def num_workers(self) -> int:
+        return sum(1 for w in self.workers if w.active)
+
+    # ------------------------------------------------------------------
+    # actuators (ABC actuator services)
+    # ------------------------------------------------------------------
+    def add_worker(self, node: Any, *, secured: bool = False) -> Any:
+        """Instantiate a new worker on ``node``.
+
+        The worker joins the scheduler only after ``worker_setup_time``
+        (deployment + lifecycle start in GCM terms); the farm is in
+        monitoring blackout until then.
+        """
+        wid = self._next_worker_id
+        self._next_worker_id += 1
+        worker = self._new_worker(node, wid, secured)
+        if self.worker_setup_time > 0:
+            # Hide it from the scheduler until setup completes.  The
+            # blackout outlasts activation by an epsilon so a control tick
+            # landing exactly on the activation instant cannot observe a
+            # half-initialised farm.
+            worker.active = False
+            self._begin_blackout(self.worker_setup_time + 1e-6)
+
+            def activate() -> None:
+                if not worker._stopped:
+                    worker.active = True
+
+            self.sim.schedule(self.worker_setup_time, activate)
+        self.workers.append(worker)
+        self.reconfigurations += 1
+        return worker
+
+    def secure_worker(self, worker: Any) -> None:
+        """Switch a worker's bindings to the secure protocol."""
+        worker.secured = True
+
+    def secure_all(self) -> None:
+        for w in self.workers:
+            self.secure_worker(w)
+
+    def _begin_blackout(self, duration: float) -> None:
+        self._blackout_until = max(self._blackout_until, self.sim.now + duration)
+        tel = self.telemetry
+        if tel is not None and tel.enabled:
+            tel.metrics.histogram(
+                "repro_reconfiguration_blackout_seconds",
+                "sensor-data blackout caused by one reconfiguration",
+                buckets=self.BLACKOUT_BUCKETS,
+            ).labels(farm=self.name).observe(duration)
+            tel.event("farm.blackout", farm=self.name, duration=duration)
+
+    # ------------------------------------------------------------------
+    # stream plumbing
+    # ------------------------------------------------------------------
+    def submit(self, task: Task) -> None:
+        """Inject a task into the input stream."""
+        self.input.put_nowait(task)
+
+    def notify_end_of_stream(self) -> None:
+        """Mark that no further tasks will arrive."""
+        self.end_of_stream = True
+
+    @property
+    def drained(self) -> bool:
+        """True when the stream ended and all accepted tasks completed."""
+        return self.end_of_stream and self.pending == 0
+
+
+class SimFarm(FunctionalReplication):
     """Functional-replication farm over the DES substrate."""
 
     #: histogram bounds for per-task service times (simulated seconds)
     SERVICE_TIME_BUCKETS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-    #: histogram bounds for reconfiguration blackout durations
-    BLACKOUT_BUCKETS = (0.5, 1.0, 2.5, 5.0, 10.0, 20.0, 40.0)
 
     def __init__(
         self,
@@ -167,44 +360,31 @@ class SimFarm:
             raise ValueError(f"unknown dispatch policy {dispatch!r}")
         if work_override is not None and work_override <= 0:
             raise ValueError("work_override must be positive")
-        self.sim = sim
-        self.name = name
+        super().__init__(
+            sim,
+            name=name,
+            rate_window=rate_window,
+            worker_setup_time=worker_setup_time,
+            on_result=on_result,
+            input_store=input_store,
+            output_store=output_store,
+            telemetry=telemetry,
+        )
         self.emitter_node = emitter_node
         self.collector_node = collector_node or emitter_node
         self.network = network
         self.dispatch = dispatch
-        self.worker_setup_time = worker_setup_time
         self.task_size_kb = task_size_kb
         self.result_size_kb = result_size_kb
-        self.on_result = on_result
-        #: optional repro.obs.Telemetry; purely passive (never schedules)
-        self.telemetry = telemetry
-
-        # Adopting existing stores lets a farm take over a SeqStage's
-        # plumbing in place — the §4.2 stage-to-farm transformation.
-        self.input = input_store if input_store is not None else Store(sim, name=f"{name}.input")
-        self.output = output_store if output_store is not None else Store(sim, name=f"{name}.output")
         # When set, every task costs this much work here regardless of its
         # own `work` (a farmed *stage* applies the stage's service work).
         self.work_override = work_override
-        self.workers: List[FarmWorker] = []
-        self._next_worker_id = 0
         self._rr_index = 0
 
-        self.arrival_est = WindowRateEstimator(rate_window, start_time=sim.now)
-        self.departure_est = WindowRateEstimator(rate_window, start_time=sim.now)
-        self.rate_window = rate_window
-        # (completion_time, latency) of recent results, for the latency SLA
-        self._latencies: deque = deque()
-        self.completed = 0
-        self.end_of_stream = False
-
-        # Reconfiguration blackout: monitoring returns None until this time.
-        self._blackout_until = -1.0
-        self.reconfigurations = 0
-        self.failures = 0
-
         self._emitter_proc = sim.process(self._emit_loop(), name=f"{name}.emitter")
+
+    def _new_worker(self, node: Node, worker_id: int, secured: bool) -> FarmWorker:
+        return FarmWorker(self.sim, self, node, worker_id, secured=secured)
 
     # ------------------------------------------------------------------
     # emitter
@@ -268,68 +448,14 @@ class SimFarm:
             delay = rec.duration
 
         def deliver() -> None:
-            self.departure_est.mark(self.sim.now)
-            self.completed += 1
             if task.latency is not None:
                 self._latencies.append((self.sim.now, task.latency))
-            self.output.put_nowait(task)
-            if self.on_result is not None:
-                self.on_result(task)
+            self._deliver(task)
 
         if delay > 0:
             self.sim.schedule(delay, deliver)
         else:
             deliver()
-
-    # ------------------------------------------------------------------
-    # monitoring (ABC monitor services)
-    # ------------------------------------------------------------------
-    @property
-    def in_blackout(self) -> bool:
-        """True while a reconfiguration suppresses sensor data."""
-        return self.sim.now < self._blackout_until
-
-    def snapshot(self) -> Optional[FarmSnapshot]:
-        """Monitoring sample, or None during a reconfiguration blackout."""
-        if self.in_blackout:
-            return None
-        return self.force_snapshot()
-
-    def mean_latency(self) -> float:
-        """Mean completion latency over the monitoring window."""
-        cutoff = self.sim.now - self.rate_window
-        while self._latencies and self._latencies[0][0] <= cutoff:
-            self._latencies.popleft()
-        if not self._latencies:
-            return 0.0
-        return sum(lat for _, lat in self._latencies) / len(self._latencies)
-
-    def force_snapshot(self) -> FarmSnapshot:
-        """Monitoring sample ignoring blackout (for post-run analysis)."""
-        lengths = tuple(len(w.queue) for w in self.workers if w.active)
-        _, var, _, _ = queue_length_stats(lengths)
-        live = [w for w in self.workers if w.active]
-        util = (
-            sum(w.util.utilization(self.sim.now) for w in live) / len(live)
-            if live
-            else 0.0
-        )
-        return FarmSnapshot(
-            time=self.sim.now,
-            arrival_rate=self.arrival_est.rate(self.sim.now),
-            departure_rate=self.departure_est.rate(self.sim.now),
-            num_workers=len(live),
-            queue_lengths=lengths,
-            queue_variance=var,
-            utilization=util,
-            completed=self.completed,
-            pending=self.pending,
-            mean_latency=self.mean_latency(),
-        )
-
-    @property
-    def num_workers(self) -> int:
-        return sum(1 for w in self.workers if w.active)
 
     @property
     def pending(self) -> int:
@@ -339,35 +465,8 @@ class SimFarm:
         return len(self.input) + in_queues + in_service
 
     # ------------------------------------------------------------------
-    # actuators (ABC actuator services)
+    # actuators whose rules are the farm's own
     # ------------------------------------------------------------------
-    def add_worker(self, node: Node, *, secured: bool = False) -> FarmWorker:
-        """Instantiate a new worker on ``node``.
-
-        The worker joins the scheduler only after ``worker_setup_time``
-        (deployment + lifecycle start in GCM terms); the farm is in
-        monitoring blackout until then.
-        """
-        wid = self._next_worker_id
-        self._next_worker_id += 1
-        worker = FarmWorker(self.sim, self, node, wid, secured=secured)
-        if self.worker_setup_time > 0:
-            # Hide it from the scheduler until setup completes.  The
-            # blackout outlasts activation by an epsilon so a control tick
-            # landing exactly on the activation instant cannot observe a
-            # half-initialised farm.
-            worker.active = False
-            self._begin_blackout(self.worker_setup_time + 1e-6)
-
-            def activate() -> None:
-                if not worker._stopped:
-                    worker.active = True
-
-            self.sim.schedule(self.worker_setup_time, activate)
-        self.workers.append(worker)
-        self.reconfigurations += 1
-        return worker
-
     def remove_worker(self) -> Optional[FarmWorker]:
         """Retire the most recently added active worker.
 
@@ -466,38 +565,3 @@ class SimFarm:
         recovered += queued
         self.failures += 1
         return recovered
-
-    def secure_worker(self, worker: FarmWorker) -> None:
-        """Switch a worker's bindings to the secure protocol."""
-        worker.secured = True
-
-    def secure_all(self) -> None:
-        for w in self.workers:
-            w.secured = True
-
-    def _begin_blackout(self, duration: float) -> None:
-        self._blackout_until = max(self._blackout_until, self.sim.now + duration)
-        tel = self.telemetry
-        if tel is not None and tel.enabled:
-            tel.metrics.histogram(
-                "repro_reconfiguration_blackout_seconds",
-                "sensor-data blackout caused by one reconfiguration",
-                buckets=self.BLACKOUT_BUCKETS,
-            ).labels(farm=self.name).observe(duration)
-            tel.event("farm.blackout", farm=self.name, duration=duration)
-
-    # ------------------------------------------------------------------
-    # stream plumbing
-    # ------------------------------------------------------------------
-    def submit(self, task: Task) -> None:
-        """Inject a task into the farm's input stream."""
-        self.input.put_nowait(task)
-
-    def notify_end_of_stream(self) -> None:
-        """Mark that no further tasks will arrive."""
-        self.end_of_stream = True
-
-    @property
-    def drained(self) -> bool:
-        """True when the stream ended and all accepted tasks completed."""
-        return self.end_of_stream and self.pending == 0

@@ -8,13 +8,14 @@ provides that composition on the DES substrate: each "executor" is a
 SeqStage`s on its own nodes — and the dispatcher round-robins whole
 tasks across replica heads.
 
-The monitoring/actuator surface mirrors :class:`~repro.sim.farm.
-SimFarm` exactly (``snapshot``, ``add_worker``, ``remove_worker``,
-``balance_load``, blackout, ``num_workers``), so the standard
-:class:`~repro.gcm.abc_controller.FarmABC` (with ``nodes_per_executor =
-number of stages``) and :class:`~repro.core.skeleton_manager.
-FarmManager` drive it unchanged — the nested tree needs no new policy
-code, exactly as behavioural-skeleton composition promises.
+The monitoring/actuator surface (``snapshot``, ``add_worker``,
+blackout, ``num_workers``) is :class:`~repro.sim.farm.
+FunctionalReplication`'s, the one :class:`~repro.sim.farm.SimFarm` has,
+so the standard :class:`~repro.gcm.abc_controller.FarmABC` (with
+``nodes_per_executor = number of stages``) and
+:class:`~repro.core.skeleton_manager.FarmManager` drive it unchanged —
+the nested tree needs no new policy code, exactly as
+behavioural-skeleton composition promises.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, List, Optional, Sequence
 
 from .engine import Simulator
-from .farm import FarmSnapshot
-from .metrics import WindowRateEstimator, queue_length_stats
+from .farm import FunctionalReplication
+from .metrics import UtilizationMeter
 from .pipeline import SeqStage
-from .queues import Store, transfer
+from .queues import Store, rebalance as rebalance_stores, transfer
 from .resources import Node
 from .workload import Task
 
@@ -99,7 +100,7 @@ class PipelineReplica:
     def _on_done(self, task: Task) -> None:
         self.completed += 1
         task.completed_at = self.sim.now
-        self.owner._on_task_done(self, task)
+        self.owner._deliver(task)
 
     def stop(self) -> None:
         self.active = False
@@ -108,7 +109,7 @@ class PipelineReplica:
             s.stop()
 
 
-class SimFarmOfPipelines:
+class SimFarmOfPipelines(FunctionalReplication):
     """Functional replication whose workers are pipeline replicas."""
 
     def __init__(
@@ -125,32 +126,39 @@ class SimFarmOfPipelines:
             raise ValueError("need at least one stage")
         if any(w < 0 for w in stage_works):
             raise ValueError("stage works must be >= 0")
-        self.sim = sim
-        self.name = name
+        super().__init__(
+            sim,
+            name=name,
+            rate_window=rate_window,
+            worker_setup_time=replica_setup_time,
+            on_result=on_result,
+        )
         self.stage_works = list(stage_works)
-        self.rate_window = rate_window
-        self.worker_setup_time = replica_setup_time  # SimFarm-compatible name
-        self.on_result = on_result
-
-        self.input = Store(sim, name=f"{name}.input")
-        self.output = Store(sim, name=f"{name}.output")
-        self.workers: List[PipelineReplica] = []  # SimFarm-compatible name
-        self._next_id = 0
         self._rr = 0
-
-        self.arrival_est = WindowRateEstimator(rate_window, start_time=sim.now)
-        self.departure_est = WindowRateEstimator(rate_window, start_time=sim.now)
-        self.completed = 0
-        self.end_of_stream = False
-        self._blackout_until = -1.0
-        self.reconfigurations = 0
-        self.failures = 0
 
         self._proc = sim.process(self._dispatch_loop(), name=f"{name}.dispatcher")
 
-    @property
-    def stages_per_replica(self) -> int:
-        return len(self.stage_works)
+    def _new_worker(
+        self, nodes: Sequence[Node], replica_id: int, secured: bool
+    ) -> PipelineReplica:
+        """Deploy a new pipeline replica over ``nodes`` (one per stage)."""
+        if isinstance(nodes, Node):
+            nodes = [nodes]
+        return PipelineReplica(
+            self.sim,
+            self,
+            replica_id,
+            nodes,
+            self.stage_works,
+            secured=secured,
+            rate_window=self.rate_window,
+        )
+
+    def _backlog(self, replica: PipelineReplica) -> int:
+        return replica.queued_total()
+
+    def _meters(self, replica: PipelineReplica) -> List[UtilizationMeter]:
+        return [s.util for s in replica.stages]
 
     # ------------------------------------------------------------------
     # dispatch
@@ -166,86 +174,14 @@ class SimFarmOfPipelines:
             self._rr = (self._rr + 1) % len(live)
             live[self._rr].head.put_nowait(task)
 
-    def _on_task_done(self, replica: PipelineReplica, task: Task) -> None:
-        self.departure_est.mark(self.sim.now)
-        self.completed += 1
-        self.output.put_nowait(task)
-        if self.on_result is not None:
-            self.on_result(task)
-
-    # ------------------------------------------------------------------
-    # monitoring (SimFarm-shaped)
-    # ------------------------------------------------------------------
-    @property
-    def in_blackout(self) -> bool:
-        return self.sim.now < self._blackout_until
-
-    def snapshot(self) -> Optional[FarmSnapshot]:
-        if self.in_blackout:
-            return None
-        return self.force_snapshot()
-
-    def force_snapshot(self) -> FarmSnapshot:
-        live = [r for r in self.workers if r.active]
-        lengths = tuple(r.queued_total() for r in live)
-        _, var, _, _ = queue_length_stats(lengths)
-        utils = [
-            s.util.utilization(self.sim.now) for r in live for s in r.stages
-        ]
-        return FarmSnapshot(
-            time=self.sim.now,
-            arrival_rate=self.arrival_est.rate(self.sim.now),
-            departure_rate=self.departure_est.rate(self.sim.now),
-            num_workers=len(live),
-            queue_lengths=lengths,
-            queue_variance=var,
-            utilization=sum(utils) / len(utils) if utils else 0.0,
-            completed=self.completed,
-            pending=self.pending,
-        )
-
-    @property
-    def num_workers(self) -> int:
-        return sum(1 for r in self.workers if r.active)
-
     @property
     def pending(self) -> int:
         inside = sum(r.queued_total() for r in self.workers if not r._stopped)
         return len(self.input) + inside
 
     # ------------------------------------------------------------------
-    # actuators (SimFarm-shaped)
+    # actuators whose rules are the farm of pipelines' own
     # ------------------------------------------------------------------
-    def add_worker(self, nodes: Sequence[Node], *, secured: bool = False) -> PipelineReplica:
-        """Deploy a new pipeline replica over ``nodes`` (one per stage)."""
-        if isinstance(nodes, Node):
-            nodes = [nodes]
-        rid = self._next_id
-        self._next_id += 1
-        replica = PipelineReplica(
-            self.sim,
-            self,
-            rid,
-            nodes,
-            self.stage_works,
-            secured=secured,
-            rate_window=self.rate_window,
-        )
-        if self.worker_setup_time > 0:
-            replica.active = False
-            self._blackout_until = max(
-                self._blackout_until, self.sim.now + self.worker_setup_time + 1e-6
-            )
-
-            def activate() -> None:
-                if not replica._stopped:
-                    replica.active = True
-
-            self.sim.schedule(self.worker_setup_time, activate)
-        self.workers.append(replica)
-        self.reconfigurations += 1
-        return replica
-
     def remove_worker(self) -> Optional[PipelineReplica]:
         """Retire the newest replica; its head queue migrates first."""
         live = [r for r in self.workers if r.active]
@@ -270,28 +206,9 @@ class SimFarmOfPipelines:
 
     def balance_load(self) -> int:
         """Equalise replica *head* queues (in-pipe tasks stay put)."""
-        from .queues import rebalance as rebalance_stores
-
         return rebalance_stores(r.head for r in self.workers if r.active)
 
     def secure_worker(self, replica: PipelineReplica) -> None:
         replica.secured = True
         for s in replica.stages:
             s.secured = True
-
-    def secure_all(self) -> None:
-        for r in self.workers:
-            self.secure_worker(r)
-
-    # ------------------------------------------------------------------
-    # stream plumbing
-    # ------------------------------------------------------------------
-    def submit(self, task: Task) -> None:
-        self.input.put_nowait(task)
-
-    def notify_end_of_stream(self) -> None:
-        self.end_of_stream = True
-
-    @property
-    def drained(self) -> bool:
-        return self.end_of_stream and self.pending == 0

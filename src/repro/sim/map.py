@@ -14,9 +14,9 @@ them back into one result before the next task is taken.  Per-task
 service time is therefore ``scatter + work/degree (slowest worker) +
 gather`` — the classic data-parallel model.
 
-The monitoring/actuator surface deliberately mirrors
-:class:`~repro.sim.farm.SimFarm` (``snapshot``, ``add_worker``,
-``remove_worker``, ``balance_load``, blackouts…) so the *same*
+The monitoring/actuator surface (``snapshot``, ``add_worker``,
+blackouts…) is :class:`~repro.sim.farm.FunctionalReplication`'s, the
+same one :class:`~repro.sim.farm.SimFarm` has, so the *same*
 :class:`~repro.gcm.abc_controller.FarmABC` and
 :class:`~repro.core.skeleton_manager.FarmManager` drive either pattern —
 the paper's point that one functional-replication BS covers both.
@@ -24,11 +24,11 @@ the paper's point that one functional-replication BS covers both.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .engine import Interrupt, Process, SimEvent, Simulator, wait_all
-from .farm import FarmSnapshot
-from .metrics import UtilizationMeter, WindowRateEstimator, queue_length_stats
+from .farm import FunctionalReplication
+from .metrics import UtilizationMeter
 from .network import Message, Network
 from .queues import Store
 from .resources import Node
@@ -92,7 +92,7 @@ class MapWorker:
             chunk.done.succeed()
 
 
-class SimMap:
+class SimMap(FunctionalReplication):
     """Data-parallel map over the DES substrate (scatter → compute → reduce)."""
 
     def __init__(
@@ -111,35 +111,30 @@ class SimMap:
     ) -> None:
         if scatter_overhead < 0 or gather_overhead < 0:
             raise ValueError("overheads must be >= 0")
-        self.sim = sim
-        self.name = name
+        super().__init__(
+            sim,
+            name=name,
+            rate_window=rate_window,
+            worker_setup_time=worker_setup_time,
+            on_result=on_result,
+        )
         self.emitter_node = emitter_node
         self.network = network
         self.scatter_overhead = scatter_overhead
         self.gather_overhead = gather_overhead
-        self.worker_setup_time = worker_setup_time
         self.chunk_size_kb = chunk_size_kb
-        self.on_result = on_result
 
-        self.input = Store(sim, name=f"{name}.input")
-        self.output = Store(sim, name=f"{name}.output")
         # Arrivals are measured at enqueue time: the dispatcher blocks
         # while a collection computes, so sampling at dequeue would
         # confuse input pressure with our own service rate.
         self.input.on_put = lambda _item: self.arrival_est.mark(self.sim.now)
-        self.workers: List[MapWorker] = []
-        self._next_worker_id = 0
-
-        self.arrival_est = WindowRateEstimator(rate_window, start_time=sim.now)
-        self.departure_est = WindowRateEstimator(rate_window, start_time=sim.now)
-        self.completed = 0
-        self.end_of_stream = False
-        self._blackout_until = -1.0
-        self.reconfigurations = 0
-        self.failures = 0
         self._in_service = 0
 
         self._proc = sim.process(self._dispatch_loop(), name=f"{name}.dispatcher")
+
+    def _new_worker(self, node: Node, worker_id: int, secured: bool) -> MapWorker:
+        """Widen the map: future tasks scatter across one more worker."""
+        return MapWorker(self.sim, self, node, worker_id, secured=secured)
 
     # ------------------------------------------------------------------
     # the scatter/compute/reduce loop (one collection at a time)
@@ -175,77 +170,16 @@ class SimMap:
                 yield self.sim.timeout(self.gather_overhead)
 
             task.completed_at = self.sim.now
-            self.departure_est.mark(self.sim.now)
-            self.completed += 1
             self._in_service = 0
-            self.output.put_nowait(task)
-            if self.on_result is not None:
-                self.on_result(task)
-
-    # ------------------------------------------------------------------
-    # monitoring (same shape as SimFarm's)
-    # ------------------------------------------------------------------
-    @property
-    def in_blackout(self) -> bool:
-        return self.sim.now < self._blackout_until
-
-    def snapshot(self) -> Optional[FarmSnapshot]:
-        if self.in_blackout:
-            return None
-        return self.force_snapshot()
-
-    def force_snapshot(self) -> FarmSnapshot:
-        live = [w for w in self.workers if w.active]
-        lengths = tuple(len(w.queue) for w in live)
-        _, var, _, _ = queue_length_stats(lengths)
-        util = (
-            sum(w.util.utilization(self.sim.now) for w in live) / len(live)
-            if live
-            else 0.0
-        )
-        return FarmSnapshot(
-            time=self.sim.now,
-            arrival_rate=self.arrival_est.rate(self.sim.now),
-            departure_rate=self.departure_est.rate(self.sim.now),
-            num_workers=len(live),
-            queue_lengths=lengths,
-            queue_variance=var,
-            utilization=util,
-            completed=self.completed,
-            pending=self.pending,
-        )
-
-    @property
-    def num_workers(self) -> int:
-        return sum(1 for w in self.workers if w.active)
+            self._deliver(task)
 
     @property
     def pending(self) -> int:
         return len(self.input) + self._in_service
 
     # ------------------------------------------------------------------
-    # actuators (FarmABC-compatible)
+    # actuators whose rules are the map's own
     # ------------------------------------------------------------------
-    def add_worker(self, node: Node, *, secured: bool = False) -> MapWorker:
-        """Widen the map: future tasks scatter across one more worker."""
-        wid = self._next_worker_id
-        self._next_worker_id += 1
-        worker = MapWorker(self.sim, self, node, wid, secured=secured)
-        if self.worker_setup_time > 0:
-            worker.active = False
-            self._blackout_until = max(
-                self._blackout_until, self.sim.now + self.worker_setup_time + 1e-6
-            )
-
-            def activate() -> None:
-                if not worker._stopped:
-                    worker.active = True
-
-            self.sim.schedule(self.worker_setup_time, activate)
-        self.workers.append(worker)
-        self.reconfigurations += 1
-        return worker
-
     def remove_worker(self) -> Optional[MapWorker]:
         """Narrow the map (never below one worker).
 
@@ -272,13 +206,6 @@ class SimMap:
     def balance_load(self) -> int:
         """Scatter is inherently balanced; nothing to move."""
         return 0
-
-    def secure_worker(self, worker: MapWorker) -> None:
-        worker.secured = True
-
-    def secure_all(self) -> None:
-        for w in self.workers:
-            w.secured = True
 
     def fail_worker(self, worker: MapWorker) -> int:
         """Crash a map worker; its outstanding chunks are re-scattered.
@@ -309,16 +236,3 @@ class SimMap:
             recovered += 1
         self.failures += 1
         return recovered
-
-    # ------------------------------------------------------------------
-    # stream plumbing
-    # ------------------------------------------------------------------
-    def submit(self, task: Task) -> None:
-        self.input.put_nowait(task)
-
-    def notify_end_of_stream(self) -> None:
-        self.end_of_stream = True
-
-    @property
-    def drained(self) -> bool:
-        return self.end_of_stream and self.pending == 0
