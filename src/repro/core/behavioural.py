@@ -96,11 +96,6 @@ class FarmBS(BehaviouralSkeleton):
     farm: SimFarm = None  # type: ignore[assignment]
     resources: ResourceManager = None  # type: ignore[assignment]
 
-    @property
-    def farm_manager(self) -> FarmManager:
-        assert isinstance(self.manager, FarmManager)
-        return self.manager
-
     def current_pattern(self) -> FarmSkel:
         """The skeleton tree reflecting the *live* parallelism degree.
 

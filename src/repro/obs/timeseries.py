@@ -225,10 +225,6 @@ class TimeSeriesStore:
         with self._lock:
             return self._kinds.get(metric)
 
-    def label_sets(self, metric: str) -> List[Dict[str, str]]:
-        with self._lock:
-            return [dict(ls) for ls in self._series.get(metric, {})]
-
     # -- queries ---------------------------------------------------------
     def latest(
         self, metric: str, labels: Optional[Dict[str, str]] = None

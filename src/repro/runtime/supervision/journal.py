@@ -11,8 +11,8 @@ pure function producing exactly the state a restarted coordinator needs:
 * which results already left the farm (→ never deliver them again);
 * which workers exist, and crucially which were quarantined and *never
   admitted* (→ they stay behind the admission gate across the restart);
-* the contract in force and the committed two-phase intents (→ the
-  rebuilt controller enforces what the dead one enforced).
+* the contract in force (→ the rebuilt controller enforces what the
+  dead one enforced).
 
 Event vocabulary (``ev`` field, one JSON object per line, each stamped
 with a monotonically increasing ``seq``):
@@ -30,8 +30,6 @@ with a monotonically increasing ``seq``):
 ``remove``    worker retired: ``wid``
 ``contract``  contract swap: ``c`` is the wire dict of
               :mod:`repro.runtime.hierarchy.codec`
-``intent``    a two-phase intent round that reached an outcome
-              (journal↔audit unification with PR 4's IntentRecord)
 
 Durability model: group commit.  :meth:`DispatchJournal.append` assigns
 the ``seq``, encodes the line and leaves it in memory; one committer
@@ -148,7 +146,6 @@ class JournalState:
     workers: Dict[int, dict] = field(default_factory=dict)
     #: wire dict of the contract in force (hierarchy codec), or None
     contract: Optional[dict] = None
-    intents: List[dict] = field(default_factory=list)
 
     def apply(self, event: dict) -> "JournalState":
         ev = event.get("ev")
@@ -203,10 +200,6 @@ class JournalState:
                 w["active"] = False
         elif ev == "contract":
             self.contract = event.get("c")
-        elif ev == "intent":
-            self.intents.append(
-                {k: event.get(k) for k in ("originator", "operation", "outcome")}
-            )
         return self
 
     # -- derived views ---------------------------------------------------

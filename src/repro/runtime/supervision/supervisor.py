@@ -172,8 +172,6 @@ class SupervisedFarm:
         self._farm_to_wid: Dict[int, int] = {}
         self._next_wid = 0
         self._next_sid = 0
-        self._payloads: Dict[int, Any] = {}  # sid → payload while pending
-        self._tenants: Dict[int, str] = {}
         self._roots: Dict[int, TaskRow] = {}  # sid → open root span's row
         self._delivered: Set[int] = set()
         self.submitted = 0
@@ -308,10 +306,8 @@ class SupervisedFarm:
             sid = self._next_sid
             self._next_sid += 1
             self.submitted += 1
-            self._payloads[sid] = payload
             event = {"ev": "submit", "sid": sid, "p": payload}
             if tenant is not None:
-                self._tenants[sid] = tenant
                 event["tenant"] = tenant
             self.journal.append(event)
             if self.telemetry.enabled:
@@ -399,8 +395,6 @@ class SupervisedFarm:
         else:
             event["err"] = str(res.get("error", "task failed"))
         self.journal.append(event)
-        self._payloads.pop(sid, None)
-        self._tenants.pop(sid, None)
         self.completed += 1
         root = self._roots.pop(sid, None)
         if root is not None:

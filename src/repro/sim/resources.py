@@ -156,10 +156,6 @@ class ResourceManager:
             raise ValueError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
 
-    def add_nodes(self, nodes: Iterable[Node]) -> None:
-        for n in nodes:
-            self.add_node(n)
-
     def get(self, name: str) -> Node:
         """Look up a node by name."""
         return self._nodes[name]
@@ -175,9 +171,6 @@ class ResourceManager:
         # Prefer trusted, then faster, then stable by name.
         free.sort(key=lambda n: (not n.trusted, -n.speed, n.name))
         return free
-
-    def allocated_nodes(self) -> List[Node]:
-        return [n for n in self._nodes.values() if n.allocated]
 
     @property
     def allocated_count(self) -> int:
