@@ -9,28 +9,30 @@ Usage::
     python -m repro.experiments fig4 --backend=dist --with-security
     python -m repro.experiments fig4 --backend=thread --serve-telemetry
     python -m repro.experiments fig4 --backend=dist --kill-coordinator
+    python -m repro.experiments fig4 --backend=thread --shards 2 --tenants 3
 
 Experiment keys: fig3, fig4, loadspike, multiconcern (mc), split,
-ablation, faults, stagefarm, patterns.  ``--trace-out PATH`` attaches
+ablation, faults, stagefarm, patterns, migration.  Every option of
+``python -m repro.experiments.fig4`` works here too, before or after the
+keys, and is checked by FIG4's own parser: ``--trace-out PATH`` attaches
 telemetry to the FIG4 run and writes its decision audit as JSONL;
 ``--backend {sim,thread,process,dist}`` selects the substrate under the
 FIG4 rules; ``--with-security`` (live backends) runs the multi-concern
 story — live GM + security manager, quarantine → secure → admit — and
 ``--coordination naive`` is its leak-window ablation;
 ``--serve-telemetry`` (live backends) exposes /metrics and /trace over
-HTTP while the run is in flight (see
-``python -m repro.experiments.fig4 --help`` for the full option set).
+HTTP while the run is in flight; ``--shards N`` (``--tenants M``) runs
+the live farm of farms (see ``--help`` for the full option set).
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Optional
 
+from . import fig4
 from .ablation import sweep_control_period, sweep_hysteresis
 from .failures import run_faults
 from .fig3 import Fig3Config, run_fig3
-from .fig4 import run_fig4
 from .loadspike import run_loadspike
 from .migration import run_migration
 from .multiconcern import MultiConcernConfig, run_multiconcern
@@ -56,7 +58,7 @@ def _fig3() -> str:
 
 
 def _fig4() -> str:
-    return render_fig4(run_fig4())
+    return render_fig4(fig4.run_fig4())
 
 
 def _loadspike() -> str:
@@ -128,93 +130,22 @@ DEFAULT_ORDER = (
 )
 
 
-def main(argv: list[str]) -> int:
-    trace_out = None
-    backend = None
-    with_security = False
-    kill_coordinator = False
-    coordination = None
-    serve_telemetry = False
-    telemetry_port = None
-    keys = []
-    it = iter(argv)
-    for arg in it:
-        if arg == "--serve-telemetry":
-            serve_telemetry = True
-        elif arg == "--telemetry-port":
-            telemetry_port = next(it, None)
-            if telemetry_port is None:
-                print("--telemetry-port needs a PORT argument")
-                return 2
-        elif arg.startswith("--telemetry-port="):
-            telemetry_port = arg.split("=", 1)[1]
-        elif arg == "--trace-out":
-            trace_out = next(it, None)
-            if trace_out is None:
-                print("--trace-out needs a PATH argument")
-                return 2
-        elif arg.startswith("--trace-out="):
-            trace_out = arg.split("=", 1)[1]
-        elif arg == "--backend":
-            backend = next(it, None)
-            if backend is None:
-                print("--backend needs a {sim,thread,process,dist} argument")
-                return 2
-        elif arg.startswith("--backend="):
-            backend = arg.split("=", 1)[1]
-        elif arg == "--with-security":
-            with_security = True
-        elif arg == "--kill-coordinator":
-            kill_coordinator = True
-        elif arg == "--coordination":
-            coordination = next(it, None)
-            if coordination is None:
-                print("--coordination needs a {two-phase,naive} argument")
-                return 2
-        elif arg.startswith("--coordination="):
-            coordination = arg.split("=", 1)[1]
-        else:
-            keys.append(arg)
-    if backend not in (None, "sim", "thread", "process", "dist"):
-        print(f"unknown backend {backend!r}; choose from sim, thread, process, dist")
-        return 2
-    if with_security and backend in (None, "sim"):
-        print("--with-security needs a live backend (--backend thread/process/dist)")
-        return 2
-    if kill_coordinator and backend in (None, "sim"):
-        print("--kill-coordinator needs a live backend (--backend thread/process/dist)")
-        return 2
-    if serve_telemetry and backend in (None, "sim"):
-        print("--serve-telemetry needs a live backend (--backend thread/process/dist)")
-        return 2
-    if telemetry_port is not None and not serve_telemetry:
-        print("--telemetry-port only makes sense with --serve-telemetry")
-        return 2
-    keys = keys or list(DEFAULT_ORDER)
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = fig4.parser("python -m repro.experiments")
+    parser.description = "Print the report of each experiment KEY (default: all)."
+    parser.add_argument(
+        "keys", nargs="*", metavar="KEY",
+        help=f"experiments to run, in order (default: all); one of {sorted(RUNNERS)}",
+    )
+    args = parser.parse_intermixed_args(argv)
+    keys = args.keys or list(DEFAULT_ORDER)
     unknown = [k for k in keys if k not in RUNNERS]
     if unknown:
         print(f"unknown experiment(s): {unknown}; choose from {sorted(RUNNERS)}")
         return 2
     runners = dict(RUNNERS)
-    if trace_out is not None or backend not in (None, "sim"):
-        from .fig4 import main as fig4_main
-
-        fig4_argv = []
-        if trace_out is not None:
-            fig4_argv += ["--trace-out", trace_out]
-        if backend is not None:
-            fig4_argv += ["--backend", backend]
-        if with_security:
-            fig4_argv += ["--with-security"]
-        if kill_coordinator:
-            fig4_argv += ["--kill-coordinator"]
-        if coordination is not None:
-            fig4_argv += ["--coordination", coordination]
-        if serve_telemetry:
-            fig4_argv += ["--serve-telemetry"]
-        if telemetry_port is not None:
-            fig4_argv += ["--telemetry-port", str(telemetry_port)]
-        runners["fig4"] = lambda: (fig4_main(fig4_argv), "")[1]
+    if any(v != parser.get_default(k) for k, v in vars(args).items() if k != "keys"):
+        runners["fig4"] = lambda: (fig4.run(parser, args), "")[1]
     for key in keys:
         print(runners[key]())
         print()
@@ -222,4 +153,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

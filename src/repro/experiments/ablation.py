@@ -22,13 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
-from ..core.behavioural import build_farm_bs
 from ..core.contracts import ThroughputRangeContract
-from ..obs.events import TraceRecorder
-from ..sim.engine import Simulator
-from ..sim.resources import ResourceManager, make_cluster
-from ..sim.workload import ConstantWork, TaskSource
-from .fig3 import Fig3Config, Fig3Result, run_fig3
+from .fig3 import Fig3Config, Fig3Result, first_time_reaching, run_fig3, run_sampled, single_farm
 
 __all__ = [
     "AblationRow",
@@ -108,49 +103,14 @@ def compare_initial_deployment(
 
 
 def _run_hysteresis_case(width: float, low: float, high: float, duration: float) -> AblationRow:
-    sim = Simulator()
-    trace = TraceRecorder()
-    rm = ResourceManager(make_cluster(24))
-    worker_work = 5.0  # 0.2 tasks/s per worker
-    bs = build_farm_bs(
-        sim,
-        rm,
-        name="farm",
-        worker_work=worker_work,
-        initial_degree=1,
-        trace=trace,
-        control_period=10.0,
-        worker_setup_time=5.0,
-        rate_window=20.0,
-        constants_kwargs={"add_burst": 1, "max_workers": 24},
-        spawn_worker_managers=False,
-    )
-    TaskSource(
-        sim,
-        bs.farm.input,
-        rate=high + 0.2,  # pressure above the stripe keeps the farm loaded
-        work_model=ConstantWork(worker_work),
-        name="stream",
-    )
-    bs.assign_contract(ThroughputRangeContract(low, high))
-
-    def sample() -> None:
-        snap = bs.farm.force_snapshot()
-        trace.sample("throughput", sim.now, snap.departure_rate)
-
-    sim.periodic(5.0, sample, name="sampler")
-    sim.run(until=duration)
-
-    snap = bs.farm.force_snapshot()
-    ttc = None
-    for t, v in trace.series_values("throughput"):
-        if v >= low:
-            ttc = t
-            break
+    # pressure above the stripe keeps the farm loaded
+    cfg = Fig3Config(input_rate=high + 0.2, pool_size=24, duration=duration)
+    sim, trace, _, bs = single_farm(cfg, add_burst=1, contract=ThroughputRangeContract(low, high))
+    snap = run_sampled(sim, trace, bs, period=cfg.control_period / 2.0, until=duration)
     return AblationRow(
         knob="hysteresis_width",
         value=width,
-        time_to_contract=ttc,
+        time_to_contract=first_time_reaching(trace.series_values("throughput"), low),
         final_workers=snap.num_workers,
         final_throughput=snap.departure_rate,
         adds=trace.count("addWorker"),

@@ -21,12 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..core.behavioural import FarmBS, build_farm_bs
-from ..core.contracts import MinThroughputContract
+from ..core.behavioural import FarmBS
 from ..obs.events import TraceRecorder
-from ..sim.engine import Simulator
-from ..sim.resources import ResourceManager, make_cluster
-from ..sim.workload import ConstantWork, TaskSource
+from .fig3 import run_sampled, single_farm
 
 __all__ = ["FaultConfig", "FaultResult", "run_faults"]
 
@@ -83,33 +80,7 @@ class FaultResult:
 
 def run_faults(config: Optional[FaultConfig] = None) -> FaultResult:
     cfg = config or FaultConfig()
-    sim = Simulator()
-    trace = TraceRecorder()
-    rm = ResourceManager(make_cluster(cfg.pool_size))
-
-    bs = build_farm_bs(
-        sim,
-        rm,
-        name="farm",
-        worker_work=cfg.worker_work,
-        initial_degree=cfg.initial_degree,
-        trace=trace,
-        control_period=cfg.control_period,
-        worker_setup_time=cfg.worker_setup_time,
-        rate_window=cfg.rate_window,
-        constants_kwargs={"add_burst": 1, "max_workers": cfg.pool_size},
-        spawn_worker_managers=False,
-    )
-    TaskSource(
-        sim,
-        bs.farm.input,
-        rate=cfg.input_rate,
-        work_model=ConstantWork(cfg.worker_work),
-        total=cfg.total_tasks,
-        name="stream",
-        on_end_of_stream=bs.farm.notify_end_of_stream,
-    )
-    bs.assign_contract(MinThroughputContract(cfg.target_throughput))
+    sim, trace, _, bs = single_farm(cfg, add_burst=1, total=cfg.total_tasks)
 
     recovered = [0]
 
@@ -126,15 +97,7 @@ def run_faults(config: Optional[FaultConfig] = None) -> FaultResult:
     for t in cfg.crash_times:
         sim.schedule_at(t, crash)
 
-    def sample() -> None:
-        snap = bs.farm.force_snapshot()
-        trace.sample("throughput", sim.now, snap.departure_rate)
-        trace.sample("workers", sim.now, snap.num_workers)
-
-    sim.periodic(cfg.control_period / 2.0, sample, name="sampler")
-    sim.run(until=cfg.duration)
-
-    snap = bs.farm.force_snapshot()
+    snap = run_sampled(sim, trace, bs, period=cfg.control_period / 2.0, until=cfg.duration)
     crash_times = [e.time for e in trace.events_of("chaos", "workerCrash")]
     post_crash_adds = [
         e.time

@@ -16,21 +16,33 @@ the farm at one worker, and let the Figure 5 rules ramp it up.
 Expected shape: a monotone staircase of parallelism degree; throughput
 crossing the 0.6 line and stabilising; no add/remove oscillation after
 stabilisation.
+
+FIG3 is the single-farm scenario with nothing added: EXT-LOAD, FAULT,
+MIGRATE and the ablations build the same one through
+:func:`single_farm` and :func:`run_sampled` and add their perturbation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.behavioural import FarmBS, build_farm_bs
-from ..core.contracts import MinThroughputContract
+from ..core.contracts import Contract, MinThroughputContract
 from ..obs.events import TraceRecorder
 from ..sim.engine import Simulator
+from ..sim.farm import FarmSnapshot
 from ..sim.resources import ResourceManager, make_cluster
 from ..sim.workload import ConstantWork, TaskSource
 
-__all__ = ["Fig3Config", "Fig3Result", "run_fig3"]
+__all__ = [
+    "Fig3Config",
+    "Fig3Result",
+    "run_fig3",
+    "single_farm",
+    "run_sampled",
+    "first_time_reaching",
+]
 
 
 @dataclass
@@ -85,62 +97,92 @@ class Fig3Result:
         return all(a <= b for a, b in zip(values, values[1:]))
 
 
-def run_fig3(config: Optional[Fig3Config] = None) -> Fig3Result:
-    """Run the FIG3 scenario and return its trace and summary."""
-    cfg = config or Fig3Config()
+def single_farm(
+    cfg: Any,
+    *,
+    add_burst: int,
+    name: str = "farm",
+    total: Optional[int] = None,
+    policy: str = "standard",
+    contract: Optional[Contract] = None,
+) -> Tuple[Simulator, TraceRecorder, ResourceManager, FarmBS]:
+    """The §4 scenario every single-farm experiment perturbs.
+
+    One farm BS on a ``cfg.pool_size`` cluster, fed a constant-work
+    stream at ``cfg.input_rate`` (``total`` tasks, or endless), under
+    ``contract`` — by default ``cfg.target_throughput`` as a
+    :class:`MinThroughputContract`.  ``cfg`` is any config with
+    :class:`Fig3Config`'s scenario fields.
+    """
     sim = Simulator()
     trace = TraceRecorder()
     rm = ResourceManager(make_cluster(cfg.pool_size))
-
     bs = build_farm_bs(
         sim,
         rm,
-        name="imgfarm",
+        name=name,
         worker_work=cfg.worker_work,
         initial_degree=cfg.initial_degree,
         trace=trace,
         control_period=cfg.control_period,
         worker_setup_time=cfg.worker_setup_time,
         rate_window=cfg.rate_window,
-        constants_kwargs={"add_burst": cfg.add_burst, "max_workers": cfg.pool_size},
+        constants_kwargs={"add_burst": add_burst, "max_workers": cfg.pool_size},
         spawn_worker_managers=False,
+        policy=policy,
     )
     TaskSource(
         sim,
         bs.farm.input,
         rate=cfg.input_rate,
         work_model=ConstantWork(cfg.worker_work),
-        total=cfg.total_tasks,
-        name="imgstream",
+        total=total,
+        name="stream",
         on_end_of_stream=bs.farm.notify_end_of_stream,
     )
-    bs.assign_contract(MinThroughputContract(cfg.target_throughput))
+    if contract is None:
+        contract = MinThroughputContract(cfg.target_throughput)
+    bs.assign_contract(contract)
+    return sim, trace, rm, bs
 
-    # sample the figure's series on a fixed grid, independent of the
-    # manager's own control loop
+
+def run_sampled(
+    sim: Simulator, trace: TraceRecorder, bs: FarmBS, *, period: float, until: float
+) -> FarmSnapshot:
+    """Sample the ``workers`` and ``throughput`` series every ``period``
+    on a fixed grid, independent of the manager's own control loop, run
+    to ``until`` and return the final snapshot."""
+
     def sample() -> None:
         snap = bs.farm.force_snapshot()
         trace.sample("workers", sim.now, snap.num_workers)
         trace.sample("throughput", sim.now, snap.departure_rate)
 
-    sim.periodic(cfg.control_period / 2.0, sample, name="sampler")
-    sim.run(until=cfg.duration)
+    sim.periodic(period, sample, name="sampler")
+    sim.run(until=until)
+    return bs.farm.force_snapshot()
 
-    snap = bs.farm.force_snapshot()
+
+def first_time_reaching(points: Sequence[Tuple[float, float]], level: float) -> Optional[float]:
+    """Time of the first sample at or above ``level`` (None if never)."""
+    return next((t for t, v in points if v >= level), None)
+
+
+def run_fig3(config: Optional[Fig3Config] = None) -> Fig3Result:
+    """Run the FIG3 scenario and return its trace and summary."""
+    cfg = config or Fig3Config()
+    sim, trace, _, bs = single_farm(
+        cfg, add_burst=cfg.add_burst, name="imgfarm", total=cfg.total_tasks
+    )
+    snap = run_sampled(sim, trace, bs, period=cfg.control_period / 2.0, until=cfg.duration)
     throughput_series = trace.series_values("throughput")
-    time_to_contract = None
-    for t, v in throughput_series:
-        if v >= cfg.target_throughput:
-            time_to_contract = t
-            break
-
     return Fig3Result(
         config=cfg,
         trace=trace,
         bs=bs,
         final_workers=snap.num_workers,
         final_throughput=snap.departure_rate,
-        time_to_contract=time_to_contract,
+        time_to_contract=first_time_reaching(throughput_series, cfg.target_throughput),
         workers_series=trace.series_values("workers"),
         throughput_series=throughput_series,
     )

@@ -36,7 +36,7 @@ from ..sim.engine import Simulator
 from ..sim.resources import ResourceManager, make_cluster
 from ..sim.workload import UniformWork
 
-__all__ = ["Fig4Config", "Fig4Result", "run_fig4", "main"]
+__all__ = ["Fig4Config", "Fig4Result", "run_fig4", "main", "parser", "run"]
 
 
 @dataclass
@@ -228,9 +228,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     series — as JSON lines.  ``--metrics-out PATH`` additionally dumps
     the metrics registry in Prometheus text format.
     """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.fig4", description=main.__doc__
-    )
+    p = parser("python -m repro.experiments.fig4")
+    return run(p, p.parse_args(argv))
+
+
+def parser(prog: str) -> argparse.ArgumentParser:
+    """FIG4's option set; :func:`run` checks and runs what it parsed."""
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__)
     parser.add_argument(
         "--backend", choices=("sim", "thread", "process", "dist"), default="sim",
         help="substrate under the rules: deterministic sim (default), "
@@ -300,8 +304,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--with-coordinator", action="store_true",
         help="sim backend: route AM_F worker additions through a two-phase GM",
     )
-    args = parser.parse_args(argv)
+    return parser
 
+
+def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Refuse an option the chosen mode would ignore, then run that mode."""
     live = args.backend != "sim"
     needs_live = "needs a live backend (thread/process/dist)"
     sim_only = "only applies to the sim backend"
@@ -312,6 +319,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         (args.shards and not live, f"--shards {needs_live}"),
         (args.with_security and not live, f"--with-security {needs_live}"),
         (args.serve_telemetry and not live, f"--serve-telemetry {needs_live}"),
+        (
+            args.telemetry_port and not args.serve_telemetry,
+            "--telemetry-port only makes sense with --serve-telemetry",
+        ),
         (args.duration is not None and live, f"--duration {sim_only}"),
         (args.with_coordinator and live, f"--with-coordinator {sim_only}"),
         (

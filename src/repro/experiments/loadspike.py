@@ -20,14 +20,11 @@ workers than before the spike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..core.behavioural import FarmBS, build_farm_bs
-from ..core.contracts import MinThroughputContract
+from ..core.behavioural import FarmBS
 from ..obs.events import TraceRecorder
-from ..sim.engine import Simulator
-from ..sim.resources import ResourceManager, make_cluster
-from ..sim.workload import ConstantWork, TaskSource
+from .fig3 import run_sampled, single_farm
 
 __all__ = ["LoadSpikeConfig", "LoadSpikeResult", "run_loadspike"]
 
@@ -79,31 +76,7 @@ class LoadSpikeResult:
 
 def run_loadspike(config: Optional[LoadSpikeConfig] = None) -> LoadSpikeResult:
     cfg = config or LoadSpikeConfig()
-    sim = Simulator()
-    trace = TraceRecorder()
-    rm = ResourceManager(make_cluster(cfg.pool_size))
-
-    bs = build_farm_bs(
-        sim,
-        rm,
-        name="farm",
-        worker_work=cfg.worker_work,
-        initial_degree=cfg.initial_degree,
-        trace=trace,
-        control_period=cfg.control_period,
-        worker_setup_time=cfg.worker_setup_time,
-        rate_window=cfg.rate_window,
-        constants_kwargs={"add_burst": 1, "max_workers": cfg.pool_size},
-        spawn_worker_managers=False,
-    )
-    TaskSource(
-        sim,
-        bs.farm.input,
-        rate=cfg.input_rate,
-        work_model=ConstantWork(cfg.worker_work),
-        name="stream",
-    )
-    bs.assign_contract(MinThroughputContract(cfg.target_throughput))
+    sim, trace, _, bs = single_farm(cfg, add_burst=1)
 
     # inject the external load step on a fraction of the initial workers
     initial_nodes = [w.node for w in bs.farm.workers]
@@ -112,39 +85,22 @@ def run_loadspike(config: Optional[LoadSpikeConfig] = None) -> LoadSpikeResult:
     for node in spiked:
         node.load_schedule.set_load(cfg.spike_time, cfg.spike_load)
 
-    def sample() -> None:
-        snap = bs.farm.force_snapshot()
-        trace.sample("workers", sim.now, snap.num_workers)
-        trace.sample("throughput", sim.now, snap.departure_rate)
-
-    sim.periodic(cfg.control_period / 2.0, sample, name="sampler")
-    sim.run(until=cfg.duration)
+    run_sampled(sim, trace, bs, period=cfg.control_period / 2.0, until=cfg.duration)
 
     thr = trace.series_values("throughput")
-    wrk = trace.series_values("workers")
-
-    def window_value(points: List[Tuple[float, float]], t: float) -> float:
-        best = 0.0
-        for tt, v in points:
-            if tt <= t:
-                best = v
-        return best
-
-    before = window_value(thr, cfg.spike_time - 1.0)
+    before = trace.value_at("throughput", cfg.spike_time - 1.0) or 0.0
     dip = min(
         (v for t, v in thr if cfg.spike_time < t <= cfg.spike_time + 120.0),
         default=before,
     )
-    after = thr[-1][1] if thr else 0.0
-
     return LoadSpikeResult(
         config=cfg,
         trace=trace,
         bs=bs,
-        workers_before=int(window_value(wrk, cfg.spike_time - 1.0)),
-        workers_after=int(wrk[-1][1]) if wrk else 0,
+        workers_before=int(trace.value_at("workers", cfg.spike_time - 1.0) or 0.0),
+        workers_after=int(trace.final_value("workers") or 0.0),
         throughput_before=before,
         throughput_dip=dip,
-        throughput_after=after,
+        throughput_after=trace.final_value("throughput") or 0.0,
         spiked_nodes=[n.name for n in spiked],
     )

@@ -23,12 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.behavioural import FarmBS, build_farm_bs
-from ..core.contracts import MinThroughputContract
+from ..core.behavioural import FarmBS
 from ..obs.events import TraceRecorder
-from ..sim.engine import Simulator
-from ..sim.resources import ResourceManager, make_cluster
-from ..sim.workload import ConstantWork, TaskSource
+from .fig3 import run_sampled, single_farm
 
 __all__ = ["MigrationConfig", "MigrationOutcome", "MigrationResult", "run_migration"]
 
@@ -86,45 +83,10 @@ class MigrationResult:
 
 
 def _run_policy(policy: str, cfg: MigrationConfig) -> MigrationOutcome:
-    sim = Simulator()
-    trace = TraceRecorder()
-    rm = ResourceManager(make_cluster(cfg.pool_size))
-
-    bs = build_farm_bs(
-        sim,
-        rm,
-        name="farm",
-        worker_work=cfg.worker_work,
-        initial_degree=cfg.initial_degree,
-        trace=trace,
-        control_period=cfg.control_period,
-        worker_setup_time=cfg.worker_setup_time,
-        rate_window=cfg.rate_window,
-        constants_kwargs={"add_burst": 1, "max_workers": cfg.pool_size},
-        spawn_worker_managers=False,
-        policy=policy,
-    )
-    TaskSource(
-        sim,
-        bs.farm.input,
-        rate=cfg.input_rate,
-        work_model=ConstantWork(cfg.worker_work),
-        name="stream",
-    )
-    bs.assign_contract(MinThroughputContract(cfg.target_throughput))
-
+    sim, trace, rm, bs = single_farm(cfg, add_burst=1, policy=policy)
     for w in bs.farm.workers:
         w.node.load_schedule.set_load(cfg.spike_time, cfg.spike_load)
-
-    def sample() -> None:
-        snap = bs.farm.force_snapshot()
-        trace.sample("throughput", sim.now, snap.departure_rate)
-        trace.sample("workers", sim.now, snap.num_workers)
-
-    sim.periodic(cfg.control_period / 2.0, sample, name="sampler")
-    sim.run(until=cfg.duration)
-
-    snap = bs.farm.force_snapshot()
+    snap = run_sampled(sim, trace, bs, period=cfg.control_period / 2.0, until=cfg.duration)
     return MigrationOutcome(
         policy=policy,
         trace=trace,

@@ -118,18 +118,11 @@ def run_stagefarm(config: Optional[StageFarmConfig] = None) -> StageFarmResult:
 
     thr = trace.series_values("pipeline_throughput")
 
-    def at_or_before(t: float) -> float:
-        best = 0.0
-        for tt, v in thr:
-            if tt <= t:
-                best = v
-        return best
-
     promo_ev = trace.first(Events.FARM_STAGE, actor="AM_A")
     dip_window_end = promo_ev.time + 30.0 if promo_ev else cfg.duration
     dip = min(
         (v for t, v in thr if cfg.spike_time < t <= dip_window_end),
-        default=at_or_before(cfg.spike_time),
+        default=trace.value_at("pipeline_throughput", cfg.spike_time) or 0.0,
     )
 
     return StageFarmResult(
@@ -138,7 +131,7 @@ def run_stagefarm(config: Optional[StageFarmConfig] = None) -> StageFarmResult:
         app=app,
         promoted=promo_ev is not None,
         promotion_time=promo_ev.time if promo_ev else None,
-        throughput_before=at_or_before(cfg.spike_time - 1.0),
+        throughput_before=trace.value_at("pipeline_throughput", cfg.spike_time - 1.0) or 0.0,
         throughput_dip=dip,
         throughput_after=thr[-1][1] if thr else 0.0,
         stage_farm_workers=(

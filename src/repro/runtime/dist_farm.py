@@ -200,6 +200,14 @@ class _StreamFarm(FarmCore):
 
     _METRICS = "repro_dist"
     _ACKS = "result frames"
+    #: a spawned worker that never manages to connect within this budget
+    #: is declared dead (interpreter start + imports happen in here, so
+    #: it is deliberately generous)
+    CONNECT_GRACE = 15.0
+    #: backpressure threshold: a worker whose socket write buffer exceeds
+    #: this is skipped by dispatch until it drains (the supervisor tick
+    #: and every ack re-run the fill pass)
+    MAX_BUFFERED_BYTES = 256 * 1024
 
     def __init__(
         self,
@@ -211,19 +219,15 @@ class _StreamFarm(FarmCore):
         max_inflight: int,
         batch_size: int,
         codec: str,
-        connect_grace: float = 15.0,
-        max_buffered_bytes: int = 256 * 1024,
         epoch: int = 0,
         **core: Any,
     ) -> None:
         super().__init__(name, **core)
         self.codec = codec
         self.batch_size = batch_size
-        self.max_buffered_bytes = max_buffered_bytes
         self._fill_scheduled = False
         self.heartbeat_period = heartbeat_period
         self.heartbeat_timeout = heartbeat_timeout
-        self.connect_grace = connect_grace
         self.supervise_period = supervise_period
         self.max_inflight = max_inflight
         # data-path instruments, bound once like the core's dispatch pair
@@ -671,7 +675,7 @@ class _StreamFarm(FarmCore):
         if writer is None:
             return False
         try:
-            return writer.transport.get_write_buffer_size() < self.max_buffered_bytes
+            return writer.transport.get_write_buffer_size() < self.MAX_BUFFERED_BYTES
         except Exception:  # noqa: BLE001 - transport mid-teardown
             return True
 
@@ -784,7 +788,7 @@ class _StreamFarm(FarmCore):
     def _is_lost(self, w: DistWorkerHandle, now: float) -> bool:
         """Dead: the local process has exited, a connected worker has
         been silent for ``heartbeat_timeout``, or a spawned one never
-        connected within ``connect_grace`` (lock held)."""
+        connected within ``CONNECT_GRACE`` (lock held)."""
         proc_exited = w.process is not None and self._reap(w.process, 0.0)
         if w.connected:
             return proc_exited or now - w.last_seen > self.heartbeat_timeout
@@ -792,7 +796,7 @@ class _StreamFarm(FarmCore):
             w.active = False  # clean retirement observed late
             self._end_worker_span(w, outcome="retired")
             return False
-        grace = self.connect_grace if not w.ever_connected else 0.0
+        grace = self.CONNECT_GRACE if not w.ever_connected else 0.0
         return proc_exited or now - w.last_seen > max(grace, self.heartbeat_timeout)
 
     def _sever(self, w: DistWorkerHandle) -> None:
@@ -1092,17 +1096,11 @@ class DistFarm(_StreamFarm):
     ``heartbeat_period`` / ``heartbeat_timeout``
         workers beat every period; a *connected* worker silent for the
         timeout is declared dead (wedged or partitioned).
-    ``connect_grace``
-        a spawned worker that never manages to connect within this
-        budget is declared dead (interpreter start + imports happen in
-        here, so it is deliberately generous).
     ``backoff_base`` / ``backoff_cap`` / ``max_attempts``
         replay delay for attempt *n* is ``min(base * 2**(n-1), cap)``,
         dead-lettered after ``max_attempts`` dispatches.
     ``max_inflight``
         un-acked tasks a worker may hold; the rest queue centrally.
-    ``start_timeout``
-        how long ``__init__`` waits for the initial workers to connect.
     ``port``
         TCP port to bind (default 0: pick a free one).  A promoted
         standby passes the dead coordinator's port so surviving workers
@@ -1124,11 +1122,11 @@ class DistFarm(_StreamFarm):
         most tasks one ``task_batch`` frame carries; with the default
         ``max_inflight`` of 2 batches degenerate to singletons, so
         throughput configs raise both together.
-    ``max_buffered_bytes``
-        backpressure threshold: a worker whose socket write buffer
-        exceeds this is skipped by dispatch until it drains (the
-        supervisor tick and every ack re-run the fill pass).
     """
+
+    #: how long ``__init__`` waits for the loop and the initial workers
+    #: to connect
+    START_TIMEOUT = 30.0
 
     def __init__(
         self,
@@ -1141,13 +1139,11 @@ class DistFarm(_StreamFarm):
         host: str = "127.0.0.1",
         heartbeat_period: float = 0.1,
         heartbeat_timeout: float = 2.0,
-        connect_grace: float = 15.0,
         backoff_base: float = 0.05,
         backoff_cap: float = 1.0,
         max_attempts: int = 5,
         supervise_period: float = 0.05,
         max_inflight: int = 2,
-        start_timeout: float = 30.0,
         telemetry: Optional[Telemetry] = None,
         clock: Callable[[], float] = time.monotonic,
         port: int = 0,
@@ -1155,7 +1151,6 @@ class DistFarm(_StreamFarm):
         worker_reconnect_attempts: int = 0,
         codec: str = "auto",
         batch_size: int = 32,
-        max_buffered_bytes: int = 256 * 1024,
     ) -> None:
         if initial_workers < 0:
             # 0 is legal: a promoted standby starts empty and adopts the
@@ -1181,23 +1176,21 @@ class DistFarm(_StreamFarm):
             max_attempts=max_attempts,
             heartbeat_period=heartbeat_period,
             heartbeat_timeout=heartbeat_timeout,
-            connect_grace=connect_grace,
             supervise_period=supervise_period,
             max_inflight=max_inflight,
             batch_size=batch_size,
             codec=codec,
-            max_buffered_bytes=max_buffered_bytes,
             epoch=epoch,
         )
         self.fn_spec = fn_spec(fn)
         self._host = host
         self.worker_reconnect_attempts = worker_reconnect_attempts
         self._requested_port = port
-        self._start_loop(start_timeout)
+        self._start_loop(self.START_TIMEOUT)
         try:
             for _ in range(initial_workers):
                 self.add_worker()
-            self._wait_for_connections(initial_workers, start_timeout)
+            self._wait_for_connections(initial_workers, self.START_TIMEOUT)
         except Exception:
             self.shutdown()
             raise
@@ -1280,7 +1273,7 @@ class DistFarm(_StreamFarm):
         sends when it redials this port finds its registration and
         reactivates it.  The handle starts unconnected and *unsecured* —
         channel trust does not survive a coordinator crash — and
-        ``connect_grace`` applies until the worker actually reattaches.
+        ``CONNECT_GRACE`` applies until the worker actually reattaches.
         """
         with self._lock:
             if self._find_worker(worker_id) is not None:

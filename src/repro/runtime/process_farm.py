@@ -66,9 +66,9 @@ class ProcessFarm(_StreamFarm):
         replay delay for attempt *n* is ``min(base * 2**(n-1), cap)``.
     ``max_attempts``
         dispatch budget per task before it is dead-lettered.
-    ``start_method``
-        multiprocessing start method; ``fork`` (default on POSIX) allows
-        closures as ``fn``, ``spawn`` needs a module-level callable.
+
+    Workers start by :func:`default_start_method`: ``fork`` (POSIX)
+    allows closures as ``fn``, ``spawn`` needs a module-level callable.
     """
 
     _METRICS = "repro_process"
@@ -100,7 +100,6 @@ class ProcessFarm(_StreamFarm):
         backoff_cap: float = 1.0,
         max_attempts: int = 5,
         supervise_period: float = 0.05,
-        start_method: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -127,7 +126,7 @@ class ProcessFarm(_StreamFarm):
             codec="pickle",
         )
         self.fn = fn
-        self._ctx = multiprocessing.get_context(start_method or default_start_method())
+        self._ctx = multiprocessing.get_context(default_start_method())
         self._start_loop(self.START_TIMEOUT)
         try:
             with self._lock:

@@ -122,12 +122,14 @@ class SupervisedFarm:
     recovered coordinator, possibly in another process, can re-resolve it.
 
     ``farm_options`` are forwarded to each incarnation's constructor
-    (heartbeat/backoff tuning etc.); ``worker_reconnect_attempts`` makes
-    dist workers survive coordinator restarts and reattach with capped
-    backoff instead of exiting on EOF.
+    (heartbeat/backoff tuning etc.).  Dist workers are spawned with
+    :attr:`WORKER_RECONNECT_ATTEMPTS` redials, so they survive coordinator
+    restarts and reattach with capped backoff instead of exiting on EOF;
+    the journal group-commits at its default ``fsync_batch``.
     """
 
     SUPPORTS_REQUIRE_SECURE = False
+    WORKER_RECONNECT_ATTEMPTS = 100
 
     def __init__(
         self,
@@ -139,8 +141,6 @@ class SupervisedFarm:
         initial_workers: int = 2,
         max_workers: int = 64,
         telemetry: Optional[Telemetry] = None,
-        journal_fsync_batch: int = 32,
-        worker_reconnect_attempts: int = 100,
         farm_options: Optional[Dict[str, Any]] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -155,17 +155,11 @@ class SupervisedFarm:
         self.name = name
         self.max_workers = max_workers
         self.telemetry = telemetry if telemetry is not None else NOOP
-        self.worker_reconnect_attempts = worker_reconnect_attempts
         self.farm_options: Dict[str, Any] = dict(farm_options or {})
         self._clock = clock
         self._t0 = clock()
 
-        self.journal = DispatchJournal(
-            journal_path,
-            fsync_batch=journal_fsync_batch,
-            telemetry=self.telemetry,
-            name=name,
-        )
+        self.journal = DispatchJournal(journal_path, telemetry=self.telemetry, name=name)
         self.results: "queue.Queue[Any]" = queue.Queue()
         self._lock = threading.RLock()
         self._registry: Dict[int, _WorkerEntry] = {}
@@ -210,7 +204,7 @@ class SupervisedFarm:
             placed = dict(
                 port=self._listen_port,  # the standby rebinds this port
                 epoch=self.epoch,
-                worker_reconnect_attempts=self.worker_reconnect_attempts,
+                worker_reconnect_attempts=self.WORKER_RECONNECT_ATTEMPTS,
             )
         else:
             fn, placed = self._thread_fn(), {}
