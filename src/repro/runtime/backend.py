@@ -29,21 +29,32 @@ def drain_queue(results: "queue.Queue[Any]", count: int, timeout: float) -> List
     """Collect ``count`` items from a results queue, all or nothing.
 
     Every backend's ``drain_results`` is this — the wrappers' as well as
-    the core's, which is why it lives beside the protocol.  On timeout
+    the core's, which is why it lives beside the protocol.  Whatever is
+    ready, up to ``count``, is taken under one acquisition of the
+    queue's mutex; it waits only while the queue is empty.  On timeout
     the items already collected go back to the *head* of the queue, in
     order, so a caller that retries (or drains fewer) loses nothing.
+    The queue is unbounded: no producer waits on ``not_full``.
     """
     out: List[Any] = []
     deadline = time.monotonic() + timeout
-    try:
-        for _ in range(count):
-            out.append(results.get(timeout=max(0.0, deadline - time.monotonic())))
-    except queue.Empty:
-        with results.mutex:
-            results.queue.extendleft(reversed(out))
-            results.not_empty.notify(len(out))
-        raise TimeoutError(f"collected {len(out)}/{count} results") from None
-    return out
+    ready = results.queue
+    with results.not_empty:
+        while True:
+            take = min(count - len(out), len(ready))
+            if take == len(ready):
+                out.extend(ready)
+                ready.clear()
+            else:
+                out.extend(ready.popleft() for _ in range(take))
+            if len(out) >= count:
+                return out
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                ready.extendleft(reversed(out))
+                results.not_empty.notify(len(out))
+                raise TimeoutError(f"collected {len(out)}/{count} results")
+            results.not_empty.wait(remaining)
 
 
 @dataclass(frozen=True)

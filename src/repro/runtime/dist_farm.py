@@ -44,7 +44,12 @@ Threading model: one asyncio loop in a daemon thread owns every socket;
 the synchronous :class:`~repro.runtime.backend.FarmBackend` surface is
 called from other threads and communicates with the loop only through
 ``call_soon_threadsafe``.  Shared bookkeeping sits behind one re-entrant
-lock, held only for short, non-blocking sections.
+lock, held only for short, non-blocking sections.  The hops are charged
+per frame, not per task: ``submit`` tracks, queues and claims the one
+pending fill pass in a single hold of the lock (the loop is called only
+when no pass is pending); a result frame is completed in one pass under
+one hold and handed to the draining thread with one ``put_many``, which
+``drain_results`` takes in one acquisition of the queue's mutex.
 """
 
 from __future__ import annotations
@@ -495,10 +500,11 @@ class _StreamFarm(FarmCore):
                     now = self.now()
                     handle.last_seen = now
                     self._note_worker_counter(handle, int(frame.get("completed", 0)))
-                    for entry in entries:
-                        fresh, result = self._absorb_result(handle, entry, now)
-                        if fresh:
-                            deliver.append(result)
+                    self._complete(
+                        now,
+                        (self._absorb_result(handle, entry) for entry in entries),
+                        deliver,
+                    )
             finally:
                 # an entry of the wrong shape ends the session (the
                 # caller's peer-fault path), but the entries absorbed
@@ -514,14 +520,14 @@ class _StreamFarm(FarmCore):
                 self._note_worker_counter(handle, int(frame.get("completed", 0)))
 
     def _absorb_result(
-        self, handle: DistWorkerHandle, entry: dict, now: float
-    ) -> Tuple[bool, Any]:
-        """Account one result entry (lock held).
+        self, handle: DistWorkerHandle, entry: dict
+    ) -> Tuple[int, Any, bool]:
+        """Read one result entry off ``handle``'s window (lock held).
 
-        Returns ``(fresh, result)``; ``fresh`` is False for a duplicate
-        of an already-completed task — the at-least-once replay that
-        also finished on its original worker — including duplicates
-        *inside* one replayed batch: exactly-once outward either way.
+        Returns the ``(task_id, result, failed)`` that :meth:`_complete`
+        accounts — and drops if the task has already completed: the
+        at-least-once replay that also finished on its original worker,
+        including duplicates *inside* one replayed batch.
         """
         task_id = int(entry["task_id"])
         dispatch = handle.outstanding.pop(task_id, None)
@@ -530,10 +536,9 @@ class _StreamFarm(FarmCore):
             # result: both executions of an at-least-once replay
             # belong in the task's one trace tree
             self._record_exec(handle, dispatch, entry)
-        failed = "error" in entry
-        if not self._complete(task_id, now, failed):
-            return False, None
-        return True, RuntimeError(entry["error"]) if failed else entry.get("value")
+        if "error" in entry:
+            return task_id, RuntimeError(entry["error"]), True
+        return task_id, entry.get("value"), False
 
     def _record_exec(
         self, handle: DistWorkerHandle, dispatch: Optional[DispatchRow], entry: dict
@@ -627,7 +632,9 @@ class _StreamFarm(FarmCore):
         """
         with self._lock:
             self._dispatch(self._track(payload, tenant, traceparent))
-        self._request_fill()
+            if not self._claim_fill():
+                return  # the pass already pending takes this task too
+        self._post_fill()
 
     def _dispatch(self, record: TaskRecord) -> None:
         """Append to the ready queue exactly once (lock held); the next
@@ -644,12 +651,22 @@ class _StreamFarm(FarmCore):
         not one per task — the single biggest win of the batched wire,
         since that one pass then drains the whole burst as batch frames.
         """
-        if self._shutdown.is_set():
-            return
         with self._lock:
-            if self._fill_scheduled:
+            if not self._claim_fill():
                 return
-            self._fill_scheduled = True
+        self._post_fill()
+
+    def _claim_fill(self) -> bool:
+        """Claim the one pending fill pass (lock held); False if one is
+        already pending or the farm is shutting down."""
+        if self._fill_scheduled or self._shutdown.is_set():
+            return False
+        self._fill_scheduled = True
+        return True
+
+    def _post_fill(self) -> None:
+        """Hand a claimed fill pass to the loop; a closed loop drops the
+        claim."""
         if not self._on_loop(self._fill):
             with self._lock:
                 self._fill_scheduled = False

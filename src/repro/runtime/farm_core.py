@@ -50,7 +50,7 @@ import queue
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..obs.rows import DispatchRow, TaskRow
 from ..obs.telemetry import NOOP, Telemetry
@@ -194,9 +194,7 @@ class FarmCore:
             serving = self._serving()
             lengths = tuple(self._backlog(w) for w in serving)
             _, var, _, _ = queue_length_stats(lengths)
-            cutoff = now - self.rate_window
-            while self._latencies and self._latencies[0][0] <= cutoff:
-                self._latencies.popleft()
+            self._expire_latencies(now)
             mean_lat = (
                 sum(lat for _, lat in self._latencies) / len(self._latencies)
                 if self._latencies
@@ -490,30 +488,52 @@ class FarmCore:
             self._release_due(now)
         return lost
 
-    def _complete(self, task_id: int, now: float, failed: bool) -> bool:
-        """Account one result; False for a duplicate, which is dropped.
+    def _complete(
+        self, now: float, acks: Iterable[Tuple[int, Any, bool]], fresh: List[Any]
+    ) -> None:
+        """Account one frame's results (lock held); ``fresh`` gets the
+        ``result`` of each ``(task_id, result, failed)`` that counts.
 
-        A replayed task can also finish on its original worker:
-        at-least-once underneath, exactly-once outward.
+        A duplicate is dropped: a replayed task can also finish on its
+        original worker — at-least-once underneath, exactly-once
+        outward.  The frame's results share one departure time, so the
+        window is marked once per frame; if ``acks`` raises (an entry
+        of the wrong shape), those before it still complete.
         """
-        if task_id in self._completed_ids:
-            self.duplicates += 1
-            self._count(
-                "duplicate_results_total",
-                f"{self._ACKS} dropped because the task already completed",
-            )
-            return False
-        self._completed_ids.add(task_id)
-        record = self._tasks.pop(task_id, None)
         # acks are stamped before the lock that orders them is taken
-        mark = self.departure_est.mark_clamped(now)
-        self.completed += 1
-        if record is not None:
-            self._latencies.append((mark, mark - record.submitted_at))
-            if record.root is not None:
-                outcome = "error" if failed else "ok"
-                self._close_trace(record, outcome, outcome)
-        return True
+        t = self.departure_est.clamp(now)
+        completed_ids, tasks, latencies = self._completed_ids, self._tasks, self._latencies
+        done = 0
+        try:
+            for task_id, result, failed in acks:
+                if task_id in completed_ids:
+                    self.duplicates += 1
+                    self._count(
+                        "duplicate_results_total",
+                        f"{self._ACKS} dropped because the task already completed",
+                    )
+                    continue
+                completed_ids.add(task_id)
+                done += 1
+                fresh.append(result)
+                record = tasks.pop(task_id, None)
+                if record is not None:
+                    latencies.append((t, t - record.submitted_at))
+                    if record.root is not None:
+                        outcome = "error" if failed else "ok"
+                        self._close_trace(record, outcome, outcome)
+        finally:
+            if done:
+                self.departure_est.mark(t, done)
+                self.completed += done
+                self._expire_latencies(t)
+
+    def _expire_latencies(self, now: float) -> None:
+        """Drop the latencies that have left the window ending at ``now``."""
+        cutoff = now - self.rate_window
+        latencies = self._latencies
+        while latencies and latencies[0][0] <= cutoff:
+            latencies.popleft()
 
     def _abandon_all(self, outcome: str) -> None:
         """The coordinator is going away: close every open task's spans."""

@@ -184,7 +184,13 @@ class ThreadFarm(FarmCore):
     def _deliver(self, record: Optional[TaskRecord], result: Any) -> None:
         if record is not None:
             with self._lock:
-                self._complete(record.task_id, self.now(), isinstance(result, Exception))
+                # a thread worker is never lost, so no task is replayed
+                # and no result can be a duplicate: every one is delivered
+                self._complete(
+                    self.now(),
+                    ((record.task_id, result, isinstance(result, Exception)),),
+                    [],
+                )
         self.results.put(result)
 
     def _backlog(self, worker: ThreadWorker) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import repeat
 from typing import Deque, Iterable, Optional, Sequence
 
 __all__ = [
@@ -53,25 +54,35 @@ class WindowRateEstimator:
         self._last_mark: Optional[float] = None
 
     def mark(self, t: float, count: int = 1) -> None:
-        """Record ``count`` events at time ``t`` (must be non-decreasing)."""
+        """Record ``count`` events at time ``t`` (must be non-decreasing).
+
+        One append, or one ``extend`` for a batch.  Events that have left
+        the window ending at ``t`` are dropped here, so an estimator
+        nobody queries stays one window long; a query at ``now >= t``
+        would have dropped them anyway.
+        """
         if self._last_mark is not None and t < self._last_mark - 1e-12:
             raise ValueError(f"mark times must be non-decreasing ({t} < {self._last_mark})")
         self._last_mark = t
-        for _ in range(count):
-            self._events.append(t)
+        events = self._events
+        if count == 1:
+            events.append(t)
+        else:
+            events.extend(repeat(t, count))
         self.total += count
+        cutoff = t - self.window
+        while events and events[0] <= cutoff:
+            events.popleft()
 
-    def mark_clamped(self, t: float, count: int = 1) -> float:
-        """Record ``count`` events at ``t``, or at the last mark if ``t``
-        is earlier; returns the time recorded.
+    def clamp(self, t: float) -> float:
+        """``t``, or the last mark if that is later: the earliest time a
+        mark may be recorded at now.
 
         For wall-clock callers on several threads, which read the clock
         before taking the lock that orders their marks.
         """
-        if self._last_mark is not None and t < self._last_mark:
-            t = self._last_mark
-        self.mark(t, count)
-        return t
+        last = self._last_mark
+        return t if last is None or t >= last else last
 
     def _expire(self, now: float) -> None:
         cutoff = now - self.window
