@@ -735,7 +735,14 @@ class _StreamFarm(FarmCore):
                     entries.append(record)
                 if not entries:
                     continue
-                data = self._encode_dispatch(worker, entries)
+                try:
+                    data = self._encode_dispatch(worker, entries)
+                    frames = 1
+                except Exception:  # noqa: BLE001 - a payload refused the codec
+                    data, entries = self._encode_one_by_one(worker, entries)
+                    frames = len(entries)
+                    if not entries:
+                        continue
                 try:
                     worker.writer.write(data)
                 except Exception:  # noqa: BLE001 - transport died under us
@@ -746,9 +753,9 @@ class _StreamFarm(FarmCore):
                             record, worker.worker_id, "write-failed", now
                         )
                     return
-                self._frames_tx.inc()
+                self._frames_tx.inc(frames)
                 self._count_dispatch(worker, len(entries))
-                if len(entries) > 1:
+                if frames == 1 and len(entries) > 1:
                     self._batched_tasks_total.inc(len(entries))
 
     def _encode_dispatch(
@@ -781,6 +788,34 @@ class _StreamFarm(FarmCore):
         if entries[0].dispatch is not None:
             message["traced"] = True
         return encode_frame_v4(message, codec=worker.codec, secured=worker.secured)
+
+    def _encode_one_by_one(
+        self, worker: DistWorkerHandle, entries: List[TaskRecord]
+    ) -> Tuple[bytes, List[TaskRecord]]:
+        """A window that will not encode as one frame, as one frame per
+        task (lock held): the worker's ``encode_results`` fallback.
+
+        A task whose payload the session codec refuses completes as a
+        failed result naming the codec's error; the others go out, as do
+        the tasks of a window over ``MAX_FRAME`` that each fit.  Returns
+        the frames and the tasks they carry.
+        """
+        frames: List[bytes] = []
+        sent: List[TaskRecord] = []
+        refused: List[Tuple[int, Any, bool]] = []
+        for record in entries:
+            try:
+                frames.append(self._encode_dispatch(worker, [record]))
+            except Exception as exc:  # noqa: BLE001 - unserializable payload
+                worker.outstanding.pop(record.task_id, None)
+                error = RuntimeError(f"{type(exc).__name__}: {exc}")
+                refused.append((record.task_id, error, True))
+            else:
+                sent.append(record)
+        deliver: List[Any] = []
+        self._complete(self.now(), refused, deliver)
+        self.results.put_many(deliver)
+        return b"".join(frames), sent
 
     # ------------------------------------------------------------------
     # supervision: liveness + replay of due retries
