@@ -8,9 +8,10 @@ worker in quarantine until the security manager's amendment has been
 honoured.  The script
 
 * grows the farm through the :class:`GeneralManager` the simulator uses,
-  planning on a :class:`LiveFarmABC` — each reserved node sits in an
-  untrusted domain, so the registered :class:`SecurityManager` (on a
-  wall-clock :class:`WallTimeBase`) amends the plan and the commit step
+  planning on the :class:`FarmABC` the simulated farms use — each
+  reserved node sits in an untrusted domain, so the registered
+  :class:`SecurityManager` (on a wall-clock :class:`WallTimeBase`)
+  amends the plan and the commit step
   secures every channel *before* admission;
 * proves the gate from the farm's own dispatch counters: zero tasks
   ever travelled to an unsecured worker;
@@ -32,10 +33,11 @@ import sys
 import time
 
 from repro.core.multiconcern import CoordinationMode, GeneralManager
+from repro.gcm.abc_controller import FarmABC
 from repro.obs import Telemetry
 from repro.rules.beans import ManagerOperation
 from repro.runtime import ThreadFarm
-from repro.runtime.controller import LiveFarmABC, WallTimeBase
+from repro.runtime.controller import WallTimeBase
 from repro.security import SecurityABC, SecurityManager, SecurityPolicy
 from repro.sim.resources import Domain, ResourceManager, make_cluster
 
@@ -52,7 +54,7 @@ class Orchestrator:
 
     name = "AM_perf"
 
-    def __init__(self, abc: LiveFarmABC) -> None:
+    def __init__(self, abc: FarmABC) -> None:
         self.abc = abc
         self.sim = WallTimeBase(abc.farm.now)
 
@@ -61,7 +63,7 @@ def coordinate(farm, pool, mode=CoordinationMode.TWO_PHASE, telemetry=None,
                veto_domains=()):
     """The GM with AM_sec registered, and AM_perf's stand-in: both grow
     and watch ``farm`` through one ABC over ``pool``."""
-    abc = LiveFarmABC(farm, ResourceManager(pool))
+    abc = FarmABC(farm, ResourceManager(pool))
     security = SecurityManager(
         "AM_sec", WallTimeBase(farm.now), SecurityABC([abc], None, SecurityPolicy()),
         veto_domains=veto_domains, telemetry=telemetry, autostart=False,

@@ -30,7 +30,7 @@ from ..sim.engine import Simulator
 from ..sim.farm import SimFarm
 from ..sim.network import Network
 from ..sim.pipeline import SeqStage
-from ..sim.resources import NodePredicate, ResourceManager, any_node
+from ..sim.resources import ResourceManager
 from .manager import AutonomicManager
 from .skeleton_manager import ConsumerManager, FarmManager, PipelineManager
 
@@ -47,7 +47,6 @@ def promote_stage_to_farm(
     network: Optional[Network] = None,
     worker_setup_time: float = 5.0,
     rate_window: float = 10.0,
-    node_predicate: NodePredicate = any_node,
 ) -> tuple[SimFarm, FarmABC]:
     """Replace a sequential stage's mechanism with a farm, in place.
 
@@ -75,7 +74,7 @@ def promote_stage_to_farm(
         work_override=stage.service_work,
         on_result=stage.on_done,
     )
-    abc = FarmABC(farm, resources, node_predicate=node_predicate)
+    abc = FarmABC(farm, resources)
     abc.bootstrap(degree)
     return farm, abc
 
@@ -89,7 +88,6 @@ def install_stage_promotion(
     network: Optional[Network] = None,
     worker_setup_time: float = 5.0,
     rate_window: float = 10.0,
-    node_predicate: NodePredicate = any_node,
     on_promoted: Optional[Callable[[SimFarm, FarmManager], None]] = None,
 ) -> None:
     """Arm autonomic stage-to-farm promotion for one pipeline stage.
@@ -111,7 +109,6 @@ def install_stage_promotion(
             network=network,
             worker_setup_time=worker_setup_time,
             rate_window=rate_window,
-            node_predicate=node_predicate,
         )
         manager = FarmManager(
             f"{stage_manager.name}.farm",

@@ -39,7 +39,7 @@ from ..sim.farm import SimFarm
 from ..sim.network import Network
 from ..sim.pipeline import Forwarder, SeqStage, SimPipeline
 from ..sim.queues import Store
-from ..sim.resources import Node, NodePredicate, ResourceManager, any_node
+from ..sim.resources import Node, ResourceManager
 from ..sim.workload import TaskSource, WorkModel
 from ..skeletons.ast import Farm as FarmSkel
 from ..skeletons.ast import Pipe as PipeSkel
@@ -119,7 +119,6 @@ def build_farm_bs(
     control_period: float = 10.0,
     worker_setup_time: float = 5.0,
     rate_window: float = 10.0,
-    node_predicate: NodePredicate = any_node,
     emitter_node: Optional[Node] = None,
     constants_kwargs: Optional[dict] = None,
     spawn_worker_managers: bool = True,
@@ -148,7 +147,7 @@ def build_farm_bs(
         on_result=on_result,
         telemetry=telemetry,
     )
-    abc = FarmABC(farm, resources, node_predicate=node_predicate)
+    abc = FarmABC(farm, resources)
     from .policies import ManagersConstants
 
     constants = ManagersConstants(**(constants_kwargs or {}))
@@ -193,7 +192,6 @@ def build_map_bs(
     rate_window: float = 10.0,
     scatter_overhead: float = 0.02,
     gather_overhead: float = 0.02,
-    node_predicate: NodePredicate = any_node,
     emitter_node: Optional[Node] = None,
     constants_kwargs: Optional[dict] = None,
     policy: str = "standard",
@@ -222,7 +220,7 @@ def build_map_bs(
         rate_window=rate_window,
         on_result=on_result,
     )
-    abc = FarmABC(smap, resources, node_predicate=node_predicate)  # type: ignore[arg-type]
+    abc = FarmABC(smap, resources)  # type: ignore[arg-type]
     from .policies import ManagersConstants
 
     constants = ManagersConstants(**(constants_kwargs or {}))
@@ -309,7 +307,6 @@ def build_three_stage_pipeline(
     rate_window: float = 10.0,
     trace: Optional[TraceRecorder] = None,
     network: Optional[Network] = None,
-    node_predicate: NodePredicate = any_node,
     spawn_worker_managers: bool = False,
     inc_factor: float = 1.3,
     dec_factor: float = 0.92,
@@ -356,7 +353,7 @@ def build_three_stage_pipeline(
 
     # managers (children created before the source so the end-of-stream
     # callback can reach AM_A)
-    farm_abc = FarmABC(farm, resources, node_predicate=node_predicate)
+    farm_abc = FarmABC(farm, resources)
     am_f = FarmManager(
         "AM_F",
         sim,

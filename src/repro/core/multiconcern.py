@@ -20,17 +20,16 @@ design points, all implemented here:
   exactly this on the originator's ABC: plan (``plan_add_workers``) →
   review (each concern manager may amend or veto the
   :class:`~repro.gcm.abc_controller.PlannedReconfiguration`) → commit
-  (``commit_plan``) or abort (``abort_plan``).  The simulated
-  :class:`~repro.gcm.abc_controller.FarmABC` and the live
-  :class:`~repro.runtime.controller.LiveFarmABC` both offer that
-  surface, so one GM coordinates both clocks.
+  (``commit_plan``) or abort (``abort_plan``).  One
+  :class:`~repro.gcm.abc_controller.FarmABC` offers that surface over
+  simulated and live farms alike, so one GM coordinates both clocks.
 * **Naive mode** (the ablation baseline) — ``mode="naive"`` commits the
   originator's plan immediately and lets other concern managers catch up
   through their own control loops, reproducing the insecure window the
   paper warns about.
 
 Telemetry: one ``mc.intent`` span per round (plan, review and commit;
-a live ABC narrates its admission gate in a nested ``mc.commit`` span)
+the ABC narrates its admission gate in a nested ``mc.commit`` span)
 and the ``repro_mc_*`` counters, labelled by the GM's name.
 """
 

@@ -84,11 +84,10 @@ _FARM_GAUGES = (
 class FarmManager(AutonomicManager):
     """AM_F: autonomic manager of a task-farm behavioural skeleton.
 
-    ``abc`` is any farm ABC — the simulated
-    :class:`~repro.gcm.abc_controller.FarmABC` or the live
-    :class:`~repro.runtime.controller.LiveFarmABC`; model-based initial
-    deployment and per-worker managers (``worker_work``,
-    ``manage_workers``) additionally need the simulated one.
+    ``abc`` is a :class:`~repro.gcm.abc_controller.FarmABC` over a
+    simulated or a live farm; model-based initial deployment and
+    per-worker managers (``worker_work``, ``manage_workers``)
+    additionally need a simulated farm.
     """
 
     def __init__(
@@ -182,7 +181,7 @@ class FarmManager(AutonomicManager):
         if plan is None:
             # not enough resources for the model's answer: deploy what the
             # pool has and tell the parent/user the contract is out of reach
-            available = len(self.farm_abc.resources.available(self.farm_abc.node_predicate))
+            available = len(self.farm_abc.resources.available())
             if available > 0:
                 plan = self.farm_abc.plan_add_workers(available)
         if plan is None:

@@ -81,9 +81,6 @@ class Fig4Result:
     throughput_series: List[Tuple[float, float]] = field(default_factory=list)
 
     # -- event accessors (the first two graphs) -------------------------
-    def am_a_events(self) -> List[str]:
-        return self.trace.event_names("AM_A")
-
     def am_f_events(self) -> List[str]:
         return self.trace.event_names("AM_F")
 

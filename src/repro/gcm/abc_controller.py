@@ -9,8 +9,10 @@ The ABC is the *passive part* of autonomic management (§3.1's P_rol
 solution): pure mechanism, no policy.  Three concrete ABCs cover the
 paper's component kinds:
 
-* :class:`FarmABC` — wraps a :class:`~repro.sim.farm.SimFarm` plus the
-  resource manager.  Its ``ADD_EXECUTOR`` actuator is split into
+* :class:`FarmABC` — wraps any farm with the admission gate, simulated
+  (:class:`~repro.sim.farm.FunctionalReplication`) or live
+  (:class:`~repro.runtime.backend.FarmBackend`), plus the resource
+  manager.  Its ``ADD_EXECUTOR`` actuator is split into
   **plan / commit / abort** so the multi-concern two-phase protocol of
   §3.2 can interpose between resource recruitment and worker
   instantiation ("AM_perf should express the *intent* to add a new
@@ -26,12 +28,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
+from ..obs.telemetry import NOOP
 from ..rules.beans import ManagerOperation
-from ..sim.farm import FarmWorker, SimFarm
 from ..sim.pipeline import SeqStage
-from ..sim.resources import Node, NodePredicate, ResourceManager, any_node
+from ..sim.resources import TRUSTED_DEFAULT, Node, ResourceManager
 from ..sim.workload import TaskSource
 
 __all__ = [
@@ -100,200 +102,195 @@ class PlannedReconfiguration:
 
 
 class FarmABC(AutonomicBehaviourController):
-    """ABC for a task-farm behavioural skeleton."""
+    """ABC for any farm with the admission gate, simulated or live.
 
-    _OPS = frozenset(
-        {
-            ManagerOperation.ADD_EXECUTOR,
-            ManagerOperation.REMOVE_EXECUTOR,
-            ManagerOperation.BALANCE_LOAD,
-            ManagerOperation.SECURE_CHANNEL,
-            ManagerOperation.MIGRATE,
-        }
-    )
+    It keeps the worker → node map over the ``resources`` pool; without
+    one, ADD_EXECUTOR grows the farm directly.  MIGRATE is offered by a
+    farm that can ``migrate_worker``; ``nodes_per_executor`` > 1 places
+    composite executors (a pipeline replica needs a node per stage).
+    """
 
-    #: a candidate node must be this much faster than the victim's for a
-    #: migration to be worth the reconfiguration cost
+    _OPS = frozenset({ManagerOperation.ADD_EXECUTOR, ManagerOperation.REMOVE_EXECUTOR,
+                      ManagerOperation.BALANCE_LOAD, ManagerOperation.SECURE_CHANNEL})
+
+    #: how much faster than the victim's a node must be to migrate to it
     MIGRATION_SPEEDUP = 1.2
+    _COORDINATOR = Node("emitter", domain=TRUSTED_DEFAULT)
 
     def __init__(
-        self,
-        farm: SimFarm,
-        resources: ResourceManager,
-        *,
-        node_predicate: NodePredicate = any_node,
-        secure_by_default: bool = False,
-        nodes_per_executor: int = 1,
+        self, farm: Any, resources: Optional[ResourceManager] = None, *, nodes_per_executor: int = 1
     ) -> None:
         if nodes_per_executor < 1:
             raise ABCError("nodes_per_executor must be >= 1")
         self.farm = farm
         self.resources = resources
-        self.node_predicate = node_predicate
-        self.secure_by_default = secure_by_default
-        # >1 when an "executor" is a composite (e.g. a pipeline replica in
-        # a farm-of-pipelines, which needs one node per stage)
         self.nodes_per_executor = nodes_per_executor
+        migrate = hasattr(farm, "migrate_worker")
+        self._ops = self._OPS | ({ManagerOperation.MIGRATE} if migrate else set())
         self._worker_nodes: Dict[int, List[Node]] = {}
+        # admitted but not serving yet: a simulated worker in its setup delay
+        self._starting: Set[int] = set()
         self.last_balance_moved = 0
 
-    # ------------------------------------------------------------------
-    # monitoring
-    # ------------------------------------------------------------------
     def monitor(self) -> Optional[Dict[str, Any]]:
+        """The farm's snapshot as a dict; None during a blackout."""
         snap = self.farm.snapshot()
-        if snap is None:
-            return None
-        return {
-            "time": snap.time,
-            "arrival_rate": snap.arrival_rate,
-            "departure_rate": snap.departure_rate,
-            "num_workers": snap.num_workers,
-            "queue_lengths": snap.queue_lengths,
-            "queue_variance": snap.queue_variance,
-            "utilization": snap.utilization,
-            "completed": snap.completed,
-            "pending": snap.pending,
-            "mean_latency": snap.mean_latency,
-            "end_of_stream": self.farm.end_of_stream,
-        }
+        return None if snap is None else dict(vars(snap))
+
+    def _placed(self) -> List[Any]:
+        """Workers on pool nodes that have not retired (nor crashed)."""
+        nodes = self._worker_nodes
+        return [w for w in self.farm.workers if w.worker_id in nodes and not w.retiring]
 
     @property
     def nodes_in_use(self) -> List[Node]:
-        """Nodes currently hosting active or deploying workers."""
-        out: List[Node] = []
-        for w in self.farm.workers:
-            if not w._stopped and w.worker_id in self._worker_nodes:
-                out.extend(self._worker_nodes[w.worker_id])
-        return out
+        return [n for w in self._placed() for n in self._worker_nodes[w.worker_id]]
 
-    # ------------------------------------------------------------------
-    # channel view (what the security concern reads and actuates)
-    # ------------------------------------------------------------------
     @property
     def emitter_node(self) -> Node:
-        """Where the emitter runs: one end of every worker's channel."""
-        return self.farm.emitter_node
+        """One end of every channel: the farm's emitter, or the coordinator."""
+        return getattr(self.farm, "emitter_node", self._COORDINATOR)
 
-    def bindings(self) -> List[Tuple[FarmWorker, Node]]:
-        """``(worker, node)`` for every active or deploying worker."""
-        return [(w, w.node) for w in self.farm.workers if not w._stopped]
+    def bindings(self) -> List[Tuple[Any, Node]]:
+        """``(worker, node)`` for every placed worker serving or starting;
+        one at the admission gate is left out (its commit secures it)."""
+        return [
+            (w, self._worker_nodes[w.worker_id][0])
+            for w in self._placed()
+            if (w.active or w.worker_id in self._starting) and not w.quarantined
+        ]
 
-    def secure(self, worker: FarmWorker) -> bool:
+    def secure(self, worker: Any) -> bool:
         """Switch one worker's channel to the secure protocol."""
-        self.farm.secure_worker(worker)
-        return True
+        return self.farm.secure_worker(worker.worker_id)
 
-    # ------------------------------------------------------------------
-    # two-phase reconfiguration (intent protocol, §3.2)
-    # ------------------------------------------------------------------
     def plan_add_workers(self, count: int = 1) -> Optional[PlannedReconfiguration]:
-        """Reserve nodes for ``count`` executors; None if they can't be had."""
-        nodes = self.resources.try_recruit(
-            count * self.nodes_per_executor, self.node_predicate
-        )
-        if not nodes:
+        """Reserve nodes for ``count`` executors; None if they can't be had.
+        A lost live worker's node is released first, for its successor (a
+        simulated crash retires its worker, and keeps the node it downed)."""
+        if self.resources is None:
             return None
-        return PlannedReconfiguration(nodes)
+        for w in self._placed():
+            if not (w.active or w.worker_id in self._starting):
+                self._release(w.worker_id)
+        nodes = self.resources.try_recruit(count * self.nodes_per_executor)
+        return PlannedReconfiguration(nodes) if nodes else None
 
-    def commit_plan(self, plan: PlannedReconfiguration) -> List[FarmWorker]:
-        """Instantiate executors on the plan's reserved nodes."""
+    def commit_plan(self, plan: PlannedReconfiguration) -> List[Any]:
+        """Per executor: ``add_worker(quarantined=True)``, placement, a
+        ``secure_worker`` where amended, ``admit_worker`` (not if securing
+        failed).  Returns those admitted; ``mc.commit`` narrates it all."""
         if not plan.open:
             raise ABCError("plan already committed or aborted")
         plan.committed = True
-        workers = []
+        tel = getattr(self.farm, "telemetry", None) or NOOP
         k = self.nodes_per_executor
-        for i in range(0, len(plan.nodes), k):
-            group = plan.nodes[i : i + k]
-            secured = any(
-                plan.secured.get(n.name, self.secure_by_default) for n in group
-            )
-            if k == 1:
-                worker = self.farm.add_worker(group[0], secured=secured)
-            else:
-                worker = self.farm.add_worker(group, secured=secured)
-            self._worker_nodes[worker.worker_id] = list(group)
-            workers.append(worker)
-        return workers
+        admitted: List[Any] = []
+        with tel.span(
+            "mc.commit", actor=self.farm.name, nodes=[n.name for n in plan.nodes]
+        ) as span:
+            for i in range(0, len(plan.nodes), k):
+                group = plan.nodes[i : i + k]
+                node = group[0].name
+                secure = any(plan.secured.get(n.name, False) for n in group)
+                kwargs: Dict[str, Any] = {"quarantined": True}
+                if secure and getattr(self.farm, "SUPPORTS_REQUIRE_SECURE", False):
+                    # double-ended gate: the dist worker bounces early tasks
+                    kwargs["require_secure"] = True
+                try:
+                    worker = self.farm.add_worker(**kwargs)
+                except RuntimeError:  # the backend is at its max_workers
+                    self.resources.release_all(group)
+                    tel.event("mc.no_capacity", node=node)
+                    continue
+                wid = worker.worker_id
+                worker.node = group[0] if k == 1 else group  # before it may serve
+                self._worker_nodes[wid] = group
+                tel.event("mc.quarantine", worker=wid, node=node)
+                if secure:
+                    if not self.farm.secure_worker(wid):
+                        tel.event("mc.secure_failed", worker=wid, node=node)
+                        continue
+                    tel.event("mc.secured", worker=wid, node=node)
+                if self.farm.admit_worker(wid):
+                    if not worker.active:  # a simulated worker still setting up
+                        self._starting.add(wid)
+                    admitted.append(worker)
+                    tel.event("mc.admit", worker=wid, node=node)
+            span.set_attribute("admitted", len(admitted))
+            span.set_attribute("failures", len(plan.nodes) // k - len(admitted))
+        return admitted
 
     def abort_plan(self, plan: PlannedReconfiguration) -> None:
-        """Release the plan's reserved nodes without instantiating."""
+        """Release the plan's reserved nodes without starting anything."""
         if not plan.open:
             raise ABCError("plan already committed or aborted")
         plan.aborted = True
         self.resources.release_all(plan.nodes)
 
-    # ------------------------------------------------------------------
-    # actuators
-    # ------------------------------------------------------------------
+    def _release(self, worker_id: int) -> None:
+        self._starting.discard(worker_id)
+        nodes = self._worker_nodes.pop(worker_id, None)
+        if nodes:
+            self.resources.release_all(nodes)
+
     def supported_operations(self) -> FrozenSet[ManagerOperation]:
-        return self._OPS
+        return self._ops
 
     def execute(self, op: ManagerOperation, data: Any = None) -> bool:
+        if op not in self._ops:
+            raise ABCError(f"FarmABC does not implement {op}")
         if op is ManagerOperation.ADD_EXECUTOR:
             count = int(data.get("count", 1)) if isinstance(data, Mapping) else 1
-            plan = self.plan_add_workers(count)
-            if plan is None:
-                return False
-            self.commit_plan(plan)
+            if self.resources is not None:
+                plan = self.plan_add_workers(count)
+                # growing by some of ``count`` is still a success
+                return plan is not None and bool(self.commit_plan(plan))
+            for added in range(count):
+                try:
+                    self.farm.add_worker()
+                except RuntimeError:  # the backend is at its max_workers
+                    return added > 0
             return True
         if op is ManagerOperation.REMOVE_EXECUTOR:
             worker = self.farm.remove_worker()
-            if worker is None:
-                return False
-            nodes = self._worker_nodes.pop(worker.worker_id, None)
-            if nodes:
-                self.resources.release_all(nodes)
-            return True
+            if worker is not None:
+                self._release(worker.worker_id)
+            return worker is not None
         if op is ManagerOperation.BALANCE_LOAD:
             self.last_balance_moved = self.farm.balance_load()
             return True
         if op is ManagerOperation.SECURE_CHANNEL:
-            if isinstance(data, FarmWorker):
-                self.farm.secure_worker(data)
-            else:
+            if data is None or isinstance(data, Mapping):
                 self.farm.secure_all()
-            return True
-        if op is ManagerOperation.MIGRATE:
-            return self._migrate_slowest()
-        raise ABCError(f"FarmABC does not implement {op}")
+                return True
+            return self.secure(data)
+        return self._migrate_slowest()
 
     def _migrate_slowest(self) -> bool:
-        """Move the worst-performing worker to a clearly faster free node.
-
-        Returns False when no live worker exists, or no free node beats
-        the victim's current effective speed by ``MIGRATION_SPEEDUP`` —
-        in which case the manager should fall back to adding capacity.
-        """
+        """Move the slowest worker to a node ``MIGRATION_SPEEDUP`` faster."""
         now = self.farm.sim.now
         live = [w for w in self.farm.workers if w.active]
         if not live:
             return False
         victim = min(live, key=lambda w: w.node.effective_speed(now))
-        victim_speed = victim.node.effective_speed(now)
-        candidates = [
-            n
-            for n in self.resources.available(self.node_predicate)
-            if n.effective_speed(now) >= victim_speed * self.MIGRATION_SPEEDUP
-        ]
+        floor = victim.node.effective_speed(now) * self.MIGRATION_SPEEDUP
+        candidates = [n for n in self.resources.available() if n.effective_speed(now) >= floor]
         if not candidates:
             return False
         target = max(candidates, key=lambda n: n.effective_speed(now))
         self.resources.recruit(1, lambda n: n is target)
         replacement = self.farm.migrate_worker(victim, target)
-        old_nodes = self._worker_nodes.pop(victim.worker_id, None)
-        if old_nodes:
-            self.resources.release_all(old_nodes)
+        self._release(victim.worker_id)
         self._worker_nodes[replacement.worker_id] = [target]
+        self._starting.add(replacement.worker_id)
         return True
 
-    def bootstrap(self, degree: int, *, secured: Optional[bool] = None) -> List[FarmWorker]:
+    def bootstrap(self, degree: int) -> List[Any]:
         """Initial deployment: recruit and start ``degree`` workers."""
         plan = self.plan_add_workers(degree)
         if plan is None:
             raise ABCError(f"cannot bootstrap farm: {degree} node(s) unavailable")
-        if secured or (secured is None and self.secure_by_default):
-            plan.require_secure_all()
         return self.commit_plan(plan)
 
 

@@ -5,7 +5,7 @@ activity*: event marks (``contrLow``, ``raiseViol``, ``incRate``,
 ``addWorker``, ``rebalance``, ``endStream``, …) on one axis and numeric
 series (throughput, input rate, cores in use) on others.  The
 :class:`TraceRecorder` collects both kinds of data during a run; the
-experiment reports then render them as aligned text timelines and CSV.
+experiment reports then render them as aligned text timelines.
 
 The recorder is intentionally passive — pure appends, no side effects —
 so attaching it never perturbs scenario dynamics.  It lives in the
@@ -15,7 +15,6 @@ serves sim-time and wall-clock runs.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -119,23 +118,3 @@ class TraceRecorder:
         """True if ``names`` occur in this relative order (subsequence)."""
         stream = iter(self.event_names(actor))
         return all(any(n == got for got in stream) for n in names)
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def to_csv(self, series: str) -> str:
-        """CSV text (time,value) for one series."""
-        buf = io.StringIO()
-        buf.write("time,value\n")
-        for t, v in self.series.get(series, []):
-            buf.write(f"{t:.6f},{v:.6f}\n")
-        return buf.getvalue()
-
-    def events_csv(self) -> str:
-        """CSV text (time,actor,event,detail) of every event mark."""
-        buf = io.StringIO()
-        buf.write("time,actor,event,detail\n")
-        for e in self.events:
-            detail = ";".join(f"{k}={v}" for k, v in e.detail.items())
-            buf.write(f"{e.time:.6f},{e.actor},{e.name},{detail}\n")
-        return buf.getvalue()

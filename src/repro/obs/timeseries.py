@@ -257,30 +257,6 @@ class TimeSeriesStore:
             dt = pts[-1][0] - pts[0][0]
             return dv / dt if dt > 0 else 0.0
 
-    def window_histogram(
-        self,
-        metric: str,
-        window: float,
-        labels: Optional[Dict[str, str]] = None,
-        now: Optional[float] = None,
-    ) -> Optional[HistogramSnapshot]:
-        """The distribution a histogram observed over the trailing window."""
-        t1 = self.clock.now() if now is None else now
-        t0 = t1 - window
-        with self._lock:
-            ring = self._find(metric, labels)
-            if not ring:
-                return None
-            base: Optional[HistogramSnapshot] = None
-            last: Optional[HistogramSnapshot] = None
-            for t, snap in ring:
-                if t < t0:
-                    base = snap
-                last = snap
-            if last is None:
-                return None
-            return last.delta(base)
-
     def _find(self, metric: str, labels: Optional[Dict[str, str]]) -> Optional[deque]:
         """One series ring (lock held).  ``labels=None`` matches the first
         series when the metric has exactly one, mirroring the zero-label

@@ -80,6 +80,8 @@ class RuntimeFarmSnapshot:
     #: admission gate of the two-phase intent protocol; not counted in
     #: ``num_workers``, which is serving capacity)
     quarantined: int = 0
+    #: a live stream has no end the manager could observe
+    end_of_stream: bool = False
 
 
 @runtime_checkable

@@ -17,11 +17,10 @@ multi-concern coordination in two ways:
   leaks; a node in a domain whose trust was revoked outright vetoes the
   whole plan.
 
-The same manager runs on both clocks: on the simulator over
-:class:`~repro.gcm.abc_controller.FarmABC`, and live on a
-:class:`~repro.runtime.controller.WallTimeBase` over
-:class:`~repro.runtime.controller.LiveFarmABC` — :class:`SecurityABC`
-only asks a farm ABC for its (worker, node) bindings and to secure one
+The same manager runs on both clocks, on the simulator or on a
+:class:`~repro.runtime.controller.WallTimeBase`, over the one
+:class:`~repro.gcm.abc_controller.FarmABC` — :class:`SecurityABC` only
+asks a farm ABC for its (worker, node) bindings and to secure one
 worker.
 """
 

@@ -16,14 +16,17 @@ during the reconfiguration").
 ``add_worker`` (with a setup delay — new workers "start processing
 incoming tasks" only after instantiation), ``remove_worker``,
 ``balance_load`` (redistribute queued tasks — the ``rebalance`` events),
-``secure_worker`` (switch a worker's bindings to the secure protocol).
+``secure_worker`` (switch a worker's bindings to the secure protocol),
+and the live farms' admission gate: ``add_worker(quarantined=True)``
+deploys a worker no task reaches until ``admit_worker`` lifts the gate.
 
 :class:`FunctionalReplication` owns that surface once.  The task farm
 (:class:`SimFarm`), the data-parallel map (:class:`~repro.sim.map.SimMap`)
 and the farm of pipelines (:class:`~repro.sim.farmpipe.
 SimFarmOfPipelines`) subclass it and differ only in how tasks reach the
 workers and how a worker retires, so one
-:class:`~repro.gcm.abc_controller.FarmABC` drives all three.
+:class:`~repro.gcm.abc_controller.FarmABC` drives all three — the same
+class, committing through the same gate, that drives the live farms.
 
 Transfers emitter→worker and worker→collector go through the
 :class:`~repro.sim.network.Network` when one is attached, so the
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Set
 
 from .engine import Interrupt, Process, Simulator
 from .metrics import UtilizationMeter, WindowRateEstimator, queue_length_stats
@@ -61,6 +64,7 @@ class FarmSnapshot:
     pending: int
     #: mean completion latency over the monitoring window (0 if none)
     mean_latency: float = 0.0
+    end_of_stream: bool = False
 
 
 class DispatchPolicy:
@@ -104,6 +108,11 @@ class FarmWorker:
     def name(self) -> str:
         return f"{self.farm.name}.w{self.worker_id}"
 
+    @property
+    def retiring(self) -> bool:
+        """Stopped or crashed: it takes no task again."""
+        return self._stopped
+
     def stop(self) -> None:
         """Stop after the current task; queued tasks must be drained first."""
         self.active = False
@@ -140,8 +149,9 @@ class FarmWorker:
 class FunctionalReplication:
     """The monitor and actuator surface every replication mechanism shares.
 
-    A worker is anything with ``active``, ``_stopped``, ``secured``, a
-    ``queue`` and a ``util`` meter.  A subclass supplies its worker type
+    A worker is anything with ``active``, ``_stopped``, ``retiring``,
+    ``secured``, a ``queue`` and a ``util`` meter; :meth:`add_worker`
+    gives it ``quarantined``.  A subclass supplies its worker type
     (:meth:`_new_worker`), the dispatcher process that feeds the workers,
     ``pending``, and the actuators whose rules differ between patterns:
     ``remove_worker``, ``balance_load``, ``fail_worker`` and
@@ -178,6 +188,8 @@ class FunctionalReplication:
         self.output = output_store if output_store is not None else Store(sim, name=f"{name}.output")
         self.workers: List[Any] = []
         self._next_worker_id = 0
+        # ids of workers still inside their setup delay
+        self._deploying: Set[int] = set()
 
         self.arrival_est = WindowRateEstimator(rate_window, start_time=sim.now)
         self.departure_est = WindowRateEstimator(rate_window, start_time=sim.now)
@@ -259,6 +271,7 @@ class FunctionalReplication:
             completed=self.completed,
             pending=self.pending,
             mean_latency=self.mean_latency(),
+            end_of_stream=self.end_of_stream,
         )
 
     @property
@@ -268,26 +281,36 @@ class FunctionalReplication:
     # ------------------------------------------------------------------
     # actuators (ABC actuator services)
     # ------------------------------------------------------------------
-    def add_worker(self, node: Any, *, secured: bool = False) -> Any:
+    def add_worker(
+        self, node: Any = None, *, secured: bool = False, quarantined: bool = False
+    ) -> Any:
         """Instantiate a new worker on ``node``.
 
         The worker joins the scheduler only after ``worker_setup_time``
         (deployment + lifecycle start in GCM terms); the farm is in
-        monitoring blackout until then.
+        monitoring blackout until then.  A ``quarantined`` worker also
+        waits at the admission gate: no task reaches it before
+        :meth:`admit_worker`, whichever ends last.  It may be added
+        without a ``node`` and placed (``worker.node = ...``) before it
+        is admitted.
         """
         wid = self._next_worker_id
         self._next_worker_id += 1
         worker = self._new_worker(node, wid, secured)
+        worker.quarantined = quarantined
+        worker.active = not quarantined
         if self.worker_setup_time > 0:
             # Hide it from the scheduler until setup completes.  The
             # blackout outlasts activation by an epsilon so a control tick
             # landing exactly on the activation instant cannot observe a
             # half-initialised farm.
             worker.active = False
+            self._deploying.add(wid)
             self._begin_blackout(self.worker_setup_time + 1e-6)
 
             def activate() -> None:
-                if not worker._stopped:
+                self._deploying.discard(wid)
+                if not (worker._stopped or worker.quarantined):
                     worker.active = True
 
             self.sim.schedule(self.worker_setup_time, activate)
@@ -295,13 +318,36 @@ class FunctionalReplication:
         self.reconfigurations += 1
         return worker
 
-    def secure_worker(self, worker: Any) -> None:
-        """Switch a worker's bindings to the secure protocol."""
+    def _worker(self, worker_id: int) -> Optional[Any]:
+        """The live (not stopped) worker ``worker_id``, or None."""
+        for w in self.workers:
+            if w.worker_id == worker_id and not w._stopped:
+                return w
+        return None
+
+    def admit_worker(self, worker_id: int) -> bool:
+        """Lift the admission gate; the worker serves once set up."""
+        worker = self._worker(worker_id)
+        if worker is None:
+            return False
+        if worker.quarantined:
+            worker.quarantined = False
+            worker.active = worker_id not in self._deploying
+        return True
+
+    def secure_worker(self, worker_id: int) -> bool:
+        """Switch one worker's bindings to the secure protocol."""
+        worker = self._worker(worker_id)
+        if worker is not None:
+            self._secure(worker)
+        return worker is not None
+
+    def _secure(self, worker: Any) -> None:
         worker.secured = True
 
     def secure_all(self) -> None:
         for w in self.workers:
-            self.secure_worker(w)
+            self._secure(w)
 
     def _begin_blackout(self, duration: float) -> None:
         self._blackout_until = max(self._blackout_until, self.sim.now + duration)

@@ -41,43 +41,59 @@ class PipelineReplica:
         sim: Simulator,
         owner: "SimFarmOfPipelines",
         replica_id: int,
-        nodes: Sequence[Node],
+        nodes: Optional[Sequence[Node]],
         stage_works: Sequence[float],
         *,
         secured: bool = False,
         rate_window: float = 10.0,
     ) -> None:
-        if len(nodes) != len(stage_works):
-            raise ValueError(
-                f"replica needs one node per stage "
-                f"({len(stage_works)} stages, {len(nodes)} nodes)"
-            )
         self.sim = sim
         self.owner = owner
         # `worker_id` (not replica_id) so FarmABC bookkeeping matches.
         self.worker_id = replica_id
-        self.nodes = list(nodes)
+        self.stage_works = list(stage_works)
+        self.rate_window = rate_window
         self.secured = secured
         self.active = True
         self._stopped = False
         self.completed = 0
         self.current_task: Optional[Task] = None  # FarmSnapshot compat
 
+        self.nodes: List[Node] = []
         self.stages: List[SeqStage] = []
-        store = Store(sim, name=f"{owner.name}.r{replica_id}.s0")
-        self.head = store
-        for i, (node, work) in enumerate(zip(nodes, stage_works)):
-            is_last = i == len(stage_works) - 1
-            out = None if is_last else Store(sim, name=f"{owner.name}.r{replica_id}.s{i + 1}")
+        self.head = Store(sim, name=f"{owner.name}.r{replica_id}.s0")
+        if nodes is not None:
+            self.node = nodes
+
+    @property
+    def node(self) -> List[Node]:
+        """The replica's placement: one node per stage."""
+        return self.nodes
+
+    @node.setter
+    def node(self, nodes: Any) -> None:
+        """Place the replica: build one stage per node."""
+        nodes = [nodes] if isinstance(nodes, Node) else list(nodes)
+        if len(nodes) != len(self.stage_works):
+            raise ValueError(
+                f"replica needs one node per stage "
+                f"({len(self.stage_works)} stages, {len(nodes)} nodes)"
+            )
+        self.nodes = nodes
+        name = f"{self.owner.name}.r{self.worker_id}"
+        store = self.head
+        for i, (node, work) in enumerate(zip(nodes, self.stage_works)):
+            is_last = i == len(nodes) - 1
+            out = None if is_last else Store(self.sim, name=f"{name}.s{i + 1}")
             stage = SeqStage(
-                sim,
-                name=f"{owner.name}.r{replica_id}.stage{i}",
+                self.sim,
+                name=f"{name}.stage{i}",
                 node=node,
                 input_store=store,
                 output_store=out,
                 service_work=work,
-                rate_window=rate_window,
-                on_done=(lambda t, self=self: self._on_done(t)) if is_last else None,
+                rate_window=self.rate_window,
+                on_done=self._on_done if is_last else None,
             )
             self.stages.append(stage)
             store = out  # type: ignore[assignment]
@@ -85,6 +101,11 @@ class PipelineReplica:
     @property
     def name(self) -> str:
         return f"{self.owner.name}.r{self.worker_id}"
+
+    @property
+    def retiring(self) -> bool:
+        """Stopped: it takes no task again."""
+        return self._stopped
 
     @property
     def queue(self) -> Store:
@@ -139,11 +160,9 @@ class SimFarmOfPipelines(FunctionalReplication):
         self._proc = sim.process(self._dispatch_loop(), name=f"{name}.dispatcher")
 
     def _new_worker(
-        self, nodes: Sequence[Node], replica_id: int, secured: bool
+        self, nodes: Optional[Sequence[Node]], replica_id: int, secured: bool
     ) -> PipelineReplica:
         """Deploy a new pipeline replica over ``nodes`` (one per stage)."""
-        if isinstance(nodes, Node):
-            nodes = [nodes]
         return PipelineReplica(
             self.sim,
             self,
@@ -208,7 +227,7 @@ class SimFarmOfPipelines(FunctionalReplication):
         """Equalise replica *head* queues (in-pipe tasks stay put)."""
         return rebalance_stores(r.head for r in self.workers if r.active)
 
-    def secure_worker(self, replica: PipelineReplica) -> None:
+    def _secure(self, replica: PipelineReplica) -> None:
         replica.secured = True
         for s in replica.stages:
             s.secured = True

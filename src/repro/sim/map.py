@@ -68,6 +68,11 @@ class MapWorker:
     def name(self) -> str:
         return f"{self.owner.name}.mw{self.worker_id}"
 
+    @property
+    def retiring(self) -> bool:
+        """Stopped or crashed: it takes no chunk again."""
+        return self._stopped
+
     def stop(self) -> None:
         self.active = False
         self._stopped = True

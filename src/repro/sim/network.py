@@ -175,7 +175,3 @@ class Network:
     @property
     def secured_count(self) -> int:
         return sum(1 for r in self.log if r.secured)
-
-    def total_transfer_time(self) -> float:
-        """Sum of all recorded transfer durations (overhead accounting)."""
-        return sum(r.duration for r in self.log)

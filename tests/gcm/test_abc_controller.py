@@ -8,7 +8,7 @@ from repro.sim.engine import Simulator
 from repro.sim.farm import SimFarm
 from repro.sim.pipeline import SeqStage
 from repro.sim.queues import Store
-from repro.sim.resources import Domain, Node, ResourceManager, make_cluster, trusted_only
+from repro.sim.resources import Node, ResourceManager, make_cluster
 from repro.sim.workload import ConstantWork, TaskSource, finite_stream
 
 
@@ -168,18 +168,6 @@ class TestPlanCommitAbort:
         secured = {w.node.name: w.secured for w in workers}
         assert secured[plan.nodes[0].name] is True
         assert secured[plan.nodes[1].name] is False
-
-    def test_node_predicate_restricts_recruitment(self):
-        sim = Simulator()
-        lan = Domain("lan")
-        wan = Domain("wan", trusted=False)
-        rm = ResourceManager([Node("t", domain=lan), Node("u", domain=wan)])
-        farm = SimFarm(sim, emitter_node=Node("e"), worker_setup_time=0.0)
-        abc = FarmABC(farm, rm, node_predicate=trusted_only)
-        plan = abc.plan_add_workers(1)
-        assert plan.nodes[0].name == "t"
-        abc.commit_plan(plan)
-        assert abc.plan_add_workers(1) is None  # only untrusted left
 
 
 class TestProducerABC:

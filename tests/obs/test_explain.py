@@ -18,7 +18,8 @@ from repro.obs import Telemetry
 from repro.obs.explain import find_actuations, load, main
 from repro.obs.export import write_trace_jsonl
 from repro.rules.beans import ManagerOperation
-from repro.runtime.controller import LiveFarmABC, WallTimeBase
+from repro.gcm.abc_controller import FarmABC
+from repro.runtime.controller import WallTimeBase
 from repro.runtime.farm_runtime import ThreadFarm
 from repro.security.domains import SecurityPolicy
 from repro.security.manager import SecurityABC, SecurityManager
@@ -81,7 +82,7 @@ def intent_trace(tmp_path_factory):
     try:
         farm.secure_all()
         pool = make_cluster(4, prefix="u", domain=Domain("edge", trusted=False))
-        abc = LiveFarmABC(farm, ResourceManager(pool))
+        abc = FarmABC(farm, ResourceManager(pool))
 
         class Originator:
             name = "AM_perf"

@@ -77,12 +77,17 @@ class TestFig4Acceptance:
         assert all(s["attributes"]["target"] for s in violations)
 
         # (b3) at least one two-phase intent round with its phase events:
-        # the plan, then the commit's reconfiguration blackout
+        # the plan, then the commit's reconfiguration blackout (inside
+        # the round's nested mc.commit span)
         intents = [s for s in spans if s["name"] == "mc.intent"]
         assert intents
         committed = [s for s in intents if s["attributes"]["outcome"] == "committed"]
         assert committed
-        event_names = {e["name"] for s in committed for e in s["events"]}
+        ids = {s["id"] for s in committed}
+        rounds = committed + [
+            s for s in spans if s["name"] == "mc.commit" and s["parent"] in ids
+        ]
+        event_names = {e["name"] for s in rounds for e in s["events"]}
         assert {"intent.plan", "farm.blackout"} <= event_names
 
         # spans nest: every mape phase span has a mape.cycle parent

@@ -132,18 +132,6 @@ class TestScrapeAndRetention:
         assert store.window_rate("repro_c", 3.0) == pytest.approx(10.0)
         assert store.window_rate("repro_missing", 3.0) is None
 
-    def test_window_histogram_subtracts_the_base(self, registry, store, clock):
-        h = registry.histogram("repro_h", "h").labels()
-        h.observe(0.001)
-        clock.advance(1.0)
-        store.scrape_once()
-        clock.advance(5.0)
-        h.observe(1.0)
-        store.scrape_once()
-        window = store.window_histogram("repro_h", 3.0)
-        assert window.count == 1
-        assert window.quantile(0.5) >= 1.0
-
 
 class TestQuery:
     def test_unknown_metric_raises_keyerror(self, store):

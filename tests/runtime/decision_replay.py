@@ -34,12 +34,11 @@ from repro.core.contracts import Contract, ThroughputRangeContract
 from repro.core.events import Events
 from repro.core.policies import ManagersConstants
 from repro.core.skeleton_manager import FarmManager
-from repro.gcm.abc_controller import AutonomicBehaviourController
+from repro.gcm.abc_controller import AutonomicBehaviourController, FarmABC
 from repro.obs import Telemetry
 from repro.obs.clock import SimClock
 from repro.obs.export import trace_jsonl
 from repro.rules.beans import ManagerOperation
-from repro.runtime.controller import LiveFarmABC
 from repro.sim.engine import Simulator
 
 from .waiting import wait_until
@@ -161,7 +160,7 @@ class ReplayABC(AutonomicBehaviourController):
         return {**self.recording.ticks[self.tick].sample, "time": self.clock.now}
 
     def supported_operations(self):
-        return LiveFarmABC._OPS  # it stands in for the live ABC
+        return FarmABC._OPS  # it stands in for the live ABC
 
     def execute(self, op, data=None):
         marks = dict(self.recording.marks_of_tick(self.tick))

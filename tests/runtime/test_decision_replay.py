@@ -1,9 +1,9 @@
 """One manager, two clocks: the decision-replay differential and the
-:class:`LiveFarmABC` seam it rests on.
+:class:`FarmABC` seam it rests on.
 
 The live controller and the simulated farm manager are the same class;
 what differs is the time base (wall-clock ticker vs ``Simulator``) and
-the ABC (``LiveFarmABC`` vs a replay of recorded samples).  A live run's
+the ABC (``FarmABC`` vs a replay of recorded samples).  A live run's
 audit, re-decided on the DES clock, must therefore yield the identical
 per-tick fired rules, operations with arguments, violations and state
 transitions — for a committed supervised process-farm run that lost
@@ -14,10 +14,10 @@ import pytest
 
 from repro.core.contracts import MinThroughputContract, ThroughputRangeContract
 from repro.core.events import ViolationKind
-from repro.gcm.abc_controller import ABCError
+from repro.gcm.abc_controller import ABCError, FarmABC
 from repro.obs import Telemetry
 from repro.rules.beans import ManagerOperation
-from repro.runtime.controller import FarmController, LiveFarmABC
+from repro.runtime.controller import FarmController
 from repro.runtime.farm_runtime import ThreadFarm
 from repro.runtime.hierarchy.sharded_farm import FARM_BACKENDS, make_shard_backend
 
@@ -112,12 +112,12 @@ class TestLiveFarmABC:
     }
 
     def test_monitor_carries_what_the_manager_observes(self, capped_farm):
-        sample = LiveFarmABC(capped_farm).monitor()
+        sample = FarmABC(capped_farm).monitor()
         assert self.OBSERVED <= set(sample)
         assert sample["num_workers"] == 1 and sample["end_of_stream"] is False
 
     def test_supported_operations_are_exactly_what_execute_accepts(self, capped_farm):
-        abc = LiveFarmABC(capped_farm)
+        abc = FarmABC(capped_farm)
         for op in ManagerOperation:
             if abc.can_execute(op):
                 assert abc.execute(op, {"count": 1}) in (True, False)
@@ -126,7 +126,7 @@ class TestLiveFarmABC:
                     abc.execute(op)
 
     def test_refused_grow_is_false_and_surfaces_as_no_local_plan(self, capped_farm):
-        assert LiveFarmABC(capped_farm).execute(ManagerOperation.ADD_EXECUTOR) is False
+        assert FarmABC(capped_farm).execute(ManagerOperation.ADD_EXECUTOR) is False
         # the rule set believes there is headroom; the mechanism refuses
         ctl = FarmController(capped_farm, MinThroughputContract(1.0), max_workers=4)
         ctl.on_operation(ManagerOperation.ADD_EXECUTOR, {"count": 2})

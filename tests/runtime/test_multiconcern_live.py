@@ -28,7 +28,8 @@ from repro.core.contracts import SecurityContract
 from repro.core.multiconcern import CoordinationMode, GeneralManager
 from repro.obs.telemetry import Telemetry
 from repro.rules.beans import ManagerOperation
-from repro.runtime.controller import LiveFarmABC, WallTimeBase
+from repro.gcm.abc_controller import FarmABC
+from repro.runtime.controller import WallTimeBase
 from repro.runtime.dist_farm import DistFarm
 from repro.runtime.farm_runtime import ThreadFarm
 from repro.runtime.process_farm import ProcessFarm
@@ -121,7 +122,7 @@ def make_security(abc, policy, **kwargs):
 def build_coordination(farm, telemetry, *, pool_size=8, veto_domains=(),
                        mode=CoordinationMode.TWO_PHASE, registry=None):
     pool = make_cluster(pool_size, prefix="u", domain=UNTRUSTED)
-    abc = LiveFarmABC(farm, ResourceManager(pool))
+    abc = FarmABC(farm, ResourceManager(pool))
     Originator.abc, Originator.sim = abc, WallTimeBase(farm.now)
     policy = SecurityPolicy(registry) if registry is not None else SecurityPolicy()
     security = make_security(abc, policy, veto_domains=veto_domains, telemetry=telemetry)

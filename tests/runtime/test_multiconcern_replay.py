@@ -3,7 +3,7 @@
 The same :class:`~repro.core.multiconcern.GeneralManager` and
 :class:`~repro.security.manager.SecurityManager` classes run one
 scripted sequence twice — over a ``SimFarm``/``FarmABC`` under the
-``Simulator``, and over a ``ThreadFarm``/``LiveFarmABC`` under a
+``Simulator``, and over a ``ThreadFarm``/``FarmABC`` under a
 ``WallTimeBase``:
 
 1. grow 2 over untrusted nodes (AM_sec amends the plan to secure them);
@@ -23,7 +23,7 @@ from repro.core.multiconcern import GeneralManager
 from repro.gcm.abc_controller import FarmABC
 from repro.obs.telemetry import Telemetry
 from repro.rules.beans import ManagerOperation
-from repro.runtime.controller import LiveFarmABC, WallTimeBase
+from repro.runtime.controller import WallTimeBase
 from repro.runtime.farm_runtime import ThreadFarm
 from repro.security.domains import SecurityPolicy, TrustRegistry
 from repro.security.manager import SecurityABC, SecurityManager
@@ -80,7 +80,7 @@ def test_sim_and_live_decide_the_same_intents():
 
     live = ThreadFarm(lambda x: x, initial_workers=1, max_workers=8)
     try:
-        on_live = run_script(WallTimeBase(live.now), LiveFarmABC(live, pool()))
+        on_live = run_script(WallTimeBase(live.now), FarmABC(live, pool()))
     finally:
         live.shutdown()
 

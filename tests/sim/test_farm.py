@@ -285,7 +285,7 @@ class TestNetworkIntegration:
         farm = build_farm(sim, n_workers=2)
         w = farm.workers[0]
         assert not w.secured
-        farm.secure_worker(w)
+        farm.secure_worker(w.worker_id)
         assert w.secured
         farm.secure_all()
         assert all(w.secured for w in farm.workers)

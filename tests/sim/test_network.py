@@ -112,5 +112,4 @@ class TestLeakAccounting:
         a, b, _ = nodes()
         net.record_transfer(1.0, a, b, Message(size_kb=10.0), secured=False)
         net.record_transfer(2.0, a, b, Message(size_kb=10.0), secured=False)
-        assert net.total_transfer_time() > 0.0
         assert len(net.log) == 2

@@ -58,16 +58,6 @@ class TestTraceRecorder:
         assert tr.final_value("missing") is None
         assert len(tr.series_values("throughput")) == 10
 
-    def test_csv_export(self):
-        tr = self._tr()
-        tr.sample("x", 1.0, 2.0)
-        csv = tr.to_csv("x")
-        assert csv.startswith("time,value\n")
-        assert "1.000000,2.000000" in csv
-        ecsv = tr.events_csv()
-        assert "AM_F,contrLow" in ecsv
-        assert "delta=0.1" in ecsv
-
     def test_event_mark_str(self):
         ev = EventMark(1.5, "AM", "go", {"k": 1})
         s = str(ev)
