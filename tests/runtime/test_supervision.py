@@ -52,6 +52,18 @@ def supervised_task(payload):
     return value * value
 
 
+def failing_task(payload):
+    """Module-level, so every backend can run it; always raises."""
+    raise ValueError(f"bad payload {payload}")
+
+
+def journaled(path, ev):
+    """The ``ev`` events of a journal file, without their ``seq``."""
+    return [
+        {k: v for k, v in e.items() if k != "seq"} for e in read_journal(path) if e["ev"] == ev
+    ]
+
+
 # ----------------------------------------------------------------------
 # DispatchJournal mechanics
 # ----------------------------------------------------------------------
@@ -615,6 +627,84 @@ class TestSupervisedFarmFailover:
             assert completes == queued
         finally:
             farm.shutdown()
+
+
+class TestOneBooking:
+    """A supervised task is booked once: its sid is the incarnation's
+    task id, and its result is journaled and delivered once."""
+
+    @pytest.mark.xfail(strict=True, reason="the incarnation numbers its tasks afresh")
+    def test_the_sid_is_the_task_id_after_a_failover(self, tmp_path):
+        tel = Telemetry()
+        farm = SupervisedFarm(
+            supervised_task,
+            backend="thread",
+            journal_path=str(tmp_path / "j.jsonl"),
+            telemetry=tel,
+        )
+        try:
+            for i in range(3):
+                farm.submit((0.0, i))
+            assert sorted(farm.drain_results(3, timeout=30.0)) == [0, 1, 4]
+            farm.crash_coordinator()
+            farm.failover()
+            farm.submit((0.0, 3))
+            assert farm.drain_results(1, timeout=30.0) == [9]
+        finally:
+            farm.shutdown()
+        roots = {s.span_id: s.attributes["task_id"] for s in tel.spans.named("task", "sfarm")}
+        attempts = tel.spans.named("task.attempt")
+        assert sorted((a.actor, a.attributes["task_id"]) for a in attempts) == [
+            ("sfarm-e0", 0), ("sfarm-e0", 1), ("sfarm-e0", 2), ("sfarm-e1", 3)
+        ]
+        assert all(roots[a.parent_id] == a.attributes["task_id"] for a in attempts)
+
+    def test_results_in_flight_at_the_crash_complete_once(self, tmp_path):
+        """Tasks still running on the dead coordinator's workers when it
+        crashes neither journal nor deliver once ``crash_coordinator()``
+        has returned; the failover runs them again, and every sid ends
+        with one ``complete`` line and one drained result."""
+        path = str(tmp_path / "j.jsonl")
+        farm = SupervisedFarm(
+            supervised_task, backend="thread", journal_path=path, initial_workers=4
+        )
+        total = 40
+        try:
+            for i in range(total):
+                farm.submit((0.02, i))
+            wait_until(lambda: farm.completed >= 4, message="results before the crash")
+            farm.crash_coordinator()
+            farm.journal.sync()
+            completes, queued = len(journaled(path, "complete")), farm.results.qsize()
+            time.sleep(0.1)  # the executions the crash caught finish now
+            farm.journal.sync()
+            assert len(journaled(path, "complete")) == completes
+            assert farm.results.qsize() == queued
+            farm.failover()
+            results = farm.drain_results(total, timeout=60.0)
+            assert sorted(results) == [i * i for i in range(total)]
+            time.sleep(0.05)
+            assert farm.results.empty()
+        finally:
+            farm.shutdown()
+        assert sorted(e["sid"] for e in journaled(path, "complete")) == list(range(total))
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_failing_task_drains_and_journals_its_error_text(self, tmp_path, backend):
+        path = str(tmp_path / "j.jsonl")
+        farm = SupervisedFarm(
+            failing_task, backend=backend, journal_path=path, initial_workers=1
+        )
+        try:
+            farm.submit(7)
+            (result,) = farm.drain_results(1, timeout=30.0)
+        finally:
+            farm.shutdown()
+        assert type(result) is RuntimeError
+        assert str(result) == "ValueError: bad payload 7"
+        assert journaled(path, "complete") == [
+            {"ev": "complete", "sid": 0, "ok": False, "err": "ValueError: bad payload 7"}
+        ]
 
 
 class TestSupervisorMonitor:
