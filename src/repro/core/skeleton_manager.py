@@ -256,7 +256,7 @@ class FarmManager(AutonomicManager):
         # adaptation-latency yardstick: the tracker, when an SLOEngine
         # attached one to the telemetry, stamps violation-observed and
         # plan-committed timestamps off these exact hook points
-        adaptation = getattr(self.telemetry, "adaptation", None)
+        adaptation = self.telemetry.adaptation
         if op is ManagerOperation.RAISE_VIOLATION:
             kind = str(data)
             severity = "warning" if kind == ViolationKind.TOO_MUCH_TASKS else "fatal"

@@ -410,7 +410,7 @@ def _build_stack(cfg: Any, telemetry: Optional[Telemetry], stack: contextlib.Exi
             supervisor.stop()
             return dict(
                 actions=actions, violations=violations, crashes=len(crashes),
-                replays=farm.redispatched, duplicates=farm.duplicates,
+                replays=farm.redispatched, duplicates=farm.farm.duplicates,
                 failovers=supervisor.failovers, final_epoch=farm.epoch,
                 failover_latency=farm.last_failover_seconds or 0.0,
                 redispatched=farm.redispatched,
@@ -696,7 +696,7 @@ def render_fig4_live(r: Fig4LiveResult) -> str:
             ["coordinator failovers (supervisor)", r.failovers],
             ["journal replay + rebuild latency", f"{r.failover_latency * 1000:.1f} ms"],
             ["in-flight tasks redispatched", r.redispatched],
-            ["duplicate deliveries suppressed", r.duplicates],
+            ["duplicate acks suppressed", r.duplicates],
             ["final coordinator epoch", r.final_epoch],
             ["self-healing story holds", r.failover_story_ok()],
         ]

@@ -33,7 +33,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 from ..obs.telemetry import NOOP
 from ..rules.beans import ManagerOperation
 from ..sim.pipeline import SeqStage
-from ..sim.resources import TRUSTED_DEFAULT, Node, ResourceManager
+from ..sim.resources import Node, ResourceManager
 from ..sim.workload import TaskSource
 
 __all__ = [
@@ -115,7 +115,6 @@ class FarmABC(AutonomicBehaviourController):
 
     #: how much faster than the victim's a node must be to migrate to it
     MIGRATION_SPEEDUP = 1.2
-    _COORDINATOR = Node("emitter", domain=TRUSTED_DEFAULT)
 
     def __init__(
         self, farm: Any, resources: Optional[ResourceManager] = None, *, nodes_per_executor: int = 1
@@ -148,8 +147,8 @@ class FarmABC(AutonomicBehaviourController):
 
     @property
     def emitter_node(self) -> Node:
-        """One end of every channel: the farm's emitter, or the coordinator."""
-        return getattr(self.farm, "emitter_node", self._COORDINATOR)
+        """One end of every channel: the farm's emitter."""
+        return self.farm.emitter_node
 
     def bindings(self) -> List[Tuple[Any, Node]]:
         """``(worker, node)`` for every placed worker serving or starting;
@@ -183,7 +182,7 @@ class FarmABC(AutonomicBehaviourController):
         if not plan.open:
             raise ABCError("plan already committed or aborted")
         plan.committed = True
-        tel = getattr(self.farm, "telemetry", None) or NOOP
+        tel = self.farm.telemetry or NOOP
         k = self.nodes_per_executor
         admitted: List[Any] = []
         with tel.span(

@@ -220,7 +220,7 @@ class SLOEngine:
         self.evaluations = 0
         store.add_listener(self._on_scrape)
         telemetry.slo = self
-        if getattr(telemetry, "adaptation", None) is None:
+        if telemetry.adaptation is None:
             telemetry.adaptation = AdaptationTracker(telemetry)
 
     # -- objectives ------------------------------------------------------
@@ -305,7 +305,7 @@ class SLOEngine:
 
         # adaptation timestamps: the engine is itself an observer of
         # violations and of their disappearance
-        adaptation = getattr(self.telemetry, "adaptation", None)
+        adaptation = self.telemetry.adaptation
         if adaptation is not None:
             if verdict is False and state.last_verdict in (True, None):
                 adaptation.violation_observed(f"slo:{slo.name}", now=now)

@@ -83,8 +83,8 @@ class Telemetry:
         #: span-events recorded while no span was open
         self.orphan_events: List[SpanEvent] = []
         #: attachment points the longitudinal layer fills in lazily —
-        #: kept as plain attributes so runtime hook sites can probe them
-        #: with getattr and never import repro.obs.slo/timeseries
+        #: plain attributes, None until filled (on NOOP too), so runtime
+        #: hook sites read them and never import repro.obs.slo/timeseries
         self.timeseries = None  # TimeSeriesStore after start_timeseries()
         self.stream = None  # StreamBroker feeding /stream subscribers
         self.slo = None  # SLOEngine once objectives are installed

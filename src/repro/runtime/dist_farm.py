@@ -624,14 +624,16 @@ class _StreamFarm(FarmCore):
         *,
         tenant: Optional[str] = None,
         traceparent: Optional[str] = None,
+        task_id: Optional[int] = None,
     ) -> None:
         """Track one task and queue it for dispatch.
 
-        ``tenant`` and ``traceparent`` shape the task's root span; see
+        ``tenant``, ``traceparent`` and ``task_id`` (a supervisor's) shape
+        the task's record and root span; see
         :meth:`FarmCore._track <repro.runtime.farm_core.FarmCore._track>`.
         """
         with self._lock:
-            self._dispatch(self._track(payload, tenant, traceparent))
+            self._dispatch(self._track(payload, tenant, traceparent, task_id))
             if not self._claim_fill():
                 return  # the pass already pending takes this task too
         self._post_fill()

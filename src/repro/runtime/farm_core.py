@@ -17,7 +17,7 @@ The core owns
   (crash, refusal, write failure, reattach) into a capped-exponential
   backoff on one retry heap and from there to a replay or a
   :class:`DeadLetter`, complete a task exactly once, abandon everything
-  when the coordinator dies;
+  when the coordinator dies — after which it completes nothing;
 * the **worker registry and admission gate**: the serving predicate,
   ``num_workers``/``quarantined_workers``, the worker limit, the admit
   flip, ``secure_all``, victim choice, the per-worker completed gauge;
@@ -41,6 +41,15 @@ awaiting an ack), ``reported_completed`` and ``completed_gauge``.
 Locking: one re-entrant ``_lock`` guards all of the above.  Public
 methods take it; every ``_``-prefixed method here expects the caller to
 hold it, and none of them blocks.
+
+A supervisor books its tasks here and nowhere else
+(:mod:`repro.runtime.supervision`): it submits under its own stable id
+(``task_id=``), points ``results`` at its own queue, and sets two
+write-ahead hooks, ``_on_complete(task_id, result, failed)`` — once per
+fresh result, before the result is delivered — and
+``_on_worker_lost(worker_id)``.  Both run under ``_lock`` on whichever
+thread completes or loses; they must take no lock of the supervisor's,
+which calls into the farm holding its own.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 from ..obs.rows import DispatchRow, TaskRow
 from ..obs.telemetry import NOOP, Telemetry
 from ..sim.metrics import WindowRateEstimator, queue_length_stats
+from ..sim.resources import TRUSTED_DEFAULT, Node
 from .backend import RuntimeFarmSnapshot, drain_queue
 
 __all__ = ["FarmCore", "TaskRecord", "DeadLetter"]
@@ -100,6 +110,12 @@ class FarmCore:
     #: what this farm's transport calls a completion message, for the
     #: duplicate counter's help text
     _ACKS = "acks"
+    #: one end of every task channel: the coordinator, on the trusted
+    #: local domain (the security concern judges a link by its two ends)
+    emitter_node = Node("emitter", domain=TRUSTED_DEFAULT)
+    #: a supervisor's write-ahead hooks (see the module docstring)
+    _on_complete: Optional[Callable[[int, Any, bool], None]] = None
+    _on_worker_lost: Optional[Callable[[int], None]] = None
 
     def __init__(
         self,
@@ -154,6 +170,8 @@ class FarmCore:
         self.crashes: List[Tuple[float, int]] = []  # (time, worker_id)
         self.replays = 0
         self.duplicates = 0
+        self._dead = False  # the coordinator crashed: nothing completes
+        self._last_pass = 0.0  # farm time of the last supervision pass
 
     # ------------------------------------------------------------------
     # what a farm supplies
@@ -345,23 +363,28 @@ class FarmCore:
     # task lifecycle
     # ------------------------------------------------------------------
     def _track(
-        self, payload: Any, tenant: Optional[str], traceparent: Optional[str]
+        self,
+        payload: Any,
+        tenant: Optional[str],
+        traceparent: Optional[str],
+        task_id: Optional[int] = None,
     ) -> TaskRecord:
         """Accept one task: count its arrival, open its root span.
 
         ``tenant`` is stamped on the root span so ``repro.obs.explain
         --tenant`` can reconstruct one tenant's story from an export.
-        With ``traceparent`` (a supervisor resubmitting across a
-        coordinator crash) the span is a ``task.attempt`` child of the
-        caller's root instead of a fresh root, so every incarnation's
+        A supervisor passes its own stable ``task_id`` (the sid) and a
+        ``traceparent``: the span is then a ``task.attempt`` child of the
+        supervisor's root instead of a fresh root, so every incarnation's
         attempt chains into one tree.  Task spans are kept as rows
         (:mod:`repro.obs.rows`), built into spans when the store is read.
         """
         now = self.now()
         self.arrival_est.mark(now)
         self.submitted += 1
-        task_id = self._task_seq
-        self._task_seq += 1
+        if task_id is None:
+            task_id = self._task_seq
+        self._task_seq = max(self._task_seq, task_id + 1)
         record = TaskRecord(task_id, payload, now)
         telemetry = self.telemetry
         if telemetry.enabled:
@@ -449,6 +472,8 @@ class FarmCore:
         self._sever(worker)
         self.crashes.append((now, worker.worker_id))
         self._count("worker_crashes_total", "workers declared dead by the supervisor")
+        if self._on_worker_lost is not None:
+            self._on_worker_lost(worker.worker_id)
         for task_id in sorted(worker.outstanding):
             record = self._tasks.get(task_id)
             if record is not None:
@@ -480,7 +505,7 @@ class FarmCore:
         """One supervision pass: the ids of workers found lost in it."""
         lost: List[int] = []
         with self._lock:
-            now = self.now()
+            now = self._last_pass = self.now()
             for w in list(self.workers):
                 if w.active and self._is_lost(w, now):
                     self._worker_lost(w, now)
@@ -498,11 +523,15 @@ class FarmCore:
         original worker — at-least-once underneath, exactly-once
         outward.  The frame's results share one departure time, so the
         window is marked once per frame; if ``acks`` raises (an entry
-        of the wrong shape), those before it still complete.
+        of the wrong shape), those before it still complete.  A crashed
+        coordinator completes nothing.
         """
+        if self._dead:
+            return
         # acks are stamped before the lock that orders them is taken
         t = self.departure_est.clamp(now)
         completed_ids, tasks, latencies = self._completed_ids, self._tasks, self._latencies
+        on_complete = self._on_complete
         done = 0
         try:
             for task_id, result, failed in acks:
@@ -515,6 +544,8 @@ class FarmCore:
                     continue
                 completed_ids.add(task_id)
                 done += 1
+                if on_complete is not None:
+                    on_complete(task_id, result, failed)
                 fresh.append(result)
                 record = tasks.pop(task_id, None)
                 if record is not None:
@@ -536,7 +567,9 @@ class FarmCore:
             latencies.popleft()
 
     def _abandon_all(self, outcome: str) -> None:
-        """The coordinator is going away: close every open task's spans."""
+        """The coordinator has crashed: close every open task's spans,
+        and complete nothing from here on."""
+        self._dead = True
         for record in self._tasks.values():
             self._close_trace(record, outcome, outcome)
         self._tasks.clear()

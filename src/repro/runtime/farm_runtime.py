@@ -87,7 +87,8 @@ class ThreadWorker:
             try:
                 result = self.farm.fn(payload)
             except Exception as exc:  # noqa: BLE001 - surfaced via results
-                result = exc
+                # the error result a process or dist worker ships back
+                result = RuntimeError(f"{type(exc).__name__}: {exc}")
             if run is not None:
                 run.close(
                     self.farm.telemetry.clock.now(),
@@ -105,7 +106,9 @@ class ThreadFarm(FarmCore):
     task's :class:`~repro.runtime.farm_core.TaskRecord`, or ``None`` on
     an envelope somebody put on a queue by hand, which is executed and
     delivered but was never tracked.  A thread worker cannot be lost, so
-    the core's replay machinery never runs here.
+    the core's replay machinery never runs here.  A task that raises
+    delivers ``RuntimeError("<type>: <message>")``, as on the other
+    backends.
     """
 
     def __init__(
@@ -143,10 +146,12 @@ class ThreadFarm(FarmCore):
         *,
         tenant: Optional[str] = None,
         traceparent: Optional[str] = None,
+        task_id: Optional[int] = None,
     ) -> None:
         """Dispatch one task to an admitted worker (round robin).
 
-        ``tenant`` and ``traceparent`` shape the task's root span; see
+        ``tenant``, ``traceparent`` and ``task_id`` (a supervisor's) shape
+        the task's record and root span; see
         :meth:`FarmCore._track <repro.runtime.farm_core.FarmCore._track>`.
         """
         with self._lock:
@@ -155,7 +160,7 @@ class ThreadFarm(FarmCore):
                 raise RuntimeError("farm has no admitted workers")
             self._rr = (self._rr + 1) % len(serving)
             worker = serving[self._rr]
-            record = self._track(payload, tenant, traceparent)
+            record = self._track(payload, tenant, traceparent, task_id)
             if worker.secured:
                 payload = encrypt(_SECRET, pickle.dumps(payload))
             self._put((payload, worker.secured, record.submitted_at, record), worker)
@@ -182,16 +187,21 @@ class ThreadFarm(FarmCore):
         return run
 
     def _deliver(self, record: Optional[TaskRecord], result: Any) -> None:
-        if record is not None:
-            with self._lock:
-                # a thread worker is never lost, so no task is replayed
-                # and no result can be a duplicate: every one is delivered
-                self._complete(
-                    self.now(),
-                    ((record.task_id, result, isinstance(result, Exception)),),
-                    [],
-                )
-        self.results.put(result)
+        """Complete and deliver one result (worker thread).  The put is
+        under the lock, so a result either counts before a crash or is
+        never delivered at all."""
+        if record is None:
+            self.results.put(result)
+            return
+        fresh: list = []
+        with self._lock:
+            self._complete(
+                self.now(),
+                ((record.task_id, result, isinstance(result, Exception)),),
+                fresh,
+            )
+            if fresh:
+                self.results.put(result)
 
     def _backlog(self, worker: ThreadWorker) -> int:
         return worker.queue.qsize()
@@ -271,9 +281,8 @@ class ThreadFarm(FarmCore):
         die with it: every open task ends as ``coordinator-crashed``,
         every queued envelope is dropped on the floor, every worker is
         stopped, and nothing is flushed — a dead process flushes
-        nothing.  A task already executing may still finish and deliver
-        into ``results``; the supervisor's journal dedup makes that
-        at-least-once tail harmless.
+        nothing.  A task already executing may still finish, but
+        completes and delivers nothing.
         """
         with self._lock:
             for w in self.workers:

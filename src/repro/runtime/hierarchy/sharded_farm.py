@@ -338,7 +338,7 @@ class ShardedFarm:
                         "shard violations aggregated by the parent",
                     ).labels(farm=self.name, shard=str(report.shard_id),
                              kind=kind).inc()
-                    adaptation = getattr(tel, "adaptation", None)
+                    adaptation = tel.adaptation
                     if adaptation is not None:
                         adaptation.violation_observed(
                             kind, farm=self.name, shard=report.shard_id
@@ -462,7 +462,7 @@ class ShardedFarm:
                 "repro_hier_rebalance_latency_seconds",
                 "starvation observed to budget transferred",
             ).labels(farm=self.name).observe(latency)
-            adaptation = getattr(self.telemetry, "adaptation", None)
+            adaptation = self.telemetry.adaptation
             if adaptation is not None:
                 adaptation.plan_committed(
                     "rebalance", farm=self.name, source=donor_id, target=target_id

@@ -6,7 +6,6 @@ and ``docs/RESILIENCE.md`` for the supervision-tree walkthrough.
 """
 
 from .journal import DispatchJournal, JournalState, read_journal, replay_events
-from .runner import run_tagged, tagged_envelope
 from .supervisor import SupervisedFarm, SupervisedWorkerHandle, Supervisor
 
 __all__ = [
@@ -14,8 +13,6 @@ __all__ = [
     "JournalState",
     "read_journal",
     "replay_events",
-    "run_tagged",
-    "tagged_envelope",
     "SupervisedFarm",
     "SupervisedWorkerHandle",
     "Supervisor",

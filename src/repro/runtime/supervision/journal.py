@@ -21,8 +21,9 @@ with a monotonically increasing ``seq``):
 ``epoch``     a supervisor takeover; incarnation counter ``epoch``
 ``submit``    task admission: ``sid`` (stable supervisor task id), ``p``
               (payload), optional ``tenant``
-``complete``  completion ack *after* outward dedup: ``sid``, ``ok`` and
-              ``v`` (value) or ``err`` (error text) — exactly one per sid
+``complete``  a fresh result, appended by the incarnation that ran the
+              task before it delivers it: ``sid``, ``ok`` and ``v``
+              (value) or ``err`` (error text) — one per sid
 ``worker``    worker created: ``wid`` plus ``quarantined``/``secured``
 ``admit``     admission gate lifted for ``wid``
 ``secure``    channel secured for ``wid``
@@ -233,14 +234,14 @@ def replay_events(events: Iterable[dict]) -> JournalState:
 class DispatchJournal:
     """Append-only JSONL journal with group commit.
 
-    Thread-safe: the supervisor's pump thread, the submitting thread and
-    the controller all append concurrently, and none of them touches the
-    file — a committer thread per journal does (see the module docstring
-    for what is durable when).  Every event gets a ``seq`` that continues
-    across restarts (recovery reads the tail of an existing file), so the
-    journal of a crashed-and-recovered run is one totally ordered story;
-    lines reach the file in ``seq`` order because they are queued under
-    the lock that numbers them.
+    Thread-safe: the incarnation's hooks (on its loop or worker threads),
+    the submitting thread and the controller all append concurrently, and
+    none of them touches the file — a committer thread per journal does
+    (see the module docstring for what is durable when).  Every event gets
+    a ``seq`` that continues across restarts (recovery reads the tail of
+    an existing file), so the journal of a crashed-and-recovered run is
+    one totally ordered story; lines reach the file in ``seq`` order
+    because they are queued under the lock that numbers them.
     """
 
     def __init__(

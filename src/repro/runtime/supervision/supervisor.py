@@ -11,22 +11,23 @@ themselves:
   (thread, process or dist) behind the ordinary
   :class:`~repro.runtime.backend.FarmBackend` surface.  Every admission,
   completion, worker event and contract swap is journaled
-  (:class:`~.journal.DispatchJournal`) before it takes effect outward;
-  every task is wrapped in a tagged envelope
-  (:mod:`~.runner`) so results correlate by a supervisor-stable
-  ``sid`` across incarnations.  ``crash_coordinator()`` simulates the
-  coordinator process dying — SIGKILL semantics scoped to the
-  incarnation, since a test cannot SIGKILL the interpreter it runs in:
-  thread/process workers die with their coordinator, dist workers
-  survive across the TCP boundary.  ``failover()`` replays the journal
-  *from disk* and rebuilds a fresh incarnation: pending tasks are
-  redispatched exactly-once, quarantined-but-never-admitted workers come
-  back quarantined, and on the dist backend a **standby coordinator** is
-  promoted onto the same port (epoch+1) so surviving workers reattach
-  via the ``reattach``/``takeover`` frames.
+  (:class:`~.journal.DispatchJournal`) before it takes effect outward.
+  A task is booked once: its ``sid`` is the incarnation's task id, and
+  the incarnation's hooks journal each fresh result and lost worker
+  before the result lands in the supervisor's one result queue.
+  ``crash_coordinator()`` simulates the coordinator process dying —
+  SIGKILL semantics scoped to the incarnation, since a test cannot
+  SIGKILL the interpreter it runs in: thread/process workers die with
+  their coordinator, dist workers survive across the TCP boundary.
+  ``failover()`` replays the journal *from disk* and rebuilds a fresh
+  incarnation: pending sids are resubmitted exactly once,
+  quarantined-but-never-admitted workers come back quarantined, and on
+  the dist backend a **standby coordinator** is promoted onto the same
+  port (epoch+1) so surviving workers reattach via the
+  ``reattach``/``takeover`` frames.
 
 * :class:`Supervisor` (policy) checks the coordinator heartbeat (the
-  supervisor's result pump beats while alive) on a
+  incarnation's coordinator loop stamps each supervision pass) on a
   :class:`~repro.runtime.controller.WallTimeBase` ticker, triggers
   failover when it goes silent, and rebuilds the :class:`~repro.runtime.controller.\
 FarmController` with the journaled contract — the manager-of-managers
@@ -44,11 +45,10 @@ replayed task reads as ONE tree — root → attempt(epoch 0, ends
 from __future__ import annotations
 
 import inspect
-import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 from ...obs.propagation import task_context
 from ...obs.rows import TaskRow
@@ -57,23 +57,17 @@ from ...obs.telemetry import NOOP, Telemetry
 from ..backend import RuntimeFarmSnapshot, drain_queue
 from ..controller import FarmController, WallTimeBase
 from ..dist_farm import fn_spec
+from ..dist_worker import resolve_fn
 from ..hierarchy.codec import contract_from_wire, contract_to_wire
 from ..hierarchy.sharded_farm import FARM_BACKENDS
 from .journal import DispatchJournal, JournalState
-from .runner import tagged_envelope
 
 __all__ = ["SupervisedFarm", "SupervisedWorkerHandle", "Supervisor"]
-
-RUNNER_SPEC = "repro.runtime.supervision.runner:run_tagged"
 
 #: seconds after each consecutive failed failover before the supervisor
 #: tries again (last value repeats): a rebuild that keeps raising neither
 #: spins at ``check_period`` nor goes unseen
 FAILOVER_BACKOFF = (0.5, 1.0, 2.0, 5.0)
-
-#: results the pump delivers under one hold of the supervisor lock: bounds
-#: how long a submit (or the heartbeat) waits behind a burst of completions
-PUMP_BATCH = 256
 
 
 @dataclass
@@ -160,17 +154,14 @@ class SupervisedFarm:
         self._t0 = clock()
 
         self.journal = DispatchJournal(journal_path, telemetry=self.telemetry, name=name)
-        self.results: "queue.Queue[Any]" = queue.Queue()
         self._lock = threading.RLock()
         self._registry: Dict[int, _WorkerEntry] = {}
         self._farm_to_wid: Dict[int, int] = {}
         self._next_wid = 0
         self._next_sid = 0
         self._roots: Dict[int, TaskRow] = {}  # sid → open root span's row
-        self._delivered: Set[int] = set()
         self.submitted = 0
         self.completed = 0
-        self.duplicates = 0
         self.epoch = 0
         self.failovers = 0
         self.redispatched = 0
@@ -180,18 +171,17 @@ class SupervisedFarm:
         self._listen_port = 0  # dist: the port every incarnation binds
         self._survivors: List[Any] = []  # dist: adoptable worker handles
         self._survivor_map: Dict[int, int] = {}  # old farm id → wid
-        self._pump_gen = 0
-        self._crashes_seen = 0  # how much of farm.crashes is journaled
-        self._beat = clock()
 
         self.journal.append(
             {"ev": "open", "name": name, "backend": backend, "fn": self.fn_spec, "epoch": 0}
         )
         self.farm = self._build_farm(initial_workers=initial_workers)
+        # the first incarnation's queue is every incarnation's
+        self.results = self.farm.results
         with self._lock:
             for handle in list(self.farm.workers):
                 self._register(handle.worker_id, quarantined=False, secured=False)
-        self._start_pump()
+            self._attach()
 
     # ------------------------------------------------------------------
     # incarnation factory
@@ -200,14 +190,14 @@ class SupervisedFarm:
         """Construct one coordinator incarnation (named by its epoch)."""
         cls = FARM_BACKENDS[self.backend]
         if self.backend == "dist":
-            fn = RUNNER_SPEC
+            fn = self.fn_spec
             placed = dict(
                 port=self._listen_port,  # the standby rebinds this port
                 epoch=self.epoch,
                 worker_reconnect_attempts=self.WORKER_RECONNECT_ATTEMPTS,
             )
         else:
-            fn, placed = self._thread_fn(), {}
+            fn, placed = resolve_fn(self.fn_spec), {}
         # one ``farm_options`` tunes whichever backend is underneath: each
         # incarnation takes the options its constructor knows
         known = inspect.signature(cls.__init__).parameters
@@ -224,10 +214,38 @@ class SupervisedFarm:
             self._listen_port = farm.port
         return farm
 
-    def _thread_fn(self) -> Any:
-        from . import runner
+    def _attach(self) -> None:
+        """Point the current incarnation's results and hooks here (lock
+        held).  The hooks run under the farm's lock and take no lock of
+        this side's, which calls into the farm holding its own; a worker
+        lost before they were set is journaled now."""
+        farm = self.farm
+        with farm._lock:
+            farm.results = self.results
+            farm._on_complete = self._journal_complete
+            farm._on_worker_lost = self._journal_death
+            for _, farm_id in farm.crashes:
+                self._journal_death(farm_id)
 
-        return runner.run_tagged
+    def _journal_complete(self, sid: int, result: Any, failed: bool) -> None:
+        """Journal one fresh result and close its root (farm lock held)."""
+        if failed:
+            event = {"ev": "complete", "sid": sid, "ok": False, "err": str(result)}
+        else:
+            event = {"ev": "complete", "sid": sid, "ok": True, "v": result}
+        self.journal.append(event)
+        self.completed += 1
+        root = self._roots.pop(sid, None)
+        if root is not None:
+            root.close(self.telemetry.clock.now(), "error" if failed else "ok")
+
+    def _journal_death(self, farm_id: int) -> None:
+        """Journal a worker the incarnation declared dead (farm lock held):
+        without the ``remove`` a failover would respawn it."""
+        entry = self._registry.get(self._farm_to_wid.get(farm_id))
+        if entry is not None and entry.active:
+            entry.active = False
+            self.journal.append({"ev": "remove", "wid": entry.wid})
 
     # ------------------------------------------------------------------
     # registry bookkeeping (lock held by callers)
@@ -256,24 +274,6 @@ class SupervisedFarm:
                     return handle
         return None
 
-    def _journal_deaths(self, farm: Any) -> None:
-        """Journal the workers ``farm`` has declared dead (lock held).
-
-        The farm's ``crashes`` list is read from this side — the pump
-        thread, or the caller crashing the coordinator — because a farm
-        thread must never wait on the supervisor lock: the supervisor
-        calls into the farm holding it.  Without the ``remove`` events a
-        failover would respawn every worker ever admitted.
-        """
-        crashes = farm.crashes
-        while self._crashes_seen < len(crashes):
-            _, farm_id = crashes[self._crashes_seen]
-            self._crashes_seen += 1
-            entry = self._registry.get(self._farm_to_wid.get(farm_id))
-            if entry is not None and entry.active:
-                entry.active = False
-                self.journal.append({"ev": "remove", "wid": entry.wid})
-
     # ------------------------------------------------------------------
     # time base + heartbeat
     # ------------------------------------------------------------------
@@ -281,8 +281,12 @@ class SupervisedFarm:
         return self._clock() - self._t0
 
     def heartbeat_age(self) -> float:
-        """Seconds since the coordinator (result pump) last beat."""
-        return self._clock() - self._beat
+        """Seconds since the incarnation's coordinator loop last ran a
+        supervision pass; 0 on a thread farm, which has no loop to wedge."""
+        if self.backend == "thread":
+            return 0.0
+        farm = self.farm
+        return farm.now() - farm._last_pass
 
     # ------------------------------------------------------------------
     # stream
@@ -313,89 +317,23 @@ class SupervisedFarm:
                 self._submit_to_farm(sid, payload, tenant)
 
     def _submit_to_farm(self, sid: int, payload: Any, tenant: Optional[str]) -> None:
-        """Hand one tagged envelope to the current incarnation (lock held).
+        """Hand one task to the current incarnation, under its sid as the
+        farm's task id (lock held).
 
         The traceparent is minted deterministically from the stable sid,
         so every incarnation's attempt chains under the same root — even
         an incarnation created after the span-owning process restarted.
         """
-        envelope = tagged_envelope(sid, self.fn_spec, payload)
         traceparent = (
             task_context(self.name, sid).traceparent()
             if self.telemetry.enabled
             else None  # nobody downstream would parse it
         )
-        self.farm.submit(envelope, tenant=tenant, traceparent=traceparent)
+        self.farm.submit(payload, tenant=tenant, traceparent=traceparent, task_id=sid)
 
     def drain_results(self, count: int, timeout: float = 30.0) -> List[Any]:
         """Collect ``count`` results (completion order, exactly-once)."""
         return drain_queue(self.results, count, timeout)
-
-    # ------------------------------------------------------------------
-    # result pump: drains the incarnation, journals, dedups, delivers
-    # ------------------------------------------------------------------
-    def _start_pump(self) -> None:
-        self._pump_gen += 1
-        self._crashes_seen = 0
-        self._beat = self._clock()
-        thread = threading.Thread(
-            target=self._pump_loop,
-            args=(self.farm, self._pump_gen),
-            name=f"{self.name}-pump-e{self.epoch}",
-            daemon=True,
-        )
-        thread.start()
-
-    def _pump_loop(self, farm: Any, gen: int) -> None:
-        results = farm.results
-        while True:
-            # every result already queued (bounded), not one per wake-up
-            batch: List[Any] = []
-            try:
-                batch.append(results.get(timeout=0.02))
-                while len(batch) < PUMP_BATCH:
-                    batch.append(results.get_nowait())
-            except queue.Empty:
-                pass
-            with self._lock:
-                if self._shutdown_done or gen != self._pump_gen:
-                    return  # stale incarnation: its results died with it
-                self._beat = self._clock()  # the coordinator heartbeat
-                self._journal_deaths(farm)
-                for res in batch:
-                    self._deliver(res)
-
-    def _deliver(self, res: Any) -> None:
-        """Journal + dedup one result envelope, then deliver (lock held)."""
-        if not isinstance(res, dict) or "sid" not in res:
-            # infrastructure-level failure (e.g. the runner itself could
-            # not resolve the task fn): surface it, uncorrelated
-            self.results.put(res if isinstance(res, Exception) else RuntimeError(str(res)))
-            return
-        sid = int(res["sid"])
-        if sid in self._delivered:
-            self.duplicates += 1
-            if self.telemetry.enabled:
-                self.telemetry.metrics.counter(
-                    "repro_sup_duplicate_results_total",
-                    "results dropped because the sid already completed",
-                ).labels(farm=self.name).inc()
-            return
-        self._delivered.add(sid)
-        ok = bool(res.get("ok"))
-        event: Dict[str, Any] = {"ev": "complete", "sid": sid, "ok": ok}
-        if ok:
-            event["v"] = res.get("value")
-        else:
-            event["err"] = str(res.get("error", "task failed"))
-        self.journal.append(event)
-        self.completed += 1
-        root = self._roots.pop(sid, None)
-        if root is not None:
-            root.close(self.telemetry.clock.now(), "ok" if ok else "error")
-        self.results.put(
-            res.get("value") if ok else RuntimeError(str(res.get("error", "task failed")))
-        )
 
     # ------------------------------------------------------------------
     # crash + failover (the tentpole)
@@ -404,7 +342,8 @@ class SupervisedFarm:
         """Simulate the coordinator process dying (SIGKILL semantics).
 
         The incarnation's dispatcher state is gone, its heartbeat goes
-        silent, its open dispatch spans close as ``coordinator-crashed``.
+        silent, its open dispatch spans close as ``coordinator-crashed``,
+        and once this returns it journals and delivers nothing.
         Thread/process workers live *inside* the coordinator process and
         die with it; dist workers are separate OS processes across a TCP
         boundary and survive, ready to reattach to a promoted standby.
@@ -413,17 +352,10 @@ class SupervisedFarm:
             if self.crashed or self._shutdown_done:
                 return
             self.crashed = True
-            self._pump_gen += 1  # the pump (and its heartbeat) dies here
             farm = self.farm
             self._survivor_map = dict(self._farm_to_wid)
-        if self.backend == "dist":
-            self._survivors = farm.crash()
-        else:
-            farm.crash()
-            self._survivors = []
-        with self._lock:
-            # deaths the dead coordinator saw but its pump never journaled
-            self._journal_deaths(farm)
+        # only a dist coordinator's worker processes outlive it
+        self._survivors = farm.crash() or []
         if self.telemetry.enabled:
             self.telemetry.metrics.counter(
                 "repro_sup_coordinator_crashes_total",
@@ -439,7 +371,7 @@ class SupervisedFarm:
         which contract the restarted controller enforces.
         """
         t0 = time.monotonic()
-        adaptation = getattr(self.telemetry, "adaptation", None)
+        adaptation = self.telemetry.adaptation
         if adaptation is not None:
             # the dependability concern's adaptation cycle: the crash is
             # the observed violation, the rebuilt coordinator the plan
@@ -464,12 +396,12 @@ class SupervisedFarm:
                     completed=len(state.completed),
                 )
             self._rebuild(state, span)
+            self._attach()
             for sid, payload in state.pending.items():
                 self._submit_to_farm(sid, payload, state.tenants.get(sid))
             self.redispatched += len(state.pending)
             self.crashed = False
             self.failovers += 1
-            self._start_pump()
         elapsed = time.monotonic() - t0
         self.last_failover_seconds = elapsed
         if adaptation is not None:
@@ -605,6 +537,10 @@ class SupervisedFarm:
         return self.farm.num_workers
 
     @property
+    def emitter_node(self) -> Any:
+        return self.farm.emitter_node
+
+    @property
     def quarantined_workers(self) -> int:
         return self.farm.quarantined_workers
 
@@ -678,21 +614,14 @@ class SupervisedFarm:
         with self._lock:
             if self._shutdown_done:
                 return
-            self._pump_gen += 1  # stop the pump first
+            self._shutdown_done = True
             farm = self.farm
             crashed = self.crashed
         if not crashed:
-            # deliver completions that raced shutdown, then stop the farm
-            while True:
-                try:
-                    res = farm.results.get_nowait()
-                except queue.Empty:
-                    break
-                with self._lock:
-                    self._deliver(res)
             farm.shutdown(timeout)
-        with self._lock:
-            self._shutdown_done = True
+        with farm._lock:
+            # a task that outlived the farm's shutdown journals nothing
+            farm._on_complete = farm._on_worker_lost = None
             for root in self._roots.values():
                 root.close(self.telemetry.clock.now(), "abandoned")
             self._roots.clear()

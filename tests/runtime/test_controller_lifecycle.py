@@ -19,9 +19,11 @@ from repro.core.contracts import (
     RateContract,
     ThroughputRangeContract,
 )
+from repro.obs.telemetry import NOOP
 from repro.runtime.backend import RuntimeFarmSnapshot
 from repro.runtime.controller import FarmController
 from repro.runtime.farm_runtime import ThreadFarm
+from repro.sim.resources import TRUSTED_DEFAULT, Node
 
 from .waiting import wait_until
 
@@ -213,6 +215,8 @@ class _GatedFarm:
     """
 
     name = "gated"
+    telemetry = NOOP
+    emitter_node = Node("emitter", domain=TRUSTED_DEFAULT)
 
     def __init__(self):
         self.in_monitor = threading.Event()

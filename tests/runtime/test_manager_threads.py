@@ -32,7 +32,6 @@ RUNTIME_THREADS = {
     "hierarchy/wire.py": 2,  # a shard agent's accept loop and its connections
     "pipeline_runtime.py": 1,  # a pipeline stage
     "supervision/journal.py": 1,  # the journal committer
-    "supervision/supervisor.py": 1,  # the supervised result pump
 }
 
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.contracts import SecurityContract
 from repro.core.multiconcern import CoordinationMode, GeneralManager
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import NOOP, Telemetry
 from repro.rules.beans import ManagerOperation
 from repro.gcm.abc_controller import FarmABC
 from repro.runtime.controller import WallTimeBase
@@ -35,7 +35,7 @@ from repro.runtime.farm_runtime import ThreadFarm
 from repro.runtime.process_farm import ProcessFarm
 from repro.security.domains import SecurityPolicy, TrustRegistry
 from repro.security.manager import SecurityABC, SecurityManager
-from repro.sim.resources import Domain, ResourceManager, make_cluster
+from repro.sim.resources import TRUSTED_DEFAULT, Domain, Node, ResourceManager, make_cluster
 
 pytestmark = pytest.mark.multiconcern
 
@@ -293,6 +293,8 @@ class FakeFarm:
     """
 
     name = "fake"
+    telemetry = NOOP
+    emitter_node = Node("emitter", domain=TRUSTED_DEFAULT)
 
     def __init__(self, initial_workers=1, max_workers=64):
         self.workers = []

@@ -37,15 +37,13 @@ from repro.runtime.supervision import (
     Supervisor,
     read_journal,
     replay_events,
-    run_tagged,
-    tagged_envelope,
 )
 
 from .waiting import wait_until
 
 
 def supervised_task(payload):
-    """Module-level so the tagged runner can resolve it by name."""
+    """Module-level so every backend can resolve it by name."""
     work, value = payload
     if work:
         time.sleep(work)
@@ -305,28 +303,6 @@ class TestDispatchJournal:
 
 
 # ----------------------------------------------------------------------
-# the tagged envelope runner
-# ----------------------------------------------------------------------
-
-
-class TestTaggedRunner:
-    def test_roundtrip(self):
-        env = tagged_envelope(
-            3, "tests.runtime.test_supervision:supervised_task", (0.0, 5)
-        )
-        out = run_tagged(env)
-        assert out == {"sid": 3, "ok": True, "value": 25}
-
-    def test_error_is_captured_not_raised(self):
-        env = tagged_envelope(
-            1, "tests.runtime.test_supervision:supervised_task", "not-a-pair"
-        )
-        out = run_tagged(env)
-        assert out["sid"] == 1 and out["ok"] is False
-        assert "error" in out
-
-
-# ----------------------------------------------------------------------
 # replay as a pure fold (Hypothesis)
 # ----------------------------------------------------------------------
 
@@ -580,60 +556,11 @@ class TestSupervisedFarmFailover:
         finally:
             farm.shutdown()
 
-    def test_pump_delivers_a_queued_burst_in_bounded_batches(self, tmp_path):
-        """Results already queued when the pump wakes are delivered under
-        one hold of the supervisor lock (at most PUMP_BATCH of them) —
-        exactly once, in queue order, one ``complete`` line each."""
-        from repro.runtime.supervision import supervisor as sup_module
-
-        farm = SupervisedFarm(
-            supervised_task,
-            backend="thread",
-            journal_path=str(tmp_path / "j.jsonl"),
-            initial_workers=2,
-        )
-        try:
-            total = sup_module.PUMP_BATCH + 44
-            with farm._lock:
-                farm._pump_gen += 1  # retire the running pump
-            wait_until(
-                lambda: not any(t.name == "sfarm-pump-e0" for t in threading.enumerate()),
-                message="the first pump to exit",
-            )
-            for i in range(total):
-                farm.submit((0, i))
-            inner = farm.farm.results
-            wait_until(lambda: inner.qsize() == total, message="every result queued")
-            queued = [res["sid"] for res in inner.queue]
-
-            holds, held_in = [0], []
-            journal_deaths, deliver = farm._journal_deaths, farm._deliver
-
-            def count_hold(f):  # called once per hold of the lock, before delivering
-                holds[0] += 1
-                journal_deaths(f)
-
-            def record_hold(res):
-                held_in.append(holds[0])
-                deliver(res)
-
-            farm._journal_deaths, farm._deliver = count_hold, record_hold
-            farm._start_pump()
-            assert farm.drain_results(total, timeout=60.0) == [sid * sid for sid in queued]
-            assert held_in == [1] * sup_module.PUMP_BATCH + [2] * 44
-            assert farm.completed == total and farm.duplicates == 0
-            farm.journal.sync()
-            completes = [e["sid"] for e in read_journal(farm.journal.path) if e["ev"] == "complete"]
-            assert completes == queued
-        finally:
-            farm.shutdown()
-
 
 class TestOneBooking:
     """A supervised task is booked once: its sid is the incarnation's
     task id, and its result is journaled and delivered once."""
 
-    @pytest.mark.xfail(strict=True, reason="the incarnation numbers its tasks afresh")
     def test_the_sid_is_the_task_id_after_a_failover(self, tmp_path):
         tel = Telemetry()
         farm = SupervisedFarm(
@@ -688,6 +615,46 @@ class TestOneBooking:
         finally:
             farm.shutdown()
         assert sorted(e["sid"] for e in journaled(path, "complete")) == list(range(total))
+
+    def test_completion_takes_no_supervisor_lock(self, tmp_path):
+        """The completion hook runs on the incarnation's thread under the
+        farm's lock only: a result is journaled and delivered while some
+        other thread holds the supervisor's lock, which it holds whenever
+        it calls into the farm."""
+        path = str(tmp_path / "j.jsonl")
+        farm = SupervisedFarm(supervised_task, backend="thread", journal_path=path)
+        try:
+            with farm._lock:
+                farm.submit((0.0, 3))
+                assert farm.drain_results(1, timeout=10.0) == [9]
+                assert farm.completed == 1
+        finally:
+            farm.shutdown()
+        assert journaled(path, "complete") == [{"ev": "complete", "sid": 0, "ok": True, "v": 9}]
+
+    def test_heartbeat_is_the_incarnations_supervision_pass(self, tmp_path):
+        """A stream incarnation's loop stamps every supervision pass; one
+        that stops passing ages, and a thread farm has no loop to age."""
+        thread = SupervisedFarm(
+            supervised_task, backend="thread", journal_path=str(tmp_path / "t.jsonl")
+        )
+        farm = SupervisedFarm(
+            supervised_task,
+            backend="process",
+            journal_path=str(tmp_path / "p.jsonl"),
+            initial_workers=1,
+            farm_options=dict(supervise_period=0.02),
+        )
+        try:
+            assert thread.heartbeat_age() == 0.0
+            wait_until(lambda: farm.heartbeat_age() < 0.05, message="a supervision pass")
+            inner = farm.farm  # its loop stops passing
+            inner._loop.call_soon_threadsafe(inner._supervisor_task.cancel)
+            time.sleep(0.2)
+            assert farm.heartbeat_age() >= 0.15
+        finally:
+            farm.shutdown()
+            thread.shutdown()
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_a_failing_task_drains_and_journals_its_error_text(self, tmp_path, backend):
