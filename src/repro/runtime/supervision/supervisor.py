@@ -352,10 +352,11 @@ class SupervisedFarm:
             if self.crashed or self._shutdown_done:
                 return
             self.crashed = True
-            farm = self.farm
             self._survivor_map = dict(self._farm_to_wid)
-        # only a dist coordinator's worker processes outlive it
-        self._survivors = farm.crash() or []
+            # under the lock, so no failover replays the journal while the
+            # dying incarnation may still complete a task (its hooks take
+            # no supervisor lock); only dist worker processes outlive it
+            self._survivors = self.farm.crash() or []
         if self.telemetry.enabled:
             self.telemetry.metrics.counter(
                 "repro_sup_coordinator_crashes_total",

@@ -632,6 +632,33 @@ class TestOneBooking:
             farm.shutdown()
         assert journaled(path, "complete") == [{"ev": "complete", "sid": 0, "ok": True, "v": 9}]
 
+    def test_concurrent_completions_are_each_booked_once(self, tmp_path):
+        """More worker threads than cores and a short switch interval:
+        every result still counts once in ``completed``, appends one
+        ``complete`` line and closes its root ``ok``."""
+        path = str(tmp_path / "j.jsonl")
+        tel = Telemetry()
+        farm = SupervisedFarm(
+            supervised_task, backend="thread", journal_path=path, initial_workers=6,
+            telemetry=tel,
+        )
+        total = 1000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for i in range(total):
+                farm.submit((0, i))
+            results = farm.drain_results(total, timeout=120.0)
+            completed = farm.completed
+        finally:
+            sys.setswitchinterval(interval)
+            farm.shutdown()
+        assert sorted(results) == [i * i for i in range(total)]
+        assert completed == total
+        assert sorted(e["sid"] for e in journaled(path, "complete")) == list(range(total))
+        outcomes = [r.attributes.get("outcome") for r in tel.spans.named("task", "sfarm")]
+        assert outcomes == ["ok"] * total
+
     def test_heartbeat_is_the_incarnations_supervision_pass(self, tmp_path):
         """A stream incarnation's loop stamps every supervision pass; one
         that stops passing ages, and a thread farm has no loop to age."""
