@@ -384,7 +384,7 @@ class FarmCore:
         self.submitted += 1
         if task_id is None:
             task_id = self._task_seq
-        self._task_seq = max(self._task_seq, task_id + 1)
+            self._task_seq += 1
         record = TaskRecord(task_id, payload, now)
         telemetry = self.telemetry
         if telemetry.enabled:

@@ -635,7 +635,8 @@ class TestOneBooking:
     def test_concurrent_completions_are_each_booked_once(self, tmp_path):
         """More worker threads than cores and a short switch interval:
         every result still counts once in ``completed``, appends one
-        ``complete`` line and closes its root ``ok``."""
+        ``complete`` line and closes its root ``ok`` — and results drain
+        in the order their ``complete`` lines were journaled."""
         path = str(tmp_path / "j.jsonl")
         tel = Telemetry()
         farm = SupervisedFarm(
@@ -653,9 +654,10 @@ class TestOneBooking:
         finally:
             sys.setswitchinterval(interval)
             farm.shutdown()
-        assert sorted(results) == [i * i for i in range(total)]
         assert completed == total
-        assert sorted(e["sid"] for e in journaled(path, "complete")) == list(range(total))
+        completes = [e["sid"] for e in journaled(path, "complete")]
+        assert sorted(completes) == list(range(total))
+        assert results == [sid * sid for sid in completes]
         outcomes = [r.attributes.get("outcome") for r in tel.spans.named("task", "sfarm")]
         assert outcomes == ["ok"] * total
 
