@@ -55,6 +55,16 @@ def failing_task(payload):
     raise ValueError(f"bad payload {payload}")
 
 
+def echo_task(payload):
+    """Module-level, so every backend can run it; hands its payload back."""
+    return payload
+
+
+def set_task(payload):
+    """Module-level, so every backend can run it; returns a set."""
+    return set(payload)
+
+
 def journaled(path, ev):
     """The ``ev`` events of a journal file, without their ``seq``."""
     return [
@@ -300,6 +310,17 @@ class TestDispatchJournal:
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_journal(str(tmp_path / "absent.jsonl")) == []
+
+    @pytest.mark.xfail(strict=True, reason="the journal truncates a file it cannot read")
+    def test_a_file_it_did_not_write_is_left_intact(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        original = b"not a journal\n\x00\xff"
+        path.write_bytes(original)
+        try:
+            DispatchJournal(str(path)).close()
+        except ValueError:
+            pass
+        assert path.read_bytes() == original
 
 
 # ----------------------------------------------------------------------
@@ -703,6 +724,62 @@ class TestOneBooking:
         assert journaled(path, "complete") == [
             {"ev": "complete", "sid": 0, "ok": False, "err": "ValueError: bad payload 7"}
         ]
+
+
+class TestValueFidelity:
+    """What a task carries and returns comes back as it went in: across a
+    failover's replay, from the journal, and on every backend."""
+
+    @pytest.mark.xfail(strict=True, reason="the journal stores JSON")
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_replayed_payload_keeps_its_type(self, tmp_path, backend):
+        payloads = [(1, 2), {1: "a"}, b"\x00\xff"]
+        farm = SupervisedFarm(
+            echo_task, backend=backend, journal_path=str(tmp_path / "j.jsonl"),
+            initial_workers=1,
+        )
+        try:
+            farm.crash_coordinator()
+            for payload in payloads:  # journaled only: they run after the failover
+                farm.submit(payload)
+            farm.failover()
+            results = farm.drain_results(len(payloads), timeout=30.0)
+        finally:
+            farm.shutdown()
+        assert sorted(map(repr, results)) == sorted(map(repr, payloads))
+
+    @pytest.mark.xfail(strict=True, reason="the journal cannot encode a set")
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_set_result_drains_without_a_worker_crash(self, tmp_path, backend):
+        farm = SupervisedFarm(
+            set_task, backend=backend, journal_path=str(tmp_path / "j.jsonl"),
+            initial_workers=1,
+        )
+        try:
+            farm.submit((1, 2))
+            assert farm.drain_results(1, timeout=10.0) == [{1, 2}]
+            inner = farm.farm
+            assert not inner.crashes
+            if backend == "thread":
+                assert all(w._thread.is_alive() for w in inner.workers)
+        finally:
+            farm.shutdown()
+
+    @pytest.mark.xfail(strict=True, reason="the hook is called once per result")
+    def test_a_result_frame_calls_the_hook_once(self):
+        from .test_farm_core import BookkeepingFarm
+
+        farm = BookkeepingFarm()
+        farm.add()
+        records = [farm.submit(i) for i in range(16)]
+        calls = []
+        farm._on_complete = lambda *args: calls.append(args)
+        acks = [(r.task_id, r.payload * 2, False) for r in records]
+        fresh = []
+        with farm._lock:
+            farm._complete(farm.now(), acks, fresh)
+        assert calls == [(acks,)]
+        assert fresh == [r.payload * 2 for r in records]
 
 
 class TestSupervisorMonitor:
