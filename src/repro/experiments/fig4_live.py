@@ -366,7 +366,7 @@ def _build_stack(cfg: Any, telemetry: Optional[Telemetry], stack: contextlib.Exi
 
         journal_path = cfg.journal_path or os.path.join(
             stack.enter_context(tempfile.TemporaryDirectory(prefix="fig4-journal-")),
-            "journal.jsonl",
+            "dispatch.journal",
         )
         farm = SupervisedFarm(
             live_task, backend=cfg.backend, journal_path=journal_path,

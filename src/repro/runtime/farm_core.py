@@ -45,11 +45,17 @@ hold it, and none of them blocks.
 A supervisor books its tasks here and nowhere else
 (:mod:`repro.runtime.supervision`): it submits under its own stable id
 (``task_id=``), points ``results`` at its own queue, and sets two
-write-ahead hooks, ``_on_complete(task_id, result, failed)`` — once per
-fresh result, before the result is delivered — and
-``_on_worker_lost(worker_id)``.  Both run under ``_lock`` on whichever
+write-ahead hooks.  ``_on_complete(frame)`` is called once per
+:meth:`~FarmCore._complete` pass that has fresh results, with the list
+of that frame's fresh ``(task_id, result, failed)``, before any of them
+is delivered; it returns ``None``, or the frame's results as it
+journaled them (a result it could not record comes back as the failure
+it recorded instead), which are then what is delivered.  If it raises,
+the frame is delivered nowhere.  ``_on_worker_lost(worker_id)`` is
+called once per lost worker.  Both run under ``_lock`` on whichever
 thread completes or loses; they must take no lock of the supervisor's,
-which calls into the farm holding its own.
+which calls into the farm holding its own.  A farm without the hook
+builds no frame list.
 """
 
 from __future__ import annotations
@@ -114,7 +120,9 @@ class FarmCore:
     #: local domain (the security concern judges a link by its two ends)
     emitter_node = Node("emitter", domain=TRUSTED_DEFAULT)
     #: a supervisor's write-ahead hooks (see the module docstring)
-    _on_complete: Optional[Callable[[int, Any, bool], None]] = None
+    _on_complete: Optional[
+        Callable[[List[Tuple[int, Any, bool]]], Optional[List[Any]]]
+    ] = None
     _on_worker_lost: Optional[Callable[[int], None]] = None
 
     def __init__(
@@ -522,9 +530,10 @@ class FarmCore:
         A duplicate is dropped: a replayed task can also finish on its
         original worker — at-least-once underneath, exactly-once
         outward.  The frame's results share one departure time, so the
-        window is marked once per frame; if ``acks`` raises (an entry
-        of the wrong shape), those before it still complete.  A crashed
-        coordinator completes nothing.
+        window is marked once per frame, and a supervisor's
+        ``_on_complete`` hook sees them as one list; if ``acks`` raises
+        (an entry of the wrong shape), those before it still complete.
+        A crashed coordinator completes nothing.
         """
         if self._dead:
             return
@@ -532,6 +541,7 @@ class FarmCore:
         t = self.departure_est.clamp(now)
         completed_ids, tasks, latencies = self._completed_ids, self._tasks, self._latencies
         on_complete = self._on_complete
+        frame: Optional[List[Tuple[int, Any, bool]]] = None if on_complete is None else []
         done = 0
         try:
             for task_id, result, failed in acks:
@@ -544,8 +554,8 @@ class FarmCore:
                     continue
                 completed_ids.add(task_id)
                 done += 1
-                if on_complete is not None:
-                    on_complete(task_id, result, failed)
+                if frame is not None:
+                    frame.append((task_id, result, failed))
                 fresh.append(result)
                 record = tasks.pop(task_id, None)
                 if record is not None:
@@ -558,6 +568,15 @@ class FarmCore:
                 self.departure_est.mark(t, done)
                 self.completed += done
                 self._expire_latencies(t)
+            if frame:
+                base = len(fresh) - len(frame)
+                try:
+                    journaled = on_complete(frame)
+                except BaseException:
+                    del fresh[base:]  # not journaled: delivered nowhere
+                    raise
+                if journaled is not None:
+                    fresh[base:] = journaled
 
     def _expire_latencies(self, now: float) -> None:
         """Drop the latencies that have left the window ending at ``now``."""

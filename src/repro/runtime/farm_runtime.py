@@ -200,8 +200,8 @@ class ThreadFarm(FarmCore):
                 ((record.task_id, result, isinstance(result, Exception)),),
                 fresh,
             )
-            if fresh:
-                self.results.put(result)
+            if fresh:  # as journaled, under a supervisor
+                self.results.put(fresh[0])
 
     def _backlog(self, worker: ThreadWorker) -> int:
         return worker.queue.qsize()

@@ -3,8 +3,9 @@
 PR 5 gave every task admission, dispatch and completion a *span* and PR 4
 gave every committed intent an audit record — but both live in process
 memory and die with the coordinator.  This module gives those events a
-durable form: an append-only JSONL file, group-committed, whose replay is a
-pure function producing exactly the state a restarted coordinator needs:
+durable form: an append-only binary file, group-committed, whose replay
+is a pure function producing exactly the state a restarted coordinator
+needs:
 
 * which tasks were admitted but not yet completed (→ redispatch them,
   exactly once);
@@ -14,8 +15,8 @@ pure function producing exactly the state a restarted coordinator needs:
 * the contract in force (→ the rebuilt controller enforces what the
   dead one enforced).
 
-Event vocabulary (``ev`` field, one JSON object per line, each stamped
-with a monotonically increasing ``seq``):
+Event vocabulary (``ev`` field of each event dict, each stamped with a
+monotonically increasing ``seq``):
 
 ``open``      journal header: farm ``name``, ``backend``, task ``fn`` spec
 ``epoch``     a supervisor takeover; incarnation counter ``epoch``
@@ -32,36 +33,57 @@ with a monotonically increasing ``seq``):
 ``contract``  contract swap: ``c`` is the wire dict of
               :mod:`repro.runtime.hierarchy.codec`
 
-Durability model: group commit.  :meth:`DispatchJournal.append` assigns
-the ``seq``, encodes the line and leaves it in memory; one committer
-thread per journal writes what has gathered and ``fsync``s it with no
-lock held, then publishes the highest durable ``seq``.  A commit is
-requested as soon as ``fsync_batch`` events wait, at once for every
-control-plane event (anything but ``submit``/``complete``) and after
-:data:`COMMIT_LINGER` for any tail, so an event is on disk within
+File format: :data:`_MAGIC`, then records.  A record is a
+:data:`_HEADER` (body length, ``seq`` of its first event) and a body in
+the v4 wire's pickle codec, pinned to protocol 5: one event
+(:meth:`DispatchJournal.append`) or the list of one result frame's
+events (:meth:`DispatchJournal.extend`), numbered ``seq``, ``seq + 1``,
+….  :func:`read_journal` expands each record into one dict per event
+with its ``seq`` as the last key, so replay never sees records.  Values
+keep their type across a replay (a tuple payload stays a tuple, ``bytes``
+stay ``bytes``).  Reading a record unpickles it, so the journal is
+trusted local state, like the pickle codec between a coordinator and the
+workers it spawned: the file is created ``0o600``, and a non-empty file
+that does not start with :data:`_MAGIC` is refused with ``ValueError`` and
+left as it is.  To read one by hand::
+
+    from repro.runtime.supervision import read_journal, replay_events
+    events = read_journal(path)    # [{"ev": "open", ..., "seq": 0}, ...]
+    state = replay_events(events)  # .pending, .completed, .workers ...
+
+Durability model: group commit.  :meth:`DispatchJournal.append` and
+:meth:`~DispatchJournal.extend` assign the ``seq`` numbers, encode the
+record and leave it in memory; one committer thread per journal writes
+what has gathered and fsyncs it with no lock held, then publishes the
+highest durable ``seq``.  Every count below is of *events*, not records.
+A commit is requested as soon as ``fsync_batch`` events wait, at once
+for every control-plane event (anything but ``submit``/``complete``) and
+after :data:`COMMIT_LINGER` for any tail, so an event is on disk within
 max(linger, two commit latencies) of its append, and — appenders block
 once :data:`BACKLOG_BATCHES` × ``fsync_batch`` events are undurable —
-never more than that many events behind.  What is not yet committed
-lives in this process only: a kill of the process loses it exactly as a
-machine crash does.  :meth:`DispatchJournal.sync` is the barrier
-(returns once everything appended before the call is on disk);
+never more than that many events (plus one frame) behind.  What is not
+yet committed lives in this process only: a kill of the process loses it
+exactly as a machine crash does.  :meth:`DispatchJournal.sync` is the
+barrier (returns once everything appended before the call is on disk);
 ``fsync_batch=1`` requests a commit per event, and the appender still
 does not wait for it.  A failed write or fsync is kept and raised from
-every later ``append``/``sync``/``close``: after a failed fsync the
-kernel may have dropped the pages, so the journal does not pretend a
-retry could make them durable.  Replay tolerates a torn final line (a
-crash mid-write), dropping everything from the first undecodable line
-on; reopening the file cuts that tail off before anything is appended.
+every later ``append``/``extend``/``sync``/``close``: after a failed
+fsync the kernel may have dropped the pages, so the journal does not
+pretend a retry could make them durable.  Replay tolerates a torn tail
+(a crash mid-write) — a short header, a short body or a body that does
+not decode — dropping everything from the first such record on;
+reopening the file cuts that tail off before anything is appended.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import pickle
+import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...obs.telemetry import NOOP, Telemetry
 
@@ -84,39 +106,63 @@ _BATCHED_EVENTS = frozenset(("submit", "complete"))
 #: group sizes from one event to the largest backlog of the default batch
 _COMMIT_EVENTS_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
 
-# built once: json.dumps with non-default separators constructs an
-# encoder per call
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+#: the first bytes of every journal file: a file without them was not
+#: written by this module and is neither read nor truncated
+_MAGIC = b"repro-journal 1\n"
+
+#: a record's header: body length, ``seq`` of the body's first event
+_HEADER = struct.Struct("<IQ")
+
+#: the body codec: the v4 wire's pickle, pinned so that a file written on
+#: one supported Python reads back on every other
+_PROTOCOL = 5
 
 
 def read_journal(path: str) -> List[dict]:
     """Load every intact event from a journal file (missing file: []).
 
-    A torn tail — the line a crash interrupted mid-write — ends the
-    read: everything before it is trusted, nothing after it is.
+    A torn tail — the record a crash interrupted mid-write — ends the
+    read: everything before it is trusted, nothing after it is.  A file
+    that is not a journal raises ``ValueError``.
     """
     return _read_intact(path)[0]
 
 
 def _read_intact(path: str) -> Tuple[List[dict], int]:
     """The intact events of a journal file and the byte offset their
-    lines end at: where a torn tail, if any, begins."""
-    events: List[dict] = []
-    end = 0
+    records end at: where a torn tail, if any, begins (0: no header)."""
     try:
         with open(path, "rb") as f:
-            for raw in f:
-                line = raw.strip()
-                if line:
-                    try:
-                        event = json.loads(line)
-                    except ValueError:  # undecodable JSON or UTF-8
-                        break
-                    if isinstance(event, dict):
-                        events.append(event)
-                end += len(raw)
+            data = f.read()
     except FileNotFoundError:
-        pass
+        return [], 0
+    if not data.startswith(_MAGIC):
+        if _MAGIC.startswith(data):  # empty, or the header itself was torn
+            return [], 0
+        raise ValueError(f"{path} is not a dispatch journal: it does not start with {_MAGIC!r}")
+    events: List[dict] = []
+    view = memoryview(data)
+    end = len(_MAGIC)
+    while end + _HEADER.size <= len(data):
+        length, seq = _HEADER.unpack_from(data, end)
+        start = end + _HEADER.size
+        if start + length > len(data):
+            break  # a short body
+        try:
+            body = pickle.loads(view[start:start + length])
+        except Exception:  # noqa: BLE001 - any undecodable body is a tear
+            break
+        if type(body) is dict:
+            body = [body]
+        elif type(body) is not list or not all(type(e) is dict for e in body):
+            break
+        for event in body:
+            if "seq" in event:  # a caller's own, or a dict the frame holds twice
+                event = dict(event)
+            event["seq"] = seq
+            seq += 1
+            events.append(event)
+        end = start + length
     return events, end
 
 
@@ -232,7 +278,7 @@ def replay_events(events: Iterable[dict]) -> JournalState:
 
 
 class DispatchJournal:
-    """Append-only JSONL journal with group commit.
+    """Append-only binary journal with group commit.
 
     Thread-safe: the incarnation's hooks (on its loop or worker threads),
     the submitting thread and the controller all append concurrently, and
@@ -240,7 +286,7 @@ class DispatchJournal:
     (see the module docstring for what is durable when).  Every event gets
     a ``seq`` that continues across restarts (recovery reads the tail of
     an existing file), so the journal of a crashed-and-recovered run is
-    one totally ordered story; lines reach the file in ``seq`` order
+    one totally ordered story; records reach the file in ``seq`` order
     because they are queued under the lock that numbers them.
     """
 
@@ -261,16 +307,17 @@ class DispatchJournal:
         self._lock = threading.Lock()
         self._wake_committer = threading.Condition(self._lock)  # the committer waits here
         self._committed = threading.Condition(self._lock)  # sync() and held-back appenders
-        existing, intact = _read_intact(self.path)
-        self._seq = (max((e.get("seq", -1) for e in existing), default=-1)) + 1
-        self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-        # a torn tail was never durable: cut it off, or the first line
-        # appended would be glued onto it and end every later read there
+        existing, intact = _read_intact(self.path)  # a foreign file raises here, untouched
+        self._seq = existing[-1]["seq"] + 1 if existing else 0
+        self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
+        # a torn tail was never durable: cut it off, or the first record
+        # appended would follow it and end every later read there
         if os.fstat(self._fd).st_size > intact:
             os.ftruncate(self._fd, intact)
-        if intact and os.pread(self._fd, 1, intact - 1) != b"\n":
-            os.write(self._fd, b"\n")  # an intact last line the crash left unterminated
-        self._pending: List[str] = []  # numbered lines the committer has not taken yet
+        if not intact:
+            os.write(self._fd, _MAGIC)
+        self._pending: List[bytes] = []  # numbered records the committer has not taken yet
+        self._pending_events = 0  # the events those records hold
         self._commit_due = False
         self.durable_seq = self._seq - 1  # highest seq known to be on disk
         self._backlog = BACKLOG_BATCHES * fsync_batch
@@ -301,15 +348,34 @@ class DispatchJournal:
         self._committer.start()
 
     def append(self, event: dict) -> int:
-        """Number one event and queue its line for the committer.
+        """Number one event and queue its record for the committer.
 
         Returns the ``seq``; no file I/O happens on the caller.  Blocks
         only while the backlog bound is reached, and raises the
         committer's ``OSError`` if the journal can no longer be written.
+        An event the codec refuses raises before it takes a ``seq``.
         """
-        body = _encode(event)
-        ev = event.get("ev", "?")
-        urgent = ev not in _BATCHED_EVENTS
+        body = pickle.dumps(event, _PROTOCOL)
+        return self._enqueue(body, (event,), event.get("ev") not in _BATCHED_EVENTS)
+
+    def extend(self, events: Sequence[dict]) -> Optional[int]:
+        """Number a frame's events consecutively and queue them as one
+        record; returns the first ``seq`` (``None``: nothing to append).
+
+        One encode and one lock hold for the whole frame; otherwise as
+        :meth:`append` — the frame is refused whole if the codec refuses
+        any of its events.
+        """
+        if not events:
+            return None
+        body = pickle.dumps(list(events), _PROTOCOL)
+        urgent = any(event.get("ev") not in _BATCHED_EVENTS for event in events)
+        return self._enqueue(body, events, urgent)
+
+    def _enqueue(self, body: bytes, events: Sequence[dict], urgent: bool) -> int:
+        """Number ``events`` and queue their encoded ``body``; an
+        ``urgent`` one is committed without waiting for a batch."""
+        count = len(events)
         with self._lock:
             while True:
                 if self._closed:
@@ -320,25 +386,22 @@ class DispatchJournal:
                     break
                 self._committed.wait()
             seq = self._seq
-            self._seq += 1
-            if "seq" in event or len(body) == 2:
-                # not spliceable: an empty event, or a caller's own
-                # "seq", which keeps its position and takes this value
-                body = _encode({**event, "seq": seq})
-                self._pending.append(body + "\n")
-            else:
-                self._pending.append(f'{body[:-1]},"seq":{seq}}}\n')
-            self.appended += 1
-            if urgent or len(self._pending) >= self.fsync_batch:
+            self._pending.append(_HEADER.pack(len(body), seq) + body)
+            self._seq += count
+            self._pending_events += count
+            self.appended += count
+            if urgent or self._pending_events >= self.fsync_batch:
                 self._request_commit()
             if self.telemetry.enabled:
-                counter = self._ev_counters.get(ev)
-                if counter is None:
-                    counter = self._ev_counters[ev] = self.telemetry.metrics.counter(
-                        "repro_sup_journal_events_total",
-                        "events appended to the dispatch journal",
-                    ).labels(journal=self.name, ev=str(ev))
-                counter.inc()
+                for event in events:
+                    ev = event.get("ev", "?")
+                    counter = self._ev_counters.get(ev)
+                    if counter is None:
+                        counter = self._ev_counters[ev] = self.telemetry.metrics.counter(
+                            "repro_sup_journal_events_total",
+                            "events appended to the dispatch journal",
+                        ).labels(journal=self.name, ev=str(ev))
+                    counter.inc()
         return seq
 
     def _request_commit(self) -> None:
@@ -365,11 +428,12 @@ class DispatchJournal:
                     if self._closed:
                         return
                     continue
-                lines, self._pending = self._pending, []
+                records, self._pending = self._pending, []
+                events, self._pending_events = self._pending_events, 0
                 last = self._seq - 1
             t0 = time.perf_counter()
             try:
-                data = memoryview("".join(lines).encode("utf-8"))
+                data = memoryview(b"".join(records))
                 while data:  # a short write is not an error
                     data = data[os.write(self._fd, data):]
                 os.fsync(self._fd)
@@ -385,7 +449,7 @@ class DispatchJournal:
                 undurable = self._seq - 1 - last
                 self._committed.notify_all()
             self._commit_seconds.observe(elapsed)
-            self._commit_events.observe(len(lines))
+            self._commit_events.observe(events)
             self._undurable.set(undurable)
 
     def sync(self) -> None:

@@ -48,7 +48,7 @@ import inspect
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...obs.propagation import task_context
 from ...obs.rows import TaskRow
@@ -68,6 +68,13 @@ __all__ = ["SupervisedFarm", "SupervisedWorkerHandle", "Supervisor"]
 #: tries again (last value repeats): a rebuild that keeps raising neither
 #: spins at ``check_period`` nor goes unseen
 FAILOVER_BACKOFF = (0.5, 1.0, 2.0, 5.0)
+
+
+def _complete_event(sid: int, result: Any, failed: bool) -> dict:
+    """The journal's ``complete`` event for one fresh result."""
+    if failed:
+        return {"ev": "complete", "sid": sid, "ok": False, "err": str(result)}
+    return {"ev": "complete", "sid": sid, "ok": True, "v": result}
 
 
 @dataclass
@@ -227,17 +234,45 @@ class SupervisedFarm:
             for _, farm_id in farm.crashes:
                 self._journal_death(farm_id)
 
-    def _journal_complete(self, sid: int, result: Any, failed: bool) -> None:
-        """Journal one fresh result and close its root (farm lock held)."""
-        if failed:
-            event = {"ev": "complete", "sid": sid, "ok": False, "err": str(result)}
-        else:
-            event = {"ev": "complete", "sid": sid, "ok": True, "v": result}
-        self.journal.append(event)
-        self.completed += 1
-        root = self._roots.pop(sid, None)
-        if root is not None:
-            root.close(self.telemetry.clock.now(), "error" if failed else "ok")
+    def _journal_complete(
+        self, frame: List[Tuple[int, Any, bool]]
+    ) -> Optional[List[Any]]:
+        """Journal one frame's fresh results as one record and close
+        their roots (farm lock held).  A frame the codec refuses goes one
+        result at a time; see :meth:`_journal_one_by_one`."""
+        try:
+            self.journal.extend([_complete_event(*entry) for entry in frame])
+            journaled = None
+        except Exception:  # noqa: BLE001 - a value the codec refuses
+            journaled = self._journal_one_by_one(frame)
+        self.completed += len(frame)
+        if self._roots:
+            now = self.telemetry.clock.now()
+            for sid, _, failed in frame:
+                root = self._roots.pop(sid, None)
+                if root is not None:
+                    root.close(now, "error" if failed else "ok")
+        return journaled
+
+    def _journal_one_by_one(self, frame: List[Tuple[int, Any, bool]]) -> List[Any]:
+        """A frame that will not encode as one record, as one record per
+        result (farm lock held); returns the results to deliver.
+
+        A result the codec refuses completes as a failure naming the
+        codec's error, in the journal and in ``frame``; the others are
+        journaled as they are.  A journal that cannot be written at all
+        refuses the failure too, and that raises.
+        """
+        results = []
+        for i, (sid, result, failed) in enumerate(frame):
+            try:
+                self.journal.append(_complete_event(sid, result, failed))
+            except Exception as exc:  # noqa: BLE001 - an unencodable result
+                result = RuntimeError(f"{type(exc).__name__}: {exc}")
+                frame[i] = (sid, result, True)
+                self.journal.append(_complete_event(sid, result, True))
+            results.append(result)
+        return results
 
     def _journal_death(self, farm_id: int) -> None:
         """Journal a worker the incarnation declared dead (farm lock held):
@@ -302,12 +337,13 @@ class SupervisedFarm:
             if self._shutdown_done:
                 raise RuntimeError("supervised farm is shut down")
             sid = self._next_sid
-            self._next_sid += 1
-            self.submitted += 1
             event = {"ev": "submit", "sid": sid, "p": payload}
             if tenant is not None:
                 event["tenant"] = tenant
+            # a payload the codec refuses raises here, before it is counted
             self.journal.append(event)
+            self._next_sid += 1
+            self.submitted += 1
             if self.telemetry.enabled:
                 root = self._roots[sid] = TaskRow(
                     self.name, sid, tenant, None, self.telemetry.clock.now()

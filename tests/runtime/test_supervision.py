@@ -18,8 +18,8 @@ Three layers of guarantees:
 """
 
 import errno
-import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -38,8 +38,13 @@ from repro.runtime.supervision import (
     read_journal,
     replay_events,
 )
+from repro.runtime.supervision.journal import _HEADER, _MAGIC
 
+from . import journal_format
 from .waiting import wait_until
+
+#: bytes ahead of a journal record's body
+HEADER_SIZE = _HEADER.size
 
 
 def supervised_task(payload):
@@ -63,6 +68,11 @@ def echo_task(payload):
 def set_task(payload):
     """Module-level, so every backend can run it; returns a set."""
     return set(payload)
+
+
+def lock_task(payload):
+    """Module-level; a result no codec can encode when asked for one."""
+    return threading.Lock() if payload == "lock" else payload
 
 
 def journaled(path, ev):
@@ -145,21 +155,22 @@ class TestDispatchJournal:
         finally:
             journal.close()
 
-    def test_line_format_is_the_compact_dump_with_seq_last(self, tmp_path):
+    def test_records_round_trip_with_seq_last(self, tmp_path):
         path = tmp_path / "j.jsonl"
         events = [
             {"ev": "submit", "sid": 0, "p": [1, {"k": "é"}], "tenant": "t"},
             {"ev": "complete", "sid": 0, "ok": False, "err": "boom"},
-            {},  # nothing to splice the seq into
+            {},  # an event with no fields still takes its seq
             {"ev": "epoch", "seq": 99, "epoch": 1},  # a caller's seq is overwritten in place
         ]
         journal = DispatchJournal(str(path))
         for event in events:
             journal.append(event)
+        journal.extend(events)  # one record, the same events
         journal.close()
-        assert path.read_text().splitlines() == [
-            json.dumps({**event, "seq": seq}, separators=(",", ":"))
-            for seq, event in enumerate(events)
+        expected = [{**event, "seq": seq} for seq, event in enumerate(events + events)]
+        assert [list(e.items()) for e in read_journal(str(path))] == [
+            list(e.items()) for e in expected
         ]
 
     def test_sigkill_keeps_everything_synced_before_it(self, tmp_path):
@@ -275,12 +286,12 @@ class TestDispatchJournal:
 
     def test_torn_tail_is_dropped(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        lines = [
-            json.dumps({"ev": "submit", "sid": 0, "p": 1, "seq": 0}),
-            json.dumps({"ev": "submit", "sid": 1, "p": 2, "seq": 1}),
-            '{"ev": "compl',  # the line the crash interrupted
-        ]
-        path.write_text("\n".join(lines))
+        journal = DispatchJournal(str(path))
+        for sid in range(3):
+            journal.append({"ev": "submit", "sid": sid, "p": sid + 1})
+        journal.close()
+        data = path.read_bytes()
+        path.write_bytes(data[:-4])  # the record the crash interrupted
         events = read_journal(str(path))
         assert [e["sid"] for e in events] == [0, 1]
         # recovery opens the same file and keeps numbering after the tear
@@ -289,16 +300,28 @@ class TestDispatchJournal:
         journal.close()
 
     @pytest.mark.parametrize(
-        "tail", ['{"ev": "compl', '{"ev": "worker", "wid": 0, "seq": 1}'],
-        ids=["torn", "unterminated"],
+        "tear",
+        [
+            lambda record: record[:5],
+            lambda record: record[:-3],
+            lambda record: record[:HEADER_SIZE] + b"\x00" * (len(record) - HEADER_SIZE),
+        ],
+        ids=["torn-header", "torn-body", "undecodable-body"],
     )
-    def test_records_appended_after_a_tear_read_back(self, tmp_path, tail):
-        """Reopening cuts the torn bytes off (or ends an intact line the
-        crash left without its newline): the next record used to be glued
-        onto them, and every read stopped there for good."""
+    def test_records_appended_after_a_tear_read_back(self, tmp_path, tear):
+        """Reopening cuts the torn record off; left in place, it would
+        end every later read before the records appended after it."""
         path = tmp_path / "j.jsonl"
-        path.write_text(json.dumps({"ev": "submit", "sid": 0, "p": 1, "seq": 0}) + "\n" + tail)
+        journal = DispatchJournal(str(path))
+        journal.append({"ev": "submit", "sid": 0, "p": 1})
+        journal.sync()
+        intact = path.stat().st_size
+        journal.append({"ev": "worker", "wid": 0})
+        journal.close()
+        data = path.read_bytes()
+        path.write_bytes(data[:intact] + tear(data[intact:]))
         kept = len(read_journal(str(path)))
+        assert kept == 1
         journal = DispatchJournal(str(path))
         seqs = [journal.append({"ev": "submit", "sid": i, "p": i}) for i in range(1, 4)]
         journal.close()
@@ -308,19 +331,91 @@ class TestDispatchJournal:
         DispatchJournal(str(path)).close()
         assert read_journal(str(path)) == events
 
+    def test_the_format_fixture_reads_back(self):
+        """A journal written once and committed reads back, on every
+        Python the project supports, to the events it was written from."""
+        events = read_journal(journal_format.FIXTURE)
+        assert events == journal_format.EVENTS
+        state = replay_events(events)
+        assert state.pending == {3: [1.5, None, True, "é"]}
+        assert state.completed[0] == {"ok": True, "v": {1, 2}}
+        assert state.completed[2] == {"ok": True, "v": b"\x00\xff"}
+        assert state.admitted_wids == [1] and state.epoch == 1
+
+    def test_this_code_writes_the_format_fixture(self, tmp_path):
+        """The same records, written now, are the committed bytes: a
+        change of header, magic or pickle protocol shows here first."""
+        path = str(tmp_path / "j.bin")
+        journal_format.write(path)
+        with open(path, "rb") as mine, open(journal_format.FIXTURE, "rb") as pinned:
+            assert mine.read() == pinned.read()
+
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_journal(str(tmp_path / "absent.jsonl")) == []
 
-    @pytest.mark.xfail(strict=True, reason="the journal truncates a file it cannot read")
-    def test_a_file_it_did_not_write_is_left_intact(self, tmp_path):
-        path = tmp_path / "notes.txt"
-        original = b"not a journal\n\x00\xff"
-        path.write_bytes(original)
+    def test_a_frame_is_one_record_of_consecutive_events(self, tmp_path):
+        """``extend`` numbers a frame's events consecutively, and the
+        group commit counts its events: a frame of ``fsync_batch`` is a
+        full batch."""
+        path = str(tmp_path / "j.jsonl")
+        journal = DispatchJournal(path, fsync_batch=8)
         try:
-            DispatchJournal(str(path)).close()
-        except ValueError:
-            pass
-        assert path.read_bytes() == original
+            assert journal.extend([]) is None and journal.appended == 0
+            assert journal.append({"ev": "submit", "sid": 0, "p": 0}) == 0
+            frame = [{"ev": "complete", "sid": i, "ok": True, "v": i} for i in range(7)]
+            assert journal.extend(frame) == 1
+            wait_until(lambda: len(read_journal(path)) == 8, message="the full batch on disk")
+            assert journal.append({"ev": "submit", "sid": 1, "p": 1}) == 8
+            assert journal.appended == 9
+        finally:
+            journal.close()
+        assert [e["seq"] for e in read_journal(path)] == list(range(9))
+
+    def test_an_unencodable_event_takes_no_seq(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = DispatchJournal(path)
+        try:
+            with pytest.raises(TypeError):
+                journal.append({"ev": "submit", "sid": 0, "p": threading.Lock()})
+            with pytest.raises(TypeError):
+                journal.extend([{"ev": "complete", "sid": 0, "ok": True, "v": threading.Lock()}])
+            assert journal.append({"ev": "submit", "sid": 0, "p": 1}) == 0
+            assert journal.appended == 1
+        finally:
+            journal.close()
+
+    def test_the_file_is_private_and_starts_with_the_magic(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        DispatchJournal(str(path)).close()
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert path.read_bytes() == _MAGIC
+        assert read_journal(str(path)) == []
+
+    def test_a_torn_magic_is_an_empty_journal(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(_MAGIC[:5])
+        assert read_journal(str(path)) == []
+        journal = DispatchJournal(str(path))
+        assert journal.append({"ev": "submit", "sid": 0, "p": 1}) == 0
+        journal.close()
+        assert [e["sid"] for e in read_journal(str(path))] == [0]
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"not a journal\n\x00\xff", b'{"ev":"submit","sid":0,"p":1,"seq":0}\n'],
+        ids=["foreign", "jsonl"],
+    )
+    def test_a_file_it_did_not_write_is_left_intact(self, tmp_path, content):
+        """A file without the magic — another program's, or a journal of
+        the earlier JSON-lines format — is refused, and neither read nor
+        cut."""
+        path = tmp_path / "notes.txt"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_journal(str(path))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            DispatchJournal(str(path))
+        assert path.read_bytes() == content
 
 
 # ----------------------------------------------------------------------
@@ -461,17 +556,55 @@ class TestReplayProperties:
     @settings(max_examples=40, deadline=None)
     @given(events=journal_histories(), cut=st.integers(min_value=0, max_value=20))
     def test_torn_tail_replay_equals_intact_prefix(self, tmp_path_factory, events, cut):
-        """A journal torn mid-line replays exactly the intact prefix."""
+        """A journal torn mid-record replays exactly the intact prefix."""
         path = tmp_path_factory.mktemp("journal") / "torn.jsonl"
         keep = events[: min(cut, len(events))]
-        text = "".join(
-            json.dumps(dict(e, seq=i), separators=(",", ":")) + "\n"
-            for i, e in enumerate(keep)
-        )
-        path.write_text(text + '{"ev":"submit","sid"')
+        journal = DispatchJournal(str(path))
+        for event in keep:
+            journal.append(event)
+        journal.sync()
+        intact = path.stat().st_size
+        journal.append({"ev": "submit", "sid": len(keep), "p": 0})
+        journal.close()
+        with open(path, "r+b") as f:
+            f.truncate(intact + HEADER_SIZE + 1)
         recovered = replay_events(read_journal(str(path)))
         expected = replay_events(keep)
         assert recovered == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(events=journal_histories(), data=st.data())
+    def test_a_cut_anywhere_in_the_last_record_reads_the_intact_prefix(
+        self, tmp_path_factory, events, data
+    ):
+        """Written through ``append`` and ``extend`` in any grouping, a
+        file cut at every byte offset of its last record reads back
+        exactly the events of the records before it."""
+        path = tmp_path_factory.mktemp("journal") / "cut.jsonl"
+        records, rest = [], list(events)
+        while rest:  # every draw before the journal opens: a draw can end the example
+            size = data.draw(st.integers(min_value=1, max_value=len(rest)))
+            one = size == 1 and data.draw(st.booleans())
+            records.append((one, rest[:size]))
+            rest = rest[size:]
+        journal = DispatchJournal(str(path))
+        for one, record in records[:-1]:
+            if one:
+                journal.append(record[0])
+            else:
+                journal.extend(record)
+        journal.sync()
+        intact = path.stat().st_size
+        last = records[-1][1]
+        journal.extend(last)
+        journal.close()
+        whole = path.read_bytes()
+        numbered = [{**event, "seq": seq} for seq, event in enumerate(events)]
+        assert read_journal(str(path)) == numbered
+        prefix = numbered[: len(events) - len(last)]
+        for cut in range(intact, len(whole)):
+            path.write_bytes(whole[:cut])
+            assert read_journal(str(path)) == prefix
 
 
 # ----------------------------------------------------------------------
@@ -730,7 +863,6 @@ class TestValueFidelity:
     """What a task carries and returns comes back as it went in: across a
     failover's replay, from the journal, and on every backend."""
 
-    @pytest.mark.xfail(strict=True, reason="the journal stores JSON")
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_a_replayed_payload_keeps_its_type(self, tmp_path, backend):
         payloads = [(1, 2), {1: "a"}, b"\x00\xff"]
@@ -748,7 +880,6 @@ class TestValueFidelity:
             farm.shutdown()
         assert sorted(map(repr, results)) == sorted(map(repr, payloads))
 
-    @pytest.mark.xfail(strict=True, reason="the journal cannot encode a set")
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_a_set_result_drains_without_a_worker_crash(self, tmp_path, backend):
         farm = SupervisedFarm(
@@ -765,7 +896,6 @@ class TestValueFidelity:
         finally:
             farm.shutdown()
 
-    @pytest.mark.xfail(strict=True, reason="the hook is called once per result")
     def test_a_result_frame_calls_the_hook_once(self):
         from .test_farm_core import BookkeepingFarm
 
@@ -780,6 +910,68 @@ class TestValueFidelity:
             farm._complete(farm.now(), acks, fresh)
         assert calls == [(acks,)]
         assert fresh == [r.payload * 2 for r in records]
+
+
+class TestUnencodableValues:
+    """A value the journal's codec refuses fails alone."""
+
+    def test_an_unencodable_payload_is_refused_before_it_is_counted(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        farm = SupervisedFarm(echo_task, backend="thread", journal_path=path)
+        try:
+            appended = farm.journal.appended
+            with pytest.raises(TypeError):
+                farm.submit(threading.Lock())
+            assert (farm.submitted, farm._next_sid, farm.journal.appended) == (0, 0, appended)
+            farm.submit(5)
+            assert farm.drain_results(1, timeout=30.0) == [5]
+            assert farm.submitted == farm.completed == 1
+        finally:
+            farm.shutdown()
+        assert journaled(path, "submit") == [{"ev": "submit", "sid": 0, "p": 5}]
+
+    def test_an_unencodable_result_completes_as_a_failure(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        farm = SupervisedFarm(lock_task, backend="thread", journal_path=path)
+        try:
+            for payload in ("a", "lock", "b"):
+                farm.submit(payload)
+            results = farm.drain_results(3, timeout=30.0)
+            assert all(w._thread.is_alive() for w in farm.farm.workers)
+        finally:
+            farm.shutdown()
+        (error,) = [r for r in results if isinstance(r, Exception)]
+        assert sorted(r for r in results if r is not error) == ["a", "b"]
+        assert type(error) is RuntimeError and str(error).startswith("TypeError: ")
+        assert sorted(journaled(path, "complete"), key=lambda e: e["sid"]) == [
+            {"ev": "complete", "sid": 0, "ok": True, "v": "a"},
+            {"ev": "complete", "sid": 1, "ok": False, "err": str(error)},
+            {"ev": "complete", "sid": 2, "ok": True, "v": "b"},
+        ]
+
+    def test_the_rest_of_its_frame_completes(self, tmp_path):
+        """One frame, one result the codec refuses: the frame goes one
+        record per result, and only that one is journaled and delivered
+        as a failure."""
+        path = str(tmp_path / "j.jsonl")
+        farm = SupervisedFarm(echo_task, backend="thread", journal_path=path)
+        try:
+            inner, fresh = farm.farm, []
+            with inner._lock:
+                inner._complete(
+                    inner.now(), [(10, "x", False), (11, threading.Lock(), False),
+                                  (12, "y", False)], fresh,
+                )
+            assert fresh[0] == "x" and fresh[2] == "y"
+            assert type(fresh[1]) is RuntimeError and str(fresh[1]).startswith("TypeError: ")
+            assert farm.completed == 3
+        finally:
+            farm.shutdown()
+        assert journaled(path, "complete") == [
+            {"ev": "complete", "sid": 10, "ok": True, "v": "x"},
+            {"ev": "complete", "sid": 11, "ok": False, "err": str(fresh[1])},
+            {"ev": "complete", "sid": 12, "ok": True, "v": "y"},
+        ]
 
 
 class TestSupervisorMonitor:
