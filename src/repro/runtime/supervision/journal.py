@@ -70,9 +70,13 @@ does not wait for it.  A failed write or fsync is kept and raised from
 every later ``append``/``extend``/``sync``/``close``: after a failed
 fsync the kernel may have dropped the pages, so the journal does not
 pretend a retry could make them durable.  Replay tolerates a torn tail
-(a crash mid-write) — a short header, a short body or a body that does
-not decode — dropping everything from the first such record on;
-reopening the file cuts that tail off before anything is appended.
+(a crash mid-write): a short header or a short body ends the read, and
+reopening the file cuts it off before anything is appended.  A whole
+record whose body does not decode — a value that pickled but will not
+unpickle, or bytes a crash zeroed — is skipped, and the records after it
+still count: a skipped ``complete`` leaves its task pending, to run
+again after a failover, where ending the read there would lose every
+task submitted after it.
 """
 
 from __future__ import annotations
@@ -122,8 +126,9 @@ def read_journal(path: str) -> List[dict]:
     """Load every intact event from a journal file (missing file: []).
 
     A torn tail — the record a crash interrupted mid-write — ends the
-    read: everything before it is trusted, nothing after it is.  A file
-    that is not a journal raises ``ValueError``.
+    read: everything before it is trusted, nothing after it is.  A whole
+    record that does not decode is skipped.  A file that is not a
+    journal raises ``ValueError``.
     """
     return _read_intact(path)[0]
 
@@ -148,21 +153,21 @@ def _read_intact(path: str) -> Tuple[List[dict], int]:
         start = end + _HEADER.size
         if start + length > len(data):
             break  # a short body
+        end = start + length
         try:
-            body = pickle.loads(view[start:start + length])
-        except Exception:  # noqa: BLE001 - any undecodable body is a tear
-            break
+            body = pickle.loads(view[start:end])
+        except Exception:  # noqa: BLE001 - a value that pickled but does not load
+            body = None
         if type(body) is dict:
             body = [body]
         elif type(body) is not list or not all(type(e) is dict for e in body):
-            break
+            continue  # whole but not events: skipped, so the records after it count
         for event in body:
             if "seq" in event:  # a caller's own, or a dict the frame holds twice
                 event = dict(event)
             event["seq"] = seq
             seq += 1
             events.append(event)
-        end = start + length
     return events, end
 
 

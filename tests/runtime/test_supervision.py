@@ -75,6 +75,13 @@ def lock_task(payload):
     return threading.Lock() if payload == "lock" else payload
 
 
+class Unloadable(Exception):
+    """Pickles as ``Unloadable(a)``, which its ``__init__`` refuses."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
 def journaled(path, ev):
     """The ``ev`` events of a journal file, without their ``seq``."""
     return [
@@ -309,8 +316,10 @@ class TestDispatchJournal:
         ids=["torn-header", "torn-body", "undecodable-body"],
     )
     def test_records_appended_after_a_tear_read_back(self, tmp_path, tear):
-        """Reopening cuts the torn record off; left in place, it would
-        end every later read before the records appended after it."""
+        """Reopening cuts a torn record off (left in place, it would end
+        every later read) and keeps a whole one that does not decode,
+        which every read skips: either way the records appended next
+        read back."""
         path = tmp_path / "j.jsonl"
         journal = DispatchJournal(str(path))
         journal.append({"ev": "submit", "sid": 0, "p": 1})
@@ -330,6 +339,25 @@ class TestDispatchJournal:
         # and a second recovery finds the same file it left
         DispatchJournal(str(path)).close()
         assert read_journal(str(path)) == events
+
+    def test_a_record_that_does_not_load_is_skipped(self, tmp_path):
+        """A value can pickle and still not unpickle (an exception whose
+        ``__init__`` takes other arguments than it passes on).  Its
+        record is skipped: the submit after it is neither lost to a read
+        nor cut off by a reopen, and its own task stays pending."""
+        path = str(tmp_path / "j.jsonl")
+        journal = DispatchJournal(path)
+        journal.append({"ev": "submit", "sid": 0, "p": 1})
+        journal.extend([{"ev": "complete", "sid": 0, "ok": True, "v": [Unloadable(1, 2)]}])
+        journal.append({"ev": "submit", "sid": 1, "p": 2})
+        journal.close()
+        assert [(e["ev"], e["sid"], e["seq"]) for e in read_journal(path)] == [
+            ("submit", 0, 0), ("submit", 1, 2)
+        ]
+        journal = DispatchJournal(path)
+        assert journal.append({"ev": "submit", "sid": 2, "p": 3}) == 3
+        journal.close()
+        assert sorted(replay_events(read_journal(path)).pending) == [0, 1, 2]
 
     def test_the_format_fixture_reads_back(self):
         """A journal written once and committed reads back, on every
