@@ -4,7 +4,8 @@ Three layers of guarantees:
 
 * **DispatchJournal mechanics** — seq continuation across restarts,
   the group-commit durability contract (barrier, idle tail, SIGKILL,
-  commit failure), torn-tail tolerance, closed-journal discipline;
+  commit failure), torn-tail tolerance, closed-journal discipline, and
+  the binary format: frame records, the magic, a committed fixture;
 * **replay as a pure fold** — the Hypothesis suite: for *any* valid
   event sequence and *any* crash point, replaying the prefix and then
   applying the suffix equals replaying the whole; the completed/pending
@@ -12,7 +13,8 @@ Three layers of guarantees:
   stay on their side of the gate; duplicate completions never win;
 * **SupervisedFarm end-to-end (thread)** — an explicit crash + failover
   round-trip delivers every task exactly once with the quarantine
-  partition intact.  The full cross-backend story (process/dist standby
+  partition intact, values keep their type across the replay, and a
+  value the journal cannot encode fails alone.  The full cross-backend story (process/dist standby
   takeover, partitions, faults inside the failover window) lives in the
   chaos tier of ``test_backend_conformance.py``.
 """
@@ -42,9 +44,6 @@ from repro.runtime.supervision.journal import _HEADER, _MAGIC
 
 from . import journal_format
 from .waiting import wait_until
-
-#: bytes ahead of a journal record's body
-HEADER_SIZE = _HEADER.size
 
 
 def supervised_task(payload):
@@ -311,7 +310,7 @@ class TestDispatchJournal:
         [
             lambda record: record[:5],
             lambda record: record[:-3],
-            lambda record: record[:HEADER_SIZE] + b"\x00" * (len(record) - HEADER_SIZE),
+            lambda record: record[:_HEADER.size] + b"\x00" * (len(record) - _HEADER.size),
         ],
         ids=["torn-header", "torn-body", "undecodable-body"],
     )
@@ -595,7 +594,7 @@ class TestReplayProperties:
         journal.append({"ev": "submit", "sid": len(keep), "p": 0})
         journal.close()
         with open(path, "r+b") as f:
-            f.truncate(intact + HEADER_SIZE + 1)
+            f.truncate(intact + _HEADER.size + 1)
         recovered = replay_events(read_journal(str(path)))
         expected = replay_events(keep)
         assert recovered == expected
