@@ -738,6 +738,60 @@ class TestSupervisedFarmFailover:
             farm.shutdown()
 
 
+@pytest.mark.xfail(strict=True, reason="the supervisor renumbers workers per incarnation")
+class TestOneWorkerId:
+    """A supervised worker has one id: the journal's wid is the
+    incarnation's worker id, in every incarnation."""
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_worker_keeps_its_id_across_a_failover(self, tmp_path, backend):
+        farm = SupervisedFarm(
+            supervised_task,
+            backend=backend,
+            journal_path=str(tmp_path / "j.jsonl"),
+            initial_workers=3,
+        )
+        try:
+            farm.remove_worker()
+            gated = farm.add_worker(quarantined=True)
+            farm.crash_coordinator()
+            state = farm.failover()
+            live = sorted(w.worker_id for w in farm.farm.workers if w.active)
+            assert live == state.admitted_wids + state.quarantined_wids == [0, 1, 3]
+            assert farm.admit_worker(gated.worker_id)
+            (admitted,) = [w for w in farm.farm.workers if w.worker_id == gated.worker_id]
+            assert not admitted.quarantined
+            assert farm.add_worker().worker_id == state.next_wid
+        finally:
+            farm.shutdown()
+
+    def test_dispatch_rows_name_journaled_workers(self, tmp_path):
+        tel = Telemetry()
+        farm = SupervisedFarm(
+            supervised_task,
+            backend="process",
+            journal_path=str(tmp_path / "j.jsonl"),
+            initial_workers=3,
+            telemetry=tel,
+        )
+        try:
+            inner = farm.farm
+            assert inner.inject_crash(0) == 0
+            wait_until(lambda: inner.crashes, message="worker 0 declared dead")
+            farm.crash_coordinator()
+            farm.failover()
+            for i in range(12):
+                farm.submit((0.0, i))
+            assert sorted(farm.drain_results(12, timeout=60.0)) == [i * i for i in range(12)]
+        finally:
+            farm.shutdown()
+        state = farm.journal.replay()
+        live = state.admitted_wids + state.quarantined_wids
+        assert live == [1, 2]
+        workers = {s.attributes["worker"] for s in tel.spans.named("task.dispatch")}
+        assert workers and workers <= set(live)
+
+
 class TestOneBooking:
     """A supervised task is booked once: its sid is the incarnation's
     task id, and its result is journaled and delivered once."""
