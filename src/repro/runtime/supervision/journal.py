@@ -133,27 +133,31 @@ def read_journal(path: str) -> List[dict]:
     return _read_intact(path)[0]
 
 
-def _read_intact(path: str) -> Tuple[List[dict], int]:
-    """The intact events of a journal file and the byte offset their
-    records end at: where a torn tail, if any, begins (0: no header)."""
+def _read_intact(path: str) -> Tuple[List[dict], int, int]:
+    """The intact events of a journal file, the byte offset their
+    records end at (where a torn tail, if any, begins; 0: no header) and
+    the ``seq`` an appender numbers on from: past every whole record's
+    header, a skipped one's too."""
     try:
         with open(path, "rb") as f:
             data = f.read()
     except FileNotFoundError:
-        return [], 0
+        return [], 0, 0
     if not data.startswith(_MAGIC):
         if _MAGIC.startswith(data):  # empty, or the header itself was torn
-            return [], 0
+            return [], 0, 0
         raise ValueError(f"{path} is not a dispatch journal: it does not start with {_MAGIC!r}")
     events: List[dict] = []
     view = memoryview(data)
     end = len(_MAGIC)
+    next_seq = 0
     while end + _HEADER.size <= len(data):
         length, seq = _HEADER.unpack_from(data, end)
         start = end + _HEADER.size
         if start + length > len(data):
             break  # a short body
         end = start + length
+        next_seq = max(next_seq, seq + 1)
         try:
             body = pickle.loads(view[start:end])
         except Exception:  # noqa: BLE001 - a value that pickled but does not load
@@ -168,7 +172,8 @@ def _read_intact(path: str) -> Tuple[List[dict], int]:
             event["seq"] = seq
             seq += 1
             events.append(event)
-    return events, end
+        next_seq = max(next_seq, seq)
+    return events, end, next_seq
 
 
 @dataclass
@@ -312,8 +317,8 @@ class DispatchJournal:
         self._lock = threading.Lock()
         self._wake_committer = threading.Condition(self._lock)  # the committer waits here
         self._committed = threading.Condition(self._lock)  # sync() and held-back appenders
-        existing, intact = _read_intact(self.path)  # a foreign file raises here, untouched
-        self._seq = existing[-1]["seq"] + 1 if existing else 0
+        # a foreign file raises here, untouched
+        _, intact, self._seq = _read_intact(self.path)
         self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
         # a torn tail was never durable: cut it off, or the first record
         # appended would follow it and end every later read there

@@ -306,19 +306,19 @@ class TestDispatchJournal:
         journal.close()
 
     @pytest.mark.parametrize(
-        "tear",
+        "tear, skipped",
         [
-            lambda record: record[:5],
-            lambda record: record[:-3],
-            lambda record: record[:_HEADER.size] + b"\x00" * (len(record) - _HEADER.size),
+            (lambda record: record[:5], 0),
+            (lambda record: record[:-3], 0),
+            (lambda record: record[:_HEADER.size] + b"\x00" * (len(record) - _HEADER.size), 1),
         ],
         ids=["torn-header", "torn-body", "undecodable-body"],
     )
-    def test_records_appended_after_a_tear_read_back(self, tmp_path, tear):
+    def test_records_appended_after_a_tear_read_back(self, tmp_path, tear, skipped):
         """Reopening cuts a torn record off (left in place, it would end
         every later read) and keeps a whole one that does not decode,
         which every read skips: either way the records appended next
-        read back."""
+        read back, numbered past every record kept in the file."""
         path = tmp_path / "j.jsonl"
         journal = DispatchJournal(str(path))
         journal.append({"ev": "submit", "sid": 0, "p": 1})
@@ -334,7 +334,8 @@ class TestDispatchJournal:
         seqs = [journal.append({"ev": "submit", "sid": i, "p": i}) for i in range(1, 4)]
         journal.close()
         events = read_journal(str(path))
-        assert [e["seq"] for e in events][kept:] == seqs == list(range(kept, kept + 3))
+        first = kept + skipped
+        assert [e["seq"] for e in events][kept:] == seqs == list(range(first, first + 3))
         # and a second recovery finds the same file it left
         DispatchJournal(str(path)).close()
         assert read_journal(str(path)) == events
@@ -357,6 +358,25 @@ class TestDispatchJournal:
         assert journal.append({"ev": "submit", "sid": 2, "p": 3}) == 3
         journal.close()
         assert sorted(replay_events(read_journal(path)).pending) == [0, 1, 2]
+
+    def test_a_reopen_numbers_past_a_last_record_that_does_not_load(self, tmp_path):
+        """A skipped last record still took its ``seq``: a reopened
+        journal numbers on from past its header, so every record header
+        in the file names a ``seq`` no other record reuses."""
+        path = str(tmp_path / "j.jsonl")
+        journal = DispatchJournal(path)
+        journal.append({"ev": "submit", "sid": 0, "p": 1})
+        journal.append({"ev": "complete", "sid": 0, "ok": True, "v": Unloadable(1, 2)})
+        journal.close()
+        journal = DispatchJournal(path)
+        assert journal.append({"ev": "submit", "sid": 1, "p": 2}) == 2
+        journal.close()
+        data, seqs, end = open(path, "rb").read(), [], len(_MAGIC)
+        while end < len(data):
+            length, seq = _HEADER.unpack_from(data, end)
+            seqs.append(seq)
+            end += _HEADER.size + length
+        assert seqs == [0, 1, 2]
 
     def test_the_format_fixture_reads_back(self):
         """A journal written once and committed reads back, on every
