@@ -437,7 +437,7 @@ class _StreamFarm(FarmCore):
                     self._require_slot()
                 except RuntimeError:
                     return None, b""
-                handle = self._register_worker(process=None)
+                handle = self._register_worker(self._next_id, process=None)
             handle.writer = writer
             handle.connected = True
             handle.ever_connected = True
@@ -884,19 +884,16 @@ class _StreamFarm(FarmCore):
     # ------------------------------------------------------------------
     def _register_worker(
         self,
+        worker_id: int,
         *,
         process: Any,
         secured: bool = False,
         quarantined: bool = False,
-        adopt_id: Optional[int] = None,
     ) -> DistWorkerHandle:
-        """Create and track one worker handle (lock held by caller).
-
-        ``adopt_id`` registers a worker that already carries an id (a
-        standby adopting its predecessor's) instead of allocating one.
-        """
+        """Create and track one worker handle under ``worker_id`` (lock
+        held by caller)."""
         handle = DistWorkerHandle(
-            worker_id=self._next_id if adopt_id is None else adopt_id,
+            worker_id=worker_id,
             process=process,
             secured=secured,
             quarantined=quarantined,
@@ -911,7 +908,6 @@ class _StreamFarm(FarmCore):
                 actor=self.name,
                 worker=handle.worker_id,
                 local=process is not None,
-                **({} if adopt_id is None else {"adopted": True}),
             )
         return handle
 
@@ -1269,6 +1265,7 @@ class DistFarm(_StreamFarm):
         secured: bool = False,
         quarantined: bool = False,
         require_secure: bool = False,
+        worker_id: Optional[int] = None,
     ) -> DistWorkerHandle:
         """Spawn one local worker process and point it at the coordinator.
 
@@ -1280,7 +1277,7 @@ class DistFarm(_StreamFarm):
         """
         with self._lock:
             self._require_slot()
-            worker_id = self._next_id  # reserved by _register_worker below
+            worker_id = self._claim_id(worker_id)
             cmd = [
                 sys.executable,
                 "-m",
@@ -1310,7 +1307,7 @@ class DistFarm(_StreamFarm):
             env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
             process = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
             return self._register_worker(
-                process=process, secured=secured, quarantined=quarantined
+                worker_id, process=process, secured=secured, quarantined=quarantined
             )
 
     def adopt_worker(
@@ -1330,12 +1327,14 @@ class DistFarm(_StreamFarm):
         ``CONNECT_GRACE`` applies until the worker actually reattaches.
         """
         with self._lock:
-            if self._find_worker(worker_id) is not None:
-                raise ValueError(f"worker id {worker_id} already registered")
+            worker_id = self._claim_id(worker_id)
             self._require_slot()
-            return self._register_worker(
-                process=process, quarantined=quarantined, adopt_id=worker_id
+            handle = self._register_worker(
+                worker_id, process=process, quarantined=quarantined
             )
+            if handle.span is not None:
+                handle.span.set_attribute("adopted", True)
+            return handle
 
     def _wait_for_connections(self, count: int, timeout: float) -> None:
         deadline = time.monotonic() + timeout

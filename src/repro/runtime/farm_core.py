@@ -42,9 +42,11 @@ Locking: one re-entrant ``_lock`` guards all of the above.  Public
 methods take it; every ``_``-prefixed method here expects the caller to
 hold it, and none of them blocks.
 
-A supervisor books its tasks here and nowhere else
+A supervisor books its tasks and workers here and nowhere else
 (:mod:`repro.runtime.supervision`): it submits under its own stable id
-(``task_id=``), points ``results`` at its own queue, and sets two
+(``task_id=``), adds each worker under its own stable id
+(``add_worker(worker_id=)``, which refuses one already enrolled with
+``ValueError``), points ``results`` at its own queue, and sets two
 write-ahead hooks.  ``_on_complete(frame)`` is called once per
 :meth:`~FarmCore._complete` pass that has fresh results, with the list
 of that frame's fresh ``(task_id, result, failed)``, before any of them
@@ -280,8 +282,19 @@ class FarmCore:
         if sum(1 for w in self.workers if w.active) >= self.max_workers:
             raise RuntimeError(f"worker limit {self.max_workers} reached")
 
+    def _claim_id(self, worker_id: Optional[int]) -> int:
+        """The id a worker about to be started enrolls under (lock held):
+        ``worker_id``, or by default the farm's own next; one already
+        enrolled raises ``ValueError`` before anything is started."""
+        if worker_id is None:
+            return self._next_id
+        if self._find_worker(worker_id) is not None:
+            raise ValueError(f"worker id {worker_id} is already enrolled")
+        return worker_id
+
     def _enroll(self, worker: Any) -> Any:
-        """Track one new worker handle; ids below it are never reissued."""
+        """Track one new worker handle; the farm's own numbering goes on
+        past its id."""
         self._next_id = max(self._next_id, worker.worker_id + 1)
         self.workers.append(worker)
         self._gauge_quarantined()

@@ -122,8 +122,8 @@ class ThreadFarm(FarmCore):
         clock: Callable[[], float] = time.monotonic,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if initial_workers < 1:
-            raise ValueError("need at least one worker")
+        if initial_workers < 0:
+            raise ValueError("initial_workers must be non-negative")
         super().__init__(
             name,
             rate_window=rate_window,
@@ -209,11 +209,18 @@ class ThreadFarm(FarmCore):
     # ------------------------------------------------------------------
     # actuators
     # ------------------------------------------------------------------
-    def add_worker(self, *, secured: bool = False, quarantined: bool = False) -> ThreadWorker:
+    def add_worker(
+        self,
+        *,
+        secured: bool = False,
+        quarantined: bool = False,
+        worker_id: Optional[int] = None,
+    ) -> ThreadWorker:
         with self._lock:
             self._require_slot()
+            worker_id = self._claim_id(worker_id)
             return self._enroll(
-                ThreadWorker(self, self._next_id, secured=secured, quarantined=quarantined)
+                ThreadWorker(self, worker_id, secured=secured, quarantined=quarantined)
             )
 
     def remove_worker(self) -> Optional[ThreadWorker]:

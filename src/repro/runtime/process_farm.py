@@ -103,8 +103,8 @@ class ProcessFarm(_StreamFarm):
         telemetry: Optional[Telemetry] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if initial_workers < 1:
-            raise ValueError("need at least one worker")
+        if initial_workers < 0:
+            raise ValueError("initial_workers must be non-negative")
         super().__init__(
             name,
             rate_window=rate_window,
@@ -153,15 +153,20 @@ class ProcessFarm(_StreamFarm):
         secured: bool = False,
         quarantined: bool = False,
         require_secure: bool = False,
+        worker_id: Optional[int] = None,
     ) -> DistWorkerHandle:
         """Open one worker's session, then fork the worker into it."""
         with self._lock:
-            handle, theirs = self._open_session(secured, quarantined, require_secure)
+            handle, theirs = self._open_session(secured, quarantined, require_secure, worker_id)
             self._fork(handle, theirs)
             return handle
 
     def _open_session(
-        self, secured: bool = False, quarantined: bool = False, require_secure: bool = False
+        self,
+        secured: bool = False,
+        quarantined: bool = False,
+        require_secure: bool = False,
+        worker_id: Optional[int] = None,
     ) -> Tuple[DistWorkerHandle, socket.socket]:
         """A worker's session, open before the worker runs (lock held).
 
@@ -175,16 +180,17 @@ class ProcessFarm(_StreamFarm):
         if self._shutdown.is_set():
             raise RuntimeError("farm is shut down")
         self._require_slot()
+        worker_id = self._claim_id(worker_id)
         ours, theirs = socket.socketpair()
-        theirs.sendall(greeting("hello", self._next_id, ("pickle",)))
+        theirs.sendall(greeting("hello", worker_id, ("pickle",)))
         process = self._ctx.Process(
             target=serve_forked,
             args=(theirs, ours, self.fn, self.heartbeat_period, require_secure),
-            name=f"{self.name}-w{self._next_id}",
+            name=f"{self.name}-w{worker_id}",
             daemon=True,
         )
         handle = self._register_worker(
-            process=process, secured=secured, quarantined=quarantined
+            worker_id, process=process, secured=secured, quarantined=quarantined
         )
         handle.session = asyncio.run_coroutine_threadsafe(self._attach(ours), self._loop)
         # the wait releases the farm lock, which the loop's _admit takes

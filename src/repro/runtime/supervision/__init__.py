@@ -6,7 +6,7 @@ and ``docs/RESILIENCE.md`` for the supervision-tree walkthrough.
 """
 
 from .journal import DispatchJournal, JournalState, read_journal, replay_events
-from .supervisor import SupervisedFarm, SupervisedWorkerHandle, Supervisor
+from .supervisor import SupervisedFarm, Supervisor
 
 __all__ = [
     "DispatchJournal",
@@ -14,6 +14,5 @@ __all__ = [
     "read_journal",
     "replay_events",
     "SupervisedFarm",
-    "SupervisedWorkerHandle",
     "Supervisor",
 ]

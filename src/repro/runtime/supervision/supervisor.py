@@ -20,8 +20,9 @@ themselves:
   SIGKILL the interpreter it runs in: thread/process workers die with
   their coordinator, dist workers survive across the TCP boundary.
   ``failover()`` replays the journal *from disk* and rebuilds a fresh
-  incarnation: pending sids are resubmitted exactly once,
-  quarantined-but-never-admitted workers come back quarantined, and on
+  incarnation: pending sids are resubmitted exactly once, every worker
+  comes back under its journaled id (quarantined-but-never-admitted
+  ones still quarantined), and on
   the dist backend a **standby coordinator** is promoted onto the same
   port (epoch+1) so surviving workers reattach via the
   ``reattach``/``takeover`` frames.
@@ -47,7 +48,6 @@ from __future__ import annotations
 import inspect
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...obs.propagation import task_context
@@ -62,7 +62,7 @@ from ..hierarchy.codec import contract_from_wire, contract_to_wire
 from ..hierarchy.sharded_farm import FARM_BACKENDS
 from .journal import DispatchJournal, JournalState
 
-__all__ = ["SupervisedFarm", "SupervisedWorkerHandle", "Supervisor"]
+__all__ = ["SupervisedFarm", "Supervisor"]
 
 #: seconds after each consecutive failed failover before the supervisor
 #: tries again (last value repeats): a rebuild that keeps raising neither
@@ -77,44 +77,6 @@ def _complete_event(sid: int, result: Any, failed: bool) -> dict:
     return {"ev": "complete", "sid": sid, "ok": True, "v": result}
 
 
-@dataclass
-class _WorkerEntry:
-    """Supervisor-side worker identity, stable across incarnations."""
-
-    wid: int
-    farm_id: Optional[int]  # id inside the current incarnation (None: lost)
-    quarantined: bool
-    secured: bool
-    active: bool = True
-
-
-class SupervisedWorkerHandle:
-    """Stable handle onto one supervised worker.
-
-    ``worker_id`` is the supervisor-level id, valid across coordinator
-    restarts; the live per-incarnation handle (with ``dispatched``
-    counters etc.) is reachable through :attr:`farm_handle`.
-    """
-
-    def __init__(self, sup: "SupervisedFarm", worker_id: int) -> None:
-        self._sup = sup
-        self.worker_id = worker_id
-
-    @property
-    def quarantined(self) -> bool:
-        entry = self._sup._registry.get(self.worker_id)
-        return bool(entry is not None and entry.quarantined)
-
-    @property
-    def farm_handle(self) -> Optional[Any]:
-        return self._sup.farm_handle(self.worker_id)
-
-    @property
-    def dispatched(self) -> int:
-        handle = self.farm_handle
-        return getattr(handle, "dispatched", 0) if handle is not None else 0
-
-
 class SupervisedFarm:
     """A :class:`FarmBackend` whose coordinator can die and be replaced.
 
@@ -127,6 +89,12 @@ class SupervisedFarm:
     :attr:`WORKER_RECONNECT_ATTEMPTS` redials, so they survive coordinator
     restarts and reattach with capped backoff instead of exiting on EOF;
     the journal group-commits at its default ``fsync_batch``.
+
+    A worker has one id, the journal's ``wid``, and every incarnation
+    enrolls it under that id (``add_worker(worker_id=)``): a span, a
+    ``worker=`` metric label and the journal name a worker alike, before
+    a failover and after it.  :meth:`add_worker` returns the current
+    incarnation's handle; the id, not the handle, is what is stable.
     """
 
     SUPPORTS_REQUIRE_SECURE = False
@@ -162,8 +130,6 @@ class SupervisedFarm:
 
         self.journal = DispatchJournal(journal_path, telemetry=self.telemetry, name=name)
         self._lock = threading.RLock()
-        self._registry: Dict[int, _WorkerEntry] = {}
-        self._farm_to_wid: Dict[int, int] = {}
         self._next_wid = 0
         self._next_sid = 0
         self._roots: Dict[int, TaskRow] = {}  # sid → open root span's row
@@ -177,7 +143,6 @@ class SupervisedFarm:
         self._shutdown_done = False
         self._listen_port = 0  # dist: the port every incarnation binds
         self._survivors: List[Any] = []  # dist: adoptable worker handles
-        self._survivor_map: Dict[int, int] = {}  # old farm id → wid
 
         self.journal.append(
             {"ev": "open", "name": name, "backend": backend, "fn": self.fn_spec, "epoch": 0}
@@ -186,8 +151,8 @@ class SupervisedFarm:
         # the first incarnation's queue is every incarnation's
         self.results = self.farm.results
         with self._lock:
-            for handle in list(self.farm.workers):
-                self._register(handle.worker_id, quarantined=False, secured=False)
+            for handle in self.farm.workers:
+                self._journal_worker(handle.worker_id)
             self._attach()
 
     # ------------------------------------------------------------------
@@ -274,40 +239,17 @@ class SupervisedFarm:
             results.append(result)
         return results
 
-    def _journal_death(self, farm_id: int) -> None:
+    def _journal_death(self, worker_id: int) -> None:
         """Journal a worker the incarnation declared dead (farm lock held):
         without the ``remove`` a failover would respawn it."""
-        entry = self._registry.get(self._farm_to_wid.get(farm_id))
-        if entry is not None and entry.active:
-            entry.active = False
-            self.journal.append({"ev": "remove", "wid": entry.wid})
+        self.journal.append({"ev": "remove", "wid": worker_id})
 
-    # ------------------------------------------------------------------
-    # registry bookkeeping (lock held by callers)
-    # ------------------------------------------------------------------
-    def _register(self, farm_id: int, *, quarantined: bool, secured: bool) -> _WorkerEntry:
-        wid = self._next_wid
-        self._next_wid += 1
-        entry = _WorkerEntry(
-            wid=wid, farm_id=farm_id, quarantined=quarantined, secured=secured
-        )
-        self._registry[wid] = entry
-        self._farm_to_wid[farm_id] = wid
+    def _journal_worker(self, wid: int, quarantined: bool = False, secured: bool = False) -> None:
+        """Journal a worker the incarnation enrolled under ``wid`` (lock held)."""
+        self._next_wid = wid + 1
         self.journal.append(
             {"ev": "worker", "wid": wid, "quarantined": quarantined, "secured": secured}
         )
-        return entry
-
-    def farm_handle(self, wid: int) -> Optional[Any]:
-        """The current incarnation's handle for a supervisor wid."""
-        with self._lock:
-            entry = self._registry.get(wid)
-            if entry is None or entry.farm_id is None:
-                return None
-            for handle in self.farm.workers:
-                if handle.worker_id == entry.farm_id:
-                    return handle
-        return None
 
     # ------------------------------------------------------------------
     # time base + heartbeat
@@ -388,7 +330,6 @@ class SupervisedFarm:
             if self.crashed or self._shutdown_done:
                 return
             self.crashed = True
-            self._survivor_map = dict(self._farm_to_wid)
             # under the lock, so no failover replays the journal while the
             # dying incarnation may still complete a task (its hooks take
             # no supervisor lock); only dist worker processes outlive it
@@ -472,81 +413,55 @@ class SupervisedFarm:
         return state
 
     def _rebuild(self, state: JournalState, span: Optional[Span]) -> None:
-        """Reconstruct the worker set for a new incarnation (lock held)."""
-        admitted = state.admitted_wids
-        quarantined = state.quarantined_wids
-        self._farm_to_wid = {}
-        for entry in self._registry.values():
-            entry.farm_id = None
-
-        if self.backend == "dist":
-            # standby promotion: same port, epoch+1, surviving worker
-            # processes adopted so they reattach instead of respawning
-            self.farm = self._build_farm(initial_workers=0)
-            reattached = 0
-            for old in self._survivors:
-                wid = self._survivor_map.get(old.worker_id)
-                worker_state = state.workers.get(wid) if wid is not None else None
-                if worker_state is None or not worker_state["active"]:
-                    continue
-                self.farm.adopt_worker(
-                    old.worker_id,
-                    process=old.process,
-                    quarantined=worker_state["quarantined"],
-                )
-                self._bind(wid, old.worker_id)
-                reattached += 1
-            self._survivors = []
-            # workers that died with (or before) the coordinator are gone
-            # for good; journal their loss and guarantee serving capacity
-            for wid in admitted + quarantined:
-                if self._registry[wid].farm_id is None:
-                    self._registry[wid].active = False
+        """Build the next incarnation, empty, then fill it under the
+        journaled ids (lock held): thread and process workers died with
+        the coordinator and respawn, gated as they were; a dist standby
+        binds the same port and adopts each live survivor, to reattach.
+        A live wid that did not come back is journaled removed; a farm
+        with nothing serving gets one fresh worker.  One that raises is
+        left crashed, for the next failover to replace.
+        """
+        live = state.admitted_wids + state.quarantined_wids
+        farm = self.farm = self._build_farm(initial_workers=0)
+        try:
+            if self.backend == "dist":
+                for old in self._survivors:
+                    worker = state.workers.get(old.worker_id)
+                    if worker is not None and worker["active"]:
+                        farm.adopt_worker(
+                            old.worker_id,
+                            process=old.process,
+                            quarantined=worker["quarantined"],
+                        )
+            else:
+                for wid in live:
+                    farm.add_worker(
+                        worker_id=wid, quarantined=state.workers[wid]["quarantined"]
+                    )
+            back = {w.worker_id for w in farm.workers}
+            for wid in live:
+                if wid not in back:
                     self.journal.append({"ev": "remove", "wid": wid})
-            if not any(
-                e.active and not e.quarantined and e.farm_id is not None
-                for e in self._registry.values()
-            ):
-                handle = self.farm.add_worker()
-                self._register(handle.worker_id, quarantined=False, secured=False)
-            if span is not None:
-                span.add_event(
-                    "standby-promoted", self.now(),
-                    port=self._listen_port, adopted=reattached,
-                )
-        else:
-            # thread/process workers died with the coordinator: spawn a
-            # fresh set matching the journaled partition — admitted
-            # capacity admitted, gated workers gated
-            self.farm = self._build_farm(initial_workers=max(1, len(admitted)))
-            fresh = [h.worker_id for h in self.farm.workers]
-            for wid, farm_id in zip(admitted, fresh):
-                self._bind(wid, farm_id)
-            for farm_id in fresh[len(admitted):]:
-                self._register(farm_id, quarantined=False, secured=False)
-            for wid in quarantined:
-                handle = self.farm.add_worker(quarantined=True)
-                self._bind(wid, handle.worker_id)
-            if span is not None:
-                span.add_event(
-                    "farm-rebuilt", self.now(),
-                    admitted=len(admitted), quarantined=len(quarantined),
-                )
-        # re-secure what the journal says was secured (dist excepted when
-        # the worker has not reattached yet: it will bounce or be gated)
-        for wid, worker_state in state.workers.items():
-            entry = self._registry.get(wid)
-            if entry is None or not entry.active or entry.farm_id is None:
-                continue
-            entry.quarantined = bool(worker_state["quarantined"])
-            if worker_state["secured"] and self.backend != "dist":
-                self.farm.secure_worker(entry.farm_id)
-                entry.secured = True
-
-    def _bind(self, wid: int, farm_id: int) -> None:
-        entry = self._registry[wid]
-        entry.farm_id = farm_id
-        self._farm_to_wid[farm_id] = wid
+            if not farm.num_workers:
+                self._journal_worker(farm.add_worker(worker_id=self._next_wid).worker_id)
+            if self.backend != "dist":
+                # a dist worker redoes its handshake once it has reattached
+                for wid in back:
+                    if state.workers[wid]["secured"]:
+                        farm.secure_worker(wid)
+        except Exception:
+            farm.crash()
+            raise
+        self._survivors = []
+        if span is not None and self.backend == "dist":
+            span.add_event(
+                "standby-promoted", self.now(), port=self._listen_port, adopted=len(back)
+            )
+        elif span is not None:
+            span.add_event(
+                "farm-rebuilt", self.now(),
+                admitted=len(state.admitted_wids), quarantined=len(state.quarantined_wids),
+            )
 
     # ------------------------------------------------------------------
     # monitoring
@@ -582,54 +497,40 @@ class SupervisedFarm:
         return self.farm.quarantined_workers
 
     # ------------------------------------------------------------------
-    # actuators (journaled, sup-id addressed)
+    # actuators (journaled; a worker is named by its one id)
     # ------------------------------------------------------------------
-    def add_worker(
-        self, *, secured: bool = False, quarantined: bool = False
-    ) -> SupervisedWorkerHandle:
+    def add_worker(self, *, secured: bool = False, quarantined: bool = False) -> Any:
+        """Grow the current incarnation by one worker under the next wid
+        (journaled); returns that incarnation's handle."""
         with self._lock:
             if self.crashed:
                 raise RuntimeError("coordinator is down; failover pending")
-            handle = self.farm.add_worker(secured=secured, quarantined=quarantined)
-            entry = self._register(
-                handle.worker_id, quarantined=quarantined, secured=secured
+            handle = self.farm.add_worker(
+                secured=secured, quarantined=quarantined, worker_id=self._next_wid
             )
-            return SupervisedWorkerHandle(self, entry.wid)
+            self._journal_worker(handle.worker_id, quarantined=quarantined, secured=secured)
+            return handle
 
     def admit_worker(self, worker_id: int) -> bool:
-        """Lift the gate for a supervisor-level worker id (journaled)."""
+        """Lift the gate for one worker (journaled)."""
         with self._lock:
-            entry = self._registry.get(worker_id)
-            if entry is None or not entry.active or entry.farm_id is None:
+            if not self.farm.admit_worker(worker_id):
                 return False
-            if not self.farm.admit_worker(entry.farm_id):
-                return False
-            entry.quarantined = False
             self.journal.append({"ev": "admit", "wid": worker_id})
             return True
 
     def secure_worker(self, worker_id: int) -> bool:
-        with self._lock:
-            entry = self._registry.get(worker_id)
-            if entry is None or not entry.active or entry.farm_id is None:
-                return False
-            farm_id = entry.farm_id
-        if not self.farm.secure_worker(farm_id):
+        if not self.farm.secure_worker(worker_id):
             return False
         with self._lock:
-            entry.secured = True
             self.journal.append({"ev": "secure", "wid": worker_id})
         return True
 
     def remove_worker(self) -> Optional[Any]:
         with self._lock:
             victim = self.farm.remove_worker()
-            if victim is None:
-                return None
-            wid = self._farm_to_wid.get(victim.worker_id)
-            if wid is not None:
-                self._registry[wid].active = False
-                self.journal.append({"ev": "remove", "wid": wid})
+            if victim is not None:
+                self.journal.append({"ev": "remove", "wid": victim.worker_id})
             return victim
 
     def balance_load(self) -> int:
@@ -640,8 +541,6 @@ class SupervisedFarm:
     def secure_all(self) -> None:
         with self._lock:
             self.farm.secure_all()
-            for entry in self._registry.values():
-                entry.secured = True
             self.journal.append({"ev": "secure_all"})
 
     # ------------------------------------------------------------------

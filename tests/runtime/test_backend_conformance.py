@@ -18,7 +18,9 @@ set of invariant checks across all of them:
   receives not a single task, through fresh submits, rebalances and
   fault replays alike, until ``admit_worker`` lifts the gate;
 * **clean shutdown** — no worker thread, child process or listening
-  socket survives ``shutdown()``.
+  socket survives ``shutdown()``;
+* **one worker id** — ``add_worker(worker_id=k)`` enrolls the worker
+  under ``k``, and an id already enrolled is refused.
 
 ``sim`` appears in the parameter list for completeness but every test
 skips it: the simulator shares the *rule* surface, not the wall-clock
@@ -32,6 +34,7 @@ Run a single backend with, e.g.::
     PYTHONPATH=src python -m pytest tests/runtime/test_backend_conformance.py -k dist
 """
 
+import os
 import socket
 import threading
 import time
@@ -155,6 +158,26 @@ class TestNoLossAcrossGrowShrink:
                 farm.submit((0.0, i))
             results = farm.drain_results(20, timeout=30.0)
             assert sorted(results) == [i * i for i in range(20)]
+        finally:
+            farm.shutdown()
+
+
+class TestWorkerId:
+    def test_add_worker_enrolls_under_the_given_id(self, backend):
+        """A supervisor's id is the farm's id for the worker; one already
+        enrolled is refused before anything is started for it, and the
+        farm's own numbering goes on past the ids it was given."""
+        farm = make_farm(backend, initial_workers=1)
+        try:
+            assert farm.add_worker(worker_id=5).worker_id == 5
+            for taken in (0, 5):
+                with pytest.raises(ValueError):
+                    farm.add_worker(worker_id=taken)
+            assert farm.add_worker().worker_id == 6
+            assert [w.worker_id for w in farm.workers] == [0, 5, 6]
+            for i in range(20):
+                farm.submit((0.0, i))
+            assert sorted(farm.drain_results(20, timeout=30.0)) == [i * i for i in range(20)]
         finally:
             farm.shutdown()
 
@@ -446,6 +469,10 @@ class TestTraceTreeAcrossFaults:
 # ----------------------------------------------------------------------
 
 
+#: the supervised farms the running test has made, for its teardown
+_SUPERVISED = []
+
+
 def make_supervised(backend, journal_path, telemetry=None, *, initial_workers=2):
     """A journaled SupervisedFarm + Supervisor pair tuned for fast chaos.
 
@@ -472,10 +499,73 @@ def make_supervised(backend, journal_path, telemetry=None, *, initial_workers=2)
         telemetry=telemetry,
         farm_options=farm_options,
     )
+    _SUPERVISED.append(farm)
     supervisor = Supervisor(
         farm, check_period=0.02, heartbeat_timeout=0.5, telemetry=telemetry
     ).start()
     return farm, supervisor
+
+
+def tcp_rows(port):
+    """The ``/proc/net/tcp{,6}`` rows whose local or remote port is ``port``."""
+    tag = f":{port:04X}"
+    rows = []
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        try:
+            with open(table) as f:
+                lines = f.read().splitlines()[1:]
+        except OSError:
+            continue
+        rows += [
+            f"{table}: {line.strip()}"
+            for line in lines
+            if any(field.endswith(tag) for field in line.split()[1:3])
+        ]
+    return rows
+
+
+def live_dist_workers(port):
+    """The pids of this process's children that run a dist worker dialling
+    ``port`` and have not exited (zombies excluded)."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                state, ppid = f.read().rsplit(")", 1)[1].split()[:2]
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                argv = f.read().split(b"\0")
+        except OSError:
+            continue  # exited while being read
+        if (
+            int(ppid) == os.getpid()
+            and state != "Z"
+            and b"repro.runtime.dist_worker" in argv
+            and str(port).encode() in argv
+        ):
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def dist_rebind_diagnostics(request):
+    """When a test over a dist supervised farm fails, its teardown prints
+    what held the farm's port once the test had shut it down: the TCP
+    table rows for the port and the dist workers still alive.  Reads
+    only — the standby rebinding the port is where ``EADDRINUSE`` was
+    seen."""
+    yield
+    farms, _SUPERVISED[:] = list(_SUPERVISED), []
+    report = getattr(request.node, "rep_call", None)
+    if report is None or not report.failed:
+        return
+    for farm in farms:
+        if farm.backend == "dist":
+            port = farm._listen_port
+            print(f"{farm.name}: listen port {port}")
+            print("\n".join(tcp_rows(port)) or "no TCP table row names the port")
+            print(f"dist workers alive after shutdown(): {live_dist_workers(port)}")
 
 
 def assert_supervised_trees(tel, sup_name, total):

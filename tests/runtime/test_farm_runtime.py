@@ -22,8 +22,20 @@ def slow_square(x):
 
 class TestThreadFarmBasics:
     def test_needs_workers(self):
-        with pytest.raises(ValueError):
-            ThreadFarm(square, initial_workers=0)
+        """A farm may start empty, as a rebuilt incarnation does, and
+        serves once a worker is added; until then it refuses a submit."""
+        with pytest.raises(ValueError, match="non-negative"):
+            ThreadFarm(square, initial_workers=-1)
+        farm = ThreadFarm(square, initial_workers=0)
+        try:
+            assert farm.num_workers == 0
+            with pytest.raises(RuntimeError):
+                farm.submit(3)
+            farm.add_worker()
+            farm.submit(3)
+            assert farm.drain_results(1, timeout=10.0) == [9]
+        finally:
+            farm.shutdown()
 
     def test_all_results_arrive(self):
         farm = ThreadFarm(square, initial_workers=3)

@@ -60,8 +60,18 @@ def farm():
 
 class TestProcessFarmBasics:
     def test_needs_workers(self):
-        with pytest.raises(ValueError):
-            ProcessFarm(square, initial_workers=0)
+        """A farm may start empty, as a rebuilt incarnation does, and
+        serves once a worker is added."""
+        with pytest.raises(ValueError, match="non-negative"):
+            ProcessFarm(square, initial_workers=-1)
+        farm = ProcessFarm(square, initial_workers=0)
+        try:
+            assert farm.num_workers == 0
+            farm.add_worker()
+            farm.submit(3)
+            assert farm.drain_results(1, timeout=30.0) == [9]
+        finally:
+            farm.shutdown()
 
     def test_satisfies_farm_backend_protocol(self, farm):
         assert isinstance(farm, FarmBackend)

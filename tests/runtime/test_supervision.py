@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Telemetry
+from repro.runtime.farm_runtime import ThreadFarm
 from repro.runtime.supervision import (
     DispatchJournal,
     SupervisedFarm,
@@ -686,7 +687,9 @@ class TestSupervisedFarmFailover:
             assert sorted(results) == [i * i for i in range(total + 1)]
             assert farm.completed == total + 1
             assert farm.quarantined_workers == 1
-            assert gated.dispatched == 0
+            # the failover's incarnation holds the gated worker under its id
+            (rebuilt,) = [w for w in farm.farm.workers if w.worker_id == gated.worker_id]
+            assert rebuilt.quarantined and rebuilt.dispatched == 0
         finally:
             farm.shutdown()
 
@@ -715,6 +718,39 @@ class TestSupervisedFarmFailover:
             assert farm.balance_load() == 0
             farm.failover()
             assert farm.add_worker() is not None
+        finally:
+            farm.shutdown()
+
+    def test_a_rebuild_that_raises_leaves_its_incarnation_crashed(self, tmp_path, monkeypatch):
+        """A worker that will not start mid-rebuild fails the failover:
+        the half-built incarnation is crashed, not left running, and the
+        next failover builds the farm whole."""
+        farm = SupervisedFarm(
+            supervised_task, backend="thread", journal_path=str(tmp_path / "j.jsonl")
+        )
+        try:
+            farm.crash_coordinator()
+            add_worker = ThreadFarm.add_worker
+
+            def refuse_worker_1(inner, **kwargs):
+                if kwargs.get("worker_id") == 1:
+                    raise RuntimeError("worker 1 will not start")
+                return add_worker(inner, **kwargs)
+
+            monkeypatch.setattr(ThreadFarm, "add_worker", refuse_worker_1)
+            with pytest.raises(RuntimeError, match="worker 1 will not start"):
+                farm.failover()
+            half = farm.farm
+            assert farm.crashed and [w.worker_id for w in half.workers] == [0]
+            wait_until(
+                lambda: not half.workers[0]._thread.is_alive(),
+                message="the half-built incarnation's worker to stop",
+            )
+            monkeypatch.undo()
+            farm.failover()
+            assert [w.worker_id for w in farm.farm.workers] == [0, 1]
+            farm.submit((0.0, 3))
+            assert farm.drain_results(1, timeout=10.0) == [9]
         finally:
             farm.shutdown()
 
@@ -758,7 +794,6 @@ class TestSupervisedFarmFailover:
             farm.shutdown()
 
 
-@pytest.mark.xfail(strict=True, reason="the supervisor renumbers workers per incarnation")
 class TestOneWorkerId:
     """A supervised worker has one id: the journal's wid is the
     incarnation's worker id, in every incarnation."""
