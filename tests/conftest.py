@@ -21,6 +21,15 @@ def _stray_threads():
     return [t for t in threading.enumerate() if t is not main and t.is_alive()]
 
 
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Keep each phase's report on its item (``item.rep_call``), so that
+    a fixture's teardown can tell whether its test failed."""
+    outcome = yield
+    report = outcome.get_result()
+    setattr(item, f"rep_{report.when}", report)
+
+
 def pytest_sessionfinish(session, exitstatus):
     deadline = time.monotonic() + GRACE
     strays = _stray_threads()
