@@ -372,7 +372,9 @@ class TestDispatchJournal:
         journal = DispatchJournal(path)
         assert journal.append({"ev": "submit", "sid": 1, "p": 2}) == 2
         journal.close()
-        data, seqs, end = open(path, "rb").read(), [], len(_MAGIC)
+        with open(path, "rb") as f:
+            data = f.read()
+        seqs, end = [], len(_MAGIC)
         while end < len(data):
             length, seq = _HEADER.unpack_from(data, end)
             seqs.append(seq)
