@@ -292,6 +292,12 @@ class FarmCore:
             raise ValueError(f"worker id {worker_id} is already enrolled")
         return worker_id
 
+    def _start_workers(self, gates: List[Dict[str, Any]]) -> List[Any]:
+        """Start one worker per ``add_worker`` keyword set in ``gates``,
+        one after another; a farm that starts them faster together
+        overrides this."""
+        return [self.add_worker(**gate) for gate in gates]
+
     def _enroll(self, worker: Any) -> Any:
         """Track one new worker handle; the farm's own numbering goes on
         past its id."""

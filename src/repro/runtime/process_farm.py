@@ -36,7 +36,7 @@ import asyncio
 import multiprocessing
 import socket
 import time
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.telemetry import Telemetry
 from .dist_farm import DistWorkerHandle, _StreamFarm
@@ -129,13 +129,7 @@ class ProcessFarm(_StreamFarm):
         self._ctx = multiprocessing.get_context(default_start_method())
         self._start_loop(self.START_TIMEOUT)
         try:
-            with self._lock:
-                # every session, then every fork: the loop opens them with
-                # no booting child to share a CPU with, and a burst
-                # submitted next is spread over every worker's window
-                sessions = [self._open_session() for _ in range(initial_workers)]
-                for session in sessions:
-                    self._fork(*session)
+            self._start_workers([{}] * initial_workers)
         except Exception:
             self.shutdown()
             raise
@@ -160,6 +154,19 @@ class ProcessFarm(_StreamFarm):
             handle, theirs = self._open_session(secured, quarantined, require_secure, worker_id)
             self._fork(handle, theirs)
             return handle
+
+    def _start_workers(self, gates: List[Dict[str, Any]]) -> List[DistWorkerHandle]:
+        """Start one worker per ``add_worker`` keyword set in ``gates``.
+
+        Every session, then every fork: the loop opens them with no
+        booting child to share a CPU with, and a burst submitted next is
+        spread over every worker's window.
+        """
+        with self._lock:
+            sessions = [self._open_session(**gate) for gate in gates]
+            for session in sessions:
+                self._fork(*session)
+            return [handle for handle, _ in sessions]
 
     def _open_session(
         self,

@@ -48,6 +48,7 @@ from __future__ import annotations
 import inspect
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ...obs.propagation import task_context
@@ -246,10 +247,24 @@ class SupervisedFarm:
 
     def _journal_worker(self, wid: int, quarantined: bool = False, secured: bool = False) -> None:
         """Journal a worker the incarnation enrolled under ``wid`` (lock held)."""
-        self._next_wid = wid + 1
+        self._next_wid = max(self._next_wid, wid + 1)
         self.journal.append(
             {"ev": "worker", "wid": wid, "quarantined": quarantined, "secured": secured}
         )
+
+    def _add_fresh(self, *, secured: bool = False, quarantined: bool = False) -> Any:
+        """Grow the incarnation by one worker and journal it (lock held),
+        under an id past the journal's and the incarnation's own: a dist
+        farm enrolls an unannounced dialler under its own numbering."""
+        farm = self.farm
+        with farm._lock:
+            handle = farm.add_worker(
+                secured=secured,
+                quarantined=quarantined,
+                worker_id=max(self._next_wid, farm._next_id),
+            )
+        self._journal_worker(handle.worker_id, quarantined=quarantined, secured=secured)
+        return handle
 
     # ------------------------------------------------------------------
     # time base + heartbeat
@@ -434,16 +449,16 @@ class SupervisedFarm:
                             quarantined=worker["quarantined"],
                         )
             else:
-                for wid in live:
-                    farm.add_worker(
-                        worker_id=wid, quarantined=state.workers[wid]["quarantined"]
-                    )
+                farm._start_workers([
+                    {"worker_id": wid, "quarantined": state.workers[wid]["quarantined"]}
+                    for wid in live
+                ])
             back = {w.worker_id for w in farm.workers}
             for wid in live:
                 if wid not in back:
                     self.journal.append({"ev": "remove", "wid": wid})
             if not farm.num_workers:
-                self._journal_worker(farm.add_worker(worker_id=self._next_wid).worker_id)
+                self._add_fresh()
             if self.backend != "dist":
                 # a dist worker redoes its handshake once it has reattached
                 for wid in back:
@@ -467,22 +482,12 @@ class SupervisedFarm:
     # monitoring
     # ------------------------------------------------------------------
     def snapshot(self) -> RuntimeFarmSnapshot:
+        """The incarnation's sample, counted in this farm's tasks."""
         snap = self.farm.snapshot()
         with self._lock:
             completed = self.completed
             pending = max(0, self.submitted - self.completed)
-        return RuntimeFarmSnapshot(
-            time=self.now(),
-            arrival_rate=snap.arrival_rate,
-            departure_rate=snap.departure_rate,
-            num_workers=snap.num_workers,
-            queue_lengths=snap.queue_lengths,
-            queue_variance=snap.queue_variance,
-            completed=completed,
-            pending=pending,
-            mean_latency=snap.mean_latency,
-            quarantined=snap.quarantined,
-        )
+        return replace(snap, time=self.now(), completed=completed, pending=pending)
 
     @property
     def num_workers(self) -> int:
@@ -505,11 +510,7 @@ class SupervisedFarm:
         with self._lock:
             if self.crashed:
                 raise RuntimeError("coordinator is down; failover pending")
-            handle = self.farm.add_worker(
-                secured=secured, quarantined=quarantined, worker_id=self._next_wid
-            )
-            self._journal_worker(handle.worker_id, quarantined=quarantined, secured=secured)
-            return handle
+            return self._add_fresh(secured=secured, quarantined=quarantined)
 
     def admit_worker(self, worker_id: int) -> bool:
         """Lift the gate for one worker (journaled)."""

@@ -822,6 +822,40 @@ class TestOneWorkerId:
         finally:
             farm.shutdown()
 
+    def test_a_worker_that_dials_in_takes_no_journaled_id(self, tmp_path):
+        """A dist worker that dials in unannounced is enrolled under the
+        incarnation's own numbering; the next supervised worker still
+        gets an id of its own, and the journal has it."""
+        farm = SupervisedFarm(
+            supervised_task,
+            backend="dist",
+            journal_path=str(tmp_path / "j.jsonl"),
+            initial_workers=1,
+        )
+        proc = None
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.runtime.dist_worker",
+                 "--host", "127.0.0.1", "--port", str(farm.farm.port),
+                 "--fn", farm.fn_spec, "--heartbeat-period", "0.05"],
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+                stdout=subprocess.DEVNULL,
+            )
+            wait_until(lambda: farm.num_workers == 2, message="dialled worker to attach")
+            dialled = max(w.worker_id for w in farm.farm.workers)
+            added = farm.add_worker()
+            assert added.worker_id not in (0, dialled)
+            farm.journal.sync()
+            state = farm.journal.replay()
+            assert state.admitted_wids == [0, added.worker_id]
+            for i in range(20):
+                farm.submit((0.0, i))
+            assert sorted(farm.drain_results(20, timeout=60.0)) == [i * i for i in range(20)]
+        finally:
+            farm.shutdown()
+            if proc is not None:
+                proc.wait(10.0)
+
     def test_dispatch_rows_name_journaled_workers(self, tmp_path):
         tel = Telemetry()
         farm = SupervisedFarm(
