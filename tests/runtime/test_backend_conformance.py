@@ -641,8 +641,9 @@ class TestChaosCoordinatorCrash:
             # the quarantined-but-unadmitted worker stayed gated through
             # the journal replay: still quarantined, still task-free
             assert farm.quarantined_workers == 1
-            assert gated.quarantined
-            assert gated.dispatched == 0, "a task crossed the gate via failover"
+            (rebuilt,) = [w for w in farm.farm.workers if w.worker_id == gated.worker_id]
+            assert rebuilt.quarantined
+            assert rebuilt.dispatched == 0, "a task crossed the gate via failover"
             # metrics tell the same story as the counters
             failovers_metric = tel.metrics.counter(
                 "repro_sup_failovers_total", ""
