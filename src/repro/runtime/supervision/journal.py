@@ -157,7 +157,7 @@ def _read_intact(path: str) -> Tuple[List[dict], int, int]:
         if start + length > len(data):
             break  # a short body
         end = start + length
-        next_seq = max(next_seq, seq + 1)
+        next_seq = seq + 1  # past this whole record's header, loaded or not
         try:
             body = pickle.loads(view[start:end])
         except Exception:  # noqa: BLE001 - a value that pickled but does not load
@@ -172,7 +172,9 @@ def _read_intact(path: str) -> Tuple[List[dict], int, int]:
             event["seq"] = seq
             seq += 1
             events.append(event)
-        next_seq = max(next_seq, seq)
+    if events:
+        # the last whole record may be one that loaded, and ends later
+        next_seq = max(next_seq, events[-1]["seq"] + 1)
     return events, end, next_seq
 
 
