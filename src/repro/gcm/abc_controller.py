@@ -92,10 +92,6 @@ class PlannedReconfiguration:
         """Mark one reserved node's future bindings as secure."""
         self.secured[node.name] = True
 
-    def require_secure_all(self) -> None:
-        for n in self.nodes:
-            self.secured[n.name] = True
-
     @property
     def open(self) -> bool:
         return not (self.committed or self.aborted)

@@ -37,7 +37,7 @@ import json
 import queue as queue_mod
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict
 from urllib.parse import parse_qsl
 
 from .export import prometheus_text
@@ -301,10 +301,6 @@ class TelemetryServer:
         )
         self._thread.start()
         self._closed = False
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
 
     def url(self, path: str = "/") -> str:
         if not path.startswith("/"):

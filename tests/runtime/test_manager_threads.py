@@ -24,13 +24,11 @@ from repro.runtime.supervision import SupervisedFarm, Supervisor
 #: every module under ``src/repro/runtime/`` that starts threads, and how
 #: many places in it do: the data plane, plus the ticker itself
 RUNTIME_THREADS = {
-    "active_object.py": 1,  # the active object's server
     "controller.py": 2,  # _Ticker, and WallTimeBase.schedule's one-shot timer
     "dist_farm.py": 1,  # the coordinator's loop
     "dist_worker.py": 1,  # the worker heartbeat
     "farm_runtime.py": 1,  # a thread-farm worker
     "hierarchy/wire.py": 2,  # a shard agent's accept loop and its connections
-    "pipeline_runtime.py": 1,  # a pipeline stage
     "supervision/journal.py": 1,  # the journal committer
 }
 
