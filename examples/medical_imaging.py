@@ -12,7 +12,6 @@ Run:  python examples/medical_imaging.py
 """
 
 from repro.core import MinThroughputContract, build_farm_bs
-from repro.obs.events import TraceRecorder
 from repro.obs.export import ascii_series
 from repro.sim import ResourceManager, Simulator, make_cluster
 from repro.sim.workload import ConstantWork, HotSpotWork, TaskSource
@@ -24,7 +23,6 @@ HOT_SPOT = (120, 160) # image indices that are 3x harder
 
 def main() -> None:
     sim = Simulator()
-    trace = TraceRecorder()
     pool = ResourceManager(make_cluster(16, prefix="imgnode"))
 
     bs = build_farm_bs(
@@ -33,7 +31,6 @@ def main() -> None:
         name="imgfarm",
         worker_work=IMAGE_WORK,
         initial_degree=1,
-        trace=trace,
         control_period=10.0,
         constants_kwargs={"add_burst": 1, "max_workers": 16},
     )
@@ -43,26 +40,28 @@ def main() -> None:
 
     bs.assign_contract(MinThroughputContract(TARGET))
 
+    throughput, workers = [], []
+
     def sample() -> None:
         snap = bs.farm.force_snapshot()
-        trace.sample("throughput", sim.now, snap.departure_rate)
-        trace.sample("workers", sim.now, snap.num_workers)
+        throughput.append((sim.now, snap.departure_rate))
+        workers.append((sim.now, snap.num_workers))
 
     sim.periodic(5.0, sample)
     sim.run(until=700.0)
 
     print(
         ascii_series(
-            trace.series_values("throughput"),
+            throughput,
             hlines=[TARGET],
             title=f"images/s processed (contract: >= {TARGET}) — hot spot at "
             f"images {HOT_SPOT[0]}-{HOT_SPOT[1]}",
             height=12,
         )
     )
-    print(ascii_series(trace.series_values("workers"), title="workers allocated", height=8))
+    print(ascii_series(workers, title="workers allocated", height=8))
 
-    adds = trace.events_of(name="addWorker")
+    adds = bs.trace.events_of(name="addWorker")
     print(f"worker additions: {[round(e.time, 1) for e in adds]}")
     snap = bs.farm.force_snapshot()
     print(f"final: {snap.num_workers} workers, {snap.departure_rate:.2f} img/s, "

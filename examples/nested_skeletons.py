@@ -17,7 +17,7 @@ from repro.gcm.abc_controller import FarmABC
 from repro.obs.export import ascii_series
 from repro.sim import ResourceManager, SimFarmOfPipelines, Simulator, make_cluster
 from repro.sim.workload import ConstantWork, TaskSource
-from repro.skeletons import Farm, Pipe, Seq, service_time, throughput
+from repro.skeletons import Farm, Pipe, Seq, throughput
 
 STAGE_WORKS = [2.0, 5.0]  # pre-process, filter
 
@@ -44,19 +44,17 @@ def main() -> None:
     def predicted(replicas: int) -> float:
         return throughput(Farm(Pipe(*[Seq(w) for w in STAGE_WORKS]), degree=replicas))
 
-    trace = manager.trace
+    delivered = []
 
     def sample() -> None:
-        snap = fp.force_snapshot()
-        trace.sample("throughput", sim.now, snap.departure_rate)
-        trace.sample("replicas", sim.now, snap.num_workers)
+        delivered.append((sim.now, fp.force_snapshot().departure_rate))
 
     sim.periodic(5.0, sample)
     sim.run(until=400.0)
 
     print(
         ascii_series(
-            trace.series_values("throughput"),
+            delivered,
             hlines=[0.6],
             title="tasks/s through farm(pipe(seq(2), seq(5))) — contract 0.6",
             height=10,

@@ -114,7 +114,7 @@ def install_stage_promotion(
             f"{stage_manager.name}.farm",
             sim,
             abc,
-            trace=pipeline_manager.trace,
+            telemetry=pipeline_manager.telemetry,
             control_period=pipeline_manager.control_period,
             manage_workers=False,
         )

@@ -33,7 +33,9 @@ from ..gcm.controllers import (
     LifecycleController,
     install_standard_controllers,
 )
+from ..obs.clock import SimClock
 from ..obs.events import TraceRecorder
+from ..obs.telemetry import Telemetry
 from ..sim.engine import Simulator
 from ..sim.farm import SimFarm
 from ..sim.network import Network
@@ -114,7 +116,6 @@ def build_farm_bs(
     name: str = "farm",
     worker_work: float,
     initial_degree: int = 1,
-    trace: Optional[TraceRecorder] = None,
     network: Optional[Network] = None,
     control_period: float = 10.0,
     worker_setup_time: float = 5.0,
@@ -124,7 +125,7 @@ def build_farm_bs(
     spawn_worker_managers: bool = True,
     on_result: Optional[Callable[..., None]] = None,
     policy: str = "standard",
-    telemetry: Optional[Any] = None,
+    telemetry: Optional[Telemetry] = None,
 ) -> FarmBS:
     """Assemble a task-farm BS (Figure 3 configuration).
 
@@ -134,8 +135,10 @@ def build_farm_bs(
     ``initial_degree=0`` the manager instead performs model-based initial
     deployment when its contract arrives (§3's "initial parallelism
     degree setup": ``optimal_degree`` workers straight away).
+    Without a ``telemetry`` the BS records on its own one, on ``sim``'s
+    clock.
     """
-    trace = trace or TraceRecorder()
+    telemetry = telemetry if telemetry is not None else Telemetry(SimClock(sim))
     emitter = emitter_node or Node(f"{name}-frontend")
     farm = SimFarm(
         sim,
@@ -156,7 +159,6 @@ def build_farm_bs(
         sim,
         abc,
         constants=constants,
-        trace=trace,
         control_period=control_period,
         manage_workers=spawn_worker_managers,
         policy=policy,
@@ -185,7 +187,6 @@ def build_map_bs(
     *,
     name: str = "map",
     initial_degree: int = 1,
-    trace: Optional[TraceRecorder] = None,
     network: Optional[Network] = None,
     control_period: float = 10.0,
     worker_setup_time: float = 5.0,
@@ -196,6 +197,7 @@ def build_map_bs(
     constants_kwargs: Optional[dict] = None,
     policy: str = "standard",
     on_result: Optional[Callable[..., None]] = None,
+    telemetry: Optional[Telemetry] = None,
 ) -> FarmBS:
     """Assemble a data-parallel map BS.
 
@@ -207,7 +209,7 @@ def build_map_bs(
     """
     from ..sim.map import SimMap
 
-    trace = trace or TraceRecorder()
+    telemetry = telemetry if telemetry is not None else Telemetry(SimClock(sim))
     emitter = emitter_node or Node(f"{name}-frontend")
     smap = SimMap(
         sim,
@@ -229,10 +231,10 @@ def build_map_bs(
         sim,
         abc,
         constants=constants,
-        trace=trace,
         control_period=control_period,
         manage_workers=False,
         policy=policy,
+        telemetry=telemetry,
     )
     if initial_degree > 0:
         abc.bootstrap(initial_degree)
@@ -253,11 +255,10 @@ def build_map_bs(
 
 @dataclass
 class PipelineApp:
-    """The Figure 4 application: mechanisms, managers, trace, plumbing."""
+    """The Figure 4 application: mechanisms, managers, plumbing."""
 
     sim: Simulator
     pattern: Skeleton
-    trace: TraceRecorder
     # mechanisms
     source: TaskSource
     farm: SimFarm
@@ -289,6 +290,10 @@ class PipelineApp:
     def delivered(self) -> int:
         return self.pipeline.delivered
 
+    @property
+    def trace(self) -> TraceRecorder:
+        return self.am_a.trace
+
 
 def build_three_stage_pipeline(
     sim: Simulator,
@@ -305,13 +310,12 @@ def build_three_stage_pipeline(
     control_period: float = 10.0,
     worker_setup_time: float = 5.0,
     rate_window: float = 10.0,
-    trace: Optional[TraceRecorder] = None,
     network: Optional[Network] = None,
     spawn_worker_managers: bool = False,
     inc_factor: float = 1.3,
     dec_factor: float = 0.92,
     name: str = "app",
-    telemetry: Optional[Any] = None,
+    telemetry: Optional[Telemetry] = None,
 ) -> PipelineApp:
     """Assemble Figure 4's ``pipeline(seq, farm(seq), seq)`` application.
 
@@ -319,9 +323,10 @@ def build_three_stage_pipeline(
     rate deliberately set by the caller — Figure 4 starts it too low);
     the filter is a task farm bootstrapped at ``initial_degree``; the
     consumer drains results.  The manager hierarchy AM_A→{AM_P, AM_F,
-    AM_C} is fully wired, including end-of-stream notification.
+    AM_C} is fully wired, including end-of-stream notification.  All
+    four record on ``telemetry`` (by default one on ``sim``'s clock).
     """
-    trace = trace or TraceRecorder()
+    telemetry = telemetry if telemetry is not None else Telemetry(SimClock(sim))
 
     producer_node = Node(f"{name}-producer")
     consumer_node = Node(f"{name}-consumer")
@@ -358,7 +363,6 @@ def build_three_stage_pipeline(
         "AM_F",
         sim,
         farm_abc,
-        trace=trace,
         control_period=control_period,
         manage_workers=spawn_worker_managers,
         telemetry=telemetry,
@@ -369,7 +373,6 @@ def build_three_stage_pipeline(
         "AM_C",
         sim,
         consumer_abc,
-        trace=trace,
         control_period=control_period,
         telemetry=telemetry,
     )
@@ -377,7 +380,6 @@ def build_three_stage_pipeline(
     am_a = PipelineManager(
         "AM_A",
         sim,
-        trace=trace,
         control_period=control_period,
         inc_factor=inc_factor,
         dec_factor=dec_factor,
@@ -402,7 +404,6 @@ def build_three_stage_pipeline(
         "AM_P",
         sim,
         producer_abc,
-        trace=trace,
         control_period=control_period,
         telemetry=telemetry,
     )
@@ -453,7 +454,6 @@ def build_three_stage_pipeline(
     return PipelineApp(
         sim=sim,
         pattern=pattern,
-        trace=trace,
         source=source,
         farm=farm,
         consumer_stage=consumer_stage,

@@ -82,7 +82,6 @@ class AutonomicManager:
         *,
         concern: str = "performance",
         abc: Optional[AutonomicBehaviourController] = None,
-        trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
         control_period: float = 10.0,
         violation_delay: float = 1.0,
@@ -94,11 +93,11 @@ class AutonomicManager:
         self.sim = sim
         self.concern = concern
         self.abc = abc
-        self.trace = trace or TraceRecorder()
-        # Observability is strictly optional: the no-op default makes
-        # every tel.* call inert, and the property tests assert that
-        # attaching a live Telemetry leaves the event sequence
-        # bit-identical.
+        # The one record of this manager's decisions: its marks are span
+        # events here (read back through :attr:`trace`).  The no-op
+        # default makes every tel.* call inert — an untraced manager
+        # keeps ``violations`` (and a farm manager ``actions``) but
+        # writes no audit.
         self.telemetry = telemetry if telemetry is not None else NOOP
         self.control_period = control_period
         self.violation_delay = violation_delay
@@ -150,6 +149,15 @@ class AutonomicManager:
     def is_root(self) -> bool:
         return self.parent is None
 
+    @property
+    def trace(self) -> TraceRecorder:
+        """The marks this manager's telemetry holds (every actor's)."""
+        return TraceRecorder(self.telemetry)
+
+    def _mark(self, name: str, **detail: Any) -> None:
+        """Record one decision mark on the open span, at this time base's now."""
+        self.telemetry.event(name, actor=self.name, time=self.sim.now, **detail)
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -187,9 +195,7 @@ class AutonomicManager:
             "contract.assign", actor=self.name, contract=contract.describe()
         ):
             self.contract = contract
-            self.trace.mark(
-                self.sim.now, self.name, Events.NEW_CONTRACT, contract=contract.describe()
-            )
+            self._mark(Events.NEW_CONTRACT, contract=contract.describe())
             # on_contract may split/propagate to children, whose own
             # contract.assign spans nest under this one: the P_spl
             # propagation tree becomes directly visible in the trace.
@@ -206,8 +212,7 @@ class AutonomicManager:
         if state is self.state:
             return
         self.state = state
-        mark = Events.GO_ACTIVE if state is ManagerState.ACTIVE else Events.GO_PASSIVE
-        self.trace.mark(self.sim.now, self.name, mark)
+        self._mark(Events.GO_ACTIVE if state is ManagerState.ACTIVE else Events.GO_PASSIVE)
 
     @property
     def active(self) -> bool:
@@ -282,7 +287,7 @@ class AutonomicManager:
         return self.abc.monitor()
 
     def observe(self, data: Mapping[str, Any]) -> None:
-        """Hook: refresh working-memory beans, record trace samples."""
+        """Hook: refresh working-memory beans, set the monitoring gauges."""
 
     def passive_step(self, data: Mapping[str, Any]) -> None:
         """Hook for PASSIVE mode: monitor-only behaviour.
@@ -338,7 +343,7 @@ class AutonomicManager:
         violation = Violation(kind, self.name, self.sim.now, detail, severity)
         self.violations_raised.append(violation)
         self.violations.append((violation.time, kind))
-        self.trace.mark(self.sim.now, self.name, Events.RAISE_VIOL, kind=kind)
+        self._mark(Events.RAISE_VIOL, kind=kind)
         if severity == "fatal" and self.parent is not None:
             self._set_state(ManagerState.PASSIVE)
         if self.parent is not None:

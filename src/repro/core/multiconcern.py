@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..gcm.abc_controller import PlannedReconfiguration
-from ..obs.events import TraceRecorder
 from ..obs.telemetry import NOOP, Telemetry
 from ..rules.beans import ManagerOperation
 from .events import Events
@@ -98,12 +97,10 @@ class GeneralManager:
         self,
         *,
         mode: CoordinationMode = CoordinationMode.TWO_PHASE,
-        trace: Optional[TraceRecorder] = None,
         telemetry: Optional[Telemetry] = None,
         name: str = "GM",
     ) -> None:
         self.mode = mode
-        self.trace = trace or TraceRecorder()
         self.telemetry = telemetry if telemetry is not None else NOOP
         self.name = name
         self._managers: List[Tuple[int, AutonomicManager]] = []
@@ -211,16 +208,16 @@ class GeneralManager:
             tel.event("intent.review", reviewer=reviewer.name, verdict=verdict is not False)
             if plan.secured != before:
                 amendments += 1
-                self.trace.mark(
-                    originator.sim.now,
-                    reviewer.name,
+                tel.event(
                     Events.INTENT_AMENDED,
+                    actor=reviewer.name,
+                    time=originator.sim.now,
                     nodes=[n for n in plan.secured if plan.secured[n]],
                 )
                 tel.event("intent.amend", reviewer=reviewer.name)
             if verdict is False:
                 originator.abc.abort_plan(plan)
-                self.trace.mark(originator.sim.now, reviewer.name, Events.INTENT_VETOED)
+                tel.event(Events.INTENT_VETOED, actor=reviewer.name, time=originator.sim.now)
                 tel.event("intent.veto", reviewer=reviewer.name)
                 return False, amendments, tuple(names)
         return True, amendments, tuple(names)
@@ -239,8 +236,12 @@ class GeneralManager:
         self.intents.append(
             IntentRecord(now, originator.name, op.value, outcome, amendments, reviewers)
         )
-        self.trace.mark(
-            now, self.name, Events.INTENT_REVIEW, originator=originator.name, outcome=outcome
+        self.telemetry.event(
+            Events.INTENT_REVIEW,
+            actor=self.name,
+            time=now,
+            originator=originator.name,
+            outcome=outcome,
         )
         if self.telemetry.enabled:
             self.telemetry.metrics.counter(

@@ -191,9 +191,7 @@ class FarmManager(AutonomicManager):
             return
         deployed = len(plan.nodes) // self.farm_abc.nodes_per_executor
         self.farm_abc.commit_plan(plan)
-        self.trace.mark(
-            self.sim.now, self.name, Events.ADD_WORKER, count=deployed, initial=True
-        )
+        self._mark(Events.ADD_WORKER, count=deployed, initial=True)
         if deployed < desired:
             self.raise_violation(
                 ViolationKind.NO_LOCAL_PLAN,
@@ -214,11 +212,6 @@ class FarmManager(AutonomicManager):
         mem.replace(self.make_bean(LatencyBean(data.get("mean_latency", 0.0))))
         mem.replace(self.make_bean(EndOfStreamBean(data.get("end_of_stream", False))))
 
-        now = self.sim.now
-        self.trace.sample(f"{self.name}.arrival_rate", now, data["arrival_rate"])
-        self.trace.sample(f"{self.name}.departure_rate", now, data["departure_rate"])
-        self.trace.sample(f"{self.name}.num_workers", now, data["num_workers"])
-
         tel = self.telemetry
         if tel.enabled:
             m = tel.metrics
@@ -233,13 +226,13 @@ class FarmManager(AutonomicManager):
         low = self.constants.FARM_LOW_PERF_LEVEL
         high = self.constants.FARM_HIGH_PERF_LEVEL
         if data["departure_rate"] < low:
-            self.trace.mark(now, self.name, Events.CONTR_LOW)
+            self._mark(Events.CONTR_LOW)
         elif data["departure_rate"] > high:
-            self.trace.mark(now, self.name, Events.CONTR_HIGH)
+            self._mark(Events.CONTR_HIGH)
         if data["arrival_rate"] < low:
-            self.trace.mark(now, self.name, Events.NOT_ENOUGH)
+            self._mark(Events.NOT_ENOUGH)
         elif data["arrival_rate"] > high:
-            self.trace.mark(now, self.name, Events.TOO_MUCH)
+            self._mark(Events.TOO_MUCH)
 
     def passive_step(self, data: Mapping[str, Any]) -> None:
         """Keep reporting a persisting starvation while passive.
@@ -302,10 +295,9 @@ class FarmManager(AutonomicManager):
         super().on_operation(op, data)
 
     def _acted(self, event: str, suffix: str = "", **detail: Any) -> None:
-        """Record one executed actuation: a trace mark and an ``actions`` line."""
-        now = self.sim.now
-        self.trace.mark(now, self.name, event, **detail)
-        self.actions.append((now, event + suffix))
+        """Record one executed actuation: a mark and an ``actions`` line."""
+        self._mark(event, **detail)
+        self.actions.append((self.sim.now, event + suffix))
 
     def _add_workers(self, count: int) -> bool:
         """Add workers, via the multi-concern coordinator when present.
@@ -334,7 +326,7 @@ class FarmManager(AutonomicManager):
                     f"{self.name}.W{w.worker_id}",
                     self.sim,
                     w,
-                    trace=self.trace,
+                    telemetry=self.telemetry,
                     control_period=self.control_period,
                 )
                 self.add_child(wm)
@@ -400,9 +392,7 @@ class PipelineManager(AutonomicManager):
             return
         current = self.producer.current_rate()
         new_rate = current * self.inc_factor
-        self.trace.mark(
-            self.sim.now, self.name, Events.INC_RATE, rate=round(new_rate, 4)
-        )
+        self._mark(Events.INC_RATE, rate=round(new_rate, 4))
         self.producer.assign_contract(RateContract(new_rate))
         self.acknowledge_violation(violation)
 
@@ -413,9 +403,7 @@ class PipelineManager(AutonomicManager):
             return
         current = self.producer.current_rate()
         new_rate = current * self.dec_factor
-        self.trace.mark(
-            self.sim.now, self.name, Events.DEC_RATE, rate=round(new_rate, 4)
-        )
+        self._mark(Events.DEC_RATE, rate=round(new_rate, 4))
         self.producer.assign_contract(RateContract(new_rate))
         self.acknowledge_violation(violation)
 
@@ -462,13 +450,7 @@ class PipelineManager(AutonomicManager):
             old.parent = None
         replacement: AutonomicManager = promoter()
         self.add_child(replacement)
-        self.trace.mark(
-            self.sim.now,
-            self.name,
-            Events.FARM_STAGE,
-            stage=child_name,
-            replacement=replacement.name,
-        )
+        self._mark(Events.FARM_STAGE, stage=child_name, replacement=replacement.name)
         if self.contract is not None:
             replacement.assign_contract(self.contract)
         return replacement
@@ -479,14 +461,14 @@ class PipelineManager(AutonomicManager):
         if self.stream_ended:
             return
         self.stream_ended = True
-        self.trace.mark(self.sim.now, self.name, Events.END_STREAM)
+        self._mark(Events.END_STREAM)
         self.engine.memory.replace(self.make_bean(EndOfStreamBean(True)))
 
     def observe(self, data: Mapping[str, Any]) -> None:
         if self.stream_ended:
             # keep the endStream mark visible along the event line, as in
             # Figure 4's last phase
-            self.trace.mark(self.sim.now, self.name, Events.END_STREAM)
+            self._mark(Events.END_STREAM)
 
 
 class ProducerManager(AutonomicManager):
@@ -519,7 +501,11 @@ class ProducerManager(AutonomicManager):
             )
 
     def observe(self, data: Mapping[str, Any]) -> None:
-        self.trace.sample(f"{self.name}.rate", self.sim.now, data["rate"])
+        tel = self.telemetry
+        if tel.enabled:
+            tel.metrics.gauge(
+                "repro_producer_rate", "producer stage output rate (tasks/s)"
+            ).labels(manager=self.name).set(data["rate"])
 
 
 class ConsumerManager(AutonomicManager):
@@ -552,10 +538,16 @@ class ConsumerManager(AutonomicManager):
             self._low = 0.0
 
     def observe(self, data: Mapping[str, Any]) -> None:
-        now = self.sim.now
-        self.trace.sample(f"{self.name}.departure_rate", now, data["departure_rate"])
-        self.trace.sample(f"{self.name}.queue_length", now, data["queue_length"])
         queue_len = data["queue_length"]
+        tel = self.telemetry
+        if tel.enabled:
+            m = tel.metrics
+            m.gauge(
+                "repro_consumer_departure_rate", "consumer stage departure rate (tasks/s)"
+            ).labels(manager=self.name).set(data["departure_rate"])
+            m.gauge(
+                "repro_consumer_queue_length", "tasks queued at the consumer stage"
+            ).labels(manager=self.name).set(queue_len)
         growing = queue_len > self._last_queue_length
         self._last_queue_length = queue_len
         if (

@@ -105,16 +105,16 @@ def compare_initial_deployment(
 def _run_hysteresis_case(width: float, low: float, high: float, duration: float) -> AblationRow:
     # pressure above the stripe keeps the farm loaded
     cfg = Fig3Config(input_rate=high + 0.2, pool_size=24, duration=duration)
-    sim, trace, _, bs = single_farm(cfg, add_burst=1, contract=ThroughputRangeContract(low, high))
-    snap = run_sampled(sim, trace, bs, period=cfg.control_period / 2.0, until=duration)
+    sim, _, bs = single_farm(cfg, add_burst=1, contract=ThroughputRangeContract(low, high))
+    snap, _, throughput = run_sampled(sim, bs, period=cfg.control_period / 2.0, until=duration)
     return AblationRow(
         knob="hysteresis_width",
         value=width,
-        time_to_contract=first_time_reaching(trace.series_values("throughput"), low),
+        time_to_contract=first_time_reaching(throughput, low),
         final_workers=snap.num_workers,
         final_throughput=snap.departure_rate,
-        adds=trace.count("addWorker"),
-        removes=trace.count("removeWorker"),
+        adds=bs.trace.count("addWorker"),
+        removes=bs.trace.count("removeWorker"),
     )
 
 

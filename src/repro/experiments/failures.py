@@ -18,8 +18,8 @@ after each crash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 from ..core.behavioural import FarmBS
 from ..obs.events import TraceRecorder
@@ -52,7 +52,6 @@ class FaultConfig:
 @dataclass
 class FaultResult:
     config: FaultConfig
-    trace: TraceRecorder
     bs: FarmBS
     crashes: int
     recovered_tasks: int
@@ -60,6 +59,13 @@ class FaultResult:
     final_throughput: float
     replacements: int
     live_throughput_after_recovery: float = 0.0
+    workers_series: List[Tuple[float, float]] = field(default_factory=list)
+    throughput_series: List[Tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def trace(self) -> TraceRecorder:
+        """The run's decision marks."""
+        return self.bs.trace
 
     @property
     def no_task_lost(self) -> bool:
@@ -80,7 +86,8 @@ class FaultResult:
 
 def run_faults(config: Optional[FaultConfig] = None) -> FaultResult:
     cfg = config or FaultConfig()
-    sim, trace, _, bs = single_farm(cfg, add_burst=1, total=cfg.total_tasks)
+    sim, _, bs = single_farm(cfg, add_burst=1, total=cfg.total_tasks)
+    trace = bs.trace
 
     recovered = [0]
 
@@ -92,12 +99,16 @@ def run_faults(config: Optional[FaultConfig] = None) -> FaultResult:
             victim = live[0]  # the longest-serving worker
             n = bs.farm.fail_worker(victim)
             recovered[0] += n
-            trace.mark(sim.now, "chaos", "workerCrash", worker=victim.name, recovered=n)
+            bs.manager.telemetry.event(
+                "workerCrash", actor="chaos", time=sim.now, worker=victim.name, recovered=n
+            )
 
     for t in cfg.crash_times:
         sim.schedule_at(t, crash)
 
-    snap = run_sampled(sim, trace, bs, period=cfg.control_period / 2.0, until=cfg.duration)
+    snap, workers, throughput = run_sampled(
+        sim, bs, period=cfg.control_period / 2.0, until=cfg.duration
+    )
     crash_times = [e.time for e in trace.events_of("chaos", "workerCrash")]
     post_crash_adds = [
         e.time
@@ -108,16 +119,11 @@ def run_faults(config: Optional[FaultConfig] = None) -> FaultResult:
     # drained (≈ total_tasks / input_rate)
     stream_end = cfg.total_tasks / cfg.input_rate
     window_lo = (max(crash_times) if crash_times else 0.0) + 60.0
-    live_points = [
-        v
-        for t, v in trace.series_values("throughput")
-        if window_lo <= t <= stream_end
-    ]
+    live_points = [v for t, v in throughput if window_lo <= t <= stream_end]
     live_recovered = max(live_points) if live_points else 0.0
 
     return FaultResult(
         config=cfg,
-        trace=trace,
         bs=bs,
         crashes=bs.farm.failures,
         recovered_tasks=recovered[0],
@@ -125,4 +131,6 @@ def run_faults(config: Optional[FaultConfig] = None) -> FaultResult:
         final_throughput=snap.departure_rate,
         replacements=len(post_crash_adds),
         live_throughput_after_recovery=live_recovered,
+        workers_series=workers,
+        throughput_series=throughput,
     )

@@ -71,13 +71,17 @@ class Fig3Result:
     """Outcome of one FIG3 run, with the figure's two series."""
 
     config: Fig3Config
-    trace: TraceRecorder
     bs: FarmBS
     final_workers: int
     final_throughput: float
     time_to_contract: Optional[float]
     workers_series: List[Tuple[float, float]] = field(default_factory=list)
     throughput_series: List[Tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def trace(self) -> TraceRecorder:
+        """The run's decision marks."""
+        return self.bs.trace
 
     @property
     def contract_met(self) -> bool:
@@ -105,7 +109,7 @@ def single_farm(
     total: Optional[int] = None,
     policy: str = "standard",
     contract: Optional[Contract] = None,
-) -> Tuple[Simulator, TraceRecorder, ResourceManager, FarmBS]:
+) -> Tuple[Simulator, ResourceManager, FarmBS]:
     """The §4 scenario every single-farm experiment perturbs.
 
     One farm BS on a ``cfg.pool_size`` cluster, fed a constant-work
@@ -115,7 +119,6 @@ def single_farm(
     :class:`Fig3Config`'s scenario fields.
     """
     sim = Simulator()
-    trace = TraceRecorder()
     rm = ResourceManager(make_cluster(cfg.pool_size))
     bs = build_farm_bs(
         sim,
@@ -123,7 +126,6 @@ def single_farm(
         name=name,
         worker_work=cfg.worker_work,
         initial_degree=cfg.initial_degree,
-        trace=trace,
         control_period=cfg.control_period,
         worker_setup_time=cfg.worker_setup_time,
         rate_window=cfg.rate_window,
@@ -143,24 +145,26 @@ def single_farm(
     if contract is None:
         contract = MinThroughputContract(cfg.target_throughput)
     bs.assign_contract(contract)
-    return sim, trace, rm, bs
+    return sim, rm, bs
 
 
 def run_sampled(
-    sim: Simulator, trace: TraceRecorder, bs: FarmBS, *, period: float, until: float
-) -> FarmSnapshot:
+    sim: Simulator, bs: FarmBS, *, period: float, until: float
+) -> Tuple[FarmSnapshot, List[Tuple[float, float]], List[Tuple[float, float]]]:
     """Sample the ``workers`` and ``throughput`` series every ``period``
     on a fixed grid, independent of the manager's own control loop, run
-    to ``until`` and return the final snapshot."""
+    to ``until``; return the final snapshot and the two series."""
+    workers: List[Tuple[float, float]] = []
+    throughput: List[Tuple[float, float]] = []
 
     def sample() -> None:
         snap = bs.farm.force_snapshot()
-        trace.sample("workers", sim.now, snap.num_workers)
-        trace.sample("throughput", sim.now, snap.departure_rate)
+        workers.append((sim.now, float(snap.num_workers)))
+        throughput.append((sim.now, float(snap.departure_rate)))
 
     sim.periodic(period, sample, name="sampler")
     sim.run(until=until)
-    return bs.farm.force_snapshot()
+    return bs.farm.force_snapshot(), workers, throughput
 
 
 def first_time_reaching(points: Sequence[Tuple[float, float]], level: float) -> Optional[float]:
@@ -171,18 +175,18 @@ def first_time_reaching(points: Sequence[Tuple[float, float]], level: float) -> 
 def run_fig3(config: Optional[Fig3Config] = None) -> Fig3Result:
     """Run the FIG3 scenario and return its trace and summary."""
     cfg = config or Fig3Config()
-    sim, trace, _, bs = single_farm(
+    sim, _, bs = single_farm(
         cfg, add_burst=cfg.add_burst, name="imgfarm", total=cfg.total_tasks
     )
-    snap = run_sampled(sim, trace, bs, period=cfg.control_period / 2.0, until=cfg.duration)
-    throughput_series = trace.series_values("throughput")
+    snap, workers, throughput = run_sampled(
+        sim, bs, period=cfg.control_period / 2.0, until=cfg.duration
+    )
     return Fig3Result(
         config=cfg,
-        trace=trace,
         bs=bs,
         final_workers=snap.num_workers,
         final_throughput=snap.departure_rate,
-        time_to_contract=first_time_reaching(throughput_series, cfg.target_throughput),
-        workers_series=trace.series_values("workers"),
-        throughput_series=throughput_series,
+        time_to_contract=first_time_reaching(throughput, cfg.target_throughput),
+        workers_series=workers,
+        throughput_series=throughput,
     )

@@ -30,6 +30,7 @@ from typing import List, Optional, Tuple
 from ..core.behavioural import PipelineApp, build_three_stage_pipeline
 from ..core.contracts import ThroughputRangeContract
 from ..core.events import Events
+from ..obs.clock import SimClock
 from ..obs.events import TraceRecorder
 from ..obs.telemetry import Telemetry
 from ..sim.engine import Simulator
@@ -60,7 +61,7 @@ class Fig4Config:
     dec_factor: float = 0.92
     seed: int = 42
     #: route AM_F's worker additions through a two-phase GeneralManager.
-    #: Off by default: the GM adds its own intentReview trace marks, and
+    #: Off by default: the GM adds its own intentReview marks, and
     #: the regenerated Figure 4 artefacts must stay byte-identical.
     with_coordinator: bool = False
 
@@ -74,11 +75,15 @@ class Fig4Result:
     """Outcome of one FIG4 run with the figure's four traces."""
 
     config: Fig4Config
-    trace: TraceRecorder
     app: PipelineApp
     cores_series: List[Tuple[float, float]] = field(default_factory=list)
     input_rate_series: List[Tuple[float, float]] = field(default_factory=list)
     throughput_series: List[Tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def trace(self) -> TraceRecorder:
+        """The run's decision marks."""
+        return self.app.trace
 
     # -- event accessors (the first two graphs) -------------------------
     def am_f_events(self) -> List[str]:
@@ -147,21 +152,15 @@ def run_fig4(
 ) -> Fig4Result:
     """Run the FIG4 scenario and return its traces and summary.
 
-    ``telemetry`` (optional) attaches a :class:`repro.obs.Telemetry`
-    whose clock follows the simulation; every manager MAPE phase, rule
-    evaluation, violation propagation and (with
-    ``config.with_coordinator``) intent round becomes a span.  Attaching
-    it never changes the event sequence — the no-op invariant is
-    property-tested.
+    The run records on ``telemetry`` (a fresh one when omitted), whose
+    clock is set to follow the simulation: every manager mark, MAPE
+    phase, rule evaluation, violation propagation and (with
+    ``config.with_coordinator``) intent round.
     """
     cfg = config or Fig4Config()
+    telemetry = telemetry if telemetry is not None else Telemetry()
     sim = Simulator(telemetry=telemetry)
-    trace = TraceRecorder()
-    if telemetry is not None:
-        from ..obs.clock import SimClock
-
-        telemetry.clock = SimClock(sim)
-        telemetry.trace = trace
+    telemetry.clock = SimClock(sim)
     rm = ResourceManager(make_cluster(cfg.pool_size))
 
     app = build_three_stage_pipeline(
@@ -178,37 +177,27 @@ def run_fig4(
         rate_window=cfg.rate_window,
         inc_factor=cfg.inc_factor,
         dec_factor=cfg.dec_factor,
-        trace=trace,
         telemetry=telemetry,
     )
     if cfg.with_coordinator:
         from ..core.multiconcern import CoordinationMode, GeneralManager
 
-        gm = GeneralManager(
-            mode=CoordinationMode.TWO_PHASE, trace=trace, telemetry=telemetry
-        )
+        gm = GeneralManager(mode=CoordinationMode.TWO_PHASE, telemetry=telemetry)
         gm.register(app.am_f)
         app.gm = gm  # type: ignore[attr-defined]
     app.assign_contract(ThroughputRangeContract(cfg.contract_low, cfg.contract_high))
 
+    result = Fig4Result(config=cfg, app=app)
+
     def sample() -> None:
         snap = app.farm.force_snapshot()
-        trace.sample("cores", sim.now, app.cores_in_use())
-        trace.sample("input_rate", sim.now, snap.arrival_rate)
-        trace.sample("throughput", sim.now, snap.departure_rate)
-        trace.sample("producer_rate", sim.now, app.source.rate)
+        result.cores_series.append((sim.now, float(app.cores_in_use())))
+        result.input_rate_series.append((sim.now, float(snap.arrival_rate)))
+        result.throughput_series.append((sim.now, float(snap.departure_rate)))
 
     sim.periodic(cfg.control_period / 2.0, sample, name="sampler")
     sim.run(until=cfg.duration)
-
-    return Fig4Result(
-        config=cfg,
-        trace=trace,
-        app=app,
-        cores_series=trace.series_values("cores"),
-        input_rate_series=trace.series_values("input_rate"),
-        throughput_series=trace.series_values("throughput"),
-    )
+    return result
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -221,8 +210,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     (TCP-connected worker processes behind an asyncio coordinator, with
     connection-severing fault injection).
     ``--trace-out PATH`` attaches telemetry and writes the full decision
-    audit — trace marks, MAPE/rule/violation/intent spans, monitoring
-    series — as JSON lines.  ``--metrics-out PATH`` additionally dumps
+    audit — the managers' marks, MAPE/rule/violation/intent spans — as
+    JSON lines.  ``--metrics-out PATH`` additionally dumps
     the metrics registry in Prometheus text format.
     """
     p = parser("python -m repro.experiments.fig4")
@@ -334,7 +323,6 @@ def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             parser.error(message)
 
     telemetry = Telemetry() if args.trace_out or args.metrics_out else None
-    trace = None
     if args.shards:
         from .fig4_live import Fig4ShardedConfig, render_fig4_sharded, run_fig4_sharded
 
@@ -363,14 +351,12 @@ def run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         cfg = Fig4Config(with_coordinator=args.with_coordinator)
         if args.duration is not None:
             cfg.duration = args.duration
-        result = run_fig4(cfg, telemetry=telemetry)
-        print(render_fig4(result))
-        trace = result.trace
+        print(render_fig4(run_fig4(cfg, telemetry=telemetry)))
 
     if args.trace_out:
         from ..obs.export import write_trace_jsonl
 
-        n = write_trace_jsonl(args.trace_out, telemetry, trace, include_series=True)
+        n = write_trace_jsonl(args.trace_out, telemetry)
         print(f"wrote {n} trace records to {args.trace_out}")
     if args.metrics_out:
         from ..obs.export import prometheus_text

@@ -20,7 +20,7 @@ workers than before the spike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..core.behavioural import FarmBS
 from ..obs.events import TraceRecorder
@@ -52,7 +52,6 @@ class LoadSpikeConfig:
 @dataclass
 class LoadSpikeResult:
     config: LoadSpikeConfig
-    trace: TraceRecorder
     bs: FarmBS
     workers_before: int
     workers_after: int
@@ -60,6 +59,13 @@ class LoadSpikeResult:
     throughput_dip: float
     throughput_after: float
     spiked_nodes: List[str] = field(default_factory=list)
+    workers_series: List[Tuple[float, float]] = field(default_factory=list)
+    throughput_series: List[Tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def trace(self) -> TraceRecorder:
+        """The run's decision marks."""
+        return self.bs.trace
 
     @property
     def adapted(self) -> bool:
@@ -76,7 +82,7 @@ class LoadSpikeResult:
 
 def run_loadspike(config: Optional[LoadSpikeConfig] = None) -> LoadSpikeResult:
     cfg = config or LoadSpikeConfig()
-    sim, trace, _, bs = single_farm(cfg, add_burst=1)
+    sim, _, bs = single_farm(cfg, add_burst=1)
 
     # inject the external load step on a fraction of the initial workers
     initial_nodes = [w.node for w in bs.farm.workers]
@@ -85,22 +91,27 @@ def run_loadspike(config: Optional[LoadSpikeConfig] = None) -> LoadSpikeResult:
     for node in spiked:
         node.load_schedule.set_load(cfg.spike_time, cfg.spike_load)
 
-    run_sampled(sim, trace, bs, period=cfg.control_period / 2.0, until=cfg.duration)
+    _, workers, thr = run_sampled(
+        sim, bs, period=cfg.control_period / 2.0, until=cfg.duration
+    )
 
-    thr = trace.series_values("throughput")
-    before = trace.value_at("throughput", cfg.spike_time - 1.0) or 0.0
+    def before_spike(points: List[Tuple[float, float]]) -> float:
+        return next((v for t, v in reversed(points) if t <= cfg.spike_time - 1.0), 0.0)
+
+    before = before_spike(thr)
     dip = min(
         (v for t, v in thr if cfg.spike_time < t <= cfg.spike_time + 120.0),
         default=before,
     )
     return LoadSpikeResult(
         config=cfg,
-        trace=trace,
         bs=bs,
-        workers_before=int(trace.value_at("workers", cfg.spike_time - 1.0) or 0.0),
-        workers_after=int(trace.final_value("workers") or 0.0),
+        workers_before=int(before_spike(workers)),
+        workers_after=int(workers[-1][1] if workers else 0.0),
         throughput_before=before,
         throughput_dip=dip,
-        throughput_after=trace.final_value("throughput") or 0.0,
+        throughput_after=thr[-1][1] if thr else 0.0,
         spiked_nodes=[n.name for n in spiked],
+        workers_series=workers,
+        throughput_series=thr,
     )

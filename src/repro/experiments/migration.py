@@ -54,13 +54,17 @@ class MigrationOutcome:
     """One policy's end state."""
 
     policy: str
-    trace: TraceRecorder
     bs: FarmBS
     final_workers: int
     nodes_allocated: int
     final_throughput: float
     migrations: int
     additions: int
+
+    @property
+    def trace(self) -> TraceRecorder:
+        """The run's decision marks."""
+        return self.bs.trace
 
     @property
     def recovered(self) -> bool:
@@ -83,13 +87,13 @@ class MigrationResult:
 
 
 def _run_policy(policy: str, cfg: MigrationConfig) -> MigrationOutcome:
-    sim, trace, rm, bs = single_farm(cfg, add_burst=1, policy=policy)
+    sim, rm, bs = single_farm(cfg, add_burst=1, policy=policy)
+    trace = bs.trace
     for w in bs.farm.workers:
         w.node.load_schedule.set_load(cfg.spike_time, cfg.spike_load)
-    snap = run_sampled(sim, trace, bs, period=cfg.control_period / 2.0, until=cfg.duration)
+    snap, _, _ = run_sampled(sim, bs, period=cfg.control_period / 2.0, until=cfg.duration)
     return MigrationOutcome(
         policy=policy,
-        trace=trace,
         bs=bs,
         final_workers=snap.num_workers,
         nodes_allocated=rm.allocated_count,

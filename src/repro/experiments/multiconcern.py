@@ -64,7 +64,6 @@ class MultiConcernConfig:
 @dataclass
 class MultiConcernResult:
     config: MultiConcernConfig
-    trace: TraceRecorder
     bs: FarmBS
     network: Network
     gm: GeneralManager
@@ -77,6 +76,11 @@ class MultiConcernResult:
     secured_workers: int
     amended_intents: int
     reactive_secure_actions: int
+
+    @property
+    def trace(self) -> TraceRecorder:
+        """The run's decision marks."""
+        return self.bs.trace
 
     @property
     def perf_contract_met(self) -> bool:
@@ -97,7 +101,6 @@ def run_multiconcern(config: Optional[MultiConcernConfig] = None) -> MultiConcer
         CoordinationMode.TWO_PHASE if cfg.mode == "two-phase" else CoordinationMode.NAIVE
     )
     sim = Simulator()
-    trace = TraceRecorder()
     network = Network(secure_factor=cfg.secure_factor)
 
     lan = Domain("lan", trusted=True)
@@ -113,7 +116,6 @@ def run_multiconcern(config: Optional[MultiConcernConfig] = None) -> MultiConcer
         name="farm",
         worker_work=cfg.worker_work,
         initial_degree=cfg.trusted_nodes,  # fill the trusted capacity
-        trace=trace,
         network=network,
         control_period=cfg.perf_control_period,
         worker_setup_time=cfg.worker_setup_time,
@@ -129,12 +131,12 @@ def run_multiconcern(config: Optional[MultiConcernConfig] = None) -> MultiConcer
         "AM_sec",
         sim,
         sec_abc,
-        trace=trace,
+        telemetry=bs.manager.telemetry,
         control_period=cfg.sec_control_period,
     )
     sec_manager.assign_contract(SecurityContract())
 
-    gm = GeneralManager(mode=mode, trace=trace)
+    gm = GeneralManager(mode=mode, telemetry=bs.manager.telemetry)
     gm.register(sec_manager)            # boolean concern: priority 10
     gm.register(bs.manager, priority=0)
 
@@ -146,14 +148,6 @@ def run_multiconcern(config: Optional[MultiConcernConfig] = None) -> MultiConcer
         name="stream",
     )
     bs.assign_contract(MinThroughputContract(cfg.target_throughput))
-
-    def sample() -> None:
-        snap = bs.farm.force_snapshot()
-        trace.sample("throughput", sim.now, snap.departure_rate)
-        trace.sample("workers", sim.now, snap.num_workers)
-        trace.sample("leaks", sim.now, network.leak_count)
-
-    sim.periodic(cfg.perf_control_period / 2.0, sample, name="sampler")
     sim.run(until=cfg.duration)
 
     snap = bs.farm.force_snapshot()
@@ -162,7 +156,6 @@ def run_multiconcern(config: Optional[MultiConcernConfig] = None) -> MultiConcer
 
     return MultiConcernResult(
         config=cfg,
-        trace=trace,
         bs=bs,
         network=network,
         gm=gm,

@@ -155,7 +155,7 @@ def render_loadspike(r: LoadSpikeResult) -> str:
     out = ["=== EXT-LOAD: adaptation to external load on worker cores (§4.2) ===", ""]
     out.append(
         ascii_series(
-            r.trace.series_values("throughput"),
+            r.throughput_series,
             hlines=[r.config.target_throughput],
             title=f"throughput; load spike at t={r.config.spike_time:g}s",
             height=10,
@@ -163,7 +163,7 @@ def render_loadspike(r: LoadSpikeResult) -> str:
     )
     out.append(
         ascii_series(
-            r.trace.series_values("workers"),
+            r.workers_series,
             title="parallelism degree",
             height=7,
         )
@@ -258,14 +258,14 @@ def render_faults(r: FaultResult) -> str:
     out = ["=== FAULT: autonomic reaction to worker crashes (concern of §2) ===", ""]
     out.append(
         ascii_series(
-            r.trace.series_values("throughput"),
+            r.throughput_series,
             hlines=[r.config.target_throughput],
             title=f"throughput; crashes at t={list(r.config.crash_times)}",
             height=10,
         )
     )
     out.append(
-        ascii_series(r.trace.series_values("workers"), title="parallelism degree", height=7)
+        ascii_series(r.workers_series, title="parallelism degree", height=7)
     )
     out.append(
         table(
@@ -289,7 +289,7 @@ def render_stagefarm(r: StageFarmResult) -> str:
     out = ["=== STAGE-FARM: transforming a bottleneck stage into a farm (§4.2) ===", ""]
     out.append(
         ascii_series(
-            r.trace.series_values("pipeline_throughput"),
+            r.throughput_series,
             hlines=[r.config.contract_low, r.config.contract_high],
             title=(
                 f"pipeline throughput; consumer core loaded at "

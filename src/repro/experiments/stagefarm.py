@@ -16,8 +16,8 @@ a farm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 from ..core.adaptation import install_stage_promotion
 from ..core.behavioural import PipelineApp, build_three_stage_pipeline
@@ -52,7 +52,6 @@ class StageFarmConfig:
 @dataclass
 class StageFarmResult:
     config: StageFarmConfig
-    trace: TraceRecorder
     app: PipelineApp
     promoted: bool
     promotion_time: Optional[float]
@@ -60,6 +59,12 @@ class StageFarmResult:
     throughput_dip: float
     throughput_after: float
     stage_farm_workers: int
+    throughput_series: List[Tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def trace(self) -> TraceRecorder:
+        """The run's decision marks."""
+        return self.app.trace
 
     @property
     def recovered(self) -> bool:
@@ -76,7 +81,6 @@ class StageFarmResult:
 def run_stagefarm(config: Optional[StageFarmConfig] = None) -> StageFarmResult:
     cfg = config or StageFarmConfig()
     sim = Simulator()
-    trace = TraceRecorder()
     rm = ResourceManager(make_cluster(cfg.pool_size))
 
     app = build_three_stage_pipeline(
@@ -92,7 +96,6 @@ def run_stagefarm(config: Optional[StageFarmConfig] = None) -> StageFarmResult:
         control_period=cfg.control_period,
         worker_setup_time=cfg.worker_setup_time,
         rate_window=cfg.rate_window,
-        trace=trace,
     )
 
     promoted_farms: List = []
@@ -110,31 +113,34 @@ def run_stagefarm(config: Optional[StageFarmConfig] = None) -> StageFarmResult:
     # the consumer's core gets hammered by an external tenant
     app.consumer_stage.node.load_schedule.set_load(cfg.spike_time, cfg.consumer_load)
 
+    thr: List[Tuple[float, float]] = []
+
     def sample() -> None:
-        trace.sample("pipeline_throughput", sim.now, app.pipeline.throughput())
+        thr.append((sim.now, float(app.pipeline.throughput())))
+
+    def value_at(time: float) -> float:
+        return next((v for t, v in reversed(thr) if t <= time), 0.0)
 
     sim.periodic(cfg.control_period / 2.0, sample, name="sampler")
     sim.run(until=cfg.duration)
 
-    thr = trace.series_values("pipeline_throughput")
-
-    promo_ev = trace.first(Events.FARM_STAGE, actor="AM_A")
+    promo_ev = app.trace.first(Events.FARM_STAGE, actor="AM_A")
     dip_window_end = promo_ev.time + 30.0 if promo_ev else cfg.duration
     dip = min(
         (v for t, v in thr if cfg.spike_time < t <= dip_window_end),
-        default=trace.value_at("pipeline_throughput", cfg.spike_time) or 0.0,
+        default=value_at(cfg.spike_time),
     )
 
     return StageFarmResult(
         config=cfg,
-        trace=trace,
         app=app,
         promoted=promo_ev is not None,
         promotion_time=promo_ev.time if promo_ev else None,
-        throughput_before=trace.value_at("pipeline_throughput", cfg.spike_time - 1.0) or 0.0,
+        throughput_before=value_at(cfg.spike_time - 1.0),
         throughput_dip=dip,
         throughput_after=thr[-1][1] if thr else 0.0,
         stage_farm_workers=(
             promoted_farms[0][0].num_workers if promoted_farms else 0
         ),
+        throughput_series=thr,
     )

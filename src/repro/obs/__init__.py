@@ -11,8 +11,9 @@ One substrate-agnostic telemetry spine for the whole stack:
   intent round of the autonomic managers becomes a span or span-event;
   a farm task's spans are kept as rows (:mod:`repro.obs.rows`) and
   built when the store is read;
-* **event marks** (:mod:`repro.obs.events`) — the flat
-  ``(time, actor, name)`` records behind the reproduced figures;
+* **event marks** (:mod:`repro.obs.events`) — a read view of the
+  managers' decisions, each recorded once as a span event with an
+  actor: the ``(time, actor, name)`` records behind the figures;
 * **metrics** (:mod:`repro.obs.metrics`) — a registry of counters,
   gauges and fixed-bucket histograms: control-loop latency, queue
   variance, per-worker service time, reconfiguration blackout duration;

@@ -1,22 +1,20 @@
-"""Event marks and series recording: the data behind every figure.
+"""Event marks: the manager decisions behind every figure.
 
 Figure 3 and Figure 4 in the paper are *time-series plots of manager
 activity*: event marks (``contrLow``, ``raiseViol``, ``incRate``,
 ``addWorker``, ``rebalance``, ``endStream``, …) on one axis and numeric
-series (throughput, input rate, cores in use) on others.  The
-:class:`TraceRecorder` collects both kinds of data during a run; the
-experiment reports then render them as aligned text timelines.
-
-The recorder is intentionally passive — pure appends, no side effects —
-so attaching it never perturbs scenario dynamics.  It lives in the
-substrate-agnostic ``repro.obs`` package because the same recorder
-serves sim-time and wall-clock runs.
+series (throughput, input rate, cores in use) on others.  A manager
+records each mark once, as a span event with an actor on its
+:class:`~repro.obs.telemetry.Telemetry`; :class:`TraceRecorder` reads
+them back in the order they were made, and the experiment reports
+render them as aligned text timelines.  The series are the harness's
+own samples, kept on each experiment's result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence
 
 __all__ = ["EventMark", "TraceRecorder"]
 
@@ -49,36 +47,37 @@ class EventMark:
 
 
 class TraceRecorder:
-    """Collects event marks and sampled numeric series for one run."""
+    """A read view of the decision marks one telemetry holds.
 
-    def __init__(self) -> None:
-        self.events: List[EventMark] = []
-        self.series: Dict[str, List[Tuple[float, float]]] = {}
+    Over the :data:`~repro.obs.telemetry.NOOP` telemetry it is empty:
+    an untraced manager keeps its ``actions`` and ``violations`` lists
+    but writes no audit.
+    """
 
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
-    def mark(self, time: float, actor: str, name: str, **detail: Any) -> EventMark:
-        """Record a manager/controller event."""
-        ev = EventMark(time, actor, name, dict(detail))
-        self.events.append(ev)
-        return ev
+    def __init__(self, telemetry: Any) -> None:
+        self.telemetry = telemetry
 
-    def sample(self, series: str, time: float, value: float) -> None:
-        """Record one (time, value) point of a numeric series."""
-        self.series.setdefault(series, []).append((time, float(value)))
+    @property
+    def events(self) -> List[EventMark]:
+        """Every mark, in the order the managers made them."""
+        tel = self.telemetry
+        if not tel.enabled:
+            return []
+        marks = [
+            ev for span in tel.spans.spans for ev in span.events if ev.actor is not None
+        ]
+        marks += [ev for ev in tel.orphan_events if ev.actor is not None]
+        marks.sort(key=lambda ev: ev.seq)
+        return [EventMark(ev.time, ev.actor, ev.name, ev.attributes) for ev in marks]
 
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
     def events_of(self, actor: Optional[str] = None, name: Optional[str] = None) -> List[EventMark]:
-        """Events filtered by actor and/or event name, in time order."""
+        """Events filtered by actor and/or event name, in recording order."""
         out = self.events
         if actor is not None:
             out = [e for e in out if e.actor == actor]
         if name is not None:
             out = [e for e in out if e.name == name]
-        return list(out)
+        return out
 
     def event_names(self, actor: Optional[str] = None) -> List[str]:
         """Event names in order of occurrence (optionally one actor)."""
@@ -86,33 +85,11 @@ class TraceRecorder:
 
     def first(self, name: str, actor: Optional[str] = None) -> Optional[EventMark]:
         """First occurrence of event ``name`` (None if absent)."""
-        for e in self.events:
-            if e.name == name and (actor is None or e.actor == actor):
-                return e
-        return None
+        return next(iter(self.events_of(actor, name)), None)
 
     def count(self, name: str, actor: Optional[str] = None) -> int:
         """Number of occurrences of event ``name``."""
         return len(self.events_of(actor, name))
-
-    def series_values(self, series: str) -> List[Tuple[float, float]]:
-        """The (time, value) points of a series ([] if unknown)."""
-        return list(self.series.get(series, []))
-
-    def value_at(self, series: str, time: float) -> Optional[float]:
-        """Last sampled value of ``series`` at or before ``time``."""
-        best: Optional[float] = None
-        for t, v in self.series.get(series, []):
-            if t <= time:
-                best = v
-            else:
-                break
-        return best
-
-    def final_value(self, series: str) -> Optional[float]:
-        """Most recent sample of ``series`` (None if empty)."""
-        pts = self.series.get(series)
-        return pts[-1][1] if pts else None
 
     def assert_order(self, names: Sequence[str], actor: Optional[str] = None) -> bool:
         """True if ``names`` occur in this relative order (subsequence)."""

@@ -720,7 +720,11 @@ def _overview(spans: Sequence[Span], out: TextIO) -> None:
     alerts = find_slo_alerts(spans)
     if alerts:
         print(f"{len(alerts)} SLO alert episode(s) — see --slo", file=out)
-    print("explore with --list-traces, --actuations, --trace, --task, --actuation", file=out)
+    print(
+        "explore with --list-traces, --actuations, --trace, --task, --actuation, "
+        "--tenant, --failovers, --slo",
+        file=out,
+    )
 
 
 def _list_traces(spans: Sequence[Span], out: TextIO) -> None:
@@ -748,8 +752,7 @@ def _list_actuations(spans: Sequence[Span], out: TextIO) -> None:
         print(f"#{i}  t={span.start:9.3f}  {span.name}  by {span.actor}{detail}", file=out)
 
 
-def main(argv: Optional[List[str]] = None, *, out: TextIO = None) -> int:
-    out = out if out is not None else sys.stdout
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.explain",
         description="reconstruct causal chains from a JSONL trace export",
@@ -783,7 +786,12 @@ def main(argv: Optional[List[str]] = None, *, out: TextIO = None) -> int:
         "--slo", action="store_true",
         help="narrate SLO alert episodes (burn rates, budget, adaptations)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None, *, out: TextIO = None) -> int:
+    out = out if out is not None else sys.stdout
+    args = _parser().parse_args(argv)
 
     try:
         spans = load(args.trace_file)

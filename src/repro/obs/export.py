@@ -3,8 +3,8 @@
 Three consumers, three formats:
 
 * :func:`trace_jsonl` — the full decision audit of a run as one JSON
-  object per line: spans (with their point events), legacy event marks,
-  and optionally the sampled numeric series.  This is what
+  object per line: the managers' event marks, then spans (with their
+  other point events).  This is what
   ``python -m repro.experiments.fig4 --trace-out audit.jsonl`` writes.
 * :func:`prometheus_text` — a :class:`~repro.obs.metrics.MetricsRegistry`
   in the Prometheus text exposition format (``# HELP``/``# TYPE`` plus
@@ -59,6 +59,7 @@ def span_to_dict(span: Span) -> Dict[str, Any]:
         "events": [
             {"time": ev.time, "name": ev.name, "attributes": dict(ev.attributes)}
             for ev in span.events
+            if ev.actor is None  # a mark is an ``event`` record of its own
         ],
     }
 
@@ -67,7 +68,8 @@ def span_from_dict(record: Dict[str, Any]) -> Span:
     """The inverse of :func:`span_to_dict`: a JSONL record back to a Span.
 
     The round trip is exact for everything JSON can carry — ids, trace
-    membership, lineage, timestamps, attributes and events — so an
+    membership, lineage, timestamps, attributes and events (a manager's
+    marks travel as ``event`` records of their own) — so an
     exported audit re-imports into an identical span tree (rich Python
     attribute *values* arrive as the strings ``json.dumps(default=str)``
     rendered them to, which is the exported form's own fidelity).
@@ -93,8 +95,8 @@ def span_from_dict(record: Dict[str, Any]) -> Span:
 def read_trace_jsonl(path_or_file: Union[str, "IO[str]"]) -> List[Span]:
     """Load the spans back out of a :func:`trace_jsonl` audit.
 
-    Non-span records (event marks, orphan span-events, series samples)
-    are skipped; spans return in file order, which is recording order.
+    Non-span records (event marks, orphan span-events) are skipped;
+    spans return in file order, which is recording order.
     """
     if hasattr(path_or_file, "read"):
         text = path_or_file.read()
@@ -113,7 +115,7 @@ def read_trace_jsonl(path_or_file: Union[str, "IO[str]"]) -> List[Span]:
 
 
 def event_mark_to_dict(mark: EventMark) -> Dict[str, Any]:
-    """A legacy event mark as a JSON-ready dict (``type == "event"``)."""
+    """A manager's event mark as a JSON-ready dict (``type == "event"``)."""
     return {
         "type": "event",
         "time": mark.time,
@@ -128,60 +130,38 @@ def _dump(record: Dict[str, Any]) -> str:
     return json.dumps(record, default=str, sort_keys=False)
 
 
-def trace_jsonl(
-    telemetry: Optional[Telemetry] = None,
-    recorder: Optional[TraceRecorder] = None,
-    *,
-    include_series: bool = False,
-) -> str:
-    """The merged decision audit of a run, one JSON object per line.
+def trace_jsonl(telemetry: Telemetry) -> str:
+    """The decision audit of a run, one JSON object per line.
 
-    Records appear grouped by kind — event marks (time-ordered already),
-    then spans in creation order (creation order *is* start order), then
-    orphan span-events, then series samples — each self-describing via
-    its ``type`` field, so consumers can stream-filter.
+    Records appear grouped by kind — the managers' event marks (in the
+    order they were made), then spans in creation order (creation order
+    *is* start order), then the span-events recorded outside any span —
+    each self-describing via its ``type`` field, so consumers can
+    stream-filter.
     """
-    if recorder is None and telemetry is not None:
-        recorder = telemetry.trace
-    lines: List[str] = []
-    if recorder is not None:
-        for mark in recorder.events:
-            lines.append(_dump(event_mark_to_dict(mark)))
-    if telemetry is not None:
-        for span in telemetry.spans.spans:
-            lines.append(_dump(span_to_dict(span)))
-        for ev in telemetry.orphan_events:
-            lines.append(
-                _dump(
-                    {
-                        "type": "span_event",
-                        "time": ev.time,
-                        "name": ev.name,
-                        "attributes": dict(ev.attributes),
-                    }
-                )
-            )
-    if include_series and recorder is not None:
-        for series, points in recorder.series.items():
-            for t, v in points:
-                lines.append(
-                    _dump({"type": "sample", "series": series, "time": t, "value": v})
-                )
+    lines = [_dump(event_mark_to_dict(mark)) for mark in TraceRecorder(telemetry).events]
+    lines += [_dump(span_to_dict(span)) for span in telemetry.spans.spans]
+    lines += [
+        _dump(
+            {
+                "type": "span_event",
+                "time": ev.time,
+                "name": ev.name,
+                "attributes": dict(ev.attributes),
+            }
+        )
+        for ev in telemetry.orphan_events
+        if ev.actor is None  # a mark outside any span is written above
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_trace_jsonl(
-    path_or_file: Union[str, "IO[str]"],
-    telemetry: Optional[Telemetry] = None,
-    recorder: Optional[TraceRecorder] = None,
-    *,
-    include_series: bool = False,
-) -> int:
+def write_trace_jsonl(path_or_file: Union[str, "IO[str]"], telemetry: Telemetry) -> int:
     """Write :func:`trace_jsonl` output to a path or open text file.
 
     Returns the number of records written.
     """
-    text = trace_jsonl(telemetry, recorder, include_series=include_series)
+    text = trace_jsonl(telemetry)
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:

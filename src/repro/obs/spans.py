@@ -35,11 +35,19 @@ __all__ = ["SpanEvent", "Span", "SpanRecorder"]
 
 @dataclass(frozen=True)
 class SpanEvent:
-    """A point-in-time annotation attached to a span."""
+    """A point-in-time annotation attached to a span.
+
+    One with an ``actor`` is a manager's decision mark (``raiseViol``,
+    ``addWorker``, ...): who decided, at ``time`` on the decider's own
+    clock, with ``attributes`` as the detail; ``seq`` orders a
+    telemetry's marks as they were made, whichever span holds them.
+    """
 
     time: float
     name: str
     attributes: Dict[str, Any] = field(default_factory=dict)
+    actor: Optional[str] = None
+    seq: int = field(default=0, compare=False)
 
 
 class Span(TraceContext):

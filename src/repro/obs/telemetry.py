@@ -24,10 +24,10 @@ latency is measurable even when a tick takes zero simulated seconds.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Any, List, Optional
 
 from .clock import Clock, WallClock
-from .events import TraceRecorder
 from .metrics import MetricsRegistry
 from .propagation import TraceContext
 from .spans import Span, SpanEvent, SpanRecorder
@@ -63,25 +63,20 @@ class _SpanContext:
 class Telemetry:
     """Live telemetry: a clock, a span recorder, a metrics registry.
 
-    ``trace`` optionally links the legacy :class:`TraceRecorder` whose
-    event marks belong to the same run, so exporters can emit one merged
-    decision audit.
+    It is also the one record of the managers' decisions: each mark is
+    a span event with an actor (see :meth:`event`), read back through
+    :class:`~repro.obs.events.TraceRecorder`.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        *,
-        trace: Optional[TraceRecorder] = None,
-    ) -> None:
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock: Clock = clock if clock is not None else WallClock()
         self.spans = SpanRecorder()
         self.metrics = MetricsRegistry()
-        self.trace = trace
         #: span-events recorded while no span was open
         self.orphan_events: List[SpanEvent] = []
+        self._marks = itertools.count(1)  # recording order of the marks
         #: attachment points the longitudinal layer fills in lazily —
         #: plain attributes, None until filled (on NOOP too), so runtime
         #: hook sites read them and never import repro.obs.slo/timeseries
@@ -205,15 +200,31 @@ class Telemetry:
         return TelemetryServer(self, host=host, port=port)
 
     # -- events ----------------------------------------------------------
-    def event(self, name: str, **attributes: Any) -> None:
-        """Record a point event on the innermost open span (or orphaned)."""
+    def event(
+        self,
+        name: str,
+        *,
+        actor: Optional[str] = None,
+        time: Optional[float] = None,
+        **attributes: Any,
+    ) -> None:
+        """Record a point event on the innermost open span (or orphaned).
+
+        ``time`` defaults to ``clock.now()``.  With an ``actor`` the event
+        is a decision mark: ``actor`` decided ``name`` at ``time``, read
+        off the deciding manager's own time base — on a live farm the
+        farm's ``now``, not this telemetry's epoch seconds.
+        """
+        at = self.clock.now() if time is None else time
+        if actor is None:
+            event = SpanEvent(at, name, attributes)
+        else:
+            event = SpanEvent(at, name, attributes, actor, next(self._marks))
         current = self.spans.current
         if current is not None:
-            current.add_event(name, self.clock.now(), **attributes)
+            current.events.append(event)
         else:
-            self.orphan_events.append(
-                SpanEvent(self.clock.now(), name, dict(attributes))
-            )
+            self.orphan_events.append(event)
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +321,6 @@ class NullTelemetry:
     """
 
     enabled = False
-    trace = None
     metrics = _NULL_METRICS
     orphan_events: list = []
     timeseries = None

@@ -157,9 +157,6 @@ class SecurityManager(AutonomicManager, ConcernReview):
         mem = self.engine.memory
         mem.replace(self.make_bean(ExposureBean(data["insecure_untrusted_workers"])))
         mem.replace(self.make_bean(LeakBean(data["leak_count"])))
-        now = self.sim.now
-        self.trace.sample(f"{self.name}.exposed", now, data["insecure_untrusted_workers"])
-        self.trace.sample(f"{self.name}.leaks", now, data["leak_count"])
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.gauge(
@@ -176,9 +173,7 @@ class SecurityManager(AutonomicManager, ConcernReview):
             n_before = len(self.security_abc.exposed_workers())
             secured_before = self.security_abc.secured_actions
             self.security_abc.execute(op, data)
-            self.trace.mark(
-                self.sim.now, self.name, Events.SECURE_WORKER, count=n_before
-            )
+            self._mark(Events.SECURE_WORKER, count=n_before)
             if self.telemetry.enabled:
                 self.telemetry.metrics.counter(
                     "repro_mc_reactive_secured_total",

@@ -10,6 +10,7 @@ from repro.core.contracts import (
 )
 from repro.core.skeleton_manager import FarmManager
 from repro.gcm.abc_controller import FarmABC
+from repro.obs import SimClock, Telemetry
 from repro.sim.engine import Simulator
 from repro.sim.farm import SimFarm
 from repro.sim.resources import Node, ResourceManager, make_cluster
@@ -73,7 +74,14 @@ class TestLatencyDrivenGrowth:
         )
         abc = FarmABC(farm, rm)
         abc.bootstrap(1)
-        mgr = FarmManager("AM", sim, abc, control_period=10.0, manage_workers=False)
+        mgr = FarmManager(
+            "AM",
+            sim,
+            abc,
+            control_period=10.0,
+            manage_workers=False,
+            telemetry=Telemetry(SimClock(sim)),
+        )
         mgr.assign_contract(contract)
         return sim, farm, mgr
 

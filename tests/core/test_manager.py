@@ -5,6 +5,7 @@ import pytest
 from repro.core.contracts import BestEffortContract, MinThroughputContract
 from repro.core.events import Events, ViolationKind
 from repro.core.manager import AutonomicManager, ManagerError, ManagerState
+from repro.obs import SimClock, Telemetry
 from repro.rules.beans import DepartureRateBean, ManagerOperation
 from repro.rules.dsl import rule, value_lt
 from repro.sim.engine import Simulator
@@ -81,7 +82,7 @@ class TestStates:
 
     def test_contract_activates(self):
         sim = Simulator()
-        m = RecordingManager("m", sim)
+        m = RecordingManager("m", sim, telemetry=Telemetry(SimClock(sim)))
         m.assign_contract(BestEffortContract())
         assert m.active
         assert m.trace.count(Events.GO_ACTIVE) == 1
@@ -90,7 +91,7 @@ class TestStates:
     def test_fatal_violation_goes_passive_with_parent(self):
         sim = Simulator()
         parent = RecordingManager("p", sim)
-        m = RecordingManager("m", sim)
+        m = RecordingManager("m", sim, telemetry=Telemetry(SimClock(sim)))
         parent.add_child(m)
         m.assign_contract(BestEffortContract())
         m.raise_violation(ViolationKind.NOT_ENOUGH_TASKS)
@@ -205,7 +206,7 @@ class TestViolationRouting:
 
     def test_raise_marks_trace(self):
         sim = Simulator()
-        m = RecordingManager("m", sim)
+        m = RecordingManager("m", sim, telemetry=Telemetry(SimClock(sim)))
         m.raise_violation("kind-x", extra=1)
         ev = m.trace.first(Events.RAISE_VIOL)
         assert ev is not None

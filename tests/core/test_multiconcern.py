@@ -39,9 +39,11 @@ def setup(mode=CoordinationMode.TWO_PHASE, trusted=1, untrusted=4):
     )
     policy = SecurityPolicy()
     sec_abc = SecurityABC([bs.abc], network, policy)
-    sec = SecurityManager("AM_sec", sim, sec_abc, control_period=15.0)
+    sec = SecurityManager(
+        "AM_sec", sim, sec_abc, control_period=15.0, telemetry=bs.manager.telemetry
+    )
     sec.assign_contract(SecurityContract())
-    gm = GeneralManager(mode=mode)
+    gm = GeneralManager(mode=mode, telemetry=bs.manager.telemetry)
     gm.register(sec)
     gm.register(bs.manager, priority=0)
     return sim, bs, sec, gm, network, rm
@@ -171,4 +173,4 @@ class TestIntentAudit:
     def test_gm_trace_marks_reviews(self):
         sim, bs, sec, gm, network, rm = setup()
         gm.execute_intent(bs.manager, ManagerOperation.ADD_EXECUTOR, {"count": 1})
-        assert gm.trace.count("intentReview") == 1
+        assert bs.trace.count("intentReview") == 1

@@ -19,6 +19,7 @@ from repro.core.skeleton_manager import (
     WorkerManager,
 )
 from repro.gcm.abc_controller import FarmABC, ProducerABC
+from repro.obs import SimClock, Telemetry
 from repro.sim.engine import Simulator
 from repro.sim.farm import SimFarm
 from repro.sim.queues import Store
@@ -39,7 +40,14 @@ def farm_manager_setup(pool=10, control_period=10.0, setup_time=0.0, degree=2):
     rm = ResourceManager(make_cluster(pool))
     farm = SimFarm(sim, emitter_node=Node("e"), worker_setup_time=setup_time)
     abc = FarmABC(farm, rm)
-    mgr = FarmManager("AM_F", sim, abc, control_period=control_period, manage_workers=False)
+    mgr = FarmManager(
+        "AM_F",
+        sim,
+        abc,
+        control_period=control_period,
+        manage_workers=False,
+        telemetry=Telemetry(SimClock(sim)),
+    )
     if degree:
         abc.bootstrap(degree)
     return sim, farm, abc, mgr

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.events import Events
 from repro.experiments.failures import run_faults
 from repro.experiments.report import render_faults
 from repro.sim.engine import Simulator
@@ -31,6 +32,19 @@ class TestFaultExperiment:
 
     def test_capacity_recovered(self, result):
         assert result.capacity_recovered
+
+    def test_crash_marks_are_made_outside_any_span(self, result):
+        """The chaos callback runs from the simulator's queue with no span
+        open: its marks are orphans, yet read back in order among the
+        managers' marks (the AM_F additions that answer each crash)."""
+        crashes = result.trace.events_of("chaos", "workerCrash")
+        assert [e.time for e in crashes] == [
+            t for t in result.config.crash_times for _ in range(result.config.crashes_per_event)
+        ]
+        orphans = result.bs.manager.telemetry.orphan_events
+        assert [(e.actor, e.name) for e in orphans] == [("chaos", "workerCrash")] * len(crashes)
+        names = result.trace.event_names()
+        assert Events.ADD_WORKER in names[names.index("workerCrash") :]
 
     def test_render(self, result):
         text = render_faults(result)

@@ -178,16 +178,14 @@ class TestElasticity:
         """The full elastic cycle: grow under load, shrink when the input
         rate falls (CheckRateHigh + REMOVE_EXECUTOR)."""
         from repro.core import ThroughputRangeContract, build_farm_bs
-        from repro.obs.events import TraceRecorder
         from repro.sim import ResourceManager, Simulator, make_cluster
         from repro.sim.workload import ConstantWork, TaskSource
 
         sim = Simulator()
-        trace = TraceRecorder()
         rm = ResourceManager(make_cluster(24))
         bs = build_farm_bs(
             sim, rm, worker_work=2.0, initial_degree=6,
-            trace=trace, control_period=10.0, worker_setup_time=2.0,
+            control_period=10.0, worker_setup_time=2.0,
             rate_window=20.0,
             constants_kwargs={"add_burst": 1, "max_workers": 24},
             spawn_worker_managers=False,
@@ -202,7 +200,7 @@ class TestElasticity:
         sim.run(until=900.0)
         # the farm kept the contract but never grew after the drop
         post_drop_adds = [
-            e for e in trace.events_of(name="addWorker") if e.time > 320.0
+            e for e in bs.trace.events_of(name="addWorker") if e.time > 320.0
         ]
         assert post_drop_adds == []
         snap = bs.farm.force_snapshot()

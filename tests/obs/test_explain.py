@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.multiconcern import CoordinationMode, GeneralManager
 from repro.obs import Telemetry
-from repro.obs.explain import find_actuations, load, main
+from repro.obs.explain import _parser, find_actuations, load, main
 from repro.obs.export import write_trace_jsonl
 from repro.rules.beans import ManagerOperation
 from repro.gcm.abc_controller import FarmABC
@@ -113,6 +113,19 @@ class TestOverviewAndIndexes:
         code, text = _run(path)
         assert code == 0
         assert "trace(s)" in text and "task(s)" in text
+
+    def test_overview_hint_names_every_mode(self, crash_trace):
+        path, _ = crash_trace
+        _, text = _run(path)
+        (hint,) = [line for line in text.splitlines() if line.startswith("explore with")]
+        modes = [
+            flag
+            for action in _parser()._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        ]
+        assert len(modes) == 8
+        assert [m for m in modes if m not in hint.replace(",", " ").split()] == []
 
     def test_list_traces(self, crash_trace):
         path, replayed = crash_trace

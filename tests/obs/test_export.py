@@ -4,7 +4,6 @@ import io
 import json
 
 from repro.obs.clock import ManualClock
-from repro.obs.events import TraceRecorder
 from repro.obs.export import (
     prometheus_text,
     span_to_dict,
@@ -59,41 +58,46 @@ class TestPrometheusText:
 class TestTraceJsonl:
     def _make_telemetry(self):
         clock = ManualClock()
-        trace = TraceRecorder()
-        tel = Telemetry(clock, trace=trace)
-        trace.mark(0.0, "AM_F", "contrLow", level=0.2)
+        tel = Telemetry(clock)
+        tel.event("contrLow", actor="AM_F", time=0.0, level=0.2)
         with tel.span("mape.cycle", actor="AM_F"):
             clock.advance(1.0)
             tel.event("checkpoint", phase="analyse")
-        trace.sample("throughput", 1.0, 0.4)
-        return tel, trace
+            tel.event("addWorker", actor="AM_F", time=7.5, count=2)
+        return tel
 
     def test_every_line_is_self_describing_json(self):
-        tel, trace = self._make_telemetry()
-        lines = trace_jsonl(tel, include_series=True).splitlines()
+        tel = self._make_telemetry()
+        lines = trace_jsonl(tel).splitlines()
         records = [json.loads(line) for line in lines]
-        assert {r["type"] for r in records} == {"event", "span", "sample"}
+        assert {r["type"] for r in records} == {"event", "span"}
         span = next(r for r in records if r["type"] == "span")
         assert span["name"] == "mape.cycle"
         assert span["actor"] == "AM_F"
         assert span["duration"] == 1.0
-        assert span["events"][0]["name"] == "checkpoint"
-        mark = next(r for r in records if r["type"] == "event")
-        assert mark["name"] == "contrLow" and mark["detail"] == {"level": 0.2}
+        # the mark made inside the span is an event line, not a span event
+        assert [e["name"] for e in span["events"]] == ["checkpoint"]
+        marks = [r for r in records if r["type"] == "event"]
+        assert marks == [
+            {"type": "event", "time": 0.0, "actor": "AM_F", "name": "contrLow",
+             "detail": {"level": 0.2}},
+            {"type": "event", "time": 7.5, "actor": "AM_F", "name": "addWorker",
+             "detail": {"count": 2}},
+        ]
 
     def test_span_to_dict_round_trips_through_json(self):
-        tel, _ = self._make_telemetry()
+        tel = self._make_telemetry()
         d = span_to_dict(tel.spans.spans[0])
         assert json.loads(json.dumps(d, default=str)) == json.loads(
             json.dumps(d, default=str)
         )
 
     def test_write_to_file_object_and_path(self, tmp_path):
-        tel, trace = self._make_telemetry()
+        tel = self._make_telemetry()
         buf = io.StringIO()
-        n1 = write_trace_jsonl(buf, tel, include_series=True)
+        n1 = write_trace_jsonl(buf, tel)
         path = tmp_path / "audit.jsonl"
-        n2 = write_trace_jsonl(str(path), tel, include_series=True)
+        n2 = write_trace_jsonl(str(path), tel)
         assert n1 == n2 == len(buf.getvalue().splitlines())
         assert path.read_text() == buf.getvalue()
 

@@ -3,8 +3,9 @@
 The three promises the observability subsystem makes, checked end to
 end on the paper's hierarchical-manager scenario:
 
-(a) attaching telemetry never changes the dynamics — the event sequence
-    is bit-identical to a detached run;
+(a) a caller's telemetry records the run and never changes its dynamics
+    — the event sequence is bit-identical to a run on the telemetry
+    ``run_fig4`` makes for itself;
 (b) the JSONL decision audit contains spans for all four MAPE phases of
     at least two managers, at least one violation-propagation span and
     at least one two-phase intent-round span;
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.fig4 import Fig4Config, run_fig4
+from repro.obs.events import TraceRecorder
 from repro.obs.export import prometheus_text, trace_jsonl
 from repro.obs.telemetry import Telemetry
 
@@ -42,12 +44,19 @@ def _run_instrumented(cfg):
     return tel, result
 
 
+def _decisions(result):
+    """What the managers keep with or without an audit."""
+    managers = (result.app.am_a, result.app.am_p, result.app.am_f, result.app.am_c)
+    return result.app.am_f.actions, [m.violations for m in managers]
+
+
 class TestFig4Acceptance:
     def test_event_sequence_bit_identical_with_and_without_telemetry(self):
         cfg = _cfg()
-        _, instrumented = _run_instrumented(cfg)
+        tel, instrumented = _run_instrumented(cfg)
         detached = run_fig4(_cfg())
         assert _event_tuples(instrumented) == _event_tuples(detached)
+        assert TraceRecorder(tel).events == instrumented.trace.events
         assert instrumented.cores_series == detached.cores_series
         assert instrumented.throughput_series == detached.throughput_series
 
@@ -55,7 +64,7 @@ class TestFig4Acceptance:
         tel, result = _run_instrumented(_cfg())
         records = [
             json.loads(line)
-            for line in trace_jsonl(tel, result.trace, include_series=True).splitlines()
+            for line in trace_jsonl(tel).splitlines()
         ]
         spans = [r for r in records if r["type"] == "span"]
 
@@ -129,7 +138,8 @@ class TestFig4Acceptance:
 )
 @settings(max_examples=8, deadline=None)
 def test_telemetry_never_perturbs_dynamics(initial_rate, control_period, with_coordinator):
-    """Property: any fig4-style scenario runs identically with telemetry."""
+    """Property: any fig4-style scenario runs identically on a caller's
+    telemetry and on the one ``run_fig4`` makes for itself."""
     def cfg():
         return Fig4Config(
             duration=250.0,
@@ -143,3 +153,5 @@ def test_telemetry_never_perturbs_dynamics(initial_rate, control_period, with_co
     detached = run_fig4(cfg())
     assert _event_tuples(instrumented) == _event_tuples(detached)
     assert instrumented.cores_series == detached.cores_series
+    assert instrumented.throughput_series == detached.throughput_series
+    assert _decisions(instrumented) == _decisions(detached)

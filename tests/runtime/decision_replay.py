@@ -99,7 +99,7 @@ def manager_audit(manager: Any) -> str:
     the ``mape.*`` spans a replay reads (a whole-run export also holds
     every task's spans)."""
     kept = []
-    for line in trace_jsonl(manager.telemetry, manager.trace).splitlines():
+    for line in trace_jsonl(manager.telemetry).splitlines():
         record = json.loads(line)
         if record.get("actor") != manager.name:
             continue

@@ -10,12 +10,15 @@ transitions — for a committed supervised process-farm run that lost
 workers to SIGKILL, and for a fresh thread-farm run made here.
 """
 
+import json
+
 import pytest
 
 from repro.core.contracts import MinThroughputContract, ThroughputRangeContract
-from repro.core.events import ViolationKind
+from repro.core.events import Events, ViolationKind
 from repro.gcm.abc_controller import ABCError, FarmABC
 from repro.obs import Telemetry
+from repro.obs.export import trace_jsonl
 from repro.rules.beans import ManagerOperation
 from repro.runtime.controller import FarmController
 from repro.runtime.farm_runtime import ThreadFarm
@@ -80,6 +83,40 @@ class TestDecisionReplay:
         assert any(a.startswith("addWorker") for _, a in ctl.actions)
         replayed = replay(live, ctl.name, contract, 4)
         assert replayed.decisions() == live.decisions()
+
+    def test_live_marks_reach_the_exported_audit(self):
+        """A live manager marks into its Telemetry, so the run's own
+        export holds its decisions — on the farm's clock, the one the
+        replay windows marks by, not the telemetry's epoch seconds."""
+        tel = Telemetry()
+        farm = ThreadFarm(kernel, initial_workers=1, rate_window=0.2, max_workers=4)
+        ctl = FarmController(
+            farm,
+            ThroughputRangeContract(80.0, 1000.0),
+            control_period=0.02,
+            max_workers=4,
+            telemetry=tel,
+            name="AM_gap",
+        ).start()
+        try:
+            wait_until(lambda: ctl.violations, message="starvation")
+            wait_until(
+                lambda: ctl.actions,
+                on_tick=lambda: [farm.submit(i) for i in range(4)],
+                message="growth under load",
+            )
+        finally:
+            ctl.stop()
+            farm.shutdown()
+            end = farm.now()
+        marks = [
+            record
+            for record in map(json.loads, trace_jsonl(tel).splitlines())
+            if record["type"] == "event"
+        ]
+        names = [m["name"] for m in marks if m["actor"] == "AM_gap"]
+        assert Events.RAISE_VIOL in names and Events.ADD_WORKER in names
+        assert all(0.0 <= m["time"] <= end for m in marks)
 
     def test_a_different_contract_decides_differently(self):
         """The differential has teeth: the same samples under another

@@ -5,6 +5,7 @@ import pytest
 from repro.core.contracts import MinThroughputContract, SecurityContract
 from repro.core.events import Events
 from repro.gcm.abc_controller import FarmABC
+from repro.obs import SimClock, Telemetry
 from repro.rules.beans import ManagerOperation
 from repro.security.domains import SecurityPolicy
 from repro.security.manager import SecurityABC, SecurityManager
@@ -30,7 +31,9 @@ def setup(sec_period=15.0):
     fabc = FarmABC(farm, rm)
     policy = SecurityPolicy()
     sec_abc = SecurityABC([fabc], network, policy)
-    mgr = SecurityManager("AM_sec", sim, sec_abc, control_period=sec_period)
+    mgr = SecurityManager(
+        "AM_sec", sim, sec_abc, control_period=sec_period, telemetry=Telemetry(SimClock(sim))
+    )
     return sim, farm, fabc, sec_abc, mgr, network
 
 

@@ -1,20 +1,26 @@
-"""Tests for trace recording and text rendering."""
+"""Tests for the decision-mark view and text rendering."""
 
-import pytest
-
+from repro.core.contracts import BestEffortContract
+from repro.core.events import Events
+from repro.core.manager import AutonomicManager
+from repro.core.skeleton_manager import PipelineManager
+from repro.obs import ManualClock, SimClock, Telemetry
 from repro.obs.events import EventMark, TraceRecorder
-from repro.obs.export import ascii_series, ascii_timeline
+from repro.obs.export import ascii_series, ascii_timeline, trace_jsonl
+from repro.sim.engine import Simulator
 
 
 class TestTraceRecorder:
     def _tr(self):
-        tr = TraceRecorder()
-        tr.mark(1.0, "AM_F", "contrLow")
-        tr.mark(2.0, "AM_F", "notEnough")
-        tr.mark(3.0, "AM_F", "raiseViol")
-        tr.mark(4.0, "AM_A", "incRate", delta=0.1)
-        tr.mark(5.0, "AM_F", "contrLow")
-        return tr
+        tel = Telemetry(ManualClock())
+        tel.event("contrLow", actor="AM_F", time=1.0)
+        with tel.span("mape.cycle", actor="AM_F"):
+            tel.event("notEnough", actor="AM_F", time=2.0)
+            tel.event("raiseViol", actor="AM_F", time=3.0)
+        with tel.span("mape.cycle", actor="AM_A"):
+            tel.event("incRate", actor="AM_A", time=4.0, delta=0.1)
+        tel.event("contrLow", actor="AM_F", time=5.0)
+        return TraceRecorder(tel)
 
     def test_events_in_order(self):
         tr = self._tr()
@@ -48,15 +54,19 @@ class TestTraceRecorder:
         assert tr.assert_order(["notEnough", "contrLow"])
         assert not tr.assert_order(["incRate", "raiseViol"])
 
-    def test_series_sampling_and_query(self):
-        tr = TraceRecorder()
-        for t in range(10):
-            tr.sample("throughput", float(t), t * 0.1)
-        assert tr.final_value("throughput") == pytest.approx(0.9)
-        assert tr.value_at("throughput", 4.5) == pytest.approx(0.4)
-        assert tr.value_at("throughput", -1.0) is None
-        assert tr.final_value("missing") is None
-        assert len(tr.series_values("throughput")) == 10
+    def test_plain_span_events_are_not_marks(self):
+        tel = Telemetry(ManualClock())
+        with tel.span("mape.execute", actor="AM_F"):
+            tel.event("mape.operation", op="add_executor")
+        tel.event("lonely")
+        assert TraceRecorder(tel).events == []
+
+    def test_untraced_view_is_empty(self):
+        m = AutonomicManager("m", Simulator())
+        m.assign_contract(BestEffortContract())
+        m.raise_violation("x")
+        assert m.trace.events == []
+        assert m.violations == [(0.0, "x")]
 
     def test_event_mark_str(self):
         ev = EventMark(1.5, "AM", "go", {"k": 1})
@@ -95,3 +105,56 @@ class TestAsciiRendering:
         pts = [(0.0, 1.0), (1.0, 1.0)]
         out = ascii_series(pts, lo=1.0, hi=1.0)
         assert "o" in out
+
+
+class TestMarkOrder:
+    """Marks come back in the order they were made, whichever span holds
+    them and whoever made them."""
+
+    def test_nested_assigns_at_one_instant_keep_recording_order(self):
+        sim = Simulator()
+        tel = Telemetry(SimClock(sim))
+        parent = PipelineManager("AM_A", sim, telemetry=tel)
+        parent.add_child(AutonomicManager("AM_C", sim, telemetry=tel))
+        parent.assign_contract(BestEffortContract())
+        # the parent's two marks sit on the outer contract.assign span,
+        # opened first; the child's on the span nested inside it
+        assert [(e.actor, e.name) for e in parent.trace.events] == [
+            ("AM_A", Events.NEW_CONTRACT),
+            ("AM_C", Events.NEW_CONTRACT),
+            ("AM_C", Events.GO_ACTIVE),
+            ("AM_A", Events.GO_ACTIVE),
+        ]
+        assert {e.time for e in parent.trace.events} == {0.0}
+
+    def test_a_mark_keeps_its_own_actor_on_another_actors_span(self):
+        sim = Simulator()
+        tel = Telemetry(SimClock(sim))
+        with tel.span("mc.intent", actor="GM"):
+            tel.event(Events.INTENT_AMENDED, actor="AM_sec", time=sim.now, nodes=["u0"])
+        (span,) = tel.spans.spans
+        assert span.actor == "GM"
+        assert [(e.actor, e.detail) for e in TraceRecorder(tel).events] == [
+            ("AM_sec", {"nodes": ["u0"]})
+        ]
+
+    def test_a_violation_raised_from_a_scheduled_call_is_an_orphan_mark(self):
+        sim = Simulator()
+        tel = Telemetry(SimClock(sim))
+        m = AutonomicManager("AM_F", sim, telemetry=tel, autostart=False)
+        m.assign_contract(BestEffortContract())
+        sim.schedule(5.0, m.raise_violation, "late")
+        sim.run(until=10.0)
+        (orphan,) = tel.orphan_events
+        assert (orphan.actor, orphan.name, orphan.time) == ("AM_F", Events.RAISE_VIOL, 5.0)
+        assert [(e.name, e.time) for e in m.trace.events] == [
+            (Events.NEW_CONTRACT, 0.0),
+            (Events.GO_ACTIVE, 0.0),
+            (Events.RAISE_VIOL, 5.0),
+        ]
+        audit = trace_jsonl(tel)
+        assert '"type": "span_event"' not in audit
+        assert audit.splitlines()[2] == (
+            '{"type": "event", "time": 5.0, "actor": "AM_F", "name": "raiseViol", '
+            '"detail": {"kind": "late"}}'
+        )
