@@ -204,9 +204,10 @@ class GeneralManager:
                 continue
             names.append(reviewer.name)
             before = dict(plan.secured)
-            verdict = reviewer.review_intent(originator, plan)
-            tel.event("intent.review", reviewer=reviewer.name, verdict=verdict is not False)
-            if plan.secured != before:
+            verdict = reviewer.review_intent(originator, plan) is not False
+            amended = plan.secured != before
+            tel.event("intent.review", reviewer=reviewer.name, verdict=verdict, amended=amended)
+            if amended:
                 amendments += 1
                 tel.event(
                     Events.INTENT_AMENDED,
@@ -214,11 +215,9 @@ class GeneralManager:
                     time=originator.sim.now,
                     nodes=[n for n in plan.secured if plan.secured[n]],
                 )
-                tel.event("intent.amend", reviewer=reviewer.name)
-            if verdict is False:
+            if not verdict:
                 originator.abc.abort_plan(plan)
                 tel.event(Events.INTENT_VETOED, actor=reviewer.name, time=originator.sim.now)
-                tel.event("intent.veto", reviewer=reviewer.name)
                 return False, amendments, tuple(names)
         return True, amendments, tuple(names)
 

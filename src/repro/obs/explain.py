@@ -37,15 +37,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from collections import defaultdict
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .export import read_trace_jsonl
-from .propagation import list_traces
-from .spans import Span
+from .propagation import SpanForest, list_traces
+from .spans import Span, SpanEvent
 
 __all__ = [
     "load",
-    "children_index",
     "find_actuations",
     "find_failovers",
     "find_slo_alerts",
@@ -63,36 +63,72 @@ def load(path: str) -> List[Span]:
     return read_trace_jsonl(path)
 
 
-def children_index(spans: Sequence[Span]) -> Dict[Optional[str], List[Span]]:
-    """parent span id → children, each list in recording order."""
-    index: Dict[Optional[str], List[Span]] = {}
-    for span in spans:
-        index.setdefault(span.parent_id, []).append(span)
-    return index
-
-
 def _in_order(spans: Iterable[Span], name: Optional[str] = None) -> List[Span]:
-    """``spans`` — only those called ``name``, if given — in
-    ``(start, span_id)`` order."""
+    """``spans`` (only those called ``name``, if given) by ``(start, span_id)``."""
     return sorted(
         (s for s in spans if name is None or s.name == name),
         key=lambda s: (s.start, s.span_id),
     )
 
 
+def _task_roots(spans: Iterable[Span], key: str, value: Any) -> List[Span]:
+    """The ``task`` root spans whose attribute ``key`` is ``value``."""
+    return [s for s in spans if s.name == "task" and s.attributes.get(key) == value]
+
+
 def _fmt_duration(span: Span) -> str:
-    if span.duration is None:
-        return "open"
-    return f"{span.duration * 1000.0:.1f} ms"
+    return "open" if span.duration is None else f"{span.duration * 1000.0:.1f} ms"
 
 
-def _fmt_attrs(span: Span, skip: Sequence[str] = ()) -> str:
-    parts = [
-        f"{k}={v!r}"
-        for k, v in span.attributes.items()
-        if k not in skip and k != "flushed"
-    ]
-    return " ".join(parts)
+#: span → each event of it a narrator tells → the line(s) telling it.  A
+#: line formats the event's attributes and ``time`` (a missing one reads
+#: ``?``); a ``flag? `` / ``!flag? `` prefix keeps it only when that
+#: attribute is true / false.
+_EVENT_LINES: Dict[str, Dict[str, str]] = {
+    "sup.failover": {
+        "journal-replayed": (
+            "replayed {events} journal event(s): {pending} task(s) still in "
+            "flight, {completed} already acknowledged (never redispatched)"
+        ),
+        "standby-promoted": (
+            "standby coordinator took over the listen port; {adopted} surviving "
+            "worker(s) adopted for reattach"
+        ),
+        "farm-rebuilt": "farm rebuilt: {admitted} admitted worker(s), {quarantined} requarantined",
+    },
+    "mc.intent": {
+        "intent.plan": (
+            "ok? planned {count} node(s): placement reserved\n"
+            "!ok? planned {count} node(s): no capacity — no local plan"
+        ),
+        "security.amend": "security manager amended nodes: {nodes}",
+        "intent.review": (
+            "amended? amended by reviewer {reviewer} (plan changed before commit)\n"
+            "!verdict? VETOED by reviewer {reviewer} — plan aborted, reservation released"
+        ),
+    },
+    # one worker's steps through the admission gate
+    "mc.commit": {
+        "mc.quarantine": "quarantined on arrival",
+        "mc.secured": "channel secured",
+        "mc.secure_failed": "secure handshake FAILED",
+        "mc.admit": "admitted to the dispatch pool",
+    },
+    "slo.alert": {"slo.escalation": "t={time:9.3f}  {previous} → {level}"},
+}
+
+
+def _event_lines(span: Span) -> Iterator[Tuple[SpanEvent, str]]:
+    """Each line ``span``'s events narrate, with the event it tells."""
+    told = _EVENT_LINES.get(span.name, {})
+    for event in span.events:
+        fields = defaultdict(lambda: "?", event.attributes, time=event.time)
+        for line in told.get(event.name, "").splitlines():
+            flag, guarded, text = line.partition("? ")
+            if not guarded:
+                yield event, line.format_map(fields)
+            elif bool(event.attributes.get(flag.lstrip("!"))) != flag.startswith("!"):
+                yield event, text.format_map(fields)
 
 
 # ----------------------------------------------------------------------
@@ -100,9 +136,7 @@ def _fmt_attrs(span: Span, skip: Sequence[str] = ()) -> str:
 # ----------------------------------------------------------------------
 
 
-def explain_trace(
-    spans: Sequence[Span], trace_id: str, *, out: TextIO
-) -> bool:
+def explain_trace(spans: Sequence[Span], trace_id: str, *, out: TextIO) -> bool:
     """Pretty-print one trace as an indented tree; False if unknown.
 
     ``trace_id`` may be a unique prefix of the full 32-hex id.
@@ -117,29 +151,23 @@ def explain_trace(
             print(f"  {tid}", file=out)
         return False
     full = matches[0]
-    members = [s for s in spans if s.trace_id == full]
-    index = children_index(members)
-    member_ids = {s.span_id for s in members}
-    roots = [s for s in members if s.parent_id is None or s.parent_id not in member_ids]
-    print(f"trace {full} — {len(members)} span(s)", file=out)
+    forest = SpanForest(s for s in spans if s.trace_id == full)
+    print(f"trace {full} — {len(forest.spans)} span(s)", file=out)
 
-    def walk(span: Span, prefix: str, last: bool) -> None:
-        branch = "└─ " if last else "├─ "
-        attrs = _fmt_attrs(span)
-        line = f"{prefix}{branch}{span.name} [{span.actor}] ({_fmt_duration(span)})"
-        if attrs:
-            line += f"  {attrs}"
-        print(line, file=out)
+    def branches(kids: List[Span], prefix: str) -> List[Tuple[Span, str, bool]]:
+        return [(kid, prefix, i == len(kids) - 1) for i, kid in enumerate(kids)][::-1]
+
+    stack = branches(forest.roots, "")
+    while stack:
+        span, prefix, last = stack.pop()
+        attrs = " ".join(f"{k}={v!r}" for k, v in span.attributes.items() if k != "flushed")
+        line = f"{prefix}{'└─ ' if last else '├─ '}{span.name} [{span.actor}]"
+        print(f"{line} ({_fmt_duration(span)})" + (f"  {attrs}" if attrs else ""), file=out)
         deeper = prefix + ("   " if last else "│  ")
         for event in span.events:
             eattrs = " ".join(f"{k}={v!r}" for k, v in event.attributes.items())
             print(f"{deeper}· {event.name}" + (f"  {eattrs}" if eattrs else ""), file=out)
-        kids = _in_order(index.get(span.span_id, []))
-        for i, kid in enumerate(kids):
-            walk(kid, deeper, i == len(kids) - 1)
-
-    for i, root in enumerate(_in_order(roots)):
-        walk(root, "", i == len(roots) - 1)
+        stack += branches(forest.children(span), deeper)
     return True
 
 
@@ -161,35 +189,26 @@ _SUPERSEDED_REASON = {
 }
 
 
-def _dispatch_chain(index, parent: Span) -> Iterator[Span]:
-    """The ``task.dispatch`` parent chain hanging off ``parent``: each
-    attempt is a child of the attempt it superseded."""
-    span: Optional[Span] = parent
-    while True:
-        span = next(
-            (s for s in index.get(span.span_id, []) if s.name == "task.dispatch"), None
+def _dispatch_chain(forest: SpanForest, parent: Span) -> Iterator[Span]:
+    """The ``task.dispatch`` chain below ``parent``, each attempt under the one it superseded."""
+    dispatches = forest.children(parent, "task.dispatch")
+    while dispatches:
+        yield dispatches[0]
+        dispatches = forest.children(dispatches[0], "task.dispatch")
+
+
+def _walk_dispatch_chain(forest: SpanForest, parent: Span, out: TextIO, indent: str) -> None:
+    """Narrate the ``task.dispatch`` chain below ``parent``."""
+    for dispatch in _dispatch_chain(forest, parent):
+        a = dispatch.attributes
+        d_outcome = a.get("outcome", "open")
+        secured = " (secured channel)" if a.get("secured") else ""
+        print(
+            f"{indent}attempt {a.get('attempt')}: dispatched to worker {a.get('worker')}"
+            f"{secured} — {d_outcome} after {_fmt_duration(dispatch)}",
+            file=out,
         )
-        if span is None:
-            return
-        yield span
-
-
-def _walk_dispatch_chain(index, parent: Span, out: TextIO, indent: str) -> None:
-    """Narrate the ``task.dispatch`` parent chain hanging off ``parent``."""
-    for dispatch in _dispatch_chain(index, parent):
-        attempt = dispatch.attributes.get("attempt")
-        worker = dispatch.attributes.get("worker")
-        secured = dispatch.attributes.get("secured")
-        d_outcome = dispatch.attributes.get("outcome", "open")
-        line = f"{indent}attempt {attempt}: dispatched to worker {worker}"
-        if secured:
-            line += " (secured channel)"
-        line += f" — {d_outcome} after {_fmt_duration(dispatch)}"
-        print(line, file=out)
-        execs = [
-            s for s in index.get(dispatch.span_id, []) if s.name == "task.exec"
-        ]
-        for ex in execs:
+        for ex in forest.children(dispatch, "task.exec"):
             pid = ex.attributes.get("pid")
             where = f" (pid {pid})" if pid is not None else ""
             print(
@@ -201,9 +220,7 @@ def _walk_dispatch_chain(index, parent: Span, out: TextIO, indent: str) -> None:
             print(f"{indent}  ↳ {_SUPERSEDED_REASON[d_outcome]}", file=out)
 
 
-def explain_task(
-    spans: Sequence[Span], task_id: int, *, out: TextIO
-) -> bool:
+def explain_task(spans: Sequence[Span], task_id: int, *, out: TextIO) -> bool:
     """Narrate every trace of ``task_id`` as a dispatch chain; False if none.
 
     Two tree shapes are understood: a plain farm root
@@ -212,15 +229,11 @@ def explain_task(
     ``task.dispatch`` chain), so a crashed-and-replayed task reads as
     one causal story across epochs.
     """
-    roots = [
-        s
-        for s in spans
-        if s.name == "task" and s.attributes.get("task_id") == task_id
-    ]
+    roots = _task_roots(spans, "task_id", task_id)
     if not roots:
         print(f"no 'task' span carries task_id={task_id}", file=out)
         return False
-    index = children_index(spans)
+    forest = SpanForest(spans)
     for root in roots:
         outcome = root.attributes.get("outcome", "open")
         print(
@@ -228,7 +241,7 @@ def explain_task(
             f"{outcome}, {_fmt_duration(root)}",
             file=out,
         )
-        attempts = _in_order(index.get(root.span_id, []), "task.attempt")
+        attempts = forest.children(root, "task.attempt")
         if attempts:
             for n, att in enumerate(attempts, start=1):
                 a_outcome = att.attributes.get("outcome", "open")
@@ -237,11 +250,11 @@ def explain_task(
                     f"{a_outcome}, {_fmt_duration(att)}",
                     file=out,
                 )
-                _walk_dispatch_chain(index, att, out, "    ")
+                _walk_dispatch_chain(forest, att, out, "    ")
                 if a_outcome in _SUPERSEDED_REASON:
                     print(f"    ↳ {_SUPERSEDED_REASON[a_outcome]}", file=out)
         else:
-            _walk_dispatch_chain(index, root, out, "  ")
+            _walk_dispatch_chain(forest, root, out, "  ")
         print(f"  result: {outcome}", file=out)
     return True
 
@@ -268,51 +281,25 @@ def explain_failovers(spans: Sequence[Span], *, out: TextIO) -> bool:
     if not failovers:
         print("no 'sup.failover' span recorded (no coordinator crash)", file=out)
         return False
-    crashed = sum(
-        1 for s in spans if s.attributes.get("outcome") == "coordinator-crashed"
-    )
+    crashed = sum(1 for s in spans if s.attributes.get("outcome") == "coordinator-crashed")
     print(
         f"{len(failovers)} failover(s); {crashed} span(s) ended "
         f"'coordinator-crashed' across the export",
         file=out,
     )
     for i, span in enumerate(failovers, start=1):
-        epoch = span.attributes.get("epoch")
-        outcome = span.attributes.get("outcome", "open")
+        a = span.attributes
         print(
             f"#{i}  t={span.start:9.3f}  supervisor '{span.actor}' promoted "
-            f"epoch {epoch} — {outcome}, {_fmt_duration(span)}",
+            f"epoch {a.get('epoch')} — {a.get('outcome', 'open')}, {_fmt_duration(span)}",
             file=out,
         )
-        for event in span.events:
-            if event.name == "journal-replayed":
-                print(
-                    f"    replayed {event.attributes.get('events')} journal "
-                    f"event(s): {event.attributes.get('pending')} task(s) still "
-                    f"in flight, {event.attributes.get('completed')} already "
-                    f"acknowledged (never redispatched)",
-                    file=out,
-                )
-            elif event.name == "standby-promoted":
-                print(
-                    f"    standby coordinator took over the listen port; "
-                    f"{event.attributes.get('adopted', '?')} surviving "
-                    f"worker(s) adopted for reattach",
-                    file=out,
-                )
-            elif event.name == "farm-rebuilt":
-                print(
-                    f"    farm rebuilt: {event.attributes.get('admitted', '?')} "
-                    f"admitted worker(s), {event.attributes.get('quarantined', '?')} "
-                    f"requarantined",
-                    file=out,
-                )
-        redispatched = span.attributes.get("redispatched")
-        quarantined = span.attributes.get("quarantined")
-        if redispatched is not None:
+        for _, line in _event_lines(span):
+            print(f"    {line}", file=out)
+        if a.get("redispatched") is not None:
             print(
-                f"    redispatched {redispatched} in-flight task(s); "
-                f"{quarantined} quarantined worker(s) stayed gated",
+                f"    redispatched {a['redispatched']} in-flight task(s); "
+                f"{a.get('quarantined')} quarantined worker(s) stayed gated",
                 file=out,
             )
     return True
@@ -385,14 +372,8 @@ def explain_slo(spans: Sequence[Span], *, out: TextIO) -> bool:
             f"remaining",
             file=out,
         )
-        for event in span.events:
-            if event.name == "slo.escalation":
-                print(
-                    f"    t={event.time:9.3f}  "
-                    f"{event.attributes.get('previous')} → "
-                    f"{event.attributes.get('level')}",
-                    file=out,
-                )
+        for _, line in _event_lines(span):
+            print(f"    {line}", file=out)
         window_end = span.end if span.end is not None else float("inf")
         for adapt in adaptations:
             a_end = adapt.end if adapt.end is not None else float("inf")
@@ -417,9 +398,7 @@ def explain_slo(spans: Sequence[Span], *, out: TextIO) -> bool:
                 if adapt.attributes.get("self_resolved"):
                     legs += ", self-resolved (no actuation needed)"
                 print(f"      effect visible at t={effect:.3f} ({legs})", file=out)
-        fired_inside = [
-            a for a in actuations if span.start <= a.start <= window_end
-        ]
+        fired_inside = [a for a in actuations if span.start <= a.start <= window_end]
         if fired_inside:
             # grouped by (name, actor): a starving farm fires a rule on
             # every MAPE cycle, and twenty identical lines say less than
@@ -436,10 +415,7 @@ def explain_slo(spans: Sequence[Span], *, out: TextIO) -> bool:
                         f"{name} by {actor} x{len(group)} "
                         f"(t={group[0].start:.3f}..{group[-1].start:.3f})"
                     )
-            print(
-                f"    actuation(s) inside the episode: {', '.join(parts)}",
-                file=out,
-            )
+            print(f"    actuation(s) inside the episode: {', '.join(parts)}", file=out)
         if span.end is None:
             print("    still open at export (alert not yet resolved)", file=out)
             continue
@@ -449,9 +425,7 @@ def explain_slo(spans: Sequence[Span], *, out: TextIO) -> bool:
         if opened is not None and closed is not None:
             burned = f"; budget burned {_pct(float(opened) - float(closed))}"
         closed_how = (
-            "resolved"
-            if span.attributes.get("resolved", True)
-            else "closed unresolved at export"
+            "resolved" if span.attributes.get("resolved", True) else "closed unresolved at export"
         )
         print(
             f"    {closed_how} after {span.end - span.start:.3f}s — "
@@ -467,9 +441,7 @@ def explain_slo(spans: Sequence[Span], *, out: TextIO) -> bool:
 # ----------------------------------------------------------------------
 
 
-def explain_tenant(
-    spans: Sequence[Span], tenant: str, *, out: TextIO
-) -> bool:
+def explain_tenant(spans: Sequence[Span], tenant: str, *, out: TextIO) -> bool:
     """Narrate every task one tenant submitted; False if the tenant is
     absent from the export.
 
@@ -479,24 +451,15 @@ def explain_tenant(
     which farms/shards served the tenant, each task's worker chain, and
     how the tenant's stream ended.
     """
-    roots = [
-        s
-        for s in spans
-        if s.name == "task" and s.attributes.get("tenant") == tenant
-    ]
+    roots = _task_roots(spans, "tenant", tenant)
     if not roots:
-        known = sorted(
-            {
-                str(s.attributes["tenant"])
-                for s in spans
-                if s.name == "task" and s.attributes.get("tenant") is not None
-            }
-        )
+        tenants = (s.attributes.get("tenant") for s in spans if s.name == "task")
+        known = sorted({str(t) for t in tenants if t is not None})
         print(f"no 'task' span carries tenant={tenant!r}", file=out)
         if known:
             print("tenants in this export: " + ", ".join(known), file=out)
         return False
-    index = children_index(spans)
+    forest = SpanForest(spans)
     roots = _in_order(roots)
     farms = sorted({r.actor for r in roots})
     print(
@@ -510,7 +473,7 @@ def explain_tenant(
         if outcome == "ok":
             done += 1
         hops: List[str] = []
-        for dispatch in _dispatch_chain(index, root):
+        for dispatch in _dispatch_chain(forest, root):
             d_outcome = dispatch.attributes.get("outcome", "open")
             hop = f"worker {dispatch.attributes.get('worker')}"
             if d_outcome in _SUPERSEDED_REASON:
@@ -538,33 +501,23 @@ def explain_tenant(
 
 
 def find_actuations(spans: Sequence[Span]) -> List[Span]:
-    """Every span that *decided* something: MAPE cycles that fired at
-    least one rule, plus intent rounds not already under such a cycle."""
-    index = children_index(spans)
-
-    def descendants(span: Span):
-        for kid in index.get(span.span_id, []):
-            yield kid
-            yield from descendants(kid)
-
-    cycles = []
-    covered = set()
-    for span in spans:
-        if span.name != "mape.cycle":
+    """Every span that *decided* something, in start order: MAPE cycles that
+    fired at least one rule, plus intent rounds not already under one."""
+    forest = SpanForest(spans)
+    fired, covered = set(), set()
+    for cycle in forest.spans:
+        if cycle.name != "mape.cycle":
             continue
-        fired = False
-        for d in descendants(span):
-            if d.name == "mape.execute" and d.attributes.get("fired"):
-                fired = True
+        for d in forest.descendants(cycle):
             if d.name in ("mc.intent", "mc.commit"):
-                fired = True
-                covered.add(d.span_id)
-        if fired:
-            cycles.append(span)
-    orphan_intents = [
-        s for s in spans if s.name == "mc.intent" and s.span_id not in covered
+                covered.add(id(d))
+                fired.add(id(cycle))
+            elif d.name == "mape.execute" and d.attributes.get("fired"):
+                fired.add(id(cycle))
+    return [
+        s for s in forest.spans
+        if id(s) in fired or (s.name == "mc.intent" and id(s) not in covered)
     ]
-    return _in_order(cycles + orphan_intents)
 
 
 def _explain_intent(span: Span, out: TextIO, indent: str) -> None:
@@ -572,57 +525,19 @@ def _explain_intent(span: Span, out: TextIO, indent: str) -> None:
     operation = span.attributes.get("operation", "?")
     mode = span.attributes.get("mode", "?")
     outcome = span.attributes.get("outcome", "open")
-    print(
-        f"{indent}intent: {originator} asked for {operation} "
-        f"(mode {mode}) → {outcome}",
-        file=out,
-    )
-    for event in span.events:
-        if event.name == "intent.plan":
-            ok = event.attributes.get("ok")
-            print(
-                f"{indent}  planned {event.attributes.get('count')} node(s): "
-                f"{'placement reserved' if ok else 'no capacity — no local plan'}",
-                file=out,
-            )
-        elif event.name == "intent.amend":
-            print(
-                f"{indent}  amended by reviewer "
-                f"{event.attributes.get('reviewer')} (plan changed before commit)",
-                file=out,
-            )
-        elif event.name == "intent.veto":
-            print(
-                f"{indent}  VETOED by reviewer {event.attributes.get('reviewer')} "
-                f"— plan aborted, reservation released",
-                file=out,
-            )
-        elif event.name == "security.amend":
-            print(
-                f"{indent}  security manager amended nodes: "
-                f"{event.attributes.get('nodes')}",
-                file=out,
-            )
+    print(f"{indent}intent: {originator} asked for {operation} (mode {mode}) → {outcome}", file=out)
+    for _, line in _event_lines(span):
+        print(f"{indent}  {line}", file=out)
 
 
 def _explain_commit(span: Span, out: TextIO, indent: str) -> None:
-    nodes = span.attributes.get("nodes")
-    print(f"{indent}commit on nodes {nodes}:", file=out)
+    print(f"{indent}commit on nodes {span.attributes.get('nodes')}:", file=out)
     # reconstruct each worker's admission path from the point events
     steps: Dict[Any, List[str]] = {}
-    for event in span.events:
+    for event, step in _event_lines(span):
         worker = event.attributes.get("worker")
-        if worker is None:
-            continue
-        label = {
-            "mc.quarantine": "quarantined on arrival",
-            "mc.secured": "channel secured",
-            "mc.secure_failed": "secure handshake FAILED",
-            "mc.admit": "admitted to the dispatch pool",
-        }.get(event.name)
-        if label is None:
-            continue
-        steps.setdefault(worker, []).append(label)
+        if worker is not None:
+            steps.setdefault(worker, []).append(step)
     for worker, path in steps.items():
         print(f"{indent}  worker {worker}: " + " → ".join(path), file=out)
     print(
@@ -632,24 +547,15 @@ def _explain_commit(span: Span, out: TextIO, indent: str) -> None:
     )
 
 
-def explain_actuation(
-    spans: Sequence[Span], number: int, *, out: TextIO
-) -> bool:
+def explain_actuation(spans: Sequence[Span], number: int, *, out: TextIO) -> bool:
     """Narrate actuation ``number`` (1-based, as listed); False if absent."""
     actuations = find_actuations(spans)
     if not 1 <= number <= len(actuations):
-        print(
-            f"no actuation #{number}; {len(actuations)} found "
-            f"(list them with --actuations)",
-            file=out,
-        )
+        hint = "(list them with --actuations)"
+        print(f"no actuation #{number}; {len(actuations)} found {hint}", file=out)
         return False
     span = actuations[number - 1]
-    index = children_index(spans)
-
-    def kids(parent: Span, name: str) -> List[Span]:
-        return [s for s in index.get(parent.span_id, []) if s.name == name]
-
+    forest = SpanForest(spans)
     print(
         f"actuation #{number} — {span.name} by {span.actor} "
         f"at t={span.start:.3f} (trace {span.trace_id})",
@@ -658,12 +564,12 @@ def explain_actuation(
     if span.name == "mc.intent":
         _explain_intent(span, out, "  ")
         # a live ABC's admission gate narrates its commit nested inside
-        for commit in kids(span, "mc.commit"):
+        for commit in forest.children(span, "mc.commit"):
             _explain_commit(commit, out, "  ")
         return True
     # a MAPE cycle: monitor → analyse → plan → execute, with any intent
     # protocol rounds nested under execute
-    for plan in kids(span, "mape.plan"):
+    for plan in forest.children(span, "mape.plan"):
         matched = plan.attributes.get("matched") or []
         if matched:
             print("  plan: rules matched on this metric window:", file=out)
@@ -675,22 +581,17 @@ def explain_actuation(
                 print(f"    {name} (salience {salience})", file=out)
         else:
             print("  plan: no rule matched", file=out)
-    for execute in kids(span, "mape.execute"):
+    for execute in forest.children(span, "mape.execute"):
         fired = execute.attributes.get("fired") or []
         print(
             "  execute: fired " + (", ".join(map(str, fired)) if fired else "nothing"),
             file=out,
         )
-
-        def walk(parent: Span, indent: str) -> None:
-            for child in _in_order(index.get(parent.span_id, [])):
-                if child.name == "mc.intent":
-                    _explain_intent(child, out, indent)
-                elif child.name == "mc.commit":
-                    _explain_commit(child, out, indent)
-                walk(child, indent)
-
-        walk(execute, "    ")
+        for d in forest.descendants(execute):
+            if d.name == "mc.intent":
+                _explain_intent(d, out, "    ")
+            elif d.name == "mc.commit":
+                _explain_commit(d, out, "    ")
     return True
 
 
@@ -699,15 +600,9 @@ def explain_actuation(
 # ----------------------------------------------------------------------
 
 
-def _overview(spans: Sequence[Span], out: TextIO) -> None:
+def _overview(spans: Sequence[Span], *, out: TextIO) -> None:
     traces = list_traces(spans)
-    tasks = sorted(
-        {
-            s.attributes.get("task_id")
-            for s in spans
-            if s.name == "task" and s.attributes.get("task_id") is not None
-        }
-    )
+    tasks = {s.attributes.get("task_id") for s in spans if s.name == "task"} - {None}
     actuations = find_actuations(spans)
     print(
         f"{len(spans)} span(s), {len(traces)} trace(s), "
@@ -720,36 +615,73 @@ def _overview(spans: Sequence[Span], out: TextIO) -> None:
     alerts = find_slo_alerts(spans)
     if alerts:
         print(f"{len(alerts)} SLO alert episode(s) — see --slo", file=out)
-    print(
-        "explore with --list-traces, --actuations, --trace, --task, --actuation, "
-        "--tenant, --failovers, --slo",
-        file=out,
-    )
+    print("explore with " + ", ".join(flag for flag, _, _ in _MODES), file=out)
 
 
-def _list_traces(spans: Sequence[Span], out: TextIO) -> None:
+def _list_traces(spans: Sequence[Span], *, out: TextIO) -> bool:
     for summary in list_traces(spans):
         print(
             f"{summary['trace_id']}  {summary['spans']:4d} span(s)  "
             f"root={summary['root']}  t={summary['start']:.3f}",
             file=out,
         )
+    return True
 
 
-def _list_actuations(spans: Sequence[Span], out: TextIO) -> None:
+def _list_actuations(spans: Sequence[Span], *, out: TextIO) -> bool:
     actuations = find_actuations(spans)
     if not actuations:
         print("no actuations recorded (no rule fired, no intent raised)", file=out)
-        return
     for i, span in enumerate(actuations, start=1):
-        detail = ""
+        a, detail = span.attributes, ""
         if span.name == "mc.intent":
-            detail = (
-                f" {span.attributes.get('originator')} → "
-                f"{span.attributes.get('operation')} "
-                f"[{span.attributes.get('outcome', 'open')}]"
-            )
+            detail = f" {a.get('originator')} → {a.get('operation')} [{a.get('outcome', 'open')}]"
         print(f"#{i}  t={span.start:9.3f}  {span.name}  by {span.actor}{detail}", file=out)
+    return True
+
+
+#: one row per mode: its flag, its argparse keywords and its narrator, which
+#: takes the flag's value (if any) after the spans; False from it is exit 2
+_MODES: Tuple[Tuple[str, Dict[str, Any], Callable[..., bool]], ...] = (
+    ("--list-traces", dict(action="store_true", help="index of recorded traces"), _list_traces),
+    (
+        "--actuations",
+        dict(action="store_true", help="index of recorded actuations"),
+        _list_actuations,
+    ),
+    (
+        "--trace",
+        dict(metavar="ID", help="print one trace tree (unique id prefix ok)"),
+        explain_trace,
+    ),
+    ("--task", dict(type=int, metavar="N", help="causal chain of task N"), explain_task),
+    (
+        "--actuation",
+        dict(type=int, metavar="N", help="causal chain of actuation #N"),
+        explain_actuation,
+    ),
+    (
+        "--tenant",
+        dict(
+            metavar="NAME", help="narrate every task tenant NAME submitted (multi-tenant runs)"
+        ),
+        explain_tenant,
+    ),
+    (
+        "--failovers",
+        dict(
+            action="store_true", help="narrate coordinator failovers (journal replay, redispatch)"
+        ),
+        explain_failovers,
+    ),
+    (
+        "--slo",
+        dict(
+            action="store_true", help="narrate SLO alert episodes (burn rates, budget, adaptations)"
+        ),
+        explain_slo,
+    ),
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -759,33 +691,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("trace_file", help="JSONL file written by export_jsonl")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--list-traces", action="store_true", help="index of recorded traces"
-    )
-    group.add_argument(
-        "--trace", metavar="ID", help="print one trace tree (unique id prefix ok)"
-    )
-    group.add_argument(
-        "--task", type=int, metavar="N", help="causal chain of task N"
-    )
-    group.add_argument(
-        "--actuations", action="store_true", help="index of recorded actuations"
-    )
-    group.add_argument(
-        "--actuation", type=int, metavar="N", help="causal chain of actuation #N"
-    )
-    group.add_argument(
-        "--tenant", metavar="NAME",
-        help="narrate every task tenant NAME submitted (multi-tenant runs)",
-    )
-    group.add_argument(
-        "--failovers", action="store_true",
-        help="narrate coordinator failovers (journal replay, redispatch)",
-    )
-    group.add_argument(
-        "--slo", action="store_true",
-        help="narrate SLO alert episodes (burn rates, budget, adaptations)",
-    )
+    for flag, spec, _ in _MODES:
+        group.add_argument(flag, **spec)
     return parser
 
 
@@ -799,25 +706,12 @@ def main(argv: Optional[List[str]] = None, *, out: TextIO = None) -> int:
         print(f"cannot read {args.trace_file}: {exc}", file=sys.stderr)
         return 1
 
-    if args.list_traces:
-        _list_traces(spans, out)
-        return 0
-    if args.trace:
-        return 0 if explain_trace(spans, args.trace, out=out) else 2
-    if args.task is not None:
-        return 0 if explain_task(spans, args.task, out=out) else 2
-    if args.actuations:
-        _list_actuations(spans, out)
-        return 0
-    if args.actuation is not None:
-        return 0 if explain_actuation(spans, args.actuation, out=out) else 2
-    if args.tenant is not None:
-        return 0 if explain_tenant(spans, args.tenant, out=out) else 2
-    if args.failovers:
-        return 0 if explain_failovers(spans, out=out) else 2
-    if args.slo:
-        return 0 if explain_slo(spans, out=out) else 2
-    _overview(spans, out)
+    for flag, _, narrate in _MODES:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:
+            given = () if value is True else (value,)
+            return 0 if narrate(spans, *given, out=out) else 2
+    _overview(spans, out=out)
     return 0
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "TRACEPARENT_VERSION",
@@ -38,6 +38,7 @@ __all__ = [
     "stable_span_id",
     "TraceContext",
     "task_context",
+    "SpanForest",
     "build_trace_tree",
     "list_traces",
 ]
@@ -187,54 +188,76 @@ def task_context(farm_name: str, task_id: int) -> TraceContext:
 # trace trees
 # ----------------------------------------------------------------------
 
-def build_trace_tree(spans: Iterable[Any], trace_id: str) -> List[Dict[str, Any]]:
-    """The spans of one trace as a nested JSON-ready forest.
+class SpanForest:
+    """Spans as one forest, which every reader of a trace walks.
 
-    Each node is the span's exported dict plus a ``children`` list,
-    children ordered by start time.  A span whose parent is missing from
-    the trace (or would form a cycle) surfaces as a root rather than
-    vanishing, so a partially shipped trace still renders.
+    Each span appears exactly once, under the first span of its trace
+    (in ``(start, span_id)`` order, as are roots and children) that
+    carries its parent id.  A span whose parent is missing or itself,
+    or which lies on a parent cycle, is a root: a hostile export with
+    shared ids or cycles renders, and every walk over the forest ends.
     """
+
+    __slots__ = ("spans", "roots", "_children")
+
+    def __init__(self, spans: Iterable[Any]) -> None:
+        #: every span, in ``(start, span_id)`` order
+        self.spans = sorted(spans, key=lambda s: (s.start, s.span_id))
+        owners: Dict[Tuple[str, str], Any] = {}
+        for span in self.spans:
+            owners.setdefault((span.trace_id, span.span_id), span)
+        parents: Dict[int, Any] = {}
+        for span in self.spans:
+            parent = owners.get((span.trace_id, span.parent_id))
+            if parent is not None and parent is not span:
+                parents[id(span)] = parent
+        # follow each span's parent links; a walk that meets its own
+        # path closed a cycle, whose members all become roots
+        where: Dict[int, int] = {}  # span → its place on this walk; -1 once walked
+        for span in self.spans:
+            path: List[Any] = []
+            node = span
+            while node is not None and id(node) not in where:
+                where[id(node)] = len(path)
+                path.append(node)
+                node = parents.get(id(node))
+            if node is not None and where[id(node)] >= 0:
+                for member in path[where[id(node)] :]:
+                    del parents[id(member)]
+            where.update((id(member), -1) for member in path)
+        self.roots: List[Any] = []
+        self._children: Dict[int, List[Any]] = {}
+        for span in self.spans:
+            parent = parents.get(id(span))
+            if parent is None:
+                self.roots.append(span)
+            else:
+                self._children.setdefault(id(parent), []).append(span)
+
+    def children(self, span: Any, name: Optional[str] = None) -> List[Any]:
+        """``span``'s children (only those called ``name``, if given)."""
+        kids = self._children.get(id(span), [])
+        return kids if name is None else [k for k in kids if k.name == name]
+
+    def descendants(self, span: Any) -> Iterator[Any]:
+        """Every span below ``span``, depth first, children in order."""
+        stack = self.children(span)[::-1]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += self.children(node)[::-1]
+
+
+def build_trace_tree(spans: Iterable[Any], trace_id: str) -> List[Dict[str, Any]]:
+    """The :class:`SpanForest` of one trace as a nested JSON-ready list:
+    each node is the span's exported dict plus a ``children`` list."""
     from .export import span_to_dict  # local import: export imports us
 
-    members = [s for s in spans if getattr(s, "trace_id", "") == trace_id]
-    nodes: Dict[str, Dict[str, Any]] = {}
-    for span in members:
-        node = span_to_dict(span)
-        node["children"] = []
-        nodes[span.span_id] = node
-    roots: List[Dict[str, Any]] = []
-    for span in members:
-        node = nodes[span.span_id]
-        parent = span.parent_id
-        if parent is not None and parent in nodes and parent != span.span_id:
-            nodes[parent]["children"].append(node)
-        else:
-            roots.append(node)
-    # a cycle (corrupt import) leaves its members unreachable from any
-    # root: promote the earliest-starting span of each orphan cycle
-    reachable: set = set()
-
-    def mark(node: Dict[str, Any]) -> None:
-        if node["id"] in reachable:
-            return
-        reachable.add(node["id"])
-        for child in node["children"]:
-            mark(child)
-
-    for root in roots:
-        mark(root)
-    for span in sorted(members, key=lambda s: (s.start, s.span_id)):
-        if span.span_id not in reachable:
-            node = nodes[span.span_id]
-            if node in nodes.get(span.parent_id, {}).get("children", []):
-                nodes[span.parent_id]["children"].remove(node)
-            roots.append(node)
-            mark(node)
-    for node in nodes.values():
-        node["children"].sort(key=lambda n: (n["start"], n["id"]))
-    roots.sort(key=lambda n: (n["start"], n["id"]))
-    return roots
+    forest = SpanForest(s for s in spans if s.trace_id == trace_id)
+    nodes = {id(s): dict(span_to_dict(s), children=[]) for s in forest.spans}
+    for span in forest.spans:
+        nodes[id(span)]["children"] = [nodes[id(k)] for k in forest.children(span)]
+    return [nodes[id(root)] for root in forest.roots]
 
 
 def list_traces(spans: Iterable[Any]) -> List[Dict[str, Any]]:
