@@ -18,6 +18,7 @@ the two configurations the paper evaluates:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, List, Optional
 
 from ..gcm.abc_controller import (
@@ -109,12 +110,13 @@ class FarmBS(BehaviouralSkeleton):
         return self.pattern.with_degree(max(1, self.farm.num_workers))
 
 
-def build_farm_bs(
+def _farm_bs(
     sim: Simulator,
     resources: ResourceManager,
+    mechanism: Callable[..., Any],
+    pattern: FarmSkel,
     *,
-    name: str = "farm",
-    worker_work: float,
+    name: str,
     initial_degree: int = 1,
     network: Optional[Network] = None,
     control_period: float = 10.0,
@@ -122,28 +124,23 @@ def build_farm_bs(
     rate_window: float = 10.0,
     emitter_node: Optional[Node] = None,
     constants_kwargs: Optional[dict] = None,
-    spawn_worker_managers: bool = True,
     on_result: Optional[Callable[..., None]] = None,
     policy: str = "standard",
     telemetry: Optional[Telemetry] = None,
+    manage_workers: bool = False,
+    worker_work: Optional[float] = None,
 ) -> FarmBS:
-    """Assemble a task-farm BS (Figure 3 configuration).
+    """One functional-replication BS: the ``mechanism`` shape under a
+    :class:`FarmABC` and a :class:`FarmManager`, all on one telemetry
+    (the caller's, or a new one on ``sim``'s clock); ``initial_degree``
+    workers come from ``resources``, and ``pattern`` gets that degree."""
+    from .policies import ManagersConstants
 
-    ``worker_work`` is the per-task work in seconds-at-unit-speed (the
-    simulated image-filter cost); ``initial_degree`` workers are
-    bootstrapped immediately from ``resources``.  With
-    ``initial_degree=0`` the manager instead performs model-based initial
-    deployment when its contract arrives (§3's "initial parallelism
-    degree setup": ``optimal_degree`` workers straight away).
-    Without a ``telemetry`` the BS records on its own one, on ``sim``'s
-    clock.
-    """
     telemetry = telemetry if telemetry is not None else Telemetry(SimClock(sim))
-    emitter = emitter_node or Node(f"{name}-frontend")
-    farm = SimFarm(
+    farm = mechanism(
         sim,
         name=name,
-        emitter_node=emitter,
+        emitter_node=emitter_node or Node(f"{name}-frontend"),
         network=network,
         worker_setup_time=worker_setup_time,
         rate_window=rate_window,
@@ -151,33 +148,62 @@ def build_farm_bs(
         telemetry=telemetry,
     )
     abc = FarmABC(farm, resources)
-    from .policies import ManagersConstants
-
-    constants = ManagersConstants(**(constants_kwargs or {}))
     manager = FarmManager(
         f"AM_{name}",
         sim,
         abc,
-        constants=constants,
+        constants=ManagersConstants(**(constants_kwargs or {})),
         control_period=control_period,
-        manage_workers=spawn_worker_managers,
+        manage_workers=manage_workers,
         policy=policy,
         worker_work=worker_work,
         telemetry=telemetry,
     )
     if initial_degree > 0:
         abc.bootstrap(initial_degree)
-        if spawn_worker_managers:
+        if manage_workers:
             manager.spawn_worker_managers()
-    component = _make_component(name, manager, abc)
-    pattern = FarmSkel(SeqSkel(worker_work), degree=max(1, initial_degree))
     return FarmBS(
-        pattern=pattern,
+        pattern=pattern.with_degree(max(1, initial_degree)),
         manager=manager,
-        component=component,
+        component=_make_component(name, manager, abc),
         abc=abc,
         farm=farm,
         resources=resources,
+    )
+
+
+def build_farm_bs(
+    sim: Simulator,
+    resources: ResourceManager,
+    *,
+    name: str = "farm",
+    worker_work: float,
+    initial_degree: int = 1,
+    spawn_worker_managers: bool = True,
+    **options: Any,
+) -> FarmBS:
+    """Assemble a task-farm BS (Figure 3 configuration).
+
+    ``worker_work`` is the per-task work in seconds-at-unit-speed (the
+    simulated image-filter cost).  With ``initial_degree=0`` the manager
+    instead performs model-based initial deployment when its contract
+    arrives (§3's "initial parallelism degree setup": ``optimal_degree``
+    workers straight away).  ``options`` are the shared ones of either
+    BS: ``network``, ``control_period``, ``worker_setup_time``,
+    ``rate_window``, ``emitter_node``, ``constants_kwargs``,
+    ``on_result``, ``policy`` and ``telemetry``.
+    """
+    return _farm_bs(
+        sim,
+        resources,
+        SimFarm,
+        FarmSkel(SeqSkel(worker_work)),
+        name=name,
+        initial_degree=initial_degree,
+        manage_workers=spawn_worker_managers,
+        worker_work=worker_work,
+        **options,
     )
 
 
@@ -187,69 +213,25 @@ def build_map_bs(
     *,
     name: str = "map",
     initial_degree: int = 1,
-    network: Optional[Network] = None,
-    control_period: float = 10.0,
-    worker_setup_time: float = 5.0,
-    rate_window: float = 10.0,
     scatter_overhead: float = 0.02,
     gather_overhead: float = 0.02,
-    emitter_node: Optional[Node] = None,
-    constants_kwargs: Optional[dict] = None,
-    policy: str = "standard",
-    on_result: Optional[Callable[..., None]] = None,
-    telemetry: Optional[Telemetry] = None,
+    **options: Any,
 ) -> FarmBS:
     """Assemble a data-parallel map BS.
 
-    Same manager stack as :func:`build_farm_bs` — the map is the
-    scatter/reduce variant of functional replication (§3), so a
-    :class:`FarmManager` over a :class:`~repro.gcm.abc_controller.
-    FarmABC` drives it unchanged.  Tasks are *collections*: each is
-    scattered across all current workers and reduced back to one result.
+    The same assembly and ``options`` as :func:`build_farm_bs`: the map
+    is the scatter/reduce variant of functional replication (§3), so a
+    :class:`FarmManager` over a :class:`FarmABC` drives it unchanged.
+    Tasks are *collections*: each is scattered across all current
+    workers and reduced back to one result.
     """
     from ..sim.map import SimMap
 
-    telemetry = telemetry if telemetry is not None else Telemetry(SimClock(sim))
-    emitter = emitter_node or Node(f"{name}-frontend")
-    smap = SimMap(
-        sim,
-        name=name,
-        emitter_node=emitter,
-        network=network,
-        scatter_overhead=scatter_overhead,
-        gather_overhead=gather_overhead,
-        worker_setup_time=worker_setup_time,
-        rate_window=rate_window,
-        on_result=on_result,
-    )
-    abc = FarmABC(smap, resources)  # type: ignore[arg-type]
-    from .policies import ManagersConstants
-
-    constants = ManagersConstants(**(constants_kwargs or {}))
-    manager = FarmManager(
-        f"AM_{name}",
-        sim,
-        abc,
-        constants=constants,
-        control_period=control_period,
-        manage_workers=False,
-        policy=policy,
-        telemetry=telemetry,
-    )
-    if initial_degree > 0:
-        abc.bootstrap(initial_degree)
-    component = _make_component(name, manager, abc)
+    smap = partial(SimMap, scatter_overhead=scatter_overhead, gather_overhead=gather_overhead)
     # the skeleton algebra models a map as a farm with scatter dispatch
-    pattern = FarmSkel(
-        SeqSkel(1.0), degree=max(1, initial_degree), dispatch="scatter", collect="reduce"
-    )
-    return FarmBS(
-        pattern=pattern,
-        manager=manager,
-        component=component,
-        abc=abc,
-        farm=smap,  # type: ignore[arg-type]
-        resources=resources,
+    pattern = FarmSkel(SeqSkel(1.0), dispatch="scatter", collect="reduce")
+    return _farm_bs(
+        sim, resources, smap, pattern, name=name, initial_degree=initial_degree, **options
     )
 
 

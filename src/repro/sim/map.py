@@ -113,6 +113,7 @@ class SimMap(FunctionalReplication):
         worker_setup_time: float = 5.0,
         chunk_size_kb: float = 32.0,
         on_result: Optional[Callable[[Task], None]] = None,
+        telemetry: Any = None,
     ) -> None:
         if scatter_overhead < 0 or gather_overhead < 0:
             raise ValueError("overheads must be >= 0")
@@ -122,6 +123,7 @@ class SimMap(FunctionalReplication):
             rate_window=rate_window,
             worker_setup_time=worker_setup_time,
             on_result=on_result,
+            telemetry=telemetry,
         )
         self.emitter_node = emitter_node
         self.network = network

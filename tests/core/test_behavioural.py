@@ -291,3 +291,29 @@ class TestBuildMapBS:
 
         bs.abc.execute(ManagerOperation.ADD_EXECUTOR)
         assert bs.current_pattern().degree == 3
+
+
+class TestGrowthRecordsOnTheBSTelemetry:
+    """A farm BS and a map BS are one assembly: either one's growth is
+    recorded on the telemetry its manager holds."""
+
+    @pytest.mark.parametrize("shape", ["farm", "map"])
+    def test_grow_is_a_commit_span_with_its_blackout(self, shape):
+        from repro.core.behavioural import build_map_bs
+        from repro.obs.export import prometheus_text
+
+        sim = Simulator()
+        rm = ResourceManager(make_cluster(10))
+        if shape == "farm":
+            bs = build_farm_bs(sim, rm, worker_work=10.0, initial_degree=2, rate_window=20.0)
+        else:
+            bs = build_map_bs(sim, rm, initial_degree=2, rate_window=20.0)
+        TaskSource(sim, bs.farm.input, rate=0.5, work_model=ConstantWork(10.0))
+        bs.assign_contract(MinThroughputContract(0.4))
+        sim.run(until=300.0)
+        assert bs.farm.num_workers > 2
+        tel = bs.manager.telemetry
+        commits = [s for s in tel.spans.spans if s.name == "mc.commit"]
+        assert commits
+        assert "farm.blackout" in {e.name for s in commits for e in s.events}
+        assert "repro_reconfiguration_blackout_seconds_bucket" in prometheus_text(tel.metrics)
